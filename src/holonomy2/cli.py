@@ -26,7 +26,7 @@ from .holonomy import (HolonomyError, build_wg, check_wstructure,
                        generation_equivalence, holonomy_groupoid,
                        identity_vertical_morphism, universal_morphism,
                        check_chart_coherence)
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import ScenarioError, load_scenario
 
 
 def _sorted_strs(values):
@@ -112,18 +112,24 @@ def task_derivations(scn, task, opts):
     return matched == n_coad == len(secs), details
 
 
-def task_holonomy(scn, task, opts):
-    name, cm = _xmod_for(scn, task, "tasks.holonomy")
+def _windowed(scn, task, loc):
+    """The task's crossed module and window, with the double groupoid,
+    the window squares and their S1-S5 report, built once for the task."""
+    name, cm = _xmod_for(scn, task, loc)
     wname = task.get("w")
     if wname is None or wname not in scn.windows:
-        raise ScenarioError("tasks.holonomy", "missing or unknown 'w' %r" % wname)
+        raise ScenarioError(loc, "missing or unknown 'w' %r" % wname)
     w, wcm = scn.windows[wname]
     if wcm is not cm:
-        raise ScenarioError("tasks.holonomy", "window %r belongs to another xmod" % wname)
+        raise ScenarioError(loc, "window %r belongs to another xmod" % wname)
     dg = build_double_groupoid(cm)
     wg = build_wg(dg, w)
-    axioms = check_locally_lie_double(dg, wg)
-    creport = check_locally_lie_xmod(cm, w, dg)
+    return name, cm, wname, w, dg, wg, check_locally_lie_double(dg, wg)
+
+
+def task_holonomy(scn, task, opts):
+    name, cm, wname, w, dg, wg, axioms = _windowed(scn, task, "tasks.holonomy")
+    creport = check_locally_lie_xmod(cm, w, axioms)
     gen = generation_equivalence(cm, w.arrows, dg)
     details = {"xmod": name, "window": wname,
                "square_axioms": _strip(axioms), "kernel_axioms": _strip(creport),
@@ -131,7 +137,7 @@ def task_holonomy(scn, task, opts):
     if not axioms["ok"]:
         details["holonomy"] = "skipped: axioms fail"
         return False, details
-    hol = holonomy_groupoid(cm, w)
+    hol = holonomy_groupoid(dg, wg, axioms)
     rep = {k: v for k, v in hol.report.items() if k != "axioms"}
     rep["arrows"] = len(hol.quotient.arrows)
     rep["objects"] = len(hol.quotient.objects)
@@ -149,15 +155,9 @@ def task_holonomy(scn, task, opts):
 
 
 def task_universal(scn, task, opts):
-    name, cm = _xmod_for(scn, task, "tasks.universal")
-    wname = task.get("w")
-    if wname is None or wname not in scn.windows:
-        raise ScenarioError("tasks.universal", "missing or unknown 'w' %r" % wname)
-    w, wcm = scn.windows[wname]
-    if wcm is not cm:
-        raise ScenarioError("tasks.universal", "window %r belongs to another xmod" % wname)
+    name, cm, wname, w, dg, wg, axioms = _windowed(scn, task, "tasks.universal")
     mu_name = task.get("mu", "identity")
-    hol = holonomy_groupoid(cm, w)
+    hol = holonomy_groupoid(dg, wg, axioms)
     if mu_name == "identity" or scn.morphisms.get(mu_name) == "identity":
         mu = identity_vertical_morphism(hol.dg)
     else:

@@ -69,19 +69,7 @@ class DoubleGroupoid:
         return Square(self.cm.C.unit(G.tgt(a)),
                       G.unit(G.src(a)), a, a, G.unit(G.tgt(a)))
 
-    # -- structure maps ---------------------------------------------------
-
-    def alpha1(self, sq):
-        return sq.top
-
-    def beta1(self, sq):
-        return sq.bottom
-
-    def alpha2(self, sq):
-        return sq.left
-
-    def beta2(self, sq):
-        return sq.right
+    # -- queries -----------------------------------------------------------
 
     def contains(self, sq):
         return sq in self._square_set
@@ -123,7 +111,7 @@ class DoubleGroupoid:
 
     # -- groupoid views -----------------------------------------------------
 
-    def vertical_groupoid(self, topology=None):
+    def vertical_groupoid(self):
         """Squares under vertical composition, over the edge arrows."""
         table = {}
         for u in self.squares:
@@ -134,13 +122,12 @@ class DoubleGroupoid:
                         {sq: sq.bottom for sq in self.squares},
                         table,
                         {sq: self.neg1(sq) for sq in self.squares},
-                        {a: self.eps1(a) for a in self.edge.arrows},
-                        topology=topology)
+                        {a: self.eps1(a) for a in self.edge.arrows})
 
     def _by_bottom_top(self, a):
         return [sq for sq in self.squares if sq.top == a]
 
-    def horizontal_groupoid(self, topology=None):
+    def horizontal_groupoid(self):
         table = {}
         for u in self.squares:
             for v in self.squares:
@@ -151,8 +138,7 @@ class DoubleGroupoid:
                         {sq: sq.right for sq in self.squares},
                         table,
                         {sq: self.neg2(sq) for sq in self.squares},
-                        {a: self.eps2(a) for a in self.edge.arrows},
-                        topology=topology)
+                        {a: self.eps2(a) for a in self.edge.arrows})
 
     def __repr__(self):
         return "DoubleGroupoid(%d squares over %d edges)" % (len(self.squares), len(self.edge.arrows))
@@ -197,15 +183,6 @@ def build_double_groupoid(cm):
             squares.append(Square(w, top, b, c, a))
     dg = DoubleGroupoid(cm, squares)
     return dg
-
-
-def square_compose(dg, direction, u, v):
-    """Compose two squares in direction 1 (vertical) or 2 (horizontal)."""
-    if direction == 1:
-        return dg.comp1(u, v)
-    if direction == 2:
-        return dg.comp2(u, v)
-    raise DoubleGroupoidError("direction must be 1 or 2")
 
 
 def check_double(dg):

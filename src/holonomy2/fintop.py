@@ -225,10 +225,6 @@ class PartialMap:
             raise TopologyError("cannot invert a non-injective partial map")
         return PartialMap({v: k for k, v in self.table.items()})
 
-    def restrict(self, subdomain):
-        sub = frozenset(subdomain) & self.domain
-        return PartialMap({p: self.table[p] for p in sub})
-
     def compose(self, other):
         """other after self, on the matched overlap."""
         dom = [p for p in self.domain if self.table[p] in other.domain]
@@ -246,11 +242,6 @@ class PartialMap:
         items = ", ".join("%s->%s" % (k, v) for k, v in
                           sorted(self.table.items(), key=lambda kv: str(kv[0])))
         return "PartialMap({%s})" % items
-
-
-def minimal_open(space, p):
-    """Intersection of all opens containing ``p``; itself open."""
-    return space.minimal_open(p)
 
 
 def is_continuous(f, src, tgt):

@@ -137,10 +137,6 @@ class Groupoid:
             for a in self.arrows:
                 self._fibers.setdefault(self._tgt[a], []).append(a)
         return tuple(self._fibers.get(x, ()))
-
-    def hom(self, x, y):
-        return tuple(a for a in self.arrows if self._src[a] == x and self._tgt[a] == y)
-
     def arrow_space(self):
         if self.topology is not None:
             return self.topology[0]
@@ -161,9 +157,6 @@ class Groupoid:
             for b in self.arrows:
                 if self.composable(a, b):
                     yield a, b
-
-    def is_totally_intransitive(self):
-        return all(self._src[a] == self._tgt[a] for a in self.arrows)
 
     def __repr__(self):
         return "Groupoid(%d objects, %d arrows)" % (len(self.objects), len(self.arrows))

@@ -23,13 +23,17 @@ from __future__ import annotations
 import itertools
 
 from .fintop import FiniteTopSpace, PartialMap, TopologyError, is_continuous, is_partial_homeomorphism, pullback_space
-from .groupoid import Groupoid, GroupoidMorphism, NormalSubgroupoid, _skey, check_groupoid, check_groupoid_morphism, generated_subgroupoid, quotient
+from .groupoid import Groupoid, GroupoidError, GroupoidMorphism, NormalSubgroupoid, _skey, check_groupoid, check_groupoid_morphism, generated_subgroupoid, quotient
 from .xmod import apply_action
-from .dgpd import build_double_groupoid
+from .dgpd import DoubleGroupoidError, build_double_groupoid
 
 
 class HolonomyError(ValueError):
     pass
+
+
+# what a section product raises on data that does not compose
+_MODEL_ERRORS = (HolonomyError, GroupoidError, DoubleGroupoidError, TopologyError)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +392,6 @@ def germ_at(dg, sec, a):
     return Germ(a, {z: sec.squares[z] for z in M})
 
 
-def germ_value(germ):
-    """Evaluation at the base arrow: the morphism onto the vertical squares."""
-    return germ.value()
-
-
 def germs_equal_somewhere(dg, s, t, a):
     """Existential germ equivalence: agreement on some open neighbourhood.
 
@@ -584,13 +583,13 @@ def min_sections_at(dg, a, window=None, smooth=False, pin=None):
     return results
 
 
-def sections_through(dg, wg, w_square, smooth=True):
+def sections_through(dg, wg, w_square):
     """Window-valued sections through a square: value at its bottom is the square."""
-    return min_sections_at(dg, w_square.bottom, window=wg, smooth=smooth,
+    return min_sections_at(dg, w_square.bottom, window=wg, smooth=True,
                            pin={w_square.bottom: w_square})
 
 
-def has_enough_sections(dg, wg, smooth=True):
+def has_enough_sections(dg, wg):
     """Search a through-section for every window square.
 
     Witnesses live on minimal domains, which suffices: restriction keeps
@@ -600,7 +599,7 @@ def has_enough_sections(dg, wg, smooth=True):
     witnesses = {}
     failures = []
     for sq in sorted(wg.squares, key=_skey):
-        found = sections_through(dg, wg, sq, smooth=smooth)
+        found = sections_through(dg, wg, sq)
         if found:
             witnesses[sq] = found[0]
         else:
@@ -615,13 +614,25 @@ def has_enough_sections(dg, wg, smooth=True):
 # ---------------------------------------------------------------------------
 
 
-def _openness_and_continuity(pspace, subset, mapping, target_space):
-    """(subset open in pspace?, mapping continuous on the subspace?)."""
-    is_open = pspace.is_open(subset)
+def _window_operation(factors, pairs, op, target):
+    """Openness and continuity of a partial operation on pairs.
+
+    ``pairs`` is topologized as a subspace of the product of ``factors``;
+    the pairs whose value ``op(*pair)`` lands in ``target`` must form an
+    open set (first verdict) on which ``op`` is continuous into
+    ``target`` (second verdict, None when the set is not open).
+    """
+    pspace = pullback_space(factors, pairs, lambda p: p)
+    values = {}
+    for p in pairs:
+        value = op(*p)
+        if value in target.points:
+            values[p] = value
+    is_open = pspace.is_open(frozenset(values))
     cont = None
     if is_open:
         try:
-            cont = is_continuous(PartialMap(mapping), pspace, target_space)
+            cont = is_continuous(PartialMap(values), pspace, target)
         except TopologyError:
             cont = False
     return is_open, cont
@@ -632,6 +643,7 @@ def check_locally_lie_double(dg, wg, deduction_triples=120):
     deductions verified when the axioms pass."""
     G = dg.edge
     AS = G.arrow_space()
+    squares = sorted(wg.squares, key=_skey)
     report = {}
 
     neg_set = {dg.neg1(sq) for sq in wg.squares}
@@ -642,12 +654,10 @@ def check_locally_lie_double(dg, wg, deduction_triples=120):
     missing = [a for a in G.arrows if dg.eps1(a) not in wg]
     report["S2"] = {"ok": not missing, "witnesses": [str(a) for a in missing[:4]]}
 
-    pairs = [(u, v) for u in sorted(wg.squares, key=_skey)
-             for v in sorted(wg.squares, key=_skey) if u.bottom == v.bottom]
-    pspace = pullback_space([wg.space, wg.space], pairs, lambda p: p)
-    wd = [(u, v) for (u, v) in pairs if dg.comp1(u, dg.neg1(v)) in wg]
-    diff = {(u, v): dg.comp1(u, dg.neg1(v)) for (u, v) in wd}
-    wd_open, wd_cont = _openness_and_continuity(pspace, frozenset(wd), diff, wg.space)
+    wd_open, wd_cont = _window_operation(
+        [wg.space, wg.space],
+        [(u, v) for u in squares for v in squares if u.bottom == v.bottom],
+        lambda u, v: dg.comp1(u, dg.neg1(v)), wg.space)
     report["S3"] = {"ok": bool(wd_open and wd_cont),
                     "difference_set_open": wd_open,
                     "difference_continuous": wd_cont}
@@ -669,24 +679,22 @@ def check_locally_lie_double(dg, wg, deduction_triples=120):
     report["ok"] = all(report[k]["ok"] for k in ("S1", "S2", "S3", "S4", "S5"))
 
     if report["ok"]:
-        report["deductions"] = _locally_lie_deductions(dg, wg, pspace, enough,
-                                                       deduction_triples)
+        report["deductions"] = _locally_lie_deductions(dg, wg, enough, deduction_triples)
     return report
 
 
-def _locally_lie_deductions(dg, wg, bottom_pair_space, enough, triple_cap):
+def _locally_lie_deductions(dg, wg, enough, triple_cap):
     out = {}
+    squares = sorted(wg.squares, key=_skey)
     # 1) the vertical inverse is continuous on the window
     inv_map = PartialMap({sq: dg.neg1(sq) for sq in wg.squares})
     out["inverse_continuous"] = is_continuous(inv_map, wg.space, wg.space)
     # 2) composable window pairs whose product stays in the window form an
     #    open set on which the product is continuous
-    pairs = [(u, v) for u in sorted(wg.squares, key=_skey)
-             for v in sorted(wg.squares, key=_skey) if u.bottom == v.top]
-    pspace = pullback_space([wg.space, wg.space], pairs, lambda p: p)
-    good = [(u, v) for (u, v) in pairs if dg.comp1(u, v) in wg]
-    comp = {(u, v): dg.comp1(u, v) for (u, v) in good}
-    p_open, p_cont = _openness_and_continuity(pspace, frozenset(good), comp, wg.space)
+    p_open, p_cont = _window_operation(
+        [wg.space, wg.space],
+        [(u, v) for u in squares for v in squares if u.bottom == v.top],
+        dg.comp1, wg.space)
     out["product_set_open"] = p_open
     out["product_continuous"] = p_cont
     # the difference restricted to its admitted pair set lands in the window
@@ -707,7 +715,7 @@ def _locally_lie_deductions(dg, wg, bottom_pair_space, enough, triple_cap):
         try:
             ks = local_section_mul(dg, k, s, check=False)
             kst = local_section_mul(dg, ks, t, check=False)
-        except Exception:
+        except _MODEL_ERRORS:
             continue
         for a in sorted(kst.dom1, key=_skey):
             b = t.squares[a].top
@@ -734,22 +742,24 @@ def is_equivariant(cm, arrows):
     return True
 
 
-def check_locally_lie_xmod(cm, w, dg=None):
+def check_locally_lie_xmod(cm, w, square_axioms):
     """Axioms C1-C5 for a windowed crossed module, with the cross-check
-    that the kernel-side continuity matches the square-side difference."""
-    if dg is None:
-        dg = build_double_groupoid(cm)
+    that the kernel-side continuity matches the square-side difference.
+
+    ``square_axioms`` is the S1-S5 report of the same window's squares:
+    C5 is its S4 section search and the square side of the cross-check
+    is its S3 difference continuity.
+    """
     C, G = cm.C, cm.G
     AS = G.arrow_space()
+    arrows = sorted(w.arrows, key=_skey)
     report = {}
 
     gen = generated_subgroupoid(C, w.arrows)
-    pairs = [(c1, c2) for c1 in sorted(w.arrows, key=_skey)
-             for c2 in sorted(w.arrows, key=_skey) if C.tgt(c1) == C.tgt(c2)]
-    pspace = pullback_space([w.space, w.space], pairs, lambda p: p)
-    wdiff = [(c1, c2) for (c1, c2) in pairs if C.add(c1, C.neg(c2)) in w.arrows]
-    dmap = {(c1, c2): C.add(c1, C.neg(c2)) for (c1, c2) in wdiff}
-    d_open, d_cont = _openness_and_continuity(pspace, frozenset(wdiff), dmap, w.space)
+    d_open, d_cont = _window_operation(
+        [w.space, w.space],
+        [(c1, c2) for c1 in arrows for c2 in arrows if C.tgt(c1) == C.tgt(c2)],
+        lambda c1, c2: C.add(c1, C.neg(c2)), w.space)
     report["C1"] = {"ok": bool(gen == set(C.arrows) and d_open and d_cont),
                     "generates": gen == set(C.arrows),
                     "difference_set_open": d_open,
@@ -758,35 +768,26 @@ def check_locally_lie_xmod(cm, w, dg=None):
     missing = [x for x in C.objects if C.unit(x) not in w.arrows]
     report["C2"] = {"ok": not missing, "witnesses": [str(x) for x in missing]}
 
-    delta_map = PartialMap({c: cm.delta[c] for c in sorted(w.arrows, key=_skey)})
+    delta_map = PartialMap({c: cm.delta[c] for c in arrows})
     c3 = is_continuous(delta_map, w.space, AS)
     report["C3"] = {"ok": c3}
 
-    act_pairs = [(c, a) for c in sorted(w.arrows, key=_skey)
-                 for a in sorted(G.arrows, key=_skey) if C.tgt(c) == G.src(a)]
-    act_space = pullback_space([w.space, AS], act_pairs, lambda p: p)
-    wa = [(c, a) for (c, a) in act_pairs if apply_action(cm, c, a) in w.arrows]
-    amap = {(c, a): apply_action(cm, c, a) for (c, a) in wa}
-    a_open, a_cont = _openness_and_continuity(act_space, frozenset(wa), amap, w.space)
+    a_open, a_cont = _window_operation(
+        [w.space, AS],
+        [(c, a) for c in arrows for a in sorted(G.arrows, key=_skey)
+         if C.tgt(c) == G.src(a)],
+        lambda c, a: apply_action(cm, c, a), w.space)
     report["C4"] = {"ok": bool(a_open and a_cont),
                     "action_set_open": a_open, "action_continuous": a_cont}
 
-    wg = build_wg(dg, w)
-    enough = has_enough_sections(dg, wg)
-    report["C5"] = {"ok": enough["ok"],
-                    "missing": [str(sq) for sq in enough["failures"][:4]]}
+    s4 = square_axioms["S4"]
+    report["C5"] = {"ok": s4["enough_sections"], "missing": s4["missing_sections"]}
 
-    # the square-side difference continuity against C3 and C4
-    pairs2 = [(u, v) for u in sorted(wg.squares, key=_skey)
-              for v in sorted(wg.squares, key=_skey) if u.bottom == v.bottom]
-    pspace2 = pullback_space([wg.space, wg.space], pairs2, lambda p: p)
-    wd2 = [(u, v) for (u, v) in pairs2 if dg.comp1(u, dg.neg1(v)) in wg]
-    diff2 = {(u, v): dg.comp1(u, dg.neg1(v)) for (u, v) in wd2}
-    _, sq_cont = _openness_and_continuity(pspace2, frozenset(wd2), diff2, wg.space)
+    sq_cont = bool(square_axioms["S3"]["difference_continuous"])
     report["cross_check"] = {
         "kernel_side": bool(c3 and report["C4"]["ok"]),
-        "square_side_difference_continuous": bool(sq_cont),
-        "agree": bool(c3 and report["C4"]["ok"]) == bool(sq_cont)}
+        "square_side_difference_continuous": sq_cont,
+        "agree": bool(c3 and report["C4"]["ok"]) == sq_cont}
 
     report["ok"] = all(report[k]["ok"] for k in ("C1", "C2", "C3", "C4", "C5"))
     return report
@@ -808,7 +809,7 @@ def action_orbit_closure(cm, arrows):
     return frozenset(out)
 
 
-def generation_equivalence(cm, w_arrows, dg=None):
+def generation_equivalence(cm, w_arrows, dg):
     """Window generates the kernel and is action-stable iff the window
     squares generate the double groupoid vertically.
 
@@ -816,8 +817,6 @@ def generation_equivalence(cm, w_arrows, dg=None):
     orbit, so the sharp equivalent of vertical generation is that the
     orbit closure generates; ``orbit_side`` records that refinement.
     """
-    if dg is None:
-        dg = build_double_groupoid(cm)
     C = cm.C
     lhs = (generated_subgroupoid(C, w_arrows) == set(C.arrows)
            and is_equivariant(cm, w_arrows))
@@ -1038,17 +1037,15 @@ def _chart_for(dg, wg, hol_proj, jr_index, sec, through_cache, strict=True):
     return Chart(sec, mapping), skipped
 
 
-def holonomy_groupoid(cm, w, deduction_triples=120, require_axioms=True):
+def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
     """Quotient of the generated germ groupoid by the unit-valued germs,
     with final morphism, window embedding and chart topology.
 
-    Refuses when an axiom fails, naming it; with ``require_axioms`` off
-    the germ quotient and charts are still assembled (the embedding is
-    then only defined on squares that admit through-sections).
+    ``axioms`` is the S1-S5 report of ``wg``.  Refuses when an axiom
+    fails, naming it; with ``require_axioms`` off the germ quotient and
+    charts are still assembled (the embedding is then only defined on
+    squares that admit through-sections).
     """
-    dg = build_double_groupoid(cm)
-    wg = build_wg(dg, w)
-    axioms = check_locally_lie_double(dg, wg, deduction_triples=deduction_triples)
     if require_axioms:
         for key in ("S1", "S2", "S3", "S4", "S5"):
             if not axioms[key]["ok"]:
@@ -1168,7 +1165,7 @@ def check_chart_coherence(hol):
             try:
                 eta = local_section_mul(dg, local_section_inv(dg, ct.section),
                                         cs.section, check=False)
-            except Exception as e:
+            except _MODEL_ERRORS as e:
                 out["violations"].append("transition section undefined: %s" % e)
                 continue
             moved = {}

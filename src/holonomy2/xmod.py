@@ -37,10 +37,6 @@ class CrossedModule:
             if c not in set(C.arrows) or a not in set(G.arrows) or c2 not in set(C.arrows):
                 raise XModError("action entry (%s)^(%s)=%s has dangling identifiers" % (c, a, c2))
 
-    @property
-    def base(self):
-        return self.G.objects
-
     def act(self, c, a):
         return apply_action(self, c, a)
 

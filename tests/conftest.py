@@ -1,8 +1,10 @@
 import pytest
 
 from holonomy2 import corpus
+from holonomy2.dgpd import build_double_groupoid
 from holonomy2.fintop import FiniteTopSpace
-from holonomy2.holonomy import WStructure, full_wstructure
+from holonomy2.holonomy import (WStructure, build_wg, check_locally_lie_double,
+                                full_wstructure, holonomy_groupoid)
 
 
 @pytest.fixture
@@ -50,3 +52,15 @@ def sierpinski_pairz2_item():
 
 def sierpinski_space():
     return FiniteTopSpace.from_opens("ab", [[], ["a"], ["a", "b"]])
+
+
+def square_axioms(cm, w):
+    """Double groupoid, window squares and their S1-S5 report, built once
+    as the holonomy task builds them."""
+    dg = build_double_groupoid(cm)
+    wg = build_wg(dg, w)
+    return dg, wg, check_locally_lie_double(dg, wg)
+
+
+def holonomy_of(cm, w, require_axioms=True):
+    return holonomy_groupoid(*square_axioms(cm, w), require_axioms=require_axioms)

@@ -23,7 +23,7 @@ from holonomy2.homotopy import (constant_derivation, derivation_mul,
                                 section_mul)
 from holonomy2.holonomy import (WStructure, build_wg,
                                 check_chart_coherence,
-                                check_locally_lie_double, check_wstructure,
+                                check_wstructure,
                                 full_wstructure, generation_equivalence,
                                 germ_at, germs_equal_somewhere,
                                 holonomy_groupoid,
@@ -32,7 +32,8 @@ from holonomy2.holonomy import (WStructure, build_wg,
                                 universal_morphism)
 from holonomy2.xmod import check_crossed_module, check_xmod_morphism, find_xmod_isomorphism
 
-from conftest import discrete_item, indiscrete_item, sierpinski_pairz2_item
+from conftest import (discrete_item, holonomy_of, indiscrete_item,
+                      sierpinski_pairz2_item, square_axioms)
 
 
 def _verdict(number, label, ok):
@@ -205,13 +206,12 @@ def test_criterion_07_holonomy_pipeline():
     for name, cm, w in topologized_corpus():
         if set(w.arrows) != set(cm.C.arrows):
             continue
-        dg = build_double_groupoid(cm)
-        axioms = check_locally_lie_double(dg, build_wg(dg, w))
+        t0 = time.monotonic()
+        dg, wg, axioms = square_axioms(cm, w)
         if not axioms["ok"]:
             continue
         passing += 1
-        t0 = time.monotonic()
-        hol = holonomy_groupoid(cm, w)
+        hol = holonomy_groupoid(dg, wg, axioms)
         ok = ok and hol.unit_sub.violations() == []
         ok = ok and check_groupoid(hol.quotient) == []
         vert = dg.vertical_groupoid()
@@ -235,7 +235,7 @@ def test_criterion_08_chart_coherence():
     for name, cm, w in topologized_corpus():
         if "discrete" in name and "indiscrete" not in name:
             continue
-        hol = holonomy_groupoid(cm, w, require_axioms=False)
+        hol = holonomy_of(cm, w, require_axioms=False)
         if len(hol.charts) < 2:
             continue
         nondiscrete += 1
@@ -250,13 +250,13 @@ def test_criterion_09_universal_property():
     morphism satisfies both equations and is the unique qualifier. < 60 s."""
     t0 = time.monotonic()
     cm, w = discrete_item(corpus.z2z2())
-    hol = holonomy_groupoid(cm, w)
+    hol = holonomy_of(cm, w)
     mu = identity_vertical_morphism(hol.dg)
     mp, rep = universal_morphism(cm, w, mu, hol)
     ok = rep["is_morphism"] and rep["psi_after"] and rep["embeds_preimage"]
     ok = ok and rep["qualifying_morphisms"] == 1 and rep["unique"]
     cm4, w4 = discrete_item(corpus.z4_interior())
-    hol4 = holonomy_groupoid(cm4, w4)
+    hol4 = holonomy_of(cm4, w4)
     mp4, rep4 = universal_morphism(cm4, w4, identity_vertical_morphism(hol4.dg),
                                    hol4)
     ok = ok and rep4["psi_after"] and rep4["unique"]
@@ -276,15 +276,17 @@ def test_criterion_10_generation_equivalence():
             windows.append({"c0", "c1", "c3"})
             windows.append({"c0", "c2"})
         for arrows in windows:
-            res = generation_equivalence(cm, arrows)
+            res = generation_equivalence(cm, arrows, build_double_groupoid(cm))
             ok = ok and res["agree"] and res["orbit_agree"]
             pairs += 1
     z4 = corpus.z4_interior()
-    res = generation_equivalence(z4, {"c0", "c2"})
+    res = generation_equivalence(z4, {"c0", "c2"}, build_double_groupoid(z4))
     ok = ok and not res["kernel_side"] and not res["square_side"]
     # sharp form: vertical generation matches orbit-closure generation even
     # for a non-equivariant window whose orbit generates
-    tricky = generation_equivalence(corpus.pairz2(), {"0@x", "0@y", "1@x"})
+    pairz2 = corpus.pairz2()
+    tricky = generation_equivalence(pairz2, {"0@x", "0@y", "1@x"},
+                                    build_double_groupoid(pairz2))
     ok = ok and tricky["orbit_agree"] and tricky["square_side"]
     ok = ok and not tricky["kernel_side"]
     _verdict(10, "generation equivalence on %d pairs" % pairs, ok)

@@ -6,8 +6,7 @@ import pytest
 from holonomy2 import corpus
 from holonomy2.dgpd import (DoubleGroupoid, DoubleGroupoidError, Square,
                             boundary_triples, build_double_groupoid,
-                            check_double, crossed_module_of, square_boundary_ok,
-                            square_compose)
+                            check_double, crossed_module_of, square_boundary_ok)
 from holonomy2.groupoid import Groupoid
 from holonomy2.xmod import (CrossedModule, check_crossed_module,
                             check_xmod_morphism, find_xmod_isomorphism)
@@ -58,10 +57,10 @@ def test_trivial_kernel_gives_commuting_squares(pair2):
 def test_unit_squares(z2z2):
     dg = build_double_groupoid(z2z2)
     for u in dg.squares:
-        assert square_compose(dg, 1, u, dg.eps1(u.bottom)) == u
-        assert square_compose(dg, 1, dg.eps1(u.top), u) == u
-        assert square_compose(dg, 2, u, dg.eps2(u.right)) == u
-        assert square_compose(dg, 2, dg.eps2(u.left), u) == u
+        assert dg.comp1(u, dg.eps1(u.bottom)) == u
+        assert dg.comp1(dg.eps1(u.top), u) == u
+        assert dg.comp2(u, dg.eps2(u.right)) == u
+        assert dg.comp2(dg.eps2(u.left), u) == u
 
 
 def test_compose_rejects_mismatch(z2z2):
@@ -69,7 +68,7 @@ def test_compose_rejects_mismatch(z2z2):
     u = next(sq for sq in dg.squares if sq.bottom == "1")
     v = next(sq for sq in dg.squares if sq.top == "0")
     with pytest.raises(DoubleGroupoidError, match="bottom.*top"):
-        square_compose(dg, 1, u, v)
+        dg.comp1(u, v)
 
 
 def test_interchange_exhaustive(z2z2):

@@ -6,24 +6,24 @@ from hypothesis import strategies as st
 
 from holonomy2.fintop import (FiniteTopSpace, PartialMap, TopologyError,
                               is_continuous, is_partial_homeomorphism,
-                              minimal_open, pullback_space)
+                              pullback_space)
 
 from conftest import sierpinski_space
 
 
 def test_minimal_open_discrete():
     sp = FiniteTopSpace.discrete("ab")
-    assert minimal_open(sp, "a") == {"a"}
+    assert sp.minimal_open("a") == {"a"}
 
 
 def test_minimal_open_indiscrete():
     sp = FiniteTopSpace.indiscrete("ab")
-    assert minimal_open(sp, "a") == {"a", "b"}
+    assert sp.minimal_open("a") == {"a", "b"}
 
 
 def test_minimal_open_sierpinski_closed_point():
     # intersect all opens containing b
-    assert minimal_open(sierpinski_space(), "b") == {"a", "b"}
+    assert sierpinski_space().minimal_open("b") == {"a", "b"}
 
 
 def test_minimal_open_unknown_point():

@@ -9,7 +9,7 @@ from holonomy2.holonomy import (HolonomyError, LocalLinearSection, WStructure,
                                 build_wg, check_local_section,
                                 check_wstructure, constant_section,
                                 full_wstructure, germ_at, germ_inv, germ_mul,
-                                germ_value, germs_equal_somewhere,
+                                germs_equal_somewhere,
                                 local_section_inv, local_section_mul,
                                 min_sections_at, restrict_section,
                                 smoothness_violations, unit_germ)
@@ -200,7 +200,7 @@ def test_germ_products_and_inverses(z4):
     for g in germs[:20]:
         gi = germ_inv(dg, g)
         u = germ_mul(dg, g, gi)
-        assert germ_value(u) == dg.eps1(u.base)
+        assert u.value() == dg.eps1(u.base)
     # unit germs are neutral
     for g in germs[:20]:
         assert germ_mul(dg, g, unit_germ(dg, g.base)) == g

@@ -10,11 +10,11 @@ from holonomy2.holonomy import (HolonomyError, WStructure, build_germ_groupoid,
                                 build_restricted_germs, build_unit_germs,
                                 build_wg, check_chart_coherence,
                                 constant_section, full_wstructure, germ_at,
-                                germ_value, holonomy_groupoid,
                                 left_translation, local_section_inv,
                                 local_section_mul, min_sections_at, unit_germ)
 
-from conftest import discrete_item, indiscrete_item, sierpinski_pairz2_item
+from conftest import (discrete_item, holonomy_of, indiscrete_item,
+                      sierpinski_pairz2_item)
 
 
 def brute_force_singleton_germs(dg, a):
@@ -75,14 +75,14 @@ def test_final_map_is_morphism_on_germs(z2z2):
             for h in J.arrows:
                 if J.composable(g, h):
                     prod = J.add(g, h)
-                    assert germ_value(prod) == dg.comp1(germ_value(g), germ_value(h))
+                    assert prod.value() == dg.comp1(g.value(), h.value())
 
 
 def test_final_map_unit_value(z2z2):
     cm, w = discrete_item(z2z2)
     dg = build_double_groupoid(cm)
     for a in dg.edge.arrows:
-        assert germ_value(unit_germ(dg, a)) == dg.eps1(a)
+        assert unit_germ(dg, a).value() == dg.eps1(a)
 
 
 def test_final_map_surjective_discrete_full_window(z2z2):
@@ -91,7 +91,7 @@ def test_final_map_surjective_discrete_full_window(z2z2):
     J, jwit = build_germ_groupoid(dg)
     wg = build_wg(dg, w)
     jr, seed, wit = build_restricted_germs(dg, wg, J, jwit)
-    assert {germ_value(g) for g in jr.arrows} == set(dg.squares)
+    assert {g.value() for g in jr.arrows} == set(dg.squares)
 
 
 def test_kernel_germs_discrete_are_units(z2z2):
@@ -134,12 +134,12 @@ def test_kernel_germs_conjugation_closed_indiscrete(z2z2):
 def test_holonomy_refuses_indiscrete_with_axiom_id(z2z2):
     cm, w = indiscrete_item(z2z2)
     with pytest.raises(HolonomyError, match="S4"):
-        holonomy_groupoid(cm, w)
+        holonomy_of(cm, w)
 
 
 def full_window_pipeline(cm_name, all_cms):
     cm, w = discrete_item(all_cms[cm_name])
-    return holonomy_groupoid(cm, w)
+    return holonomy_of(cm, w)
 
 
 def test_pipeline_isomorphism_on_passing_items(all_cms):
@@ -206,12 +206,12 @@ def test_chart_coherence_discrete(all_cms):
 
 def test_chart_coherence_nondiscrete_items():
     cm, w = indiscrete_item(corpus.z2z2())
-    hol = holonomy_groupoid(cm, w, require_axioms=False)
+    hol = holonomy_of(cm, w, require_axioms=False)
     rep = check_chart_coherence(hol)
     assert rep["ok"], rep["violations"][:3]
     assert len(hol.charts) >= 2
     cm2, w2 = sierpinski_pairz2_item()
-    hol2 = holonomy_groupoid(cm2, w2, require_axioms=False)
+    hol2 = holonomy_of(cm2, w2, require_axioms=False)
     rep2 = check_chart_coherence(hol2)
     assert rep2["ok"], rep2["violations"][:3]
 

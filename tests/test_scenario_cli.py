@@ -1,3 +1,5 @@
+import glob
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ from holonomy2.groupoid import check_groupoid
 from holonomy2.scenario import ScenarioError, load_scenario
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+EXPECTED = os.path.join(os.path.dirname(__file__), "..", "perfbench", "expected.json")
 
 
 def scenario_path(name):
@@ -176,3 +179,15 @@ def test_byte_identical_across_processes():
     b = subprocess.run(cmd, capture_output=True, text=True,
                        env=dict(os.environ, PYTHONHASHSEED="9"))
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SCENARIOS, "*.json"))),
+                         ids=os.path.basename)
+def test_cli_report_matches_recorded_golden(path, capsys):
+    """Default JSON reports are byte-identical to the benchmark's seed-0
+    recordings (exit code and sha256 of stdout)."""
+    with open(EXPECTED, encoding="utf-8") as fh:
+        golden = json.load(fh)["corpus"][os.path.basename(path)]
+    code, out = run_cli(["--scenario", path, "--format", "json"], capsys)
+    assert code == golden["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden["sha256"]

@@ -4,16 +4,15 @@ from holonomy2 import corpus
 from holonomy2.fintop import FiniteTopSpace
 from holonomy2.groupoid import GroupoidMorphism, check_groupoid_morphism
 from holonomy2.holonomy import (HolonomyError, WStructure, full_wstructure,
-                                holonomy_groupoid, identity_vertical_morphism,
-                                universal_morphism)
+                                identity_vertical_morphism, universal_morphism)
 
-from conftest import discrete_item
+from conftest import discrete_item, holonomy_of
 
 
 @pytest.fixture(scope="module")
 def z2z2_setup():
     cm, w = discrete_item(corpus.z2z2())
-    hol = holonomy_groupoid(cm, w)
+    hol = holonomy_of(cm, w)
     return cm, w, hol
 
 
@@ -46,7 +45,7 @@ def test_uniqueness_exhaustive(z2z2_setup):
 
 def test_psi_after_construction_on_z4():
     cm, w = discrete_item(corpus.z4_interior())
-    hol = holonomy_groupoid(cm, w)
+    hol = holonomy_of(cm, w)
     mu = identity_vertical_morphism(hol.dg)
     mp, rep = universal_morphism(cm, w, mu, hol)
     assert rep["psi_after"] and rep["unique"]
@@ -59,7 +58,7 @@ def test_universal_through_restricted_window():
     cm, _ = discrete_item(corpus.z4_interior())
     w = WStructure(["c0", "c1", "c3"],
                    FiniteTopSpace.discrete(["c0", "c1", "c3"]))
-    hol = holonomy_groupoid(cm, w)
+    hol = holonomy_of(cm, w)
     wa = full_wstructure(cm, FiniteTopSpace.discrete(cm.C.arrows))
     mu = identity_vertical_morphism(hol.dg)
     mp, rep = universal_morphism(cm, wa, mu, hol)
@@ -74,8 +73,8 @@ def test_hypothesis_failure_named_nongenerating():
     # subgroup {0, 2} inside Z/4
     cm, _ = discrete_item(corpus.z4_interior())
     w02 = WStructure(["c0", "c2"], FiniteTopSpace.discrete(["c0", "c2"]))
-    hol = holonomy_groupoid(corpus.with_topology(corpus.z4_interior(), "discrete"),
-                            full_wstructure(cm, FiniteTopSpace.discrete(cm.C.arrows)))
+    hol = holonomy_of(corpus.with_topology(corpus.z4_interior(), "discrete"),
+                      full_wstructure(cm, FiniteTopSpace.discrete(cm.C.arrows)))
     # build a fake "window" holonomy target via the w02 window squares
     from holonomy2.dgpd import build_double_groupoid
     from holonomy2.holonomy import build_wg
