@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .groupoid import Groupoid, _skey, check_groupoid
-from .xmod import CrossedModule, apply_action
+from .groupoid import Groupoid, GroupoidError, _skey, check_groupoid
+from .xmod import CrossedModule, XModError, apply_action
 
 
 class Square(NamedTuple):
@@ -35,6 +35,10 @@ class DoubleGroupoidError(ValueError):
     pass
 
 
+# what comp1/comp2/neg1/neg2 raise on squares that do not compose
+COMPOSITION_ERRORS = (DoubleGroupoidError, GroupoidError, XModError)
+
+
 class DoubleGroupoid:
     """Square set of a crossed module with both compositions and connection."""
 
@@ -43,9 +47,12 @@ class DoubleGroupoid:
         self.edge = cm.G
         self.squares = tuple(sorted(set(squares), key=_skey))
         self._square_set = frozenset(self.squares)
-        self._by_bottom = {}
+        self._by_bottom, self._by_top, self._by_left = {}, {}, {}
         for sq in self.squares:
             self._by_bottom.setdefault(sq.bottom, []).append(sq)
+            self._by_top.setdefault(sq.top, []).append(sq)
+            self._by_left.setdefault(sq.left, []).append(sq)
+        self._vertical = self._horizontal = None
         if connection is None:
             connection = {a: self._default_connection(a) for a in self.edge.arrows}
         self.connection = dict(connection)
@@ -113,32 +120,35 @@ class DoubleGroupoid:
 
     def vertical_groupoid(self):
         """Squares under vertical composition, over the edge arrows."""
-        table = {}
-        for u in self.squares:
-            for v in self._by_bottom_top(u.bottom):
-                table[(u, v)] = self.comp1(u, v)
-        return Groupoid(self.edge.arrows, self.squares,
-                        {sq: sq.top for sq in self.squares},
-                        {sq: sq.bottom for sq in self.squares},
-                        table,
-                        {sq: self.neg1(sq) for sq in self.squares},
-                        {a: self.eps1(a) for a in self.edge.arrows})
-
-    def _by_bottom_top(self, a):
-        return [sq for sq in self.squares if sq.top == a]
+        if self._vertical is None:
+            table = {}
+            for u in self.squares:
+                for v in self._by_top.get(u.bottom, ()):
+                    table[(u, v)] = self.comp1(u, v)
+            self._vertical = Groupoid(
+                self.edge.arrows, self.squares,
+                {sq: sq.top for sq in self.squares},
+                {sq: sq.bottom for sq in self.squares},
+                table,
+                {sq: self.neg1(sq) for sq in self.squares},
+                {a: self.eps1(a) for a in self.edge.arrows})
+        return self._vertical
 
     def horizontal_groupoid(self):
-        table = {}
-        for u in self.squares:
-            for v in self.squares:
-                if u.right == v.left:
+        """Squares under horizontal composition, over the edge arrows."""
+        if self._horizontal is None:
+            table = {}
+            for u in self.squares:
+                for v in self._by_left.get(u.right, ()):
                     table[(u, v)] = self.comp2(u, v)
-        return Groupoid(self.edge.arrows, self.squares,
-                        {sq: sq.left for sq in self.squares},
-                        {sq: sq.right for sq in self.squares},
-                        table,
-                        {sq: self.neg2(sq) for sq in self.squares},
-                        {a: self.eps2(a) for a in self.edge.arrows})
+            self._horizontal = Groupoid(
+                self.edge.arrows, self.squares,
+                {sq: sq.left for sq in self.squares},
+                {sq: sq.right for sq in self.squares},
+                table,
+                {sq: self.neg2(sq) for sq in self.squares},
+                {a: self.eps2(a) for a in self.edge.arrows})
+        return self._horizontal
 
     def __repr__(self):
         return "DoubleGroupoid(%d squares over %d edges)" % (len(self.squares), len(self.edge.arrows))
@@ -186,10 +196,17 @@ def build_double_groupoid(cm):
 
 
 def check_double(dg):
-    """All violated double-groupoid and connection axioms."""
+    """All violated double-groupoid and connection axioms.
+
+    Interchange quadruples are enumerated, in square order, through the
+    rows of the horizontal table and the by-top and (top, left) square
+    indices, and composites are read, by square position, from the
+    tables of the two groupoid views.
+    """
     out = []
     G = dg.edge
-    for sq in dg.squares:
+    squares = dg.squares
+    for sq in squares:
         if not square_boundary_ok(dg.cm, sq):
             out.append("boundary equation fails for %s" % (sq,))
     vert = dg.vertical_groupoid()
@@ -198,36 +215,31 @@ def check_double(dg):
     horiz = dg.horizontal_groupoid()
     for v in check_groupoid(horiz):
         out.append("horizontal: %s" % v)
-    # closure of the square set under both compositions
-    for u in dg.squares:
-        for v in dg.squares:
-            if u.bottom == v.top and not dg.contains(dg.comp1(u, v)):
-                out.append("vertical composition leaves the square set at (%s,%s)" % (u, v))
-            if u.right == v.left and not dg.contains(dg.comp2(u, v)):
-                out.append("horizontal composition leaves the square set at (%s,%s)" % (u, v))
-    # each structure's maps are morphisms for the other
-    for u in dg.squares:
-        for v in dg.squares:
-            if u.bottom != v.top:
-                continue
-            w = dg.comp1(u, v)
-            if w.left != G.add(u.left, v.left) or w.right != G.add(u.right, v.right):
-                out.append("horizontal faces of vertical composite wrong at (%s,%s)" % (u, v))
+    # Closure and the faces of composites need no check: the Groupoid
+    # constructor of each view rejects a composite outside the square
+    # set, and comp1/comp2 set the faces by the morphism formula.
+    # composition tables by position: vt[i][j] = position of u_i +1 u_j;
+    # each row keeps the views' pair order, which is square order
+    pos = {sq: i for i, sq in enumerate(squares)}
+    vt, ht = {i: {} for i in pos.values()}, {i: {} for i in pos.values()}
+    for rows, view in ((vt, vert), (ht, horiz)):
+        for (u, v), w in view._table.items():
+            rows[pos[u]][pos[v]] = pos[w]
+    by_top = {a: [pos[sq] for sq in sqs] for a, sqs in dg._by_top.items()}
+    by_top_left = {}
+    for j, sq in enumerate(squares):
+        by_top_left.setdefault((sq.top, sq.left), []).append(j)
     # interchange on all valid quadruples
-    for u in dg.squares:
-        for v in dg.squares:
-            if u.right != v.left:
-                continue
-            for u2 in dg.squares:
-                if u2.top != u.bottom:
-                    continue
-                for v2 in dg.squares:
-                    if v2.top != v.bottom or u2.right != v2.left:
-                        continue
-                    lhs = dg.comp1(dg.comp2(u, v), dg.comp2(u2, v2))
-                    rhs = dg.comp2(dg.comp1(u, u2), dg.comp1(v, v2))
-                    if lhs != rhs:
-                        out.append("interchange fails at (%s,%s,%s,%s)" % (u, v, u2, v2))
+    for i, u in enumerate(squares):
+        u2s = by_top.get(u.bottom, ())
+        for j, k in ht[i].items():
+            v, uv_row, v_row = squares[j], vt[k], vt[j]
+            for i2 in u2s:
+                u2, uu2_row, u2_row = squares[i2], ht[vt[i][i2]], ht[i2]
+                for j2 in by_top_left.get((v.bottom, u2.right), ()):
+                    if uv_row[u2_row[j2]] != uu2_row[v_row[j2]]:
+                        out.append("interchange fails at (%s,%s,%s,%s)"
+                                   % (u, v, u2, squares[j2]))
     # connection: boundary shape and transport law
     for a in G.arrows:
         con = dg.connection.get(a)

@@ -7,7 +7,10 @@ is closed under pairwise union and intersection is the family of *all*
 such sets for the preorder it induces, so storing the minimal opens loses
 nothing.  Continuity and openness checks then reduce to pointwise
 containments, and derived spaces (products, pullbacks, subspaces) never
-need their open-set lattice materialised.
+need their open-set lattice materialised.  A pullback point's minimal
+open is the product of its coordinates' minimal opens cut down to the
+admitted points, so it is assembled from per-coordinate buckets of
+points rather than by comparing every pair of points.
 """
 
 from __future__ import annotations
@@ -182,18 +185,37 @@ def pullback_space(component_spaces, points, components):
     """Subspace of a product, without materialising the product.
 
     ``points`` are the admitted tuples-in-disguise, ``components(p)``
-    returns the tuple of coordinates of ``p`` in the given spaces.
+    returns the tuple of coordinates of ``p`` in the given spaces.  The
+    minimal open of ``p`` is the intersection over coordinates of the
+    points whose coordinate lies in that coordinate's minimal open;
+    points with equal component minimal opens share one frozenset.
     """
     pts = frozenset(points)
     comp = {p: components(p) for p in pts}
     for p, c in comp.items():
         if len(c) != len(component_spaces):
             raise TopologyError("component arity mismatch for %r" % (p,))
+    buckets = [{} for _ in component_spaces]
+    for p, c in comp.items():
+        for bucket, x in zip(buckets, c):
+            bucket.setdefault(x, []).append(p)
+    unions = [{} for _ in component_spaces]
+    shared = {}
     mins = {}
     for p in pts:
-        cmins = [sp.minimal_open(x) for sp, x in zip(component_spaces, comp[p])]
-        mins[p] = frozenset(q for q in pts
-                            if all(x in m for x, m in zip(comp[q], cmins)))
+        key = tuple(sp.minimal_open(x) for sp, x in zip(component_spaces, comp[p]))
+        m = shared.get(key)
+        if m is None:
+            parts = []
+            for bucket, cache, cmin in zip(buckets, unions, key):
+                part = cache.get(cmin)
+                if part is None:
+                    part = cache[cmin] = frozenset(itertools.chain.from_iterable(
+                        bucket.get(x, ()) for x in cmin))
+                parts.append(part)
+            parts.sort(key=len)
+            m = shared[key] = parts[0].intersection(*parts[1:]) if parts else pts
+        mins[p] = m
     return FiniteTopSpace.from_min_opens(pts, mins)
 
 
@@ -248,7 +270,9 @@ def is_continuous(f, src, tgt):
     """Preimages of opens are open in the subspace topology of the domain.
 
     Over finite spaces this is equivalent to the pointwise condition
-    f(min(p)) <= min(f(p)), which is what gets checked.
+    f(min(p)) <= min(f(p)), which is what gets checked.  Points of a
+    derived space often share one minimal-open object, so each distinct
+    minimal open is mapped once.
     """
     if not f.domain <= src.points:
         raise TopologyError("domain not within source space")
@@ -256,13 +280,19 @@ def is_continuous(f, src, tgt):
         raise TopologyError("domain of partial map is not open")
     if not f.image() <= tgt.points:
         raise TopologyError("values leave the target space")
-    for p in f.domain:
-        fp = f.table[p]
-        tmin = tgt.minimal_open(fp)
-        # domain open, so min(p) stays inside it
-        for q in src.minimal_open(p):
-            if f.table[q] not in tmin:
-                return False
+    table, smin, tmin = f.table, src._min, tgt._min
+    images = {}
+    for p, fp in table.items():
+        m = smin[p]
+        if len(m) == 1:
+            # m == {p}, and f(p) lies in min(f(p))
+            continue
+        img = images.get(m)
+        if img is None:
+            # domain open, so min(p) stays inside it
+            img = images[m] = frozenset(table[q] for q in m)
+        if not img <= tmin[fp]:
+            return False
     return True
 
 

@@ -57,6 +57,7 @@ class Groupoid:
             if arr_space.points != aset or obj_space.points != oset:
                 raise GroupoidError("topology points do not match arrows/objects")
         self._fibers = None
+        self._discrete_arrows = self._discrete_objects = None
 
     # -- derivation of missing structure (for lenient loading) ---------
 
@@ -137,15 +138,20 @@ class Groupoid:
             for a in self.arrows:
                 self._fibers.setdefault(self._tgt[a], []).append(a)
         return tuple(self._fibers.get(x, ()))
+
     def arrow_space(self):
         if self.topology is not None:
             return self.topology[0]
-        return FiniteTopSpace.discrete(self.arrows)
+        if self._discrete_arrows is None:
+            self._discrete_arrows = FiniteTopSpace.discrete(self.arrows)
+        return self._discrete_arrows
 
     def object_space(self):
         if self.topology is not None:
             return self.topology[1]
-        return FiniteTopSpace.discrete(self.objects)
+        if self._discrete_objects is None:
+            self._discrete_objects = FiniteTopSpace.discrete(self.objects)
+        return self._discrete_objects
 
     def with_topology(self, arrow_space, object_space):
         return Groupoid(self.objects, self.arrows, self._src, self._tgt,
@@ -204,16 +210,26 @@ def check_groupoid(g):
                     out.append("right negative law fails at %s" % (a,))
                 if g._table.get((n, a)) != g._units.get(g.tgt(a)):
                     out.append("left negative law fails at %s" % (a,))
+    # associativity over composable triples, through a source index in
+    # arrow order and the table as rows: rows[a][b] = a + b
+    absent = object()
+    by_src, rows = {}, {}
     for a in g.arrows:
-        for b in g.arrows:
-            if not g.composable(a, b) or (a, b) not in g._table:
+        by_src.setdefault(g._src[a], []).append(a)
+    for (a, b), c in g._table.items():
+        rows.setdefault(a, {})[b] = c
+    for a in g.arrows:
+        a_row = rows.get(a, {})
+        for b in by_src.get(g._tgt[a], ()):
+            ab = a_row.get(b, absent)
+            if ab is absent:
                 continue
-            for c in g.arrows:
-                if not g.composable(b, c) or (b, c) not in g._table:
+            ab_row, b_row = rows.get(ab, {}), rows.get(b, {})
+            for c in by_src.get(g._tgt[b], ()):
+                bc = b_row.get(c, absent)
+                if bc is absent:
                     continue
-                lhs = g._table.get((g._table[(a, b)], c))
-                rhs = g._table.get((a, g._table[(b, c)]))
-                if lhs != rhs:
+                if ab_row.get(c) != a_row.get(bc):
                     out.append("associativity fails at (%s,%s,%s)" % (a, b, c))
     if g.topology is not None:
         out.extend(_continuity_report(g))

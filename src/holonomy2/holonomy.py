@@ -23,9 +23,9 @@ from __future__ import annotations
 import itertools
 
 from .fintop import FiniteTopSpace, PartialMap, TopologyError, is_continuous, is_partial_homeomorphism, pullback_space
-from .groupoid import Groupoid, GroupoidError, GroupoidMorphism, NormalSubgroupoid, _skey, check_groupoid, check_groupoid_morphism, generated_subgroupoid, quotient
+from .groupoid import Groupoid, GroupoidMorphism, NormalSubgroupoid, _skey, check_groupoid, check_groupoid_morphism, generated_subgroupoid, quotient
 from .xmod import apply_action
-from .dgpd import DoubleGroupoidError, build_double_groupoid
+from .dgpd import COMPOSITION_ERRORS, build_double_groupoid
 
 
 class HolonomyError(ValueError):
@@ -33,7 +33,7 @@ class HolonomyError(ValueError):
 
 
 # what a section product raises on data that does not compose
-_MODEL_ERRORS = (HolonomyError, GroupoidError, DoubleGroupoidError, TopologyError)
+_MODEL_ERRORS = COMPOSITION_ERRORS + (HolonomyError, TopologyError)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def check_local_section(dg, sec):
     for u, v in _nonunit_pairs(G, sec.dom1):
         try:
             rhs = dg.comp2(sec.squares[u], sec.squares[v])
-        except Exception:
+        except _MODEL_ERRORS:
             out.append("linearity fails at (%s,%s): not composable" % (u, v))
             continue
         if rhs != sec.squares[G.add(u, v)]:
@@ -347,7 +347,7 @@ def restrict_section(dg, sec, dom1, dom0=None):
 class Germ:
     """Restriction of a section to the minimal open of its base arrow."""
 
-    __slots__ = ("base", "values", "_vm")
+    __slots__ = ("base", "values", "_vm", "_hash")
 
     def __init__(self, base, value_map):
         self.base = base
@@ -355,6 +355,7 @@ class Germ:
         if base not in self._vm:
             raise HolonomyError("germ base %s outside its value map" % (base,))
         self.values = tuple(sorted(self._vm.items(), key=lambda kv: _skey(kv[0])))
+        self._hash = hash((base, self.values))
 
     def value_map(self):
         return dict(self._vm)
@@ -375,7 +376,7 @@ class Germ:
         return self.base == other.base and self.values == other.values
 
     def __hash__(self):
-        return hash((self.base, self.values))
+        return self._hash
 
     def __str__(self):
         return "germ@%s:%s" % (self.base, ",".join("%s->%s" % (z, sq) for z, sq in self.values))
@@ -958,18 +959,17 @@ class Chart:
         self.section = section
         self.mapping = dict(mapping)
         self.domain = frozenset(self.mapping)
+        # value -> square; on a non-injective chart the first square in
+        # sort order wins
+        self.inverse = {}
+        for sq in sorted(self.mapping, key=_skey):
+            self.inverse.setdefault(self.mapping[sq], sq)
 
     def __call__(self, sq):
         return self.mapping[sq]
 
     def image(self):
         return frozenset(self.mapping.values())
-
-    def inverse_of(self, h):
-        for sq in sorted(self.mapping, key=_skey):
-            if self.mapping[sq] == h:
-                return sq
-        raise HolonomyError("value outside chart image")
 
     def __repr__(self):
         return "Chart(%d squares)" % len(self.mapping)
@@ -1150,41 +1150,54 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
 def check_chart_coherence(hol):
     """Chart injectivity and transitions as left translations; openness of
     transition images is reported apart, since it is only guaranteed once
-    the axioms hold."""
+    the axioms hold.
+
+    Only chart pairs whose images meet are visited, found through an
+    index from classes to the charts whose image holds them, in chart
+    order."""
     dg, wg = hol.dg, hol.wg
     out = {"charts": len(hol.charts), "violations": [], "open_image_failures": []}
     for chart in hol.charts:
         if len(set(chart.mapping.values())) != len(chart.mapping):
             out["violations"].append("chart of %r not injective" % (chart.section,))
+    inverses = [chart.inverse for chart in hol.charts]
+    charts_at = {}
+    for j, inverse in enumerate(inverses):
+        for h in inverse:
+            charts_at.setdefault(h, []).append(j)
+    inverse_sections = {}
+    # left translations L_eta(v) = eta(top v) +1 v are vertical
+    # composites of squares: read them off the table
+    vert = dg.vertical_groupoid()._table
     for cs in hol.charts:
-        for ct in hol.charts:
-            overlap = [v for v in sorted(cs.domain, key=_skey)
-                       if cs.mapping[v] in ct.image()]
-            if not overlap:
-                continue
+        domain = sorted(cs.domain, key=_skey)
+        meeting = sorted({j for v in domain for j in charts_at[cs.mapping[v]]})
+        for j in meeting:
+            ct, inverse = hol.charts[j], inverses[j]
+            overlap = [v for v in domain if cs.mapping[v] in inverse]
             try:
-                eta = local_section_mul(dg, local_section_inv(dg, ct.section),
-                                        cs.section, check=False)
+                if j not in inverse_sections:
+                    inverse_sections[j] = local_section_inv(dg, ct.section)
+                eta = local_section_mul(dg, inverse_sections[j], cs.section, check=False)
             except _MODEL_ERRORS as e:
                 out["violations"].append("transition section undefined: %s" % e)
                 continue
             moved = {}
             for v in overlap:
-                w_sq = ct.inverse_of(cs.mapping[v])
+                w_sq = inverse[cs.mapping[v]]
                 if v.top not in eta.dom1:
                     out["violations"].append(
                         "transition at %s not covered by the translation" % (v,))
                     continue
-                lt = left_translation(dg, eta, v)
-                if lt != w_sq:
+                if vert[(eta.squares[v.top], v)] != w_sq:
                     out["violations"].append(
                         "transition disagrees with left translation at %s" % (v,))
                 moved[v] = w_sq
             # transitions carry opens to opens: images of minimal opens
-            # within an open overlap must be open
+            # within an open overlap must be open (moved keeps overlap order)
             dom = frozenset(moved)
             if wg.space.is_open(dom):
-                for v in sorted(dom, key=_skey):
+                for v in moved:
                     img = frozenset(moved[t] for t in wg.space.minimal_open(v) & dom)
                     if not wg.space.is_open(img):
                         out["open_image_failures"].append(

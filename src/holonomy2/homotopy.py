@@ -14,7 +14,7 @@ import itertools
 
 from .groupoid import _skey
 from .xmod import XModMorphism, apply_action
-from .dgpd import Square
+from .dgpd import COMPOSITION_ERRORS, Square
 
 
 class DerivationError(ValueError):
@@ -309,7 +309,7 @@ def enumerate_linear_sections(dg):
                     try:
                         if dg.comp2(partial[a], partial[b]) != partial[ab]:
                             return False
-                    except Exception:
+                    except COMPOSITION_ERRORS:
                         return False
         return True
 

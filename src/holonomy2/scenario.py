@@ -13,7 +13,7 @@ import json
 from .fintop import FiniteTopSpace, TopologyError
 from .groupoid import Groupoid, GroupoidError, _skey
 from .xmod import CrossedModule, XModError
-from .holonomy import WStructure
+from .holonomy import HolonomyError, WStructure
 
 DEFAULT_ARROW_CAP = 512
 
@@ -354,8 +354,10 @@ def _load_window(loc, block, xmods, spaces, point_cap):
         raise ScenarioError(loc, "missing or unknown 'xmod'")
     cm = xmods[block["xmod"]]
     arrows = block.get("arrows")
-    if arrows is None:
-        arrows = list(cm.C.arrows)
+    try:
+        arrows = frozenset(cm.C.arrows if arrows is None else arrows)
+    except TypeError:
+        raise ScenarioError("%s.arrows" % loc, "must be a list of arrow ids") from None
     ref = block.get("space")
     if ref is None:
         space = FiniteTopSpace.discrete(arrows)
@@ -367,5 +369,5 @@ def _load_window(loc, block, xmods, spaces, point_cap):
         space = _load_space("%s.space" % loc, ref, point_cap)
     try:
         return WStructure(arrows, space), cm
-    except Exception as e:
+    except HolonomyError as e:
         raise ScenarioError(loc, str(e)) from None

@@ -1,10 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from holonomy2 import corpus
 from holonomy2.dgpd import build_double_groupoid
 from holonomy2.fintop import FiniteTopSpace
 from holonomy2.holonomy import (WStructure, build_wg, check_locally_lie_double,
                                 full_wstructure, holonomy_groupoid)
+
+
+# differential tests against slow oracles: no per-example deadline on a
+# machine whose speed drifts, and a fixed example sequence per run
+settings.register_profile("oracles", deadline=None, derandomize=True)
 
 
 @pytest.fixture

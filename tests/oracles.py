@@ -1,0 +1,276 @@
+"""Slow reference implementations of the indexed kernels, kept for
+differential tests.
+
+Each function is the straightforward scan that the library replaced by
+an indexed version: all point pairs for pullback minimal opens, every
+point for continuity, every square pair and quadruple for the double
+groupoid axioms, all arrow triples for associativity, and a linear
+inverse lookup for chart coherence.  The fast versions must agree with
+these, violation order included.
+"""
+
+from __future__ import annotations
+
+from holonomy2.dgpd import DoubleGroupoidError, square_boundary_ok
+from holonomy2.fintop import FiniteTopSpace, TopologyError
+from holonomy2.groupoid import Groupoid, _continuity_report, _skey
+from holonomy2.holonomy import (_MODEL_ERRORS, HolonomyError, left_translation,
+                                local_section_inv, local_section_mul)
+
+
+def pullback_space(component_spaces, points, components):
+    """Subspace of a product, without materialising the product.
+
+    ``points`` are the admitted tuples-in-disguise, ``components(p)``
+    returns the tuple of coordinates of ``p`` in the given spaces.
+    """
+    pts = frozenset(points)
+    comp = {p: components(p) for p in pts}
+    for p, c in comp.items():
+        if len(c) != len(component_spaces):
+            raise TopologyError("component arity mismatch for %r" % (p,))
+    mins = {}
+    for p in pts:
+        cmins = [sp.minimal_open(x) for sp, x in zip(component_spaces, comp[p])]
+        mins[p] = frozenset(q for q in pts
+                            if all(x in m for x, m in zip(comp[q], cmins)))
+    return FiniteTopSpace.from_min_opens(pts, mins)
+
+
+def is_continuous(f, src, tgt):
+    """Preimages of opens are open in the subspace topology of the domain.
+
+    Over finite spaces this is equivalent to the pointwise condition
+    f(min(p)) <= min(f(p)), which is what gets checked.
+    """
+    if not f.domain <= src.points:
+        raise TopologyError("domain not within source space")
+    if not src.is_open(f.domain):
+        raise TopologyError("domain of partial map is not open")
+    if not f.image() <= tgt.points:
+        raise TopologyError("values leave the target space")
+    for p in f.domain:
+        fp = f.table[p]
+        tmin = tgt.minimal_open(fp)
+        # domain open, so min(p) stays inside it
+        for q in src.minimal_open(p):
+            if f.table[q] not in tmin:
+                return False
+    return True
+
+
+def check_groupoid(g):
+    """Every violated axiom instance; empty list means valid.
+
+    Includes continuity results for the structure maps when the groupoid
+    is topologized.
+    """
+    out = []
+    for (a, b), c in sorted(g._table.items(), key=lambda kv: (_skey(kv[0][0]), _skey(kv[0][1]))):
+        if g.tgt(a) != g.src(b):
+            out.append("composition domain: %s+%s defined but tgt(%s)=%s != src(%s)=%s"
+                       % (a, b, a, g.tgt(a), b, g.src(b)))
+            continue
+        if g.src(c) != g.src(a) or g.tgt(c) != g.tgt(b):
+            out.append("composition endpoints: %s+%s=%s has wrong src/tgt" % (a, b, c))
+    for a, b in g.composable_pairs():
+        if (a, b) not in g._table:
+            out.append("composition missing: %s+%s (tgt=src=%s)" % (a, b, g.tgt(a)))
+    for x in g.objects:
+        if x not in g._units:
+            out.append("unit missing at object %s" % (x,))
+            continue
+        e = g._units[x]
+        if g.src(e) != x or g.tgt(e) != x:
+            out.append("unit endpoints: unit(%s)=%s is not a loop at %s" % (x, e, x))
+    for a in g.arrows:
+        if g.src(a) in g._units and (g._units[g.src(a)], a) in g._table:
+            if g._table[(g._units[g.src(a)], a)] != a:
+                out.append("left unit law fails at %s" % (a,))
+        if g.tgt(a) in g._units and (a, g._units[g.tgt(a)]) in g._table:
+            if g._table[(a, g._units[g.tgt(a)])] != a:
+                out.append("right unit law fails at %s" % (a,))
+        if a not in g._neg:
+            out.append("negation missing for %s" % (a,))
+        else:
+            n = g._neg[a]
+            if g.src(n) != g.tgt(a) or g.tgt(n) != g.src(a):
+                out.append("negation endpoints wrong for %s" % (a,))
+            else:
+                if g._table.get((a, n)) != g._units.get(g.src(a)):
+                    out.append("right negative law fails at %s" % (a,))
+                if g._table.get((n, a)) != g._units.get(g.tgt(a)):
+                    out.append("left negative law fails at %s" % (a,))
+    for a in g.arrows:
+        for b in g.arrows:
+            if not g.composable(a, b) or (a, b) not in g._table:
+                continue
+            for c in g.arrows:
+                if not g.composable(b, c) or (b, c) not in g._table:
+                    continue
+                lhs = g._table.get((g._table[(a, b)], c))
+                rhs = g._table.get((a, g._table[(b, c)]))
+                if lhs != rhs:
+                    out.append("associativity fails at (%s,%s,%s)" % (a, b, c))
+    if g.topology is not None:
+        out.extend(_continuity_report(g))
+    return out
+
+
+def vertical_groupoid(dg):
+    """Squares under vertical composition, over the edge arrows."""
+    table = {}
+    for u in dg.squares:
+        for v in [sq for sq in dg.squares if sq.top == u.bottom]:
+            table[(u, v)] = dg.comp1(u, v)
+    return Groupoid(dg.edge.arrows, dg.squares,
+                    {sq: sq.top for sq in dg.squares},
+                    {sq: sq.bottom for sq in dg.squares},
+                    table,
+                    {sq: dg.neg1(sq) for sq in dg.squares},
+                    {a: dg.eps1(a) for a in dg.edge.arrows})
+
+
+def horizontal_groupoid(dg):
+    table = {}
+    for u in dg.squares:
+        for v in dg.squares:
+            if u.right == v.left:
+                table[(u, v)] = dg.comp2(u, v)
+    return Groupoid(dg.edge.arrows, dg.squares,
+                    {sq: sq.left for sq in dg.squares},
+                    {sq: sq.right for sq in dg.squares},
+                    table,
+                    {sq: dg.neg2(sq) for sq in dg.squares},
+                    {a: dg.eps2(a) for a in dg.edge.arrows})
+
+
+def check_double(dg):
+    """All violated double-groupoid and connection axioms."""
+    out = []
+    G = dg.edge
+    for sq in dg.squares:
+        if not square_boundary_ok(dg.cm, sq):
+            out.append("boundary equation fails for %s" % (sq,))
+    vert = vertical_groupoid(dg)
+    for v in check_groupoid(vert):
+        out.append("vertical: %s" % v)
+    horiz = horizontal_groupoid(dg)
+    for v in check_groupoid(horiz):
+        out.append("horizontal: %s" % v)
+    # closure of the square set under both compositions
+    for u in dg.squares:
+        for v in dg.squares:
+            if u.bottom == v.top and not dg.contains(dg.comp1(u, v)):
+                out.append("vertical composition leaves the square set at (%s,%s)" % (u, v))
+            if u.right == v.left and not dg.contains(dg.comp2(u, v)):
+                out.append("horizontal composition leaves the square set at (%s,%s)" % (u, v))
+    # each structure's maps are morphisms for the other
+    for u in dg.squares:
+        for v in dg.squares:
+            if u.bottom != v.top:
+                continue
+            w = dg.comp1(u, v)
+            if w.left != G.add(u.left, v.left) or w.right != G.add(u.right, v.right):
+                out.append("horizontal faces of vertical composite wrong at (%s,%s)" % (u, v))
+    # interchange on all valid quadruples
+    for u in dg.squares:
+        for v in dg.squares:
+            if u.right != v.left:
+                continue
+            for u2 in dg.squares:
+                if u2.top != u.bottom:
+                    continue
+                for v2 in dg.squares:
+                    if v2.top != v.bottom or u2.right != v2.left:
+                        continue
+                    lhs = dg.comp1(dg.comp2(u, v), dg.comp2(u2, v2))
+                    rhs = dg.comp2(dg.comp1(u, u2), dg.comp1(v, v2))
+                    if lhs != rhs:
+                        out.append("interchange fails at (%s,%s,%s,%s)" % (u, v, u2, v2))
+    # connection: boundary shape and transport law
+    for a in G.arrows:
+        con = dg.connection.get(a)
+        if con is None:
+            out.append("connection missing at %s" % (a,))
+            continue
+        y = G.tgt(a)
+        if not (con.top == a and con.left == a
+                and con.right == G.unit(y) and con.bottom == G.unit(y)):
+            out.append("connection boundary wrong at %s" % (a,))
+        if not dg.contains(con):
+            out.append("connection square missing from square set at %s" % (a,))
+    for a in G.arrows:
+        for b in G.arrows:
+            if not G.composable(a, b):
+                continue
+            con = dg.connection.get(G.add(a, b))
+            if con is None or dg.connection.get(a) is None or dg.connection.get(b) is None:
+                continue
+            try:
+                want = dg.comp2(dg.comp1(dg.connection[a], dg.eps2(b)), dg.connection[b])
+            except DoubleGroupoidError as e:
+                out.append("transport law fails at (%s,%s): %s" % (a, b, e))
+                continue
+            if con != want:
+                out.append("transport law fails at (%s,%s)" % (a, b))
+    for x in G.objects:
+        e = G.unit(x)
+        con = dg.connection.get(e)
+        if con is not None and not (con == dg.eps1(e) == dg.eps2(e)):
+            out.append("connection not degenerate at unit %s" % (x,))
+    return out
+
+
+def _inverse_of(chart, h):
+    for sq in sorted(chart.mapping, key=_skey):
+        if chart.mapping[sq] == h:
+            return sq
+    raise HolonomyError("value outside chart image")
+
+
+def check_chart_coherence(hol):
+    """Chart injectivity and transitions as left translations; openness of
+    transition images is reported apart, since it is only guaranteed once
+    the axioms hold."""
+    dg, wg = hol.dg, hol.wg
+    out = {"charts": len(hol.charts), "violations": [], "open_image_failures": []}
+    for chart in hol.charts:
+        if len(set(chart.mapping.values())) != len(chart.mapping):
+            out["violations"].append("chart of %r not injective" % (chart.section,))
+    for cs in hol.charts:
+        for ct in hol.charts:
+            overlap = [v for v in sorted(cs.domain, key=_skey)
+                       if cs.mapping[v] in ct.image()]
+            if not overlap:
+                continue
+            try:
+                eta = local_section_mul(dg, local_section_inv(dg, ct.section),
+                                        cs.section, check=False)
+            except _MODEL_ERRORS as e:
+                out["violations"].append("transition section undefined: %s" % e)
+                continue
+            moved = {}
+            for v in overlap:
+                w_sq = _inverse_of(ct, cs.mapping[v])
+                if v.top not in eta.dom1:
+                    out["violations"].append(
+                        "transition at %s not covered by the translation" % (v,))
+                    continue
+                lt = left_translation(dg, eta, v)
+                if lt != w_sq:
+                    out["violations"].append(
+                        "transition disagrees with left translation at %s" % (v,))
+                moved[v] = w_sq
+            # transitions carry opens to opens: images of minimal opens
+            # within an open overlap must be open
+            dom = frozenset(moved)
+            if wg.space.is_open(dom):
+                for v in sorted(dom, key=_skey):
+                    img = frozenset(moved[t] for t in wg.space.minimal_open(v) & dom)
+                    if not wg.space.is_open(img):
+                        out["open_image_failures"].append(
+                            "transition image of a basic open not open at %s" % (v,))
+    out["ok"] = not out["violations"]
+    out["opens_to_opens"] = not out["open_image_failures"]
+    return out

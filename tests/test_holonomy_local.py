@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from holonomy2.dgpd import build_double_groupoid
+from holonomy2.dgpd import DoubleGroupoidError, build_double_groupoid
 from holonomy2.fintop import FiniteTopSpace
 from holonomy2.holonomy import (HolonomyError, LocalLinearSection, WStructure,
                                 build_wg, check_local_section,
@@ -13,6 +13,7 @@ from holonomy2.holonomy import (HolonomyError, LocalLinearSection, WStructure,
                                 local_section_inv, local_section_mul,
                                 min_sections_at, restrict_section,
                                 smoothness_violations, unit_germ)
+from holonomy2.xmod import XModError
 
 from conftest import discrete_item, indiscrete_item, sierpinski_pairz2_item
 
@@ -213,3 +214,28 @@ def test_smoothness_violations_on_window(pairz2):
     wg = build_wg(dg, w)
     sec = constant_section(dg, dg.edge.arrow_space().minimal_open("xx"))
     assert smoothness_violations(dg, wg, sec) == []
+
+
+def _raising(exc):
+    def comp2(u, v):
+        raise exc("comp2 broke")
+    return comp2
+
+
+def test_linearity_bug_propagates_instead_of_verdict(z2z2, monkeypatch):
+    """A programming error inside comp2 is not a "not composable" verdict."""
+    cm, _ = discrete_item(z2z2)
+    dg = build_double_groupoid(cm)
+    sec = constant_section(dg, dg.edge.arrows)
+    monkeypatch.setattr(dg, "comp2", _raising(TypeError))
+    with pytest.raises(TypeError, match="comp2 broke"):
+        check_local_section(dg, sec)
+
+
+@pytest.mark.parametrize("exc", [DoubleGroupoidError, XModError])
+def test_model_error_in_linearity_is_a_verdict(z2z2, monkeypatch, exc):
+    cm, _ = discrete_item(z2z2)
+    dg = build_double_groupoid(cm)
+    sec = constant_section(dg, dg.edge.arrows)
+    monkeypatch.setattr(dg, "comp2", _raising(exc))
+    assert any("not composable" in v for v in check_local_section(dg, sec))

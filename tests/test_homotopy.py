@@ -178,3 +178,15 @@ def test_group_isomorphism_derivations_to_sections(all_cms):
         images = [derivation_to_section(dg, s) for s in coad]
         assert len(set(images)) == len(coad) == len(secs), name
         assert set(images) == set(secs), name
+
+
+def test_linear_section_search_lets_bugs_propagate(z2z2, monkeypatch):
+    """Only model errors mean "not composable"; a TypeError is a bug."""
+    dg = build_double_groupoid(z2z2)
+
+    def comp2(u, v):
+        raise TypeError("comp2 broke")
+
+    monkeypatch.setattr(dg, "comp2", comp2)
+    with pytest.raises(TypeError, match="comp2 broke"):
+        enumerate_linear_sections(dg)

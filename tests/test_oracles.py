@@ -1,0 +1,396 @@
+"""Differential tests: each indexed kernel against the scan it replaced.
+
+The oracles live in ``oracles.py``.  Inputs are random finite preorders,
+generated crossed modules (Z/2, Z/3, pair groupoids with and without a
+Z/2 bundle, Z/4 over Z/2) and deliberately corrupted composition tables,
+square sets, connections and charts, so that non-empty violation lists
+are compared, order included.
+"""
+
+import copy
+import functools
+import itertools
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from conftest import discrete_item, indiscrete_item, sierpinski_pairz2_item, square_axioms
+from holonomy2 import corpus
+from holonomy2.dgpd import DoubleGroupoid, build_double_groupoid, check_double
+from holonomy2.fintop import FiniteTopSpace, PartialMap, is_continuous, pullback_space
+from holonomy2.groupoid import Groupoid, check_groupoid
+from holonomy2.holonomy import Chart, check_chart_coherence, holonomy_groupoid
+from holonomy2.xmod import CrossedModule
+
+ORACLE = settings.get_profile("oracles")
+
+
+def outcome(fn, *args):
+    """Result of a call, or the type and message of what it raised."""
+    try:
+        return "ok", fn(*args)
+    except Exception as e:  # compared, never swallowed: both sides must agree
+        return "raised", type(e), str(e)
+
+
+def kind_of(result):
+    """Hypothesis event naming what an example exercised."""
+    if result[0] == "raised":
+        return "raised %s" % result[1].__name__
+    value = result[1]
+    if isinstance(value, dict):
+        value = value["violations"] + value["open_image_failures"]
+    return "violations" if value else "clean"
+
+
+# ---------------------------------------------------------------------------
+# random finite spaces
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def preorders(draw, prefix="p", max_points=5):
+    """A finite space from a random relation closed reflexively and transitively."""
+    n = draw(st.integers(1, max_points))
+    below = {i: {i} for i in range(n)}
+    for a, b in draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+        below[b].add(a)
+    for k, i, j in itertools.product(range(n), repeat=3):
+        if k in below[j] and i in below[k]:
+            below[j].add(i)
+    name = lambda i: "%s%d" % (prefix, i)
+    return FiniteTopSpace.from_min_opens(
+        [name(i) for i in range(n)],
+        {name(i): frozenset(name(j) for j in below[i]) for i in range(n)})
+
+
+@ORACLE
+@given(preorders())
+def test_preorders_are_transitive(space):
+    for p in space.points:
+        for q in space.minimal_open(p):
+            assert space.minimal_open(q) <= space.minimal_open(p)
+
+
+@st.composite
+def pullback_inputs(draw):
+    spaces = draw(st.lists(st.integers(0, 9).flatmap(
+        lambda k: preorders(prefix="s%d_" % k)), min_size=1, max_size=3))
+    coords = st.tuples(*[st.sampled_from(sorted(sp.points)) for sp in spaces])
+    # point labels need not be the coordinate tuples; repeats are allowed
+    table = draw(st.lists(coords, min_size=1, max_size=12))
+    return spaces, list(range(len(table))), table.__getitem__
+
+
+@ORACLE
+@given(pullback_inputs())
+def test_pullback_matches_all_pairs_scan(data):
+    spaces, points, components = data
+    fast = pullback_space(spaces, points, components)
+    slow = oracles.pullback_space(spaces, points, components)
+    assert fast.points == slow.points
+    assert fast._min == slow._min
+
+
+@ORACLE
+@given(pullback_inputs(), st.sampled_from(["arity", "foreign"]))
+def test_pullback_errors_match(data, fault):
+    spaces, points, components = data
+    if fault == "arity":
+        bad = lambda p: components(p) + ("extra",)
+    else:
+        bad = lambda p: ("nowhere",) + components(p)[1:] if p == points[-1] else components(p)
+    assert outcome(pullback_space, spaces, points, bad) == \
+        outcome(oracles.pullback_space, spaces, points, bad)
+
+
+def test_pullback_shares_minimal_opens():
+    """Points with equal component minimal opens get one frozenset."""
+    a = FiniteTopSpace.indiscrete("xyz")
+    b = FiniteTopSpace.discrete("uv")
+    pts = list(itertools.product("xyz", "uv"))
+    space = pullback_space([a, b], pts, lambda p: p)
+    assert space._min == oracles.pullback_space([a, b], pts, lambda p: p)._min
+    for p in pts:
+        for q in pts:
+            if p[1] == q[1]:
+                assert space.minimal_open(p) is space.minimal_open(q)
+
+
+@pytest.mark.parametrize("item", [discrete_item(corpus.z2z2()), indiscrete_item(corpus.pairz2()),
+                                  sierpinski_pairz2_item(), discrete_item(corpus.z4_interior())],
+                         ids=["z2z2-discrete", "pairz2-indiscrete", "pairz2-sierpinski", "z4-discrete"])
+def test_pullback_matches_on_window_pairs(item):
+    """The S3 difference pairs of generated models."""
+    cm, w = item
+    dg, wg, _ = square_axioms(cm, w)
+    pairs = [(u, v) for u in wg.squares for v in wg.squares if u.bottom == v.bottom]
+    fast = pullback_space([wg.space, wg.space], pairs, lambda p: p)
+    assert fast._min == oracles.pullback_space([wg.space, wg.space], pairs, lambda p: p)._min
+
+
+@st.composite
+def partial_maps(draw):
+    """A random map on an open domain, or now and then on any subset or
+    with a value outside the target, to compare the guards too."""
+    src = draw(preorders(prefix="a"))
+    tgt = draw(preorders(prefix="b"))
+    domain = draw(st.sets(st.sampled_from(sorted(src.points)), min_size=1))
+    if draw(st.integers(0, 3)):
+        domain = src.min_neighbourhood(domain)
+    values = sorted(tgt.points) + ([] if draw(st.integers(0, 3)) else ["outside"])
+    table = {p: draw(st.sampled_from(values)) for p in sorted(domain)}
+    return PartialMap(table), src, tgt
+
+
+@settings(ORACLE, max_examples=300)
+@given(partial_maps())
+def test_is_continuous_matches_pointwise_scan(data):
+    f, src, tgt = data
+    got = outcome(is_continuous, f, src, tgt)
+    event("raised" if got[0] == "raised" else "continuous=%s" % got[1])
+    assert got == outcome(oracles.is_continuous, f, src, tgt)
+
+
+# ---------------------------------------------------------------------------
+# groupoids with corrupted tables
+# ---------------------------------------------------------------------------
+
+
+def product_groupoid(g, h):
+    """Arrows (a, b) with componentwise structure."""
+    arrows = [(a, b) for a in g.arrows for b in h.arrows]
+    return Groupoid(
+        [(x, y) for x in g.objects for y in h.objects], arrows,
+        {(a, b): (g.src(a), h.src(b)) for a, b in arrows},
+        {(a, b): (g.tgt(a), h.tgt(b)) for a, b in arrows},
+        {((a, b), (c, d)): (g.add(a, c), h.add(b, d))
+         for a, b in arrows for c, d in arrows
+         if g.composable(a, c) and h.composable(b, d)},
+        {(a, b): (g.neg(a), h.neg(b)) for a, b in arrows},
+        {(x, y): (g.unit(x), h.unit(y)) for x in g.objects for y in h.objects})
+
+
+GROUPOIDS = {
+    "z2": lambda: corpus.cyclic_groupoid(2),
+    "z3": lambda: corpus.cyclic_groupoid(3),
+    "z4": lambda: corpus.cyclic_groupoid(4),
+    "pair3": lambda: corpus.pair_groupoid("xyz"),
+    "bundle": lambda: corpus.bundle_of_groups("xy", 3),
+    "pair2xz2": lambda: product_groupoid(corpus.pair_groupoid("xy"), corpus.cyclic_groupoid(2)),
+}
+
+
+@st.composite
+def corrupted_groupoids(draw):
+    g = GROUPOIDS[draw(st.sampled_from(sorted(GROUPOIDS)))]()
+    table, neg, units = dict(g._table), dict(g._neg), dict(g._units)
+    keys = sorted(table, key=repr)
+    arrow = st.sampled_from(g.arrows)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["value", "drop", "extra", "neg", "unit"]))
+        if kind == "value":
+            table[draw(st.sampled_from(keys))] = draw(arrow)
+        elif kind == "drop":
+            table.pop(draw(st.sampled_from(keys)), None)
+        elif kind == "extra":
+            table[(draw(arrow), draw(arrow))] = draw(arrow)
+        elif kind == "neg":
+            a = draw(arrow)
+            if draw(st.booleans()):
+                neg.pop(a, None)
+            else:
+                neg[a] = draw(arrow)
+        else:
+            units.pop(draw(st.sampled_from(g.objects)), None)
+    return Groupoid(g.objects, g.arrows, g._src, g._tgt, table, neg, units)
+
+
+@settings(ORACLE, max_examples=150)
+@given(corrupted_groupoids())
+def test_check_groupoid_matches_all_triples_scan(g):
+    got = check_groupoid(g)
+    event(kind_of(("ok", got)))
+    assert got == oracles.check_groupoid(g)
+
+
+def test_check_groupoid_reports_associativity_in_oracle_order():
+    g = corpus.cyclic_groupoid(3)
+    table = dict(g._table)
+    table[("1", "1")] = "0"
+    bad = Groupoid(g.objects, g.arrows, g._src, g._tgt, table, g._neg, g._units)
+    got = check_groupoid(bad)
+    assert sum(v.startswith("associativity") for v in got) > 1
+    assert got == oracles.check_groupoid(bad)
+
+
+def test_check_groupoid_matches_on_z3_square_views():
+    dg = build_double_groupoid(zn_on_itself(3))
+    vert = dg.vertical_groupoid()
+    table = dict(vert._table)
+    key = next(k for k, v in table.items() if v != dg.squares[0])
+    table[key] = dg.squares[0]
+    broken = Groupoid(vert.objects, vert.arrows, vert._src, vert._tgt, table,
+                      vert._neg, vert._units)
+    for g in (vert, dg.horizontal_groupoid(), broken):
+        assert check_groupoid(g) == oracles.check_groupoid(g)
+    assert check_groupoid(broken)
+
+
+# ---------------------------------------------------------------------------
+# double groupoids with corrupted actions, connections and square sets
+# ---------------------------------------------------------------------------
+
+
+def zn_on_itself(n):
+    """Z/n acting trivially on itself with identity boundary."""
+    G, C = corpus.cyclic_groupoid(n), corpus.cyclic_groupoid(n, prefix="c")
+    return CrossedModule(C, G, {"c%d" % i: str(i) for i in range(n)},
+                         {(c, a): c for c in C.arrows for a in G.arrows})
+
+
+def trivial_boundary(cm):
+    """The same groupoids with unit boundary: every composite stays a
+    square, so a corrupted action surfaces as violations, not errors."""
+    return CrossedModule(cm.C, cm.G, {c: cm.G.unit(cm.C.tgt(c)) for c in cm.C.arrows},
+                         cm.action)
+
+
+def zn_over_trivial_kernel(n):
+    G = corpus.cyclic_groupoid(n)
+    C = corpus.cyclic_groupoid(1, prefix="c")
+    return CrossedModule(C, G, {"c0": "0"}, {("c0", a): "c0" for a in G.arrows})
+
+
+MODELS = {
+    "z2": lambda: zn_on_itself(2),
+    "z2-trivial": lambda: trivial_boundary(zn_on_itself(2)),
+    "z3-edges": lambda: zn_over_trivial_kernel(3),
+    "pair2": corpus.pair2,
+    "pairz2": corpus.pairz2,
+    "pairz2-trivial": lambda: trivial_boundary(corpus.pairz2()),
+}
+
+
+@st.composite
+def corrupted_double_groupoids(draw):
+    cm = MODELS[draw(st.sampled_from(sorted(MODELS)))]()
+    action = dict(cm.action)
+    keys = sorted(action, key=repr)
+    for _ in range(draw(st.integers(0, 2))):
+        # a value in the right fibre keeps every composition defined
+        key = draw(st.sampled_from(keys))
+        fibre = [c for c in cm.C.arrows if cm.C.tgt(c) == cm.C.tgt(action[key])]
+        action[key] = draw(st.sampled_from(fibre))
+    cm = CrossedModule(cm.C, cm.G, cm.delta, action)
+    dg = build_double_groupoid(cm)
+    squares = list(dg.squares)
+    connection = dict(dg.connection)
+    arrows = sorted(cm.G.arrows)
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["drop-connection", "move-connection",
+                                     "drop-square", "foreign-square"]))
+        if kind == "drop-connection":
+            connection.pop(draw(st.sampled_from(arrows)), None)
+        elif kind == "move-connection":
+            connection[draw(st.sampled_from(arrows))] = draw(st.sampled_from(dg.squares))
+        elif kind == "drop-square" and len(squares) > 1:
+            squares.remove(draw(st.sampled_from(squares)))
+        elif kind == "foreign-square":
+            sq = draw(st.sampled_from(dg.squares))
+            squares.append(sq._replace(inner=draw(st.sampled_from(cm.C.arrows))))
+    return DoubleGroupoid(cm, squares, connection)
+
+
+@settings(ORACLE, max_examples=40)
+@given(corrupted_double_groupoids())
+def test_check_double_matches_quadruple_scan(dg):
+    got = outcome(check_double, dg)
+    event(kind_of(got))
+    assert got == outcome(oracles.check_double, dg)
+
+
+def test_check_double_violations_in_oracle_order():
+    """A twisted action on a unit-boundary model keeps the square set
+    closed, so interchange and the groupoid laws fail instead."""
+    cm = trivial_boundary(corpus.pairz2())
+    action = dict(cm.action)
+    action[("1@x", "xx")] = "0@x"
+    dg = build_double_groupoid(CrossedModule(cm.C, cm.G, cm.delta, action))
+    got = check_double(dg)
+    assert any(v.startswith("interchange") for v in got)
+    assert got == oracles.check_double(dg)
+
+
+def test_groupoid_views_match_scans():
+    for make in MODELS.values():
+        dg = build_double_groupoid(make())
+        for fast, slow in ((dg.vertical_groupoid(), oracles.vertical_groupoid(dg)),
+                           (dg.horizontal_groupoid(), oracles.horizontal_groupoid(dg))):
+            assert list(fast._table.items()) == list(slow._table.items())
+            assert fast._neg == slow._neg and fast._units == slow._units
+        assert dg.vertical_groupoid() is dg.vertical_groupoid()
+
+
+# ---------------------------------------------------------------------------
+# chart coherence with corrupted charts
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def holonomy_model(name):
+    item = {"z2z2": lambda: discrete_item(corpus.z2z2()),
+            "pairz2": lambda: discrete_item(corpus.pairz2()),
+            "z4": lambda: discrete_item(corpus.z4_interior()),
+            "pairz2-sierpinski": sierpinski_pairz2_item}[name]()
+    return holonomy_groupoid(*square_axioms(*item), require_axioms=False)
+
+
+@st.composite
+def corrupted_holonomy(draw):
+    hol = copy.copy(holonomy_model(draw(st.sampled_from(
+        ["z2z2", "pairz2", "z4", "pairz2-sierpinski"]))))
+    charts = [(c.section, dict(c.mapping)) for c in hol.charts]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(charts) - 1))
+        section, mapping = charts[i]
+        kind = draw(st.sampled_from(["merge", "shift", "drop", "swap-section", "reorder"]))
+        squares = sorted(mapping, key=str)
+        if kind == "merge" and len(squares) > 1:
+            a, b = draw(st.permutations(squares))[:2]
+            mapping[a] = mapping[b]
+        elif kind == "shift":
+            mapping[draw(st.sampled_from(squares))] = draw(st.sampled_from(hol.quotient.arrows))
+        elif kind == "drop" and squares:
+            mapping.pop(draw(st.sampled_from(squares)))
+        elif kind == "swap-section":
+            charts[i] = (charts[draw(st.integers(0, len(charts) - 1))][0], mapping)
+        elif kind == "reorder":
+            charts = draw(st.permutations(charts))
+    hol.charts = [Chart(section, mapping) for section, mapping in charts]
+    return hol
+
+
+@settings(ORACLE, max_examples=40)
+@given(corrupted_holonomy())
+def test_chart_coherence_matches_linear_scan(hol):
+    got = check_chart_coherence(hol)
+    event(kind_of(("ok", got)))
+    assert got == oracles.check_chart_coherence(hol)
+
+
+def test_chart_coherence_violations_in_oracle_order():
+    hol = copy.copy(holonomy_model("pairz2"))
+    charts = [Chart(c.section, c.mapping) for c in hol.charts]
+    first = charts[0]
+    squares = sorted(first.mapping, key=str)
+    bent = dict(first.mapping)
+    bent[squares[0]] = first.mapping[squares[-1]]
+    charts[0] = Chart(first.section, bent)
+    charts[1] = Chart(charts[2].section, charts[1].mapping)
+    hol.charts = charts
+    got = check_chart_coherence(hol)
+    assert len(got["violations"]) > 1
+    assert got == oracles.check_chart_coherence(hol)

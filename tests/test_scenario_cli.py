@@ -191,3 +191,13 @@ def test_cli_report_matches_recorded_golden(path, capsys):
     code, out = run_cli(["--scenario", path, "--format", "json"], capsys)
     assert code == golden["exit"]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden["sha256"]
+
+
+@pytest.mark.parametrize("arrows", [[["c0"]], 5])
+def test_loader_rejects_malformed_window_arrows(arrows):
+    with open(scenario_path("z2z2.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    name = sorted(data["wstructures"])[0]
+    data["wstructures"][name]["arrows"] = arrows
+    with pytest.raises(ScenarioError, match="wstructures.%s.arrows" % name):
+        load_scenario(data)
