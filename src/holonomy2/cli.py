@@ -21,7 +21,7 @@ from .xmod import check_crossed_module, find_xmod_isomorphism, check_xmod_morphi
 from .dgpd import build_double_groupoid, check_double, crossed_module_of
 from .homotopy import (enumerate_free_derivations, enumerate_linear_sections,
                        is_coadmissible, derivation_to_section)
-from .holonomy import (HolonomyError, build_wg, check_wstructure,
+from .holonomy import (_MODEL_ERRORS, build_wg, check_wstructure,
                        check_locally_lie_double, check_locally_lie_xmod,
                        generation_equivalence, holonomy_groupoid,
                        identity_vertical_morphism, universal_morphism,
@@ -248,7 +248,7 @@ def execute(argv=None):
     except ScenarioError as e:
         _emit_error(opts, str(e))
         return 2
-    except (HolonomyError,) as e:
+    except _MODEL_ERRORS as e:
         results.append({"task": "error", "ok": False, "details": str(e)})
 
     report = {"scenario": os.path.basename(str(opts.scenario)),

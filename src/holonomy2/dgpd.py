@@ -84,6 +84,9 @@ class DoubleGroupoid:
     def with_bottom(self, a):
         return tuple(self._by_bottom.get(a, ()))
 
+    def with_top(self, a):
+        return tuple(self._by_top.get(a, ()))
+
     # -- compositions -----------------------------------------------------
 
     def comp1(self, u, v):

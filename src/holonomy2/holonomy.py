@@ -1212,33 +1212,33 @@ def check_chart_coherence(hol):
 # ---------------------------------------------------------------------------
 
 
-def _factorizations(dg, pre_set, w_sq, bound, cap):
-    """Vertical factorizations of a square into members of a generating set."""
+def _factorizations(vert, pre, pre_by_top, w_sq, bound, cap):
+    """Vertical factorizations of a square into members of a generating set.
+
+    ``vert`` is the vertical groupoid of the squares; ``pre_by_top`` lists
+    the members of ``pre`` by top edge, in ``_skey`` order.  Each walk
+    node has its own prefix, so no factorization is found twice.
+    """
     results = []
 
     def walk(current, acc, depth):
         if len(results) >= cap:
             return
-        if current in pre_set:
+        if current in pre:
             results.append(tuple(acc) + (current,))
             if len(acc) + 1 >= bound:
                 return
         if depth >= bound:
             return
-        for u in sorted(pre_set, key=_skey):
-            if u.top != current.top:
-                continue
-            rest = dg.comp1(dg.neg1(u), current)
-            if rest == current and u == dg.eps1(current.top):
+        unit = vert.unit(current.top)
+        for u in pre_by_top.get(current.top, ()):
+            rest = vert.add(vert.neg(u), current)
+            if rest == current and u == unit:
                 continue
             walk(rest, acc + [u], depth + 1)
 
     walk(w_sq, [], 0)
-    seen = []
-    for r in results:
-        if r not in seen:
-            seen.append(r)
-    return seen
+    return results
 
 
 def push_section(dg_target, mu, sec):
@@ -1257,6 +1257,14 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
     the morphism by factoring through the preimage, re-verifies
     independence of all choices up to the bounds, and certifies
     uniqueness by exhaustive search.
+
+    "Up to the bounds" means: each square is factored in at most
+    ``max_factorizations`` ways into at most ``word_bound`` preimage
+    squares; each factor contributes its first ``theta_choices``
+    through-sections, computed once per call.  The uniqueness search is
+    exhaustive (up to ``search_cap`` nodes) and checks each composable
+    pair of squares once, when the last of the pair and its composite is
+    assigned.
     """
     dgC, wg = hol.dg, hol.wg
     dgA = build_double_groupoid(cmA)
@@ -1291,50 +1299,52 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
 
     preW = square_subwindow(wgA, pre)
     jr_set = set(hol.germ_groupoid.arrows)
+    squares = dgA.squares  # in _skey order, as with_top lists them
+    pre_by_top = {a: [sq for sq in dgA.with_top(a) if sq in pre]
+                  for a in dgA.edge.arrows}
+    pushed_through = {}
+
+    def pushed(piece):
+        """The first ``theta_choices`` through-sections of a factor that
+        stay smooth when pushed along ``mu``."""
+        if piece not in pushed_through:
+            out = []
+            for theta in sections_through(dgA, preW, piece)[:theta_choices]:
+                img = push_section(dgC, mu, theta)
+                if img is not None and not smoothness_violations(dgC, wg, img):
+                    out.append(img)
+            pushed_through[piece] = out
+        return pushed_through[piece]
 
     def classes_for(w_sq):
         found = set()
-        for fact in _factorizations(dgA, pre, w_sq, word_bound, max_factorizations):
-            base = w_sq.bottom
+        for fact in _factorizations(vertA, pre, pre_by_top, w_sq, word_bound,
+                                    max_factorizations):
             chain = []
-            ok = True
             for piece in reversed(fact):
-                thetas = sections_through(dgA, preW, piece)[:theta_choices]
-                pushed = []
-                for theta in thetas:
-                    img = push_section(dgC, mu, theta)
-                    if img is None:
-                        continue
-                    if smoothness_violations(dgC, wg, img):
-                        continue
-                    pushed.append(img)
-                if not pushed:
-                    ok = False
+                chain.append(pushed(piece))
+                if not chain[-1]:
                     break
-                chain.append(pushed)
-            if not ok:
+            if not chain[-1]:
                 continue
             for combo in itertools.product(*chain):
-                a = base
+                a = w_sq.bottom
                 cls = None
-                good = True
                 for img in combo:
                     if a not in img.dom1:
-                        good = False
                         break
                     g = germ_at(dgC, img, a)
                     if g not in jr_set:
-                        good = False
                         break
                     step = hol.projection.arr_map[g]
                     cls = step if cls is None else hol.quotient.add(step, cls)
                     a = g.source()
-                if good and cls is not None:
+                else:
                     found.add(cls)
         return found
 
     mu_prime_map = {}
-    for w_sq in sorted(dgA.squares, key=_skey):
+    for w_sq in squares:
         if w_sq in pre:
             cands = {hol.embed[mu.arr_map[w_sq]]}
             extra = classes_for(w_sq)
@@ -1359,7 +1369,6 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
         raise HolonomyError("constructed map not a morphism: %s" % bad[0])
 
     # uniqueness by exhaustive search over qualifying morphisms
-    squares = sorted(dgA.squares, key=_skey)
     fibers = {}
     for sq in squares:
         if sq in pre:
@@ -1369,6 +1378,15 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
                           if hol.psi.arr_map[h] == mu.arr_map[sq]
                           and hol.quotient.src(h) == sq.top
                           and hol.quotient.tgt(h) == sq.bottom]
+    # each composable pair (u, v, u+v) is checked at the depth of its last
+    # member, in (u, v) square order
+    pos = {sq: i for i, sq in enumerate(squares)}
+    pairs_at = [[] for _ in squares]
+    for u in squares:
+        for v in dgA.with_top(u.bottom):
+            uv = vertA.add(u, v)
+            pairs_at[max(pos[u], pos[v], pos[uv])].append((u, v, uv))
+    add = hol.quotient.add
     count = [0]
     solutions = []
 
@@ -1384,18 +1402,7 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
         sq = squares[i]
         for h in fibers[sq]:
             assign[sq] = h
-            good = True
-            for u in squares[:i + 1]:
-                for v in squares[:i + 1]:
-                    if u.bottom == v.top:
-                        uv = dgA.comp1(u, v)
-                        if uv in assign:
-                            if hol.quotient.add(assign[u], assign[v]) != assign[uv]:
-                                good = False
-                                break
-                if not good:
-                    break
-            if good:
+            if all(add(assign[u], assign[v]) == assign[uv] for u, v, uv in pairs_at[i]):
                 search(i + 1, assign)
             del assign[sq]
 

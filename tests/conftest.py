@@ -6,6 +6,7 @@ from holonomy2.dgpd import build_double_groupoid
 from holonomy2.fintop import FiniteTopSpace
 from holonomy2.holonomy import (WStructure, build_wg, check_locally_lie_double,
                                 full_wstructure, holonomy_groupoid)
+from holonomy2.xmod import CrossedModule
 
 
 # differential tests against slow oracles: no per-example deadline on a
@@ -36,6 +37,13 @@ def z4():
 @pytest.fixture
 def all_cms():
     return corpus.corpus()
+
+
+def zn_on_itself(n):
+    """Z/n acting trivially on itself with identity boundary (n**4 squares)."""
+    G, C = corpus.cyclic_groupoid(n), corpus.cyclic_groupoid(n, prefix="c")
+    return CrossedModule(C, G, {"c%d" % i: str(i) for i in range(n)},
+                         {(c, a): c for c in C.arrows for a in G.arrows})
 
 
 def discrete_item(cm):

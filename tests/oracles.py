@@ -4,18 +4,26 @@ differential tests.
 Each function is the straightforward scan that the library replaced by
 an indexed version: all point pairs for pullback minimal opens, every
 point for continuity, every square pair and quadruple for the double
-groupoid axioms, all arrow triples for associativity, and a linear
-inverse lookup for chart coherence.  The fast versions must agree with
-these, violation order included.
+groupoid axioms, all arrow triples for associativity, a linear
+inverse lookup for chart coherence, and, for the universal property,
+through-sections recomputed per factorization, a preimage re-sorted at
+every factorization node and a uniqueness search that rechecks every
+assigned pair at every node.  The fast versions must agree with these,
+violation order included.
 """
 
 from __future__ import annotations
 
-from holonomy2.dgpd import DoubleGroupoidError, square_boundary_ok
-from holonomy2.fintop import FiniteTopSpace, TopologyError
-from holonomy2.groupoid import Groupoid, _continuity_report, _skey
-from holonomy2.holonomy import (_MODEL_ERRORS, HolonomyError, left_translation,
-                                local_section_inv, local_section_mul)
+import itertools
+
+from holonomy2.dgpd import DoubleGroupoidError, build_double_groupoid, square_boundary_ok
+from holonomy2.fintop import FiniteTopSpace, PartialMap, TopologyError, is_continuous
+from holonomy2.groupoid import (Groupoid, GroupoidMorphism, _continuity_report, _skey,
+                                check_groupoid_morphism, generated_subgroupoid)
+from holonomy2.holonomy import (_MODEL_ERRORS, HolonomyError, build_wg, germ_at,
+                                has_enough_sections, left_translation, local_section_inv,
+                                local_section_mul, push_section, sections_through,
+                                smoothness_violations, square_subwindow)
 
 
 def pullback_space(component_spaces, points, components):
@@ -274,3 +282,190 @@ def check_chart_coherence(hol):
     out["ok"] = not out["violations"]
     out["opens_to_opens"] = not out["open_image_failures"]
     return out
+
+
+def _factorizations(dg, pre_set, w_sq, bound, cap):
+    """Vertical factorizations of a square into members of a generating set."""
+    results = []
+
+    def walk(current, acc, depth):
+        if len(results) >= cap:
+            return
+        if current in pre_set:
+            results.append(tuple(acc) + (current,))
+            if len(acc) + 1 >= bound:
+                return
+        if depth >= bound:
+            return
+        for u in sorted(pre_set, key=_skey):
+            if u.top != current.top:
+                continue
+            rest = dg.comp1(dg.neg1(u), current)
+            if rest == current and u == dg.eps1(current.top):
+                continue
+            walk(rest, acc + [u], depth + 1)
+
+    walk(w_sq, [], 0)
+    seen = []
+    for r in results:
+        if r not in seen:
+            seen.append(r)
+    return seen
+
+
+def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
+                       theta_choices=3, search_cap=200000):
+    """The unique morphism into the holonomy groupoid over a vertical
+    morphism of double groupoids.
+
+    Verifies the hypotheses (identity on objects; open, continuous,
+    vertically generating preimage of the window; enough sections), builds
+    the morphism by factoring through the preimage, re-verifies
+    independence of all choices up to the bounds, and certifies
+    uniqueness by exhaustive search.
+    """
+    dgC, wg = hol.dg, hol.wg
+    dgA = build_double_groupoid(cmA)
+    if frozenset(wA.arrows) != frozenset(cmA.C.arrows):
+        raise HolonomyError("hypothesis: the source needs a topology on all of its kernel")
+    wgA = build_wg(dgA, wA)
+
+    # (i) identity on objects
+    if set(cmA.G.arrows) != set(dgC.edge.arrows):
+        raise HolonomyError("hypothesis (i) fails: edge groupoids differ")
+    if any(mu.obj_map[a] != a for a in dgA.edge.arrows):
+        raise HolonomyError("hypothesis (i) fails: not the identity on objects")
+    bad = check_groupoid_morphism(mu, dgA.vertical_groupoid(), dgC.vertical_groupoid())
+    if bad:
+        raise HolonomyError("not a vertical morphism: %s" % bad[0])
+
+    # (ii) the preimage of the window
+    pre = frozenset(sq for sq in dgA.squares if mu.arr_map[sq] in wg.squares)
+    if not wgA.space.is_open(pre):
+        raise HolonomyError("hypothesis (ii) fails: window preimage not open")
+    if not is_continuous(PartialMap({sq: mu.arr_map[sq] for sq in pre}),
+                         wgA.space, wg.space):
+        raise HolonomyError("hypothesis (ii) fails: morphism not continuous on the preimage")
+    vertA = dgA.vertical_groupoid()
+    if generated_subgroupoid(vertA, pre) != set(dgA.squares):
+        raise HolonomyError("hypothesis (ii) fails: preimage does not generate vertically")
+
+    # (iii) enough sections on the source
+    enough = has_enough_sections(dgA, wgA)
+    if not enough["ok"]:
+        raise HolonomyError("hypothesis (iii) fails: not enough sections on the source")
+
+    preW = square_subwindow(wgA, pre)
+    jr_set = set(hol.germ_groupoid.arrows)
+
+    def classes_for(w_sq):
+        found = set()
+        for fact in _factorizations(dgA, pre, w_sq, word_bound, max_factorizations):
+            base = w_sq.bottom
+            chain = []
+            ok = True
+            for piece in reversed(fact):
+                thetas = sections_through(dgA, preW, piece)[:theta_choices]
+                pushed = []
+                for theta in thetas:
+                    img = push_section(dgC, mu, theta)
+                    if img is None:
+                        continue
+                    if smoothness_violations(dgC, wg, img):
+                        continue
+                    pushed.append(img)
+                if not pushed:
+                    ok = False
+                    break
+                chain.append(pushed)
+            if not ok:
+                continue
+            for combo in itertools.product(*chain):
+                a = base
+                cls = None
+                good = True
+                for img in combo:
+                    if a not in img.dom1:
+                        good = False
+                        break
+                    g = germ_at(dgC, img, a)
+                    if g not in jr_set:
+                        good = False
+                        break
+                    step = hol.projection.arr_map[g]
+                    cls = step if cls is None else hol.quotient.add(step, cls)
+                    a = g.source()
+                if good and cls is not None:
+                    found.add(cls)
+        return found
+
+    mu_prime_map = {}
+    for w_sq in sorted(dgA.squares, key=_skey):
+        if w_sq in pre:
+            cands = {hol.embed[mu.arr_map[w_sq]]}
+            extra = classes_for(w_sq)
+            cands |= extra
+        else:
+            cands = classes_for(w_sq)
+        if not cands:
+            raise HolonomyError("factorization bound exceeded at %s" % (w_sq,))
+        if len(cands) != 1:
+            raise HolonomyError("construction not independent of choices at %s" % (w_sq,))
+        mu_prime_map[w_sq] = cands.pop()
+
+    mu_prime = GroupoidMorphism({a: a for a in dgA.edge.arrows}, mu_prime_map)
+    report = {}
+    bad = check_groupoid_morphism(mu_prime, vertA, hol.quotient)
+    report["is_morphism"] = not bad
+    report["psi_after"] = all(hol.psi.arr_map[mu_prime_map[sq]] == mu.arr_map[sq]
+                              for sq in dgA.squares)
+    report["embeds_preimage"] = all(mu_prime_map[sq] == hol.embed[mu.arr_map[sq]]
+                                    for sq in pre)
+    if bad:
+        raise HolonomyError("constructed map not a morphism: %s" % bad[0])
+
+    # uniqueness by exhaustive search over qualifying morphisms
+    squares = sorted(dgA.squares, key=_skey)
+    fibers = {}
+    for sq in squares:
+        if sq in pre:
+            fibers[sq] = [hol.embed[mu.arr_map[sq]]]
+        else:
+            fibers[sq] = [h for h in hol.quotient.arrows
+                          if hol.psi.arr_map[h] == mu.arr_map[sq]
+                          and hol.quotient.src(h) == sq.top
+                          and hol.quotient.tgt(h) == sq.bottom]
+    count = [0]
+    solutions = []
+
+    def search(i, assign):
+        if len(solutions) > 1:
+            return
+        count[0] += 1
+        if count[0] > search_cap:
+            raise HolonomyError("uniqueness search cap exceeded")
+        if i == len(squares):
+            solutions.append(dict(assign))
+            return
+        sq = squares[i]
+        for h in fibers[sq]:
+            assign[sq] = h
+            good = True
+            for u in squares[:i + 1]:
+                for v in squares[:i + 1]:
+                    if u.bottom == v.top:
+                        uv = dgA.comp1(u, v)
+                        if uv in assign:
+                            if hol.quotient.add(assign[u], assign[v]) != assign[uv]:
+                                good = False
+                                break
+                if not good:
+                    break
+            if good:
+                search(i + 1, assign)
+            del assign[sq]
+
+    search(0, {})
+    report["qualifying_morphisms"] = len(solutions)
+    report["unique"] = len(solutions) == 1 and solutions[0] == mu_prime_map
+    return mu_prime, report

@@ -3,10 +3,12 @@
 The oracles live in ``oracles.py``.  Inputs are random finite preorders,
 generated crossed modules (Z/2, Z/3, pair groupoids with and without a
 Z/2 bundle, Z/4 over Z/2) and deliberately corrupted composition tables,
-square sets, connections and charts, so that non-empty violation lists
-are compared, order included.
+square sets, connections, charts, vertical morphisms and holonomy
+quotients, so that non-empty violation lists, raised errors and failed
+uniqueness searches are compared, order included.
 """
 
+import bisect
 import copy
 import functools
 import itertools
@@ -16,12 +18,15 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import discrete_item, indiscrete_item, sierpinski_pairz2_item, square_axioms
+from conftest import (discrete_item, indiscrete_item, sierpinski_pairz2_item, square_axioms,
+                      zn_on_itself)
 from holonomy2 import corpus
 from holonomy2.dgpd import DoubleGroupoid, build_double_groupoid, check_double
 from holonomy2.fintop import FiniteTopSpace, PartialMap, is_continuous, pullback_space
-from holonomy2.groupoid import Groupoid, check_groupoid
-from holonomy2.holonomy import Chart, check_chart_coherence, holonomy_groupoid
+from holonomy2.groupoid import Groupoid, GroupoidMorphism, check_groupoid
+from holonomy2.holonomy import (Chart, WStructure, _factorizations, check_chart_coherence,
+                                holonomy_groupoid, identity_vertical_morphism,
+                                universal_morphism)
 from holonomy2.xmod import CrossedModule
 
 ORACLE = settings.get_profile("oracles")
@@ -244,13 +249,6 @@ def test_check_groupoid_matches_on_z3_square_views():
 # ---------------------------------------------------------------------------
 
 
-def zn_on_itself(n):
-    """Z/n acting trivially on itself with identity boundary."""
-    G, C = corpus.cyclic_groupoid(n), corpus.cyclic_groupoid(n, prefix="c")
-    return CrossedModule(C, G, {"c%d" % i: str(i) for i in range(n)},
-                         {(c, a): c for c in C.arrows for a in G.arrows})
-
-
 def trivial_boundary(cm):
     """The same groupoids with unit boundary: every composite stays a
     square, so a corrupted action surfaces as violations, not errors."""
@@ -394,3 +392,202 @@ def test_chart_coherence_violations_in_oracle_order():
     got = check_chart_coherence(hol)
     assert len(got["violations"]) > 1
     assert got == oracles.check_chart_coherence(hol)
+
+
+# ---------------------------------------------------------------------------
+# the universal property with corrupted quotients and morphisms
+# ---------------------------------------------------------------------------
+
+
+# source model and, when smaller than the whole kernel, the target window;
+# a smaller window leaves squares outside the preimage, whose fibres the
+# uniqueness search has to choose from
+UNIVERSAL_MODELS = {
+    "z2z2": (corpus.z2z2, None),
+    "pairz2": (corpus.pairz2, None),
+    "z4": (corpus.z4_interior, None),
+    "z4-c013": (corpus.z4_interior, ["c0", "c1", "c3"]),
+    "z4-c01": (corpus.z4_interior, ["c0", "c1"]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def universal_model(name):
+    """Source crossed module, its full window, and the holonomy groupoid
+    of the target window."""
+    make, arrows = UNIVERSAL_MODELS[name]
+    cm, wa = discrete_item(make())
+    w = wa if arrows is None else WStructure(arrows, FiniteTopSpace.discrete(arrows))
+    return cm, wa, holonomy_groupoid(*square_axioms(cm, w), require_axioms=False)
+
+
+def universal_outcome(fn, cm, wa, mu, hol, **bounds):
+    got = outcome(functools.partial(fn, **bounds), cm, wa, mu, hol)
+    if got[0] == "ok":
+        mu_prime, report = got[1]
+        return "ok", mu_prime.obj_map, mu_prime.arr_map, report
+    return got
+
+
+def universal_event(got):
+    if got[0] == "raised":
+        return "raised %s: %s" % (got[1].__name__, got[2].split(":")[0])
+    return "qualifiers %d, unique %s" % (got[3]["qualifying_morphisms"], got[3]["unique"])
+
+
+def add_twin(k, arrows, src, tgt, table, neg, psi, rows=True):
+    """Add a class that copies the endpoints, evaluation and, with
+    ``rows``, the table rows of ``k`` (products keep their values), and
+    sorts before every class."""
+    t = ("twin", len(arrows), k)
+    for (x, y), c in list(table.items()) if rows else ():
+        if k in (x, y):
+            table[(t if x == k else x, t if y == k else y)] = c
+            if x == y == k:
+                table[(t, k)] = table[(k, t)] = c
+    src[t], tgt[t], neg[t], psi[t] = src[k], tgt[k], neg[k], psi[k]
+    arrows.append(t)
+
+
+def altered_holonomy(hol, arrows, src, tgt, table, neg, psi):
+    out = copy.copy(hol)
+    out.quotient = Groupoid(hol.quotient.objects, arrows, src, tgt, table, neg,
+                            hol.quotient._units)
+    out.psi = GroupoidMorphism(hol.psi.obj_map, psi)
+    return out
+
+
+def quotient_parts(hol):
+    q = hol.quotient
+    return (list(q.arrows), dict(q._src), dict(q._tgt), dict(q._table), dict(q._neg),
+            dict(hol.psi.arr_map))
+
+
+@st.composite
+def corrupted_universal(draw):
+    """A universal-property instance whose vertical morphism, quotient
+    table, evaluation or class set has been altered, with drawn bounds.
+
+    A twin class copies the table rows and the evaluation of a class
+    outside the window, so a fibre of the search holds two candidates
+    and the twin, which sorts first, must be rejected once a pair that
+    tells them apart is assigned.  A swapped evaluation empties or
+    misdirects a fibre, so no qualifier is found.  Two qualifiers cannot
+    occur on these models, whatever the table: every square is a
+    composite of preimage squares, whose values are fixed, so the table
+    fixes the rest.  Twins, swaps and the smaller windows are drawn more
+    often: only the smaller windows leave squares outside the preimage.
+    """
+    cm, wa, hol = universal_model(draw(st.sampled_from(
+        ["z2z2", "pairz2", "z4"] + 3 * ["z4-c013", "z4-c01"])))
+    dg = hol.dg
+    arr_map = {sq: sq for sq in dg.squares}
+    arrows, src, tgt, table, neg, psi = parts = quotient_parts(hol)
+    outside = [h for h in arrows if psi[h] not in hol.wg.squares] or arrows
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["mu", "entry", "drop"] + 2 * ["twin", "psi-swap"]))
+        if kind == "mu":
+            sq = draw(st.sampled_from(dg.squares))
+            arr_map[sq] = draw(st.sampled_from([t for t in dg.squares
+                                                if (t.top, t.bottom) == (sq.top, sq.bottom)]))
+        elif kind == "entry":
+            key = draw(st.sampled_from(sorted(table, key=repr)))
+            table[key] = draw(st.sampled_from([h for h in arrows if (src[h], tgt[h]) ==
+                                               (src[table[key]], tgt[table[key]])]))
+        elif kind == "drop":
+            del table[draw(st.sampled_from(sorted(table, key=repr)))]
+        elif kind == "twin":
+            add_twin(draw(st.sampled_from(outside)), arrows, src, tgt, table, neg, psi)
+        elif kind == "psi-swap":
+            h = draw(st.sampled_from(outside))
+            h2 = draw(st.sampled_from([x for x in arrows if x != h and
+                                       (src[x], tgt[x]) == (src[h], tgt[h])] or [h]))
+            psi[h], psi[h2] = psi[h2], psi[h]
+    hol = altered_holonomy(hol, *parts)
+    mu = GroupoidMorphism({a: a for a in dg.edge.arrows}, arr_map)
+    bounds = {"word_bound": draw(st.sampled_from([1, 3])),
+              "max_factorizations": draw(st.sampled_from([1, 24])),
+              "theta_choices": draw(st.sampled_from([1, 3])),
+              "search_cap": draw(st.one_of(st.just(200000),
+                                           st.integers(1, 2 * len(dg.squares) + 2)))}
+    return cm, wa, mu, hol, bounds
+
+
+@settings(ORACLE, max_examples=40)
+@given(corrupted_universal())
+def test_universal_morphism_matches_rescanning_search(instance):
+    cm, wa, mu, hol, bounds = instance
+    got = universal_outcome(universal_morphism, cm, wa, mu, hol, **bounds)
+    event(universal_event(got))
+    assert got == universal_outcome(oracles.universal_morphism, cm, wa, mu, hol, **bounds)
+
+
+@pytest.mark.parametrize("name", ["pairz2", "z2z2", "z4", "z4-c013"])
+def test_universal_morphism_matches_oracle_on_models(name):
+    cm, wa, hol = universal_model(name)
+    mu = identity_vertical_morphism(hol.dg)
+    got = universal_outcome(universal_morphism, cm, wa, mu, hol)
+    assert got == universal_outcome(oracles.universal_morphism, cm, wa, mu, hol)
+
+
+@pytest.mark.parametrize("alteration", ["twins", "bare-twins", "swapped-evaluation"])
+def test_uniqueness_search_matches_oracle_when_it_backtracks(alteration):
+    """Every class outside the window gets a twin that the search tries
+    first and must reject (one qualifier), or the evaluations of those
+    classes are swapped in pairs with equal endpoints, so the search meets
+    a wrong candidate and rejects it (no qualifier).  A bare twin has no
+    table rows: a pair with the twin as a factor raises, a pair with it as
+    the composite rejects it, so the outcome shows which pair the search
+    checks first.  Both searches must also stop at the same node count."""
+    cm, wa, hol = universal_model("z4-c01")
+    arrows, src, tgt, table, neg, psi = parts = quotient_parts(hol)
+    outside = [h for h in arrows if psi[h] not in hol.wg.squares]
+    if alteration.endswith("twins"):
+        for k in outside:
+            add_twin(k, arrows, src, tgt, table, neg, psi, rows=alteration == "twins")
+    else:
+        by_ends = {}
+        for h in outside:
+            by_ends.setdefault((src[h], tgt[h]), []).append(h)
+        for group in by_ends.values():
+            for h, h2 in zip(group[::2], group[1::2]):
+                psi[h], psi[h2] = psi[h2], psi[h]
+    hol = altered_holonomy(hol, *parts)
+    mu = identity_vertical_morphism(hol.dg)
+    fast, slow = (functools.partial(universal_outcome, fn, cm, wa, mu, hol, word_bound=3)
+                  for fn in (universal_morphism, oracles.universal_morphism))
+    got = fast()
+    assert got == slow()
+    if alteration == "bare-twins":
+        return
+    assert got[0] == "ok"
+    assert got[3]["qualifying_morphisms"] == (1 if alteration == "twins" else 0)
+    # the fast search visits ``nodes`` nodes; the rescanning one must too
+    nodes = 1 + bisect.bisect(range(1, 10 ** 4), False,
+                              key=lambda cap: fast(search_cap=cap)[0] == "ok")
+    for cap in (nodes - 1, nodes):
+        assert fast(search_cap=cap) == slow(search_cap=cap)
+
+
+def test_universal_morphism_matches_oracle_on_z3():
+    cm, wa = discrete_item(zn_on_itself(3))
+    hol = holonomy_groupoid(*square_axioms(cm, wa))
+    mu = identity_vertical_morphism(hol.dg)
+    got = universal_outcome(universal_morphism, cm, wa, mu, hol)
+    assert got[0] == "ok" and got[3]["unique"]
+    assert got == universal_outcome(oracles.universal_morphism, cm, wa, mu, hol)
+
+
+@pytest.mark.parametrize("name", ["z4-c013", "z4-c01"])
+def test_factorizations_match_deduplicated_scan(name):
+    """The walk finds each factorization once, in the order the re-sorting
+    walk with list de-duplication gave."""
+    cm, wa, hol = universal_model(name)
+    dg = build_double_groupoid(cm)
+    vert = dg.vertical_groupoid()
+    pre = frozenset(sq for sq in dg.squares if sq in hol.wg.squares)
+    pre_by_top = {a: [sq for sq in dg.with_top(a) if sq in pre] for a in dg.edge.arrows}
+    for sq in dg.squares:
+        for bound, cap in ((2, 24), (4, 5), (8, 24)):
+            assert (_factorizations(vert, pre, pre_by_top, sq, bound, cap)
+                    == oracles._factorizations(dg, pre, sq, bound, cap))

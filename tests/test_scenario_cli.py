@@ -7,9 +7,14 @@ import sys
 
 import pytest
 
+from holonomy2 import cli
 from holonomy2.cli import execute
-from holonomy2.groupoid import check_groupoid
+from holonomy2.dgpd import DoubleGroupoidError
+from holonomy2.fintop import TopologyError
+from holonomy2.groupoid import GroupoidError, check_groupoid
+from holonomy2.holonomy import HolonomyError
 from holonomy2.scenario import ScenarioError, load_scenario
+from holonomy2.xmod import XModError
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 EXPECTED = os.path.join(os.path.dirname(__file__), "..", "perfbench", "expected.json")
@@ -162,11 +167,19 @@ def test_cli_sierpinski_scenario(capsys):
     assert code == 0
 
 
+def cli_env(**extra):
+    """Environment in which a child interpreter imports the package under
+    test, whether or not PYTHONPATH names it."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_cli_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "holonomy2.cli", "--scenario",
          scenario_path("z2z2.json"), "--task", "validate"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 0
     assert "pass" in proc.stdout
 
@@ -175,9 +188,10 @@ def test_byte_identical_across_processes():
     cmd = [sys.executable, "-m", "holonomy2.cli", "--scenario",
            scenario_path("z2z2.json"), "--format", "json"]
     a = subprocess.run(cmd, capture_output=True, text=True,
-                       env=dict(os.environ, PYTHONHASHSEED="1"))
+                       env=cli_env(PYTHONHASHSEED="1"))
     b = subprocess.run(cmd, capture_output=True, text=True,
-                       env=dict(os.environ, PYTHONHASHSEED="9"))
+                       env=cli_env(PYTHONHASHSEED="9"))
+    assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
 
 
@@ -201,3 +215,25 @@ def test_loader_rejects_malformed_window_arrows(arrows):
     data["wstructures"][name]["arrows"] = arrows
     with pytest.raises(ScenarioError, match="wstructures.%s.arrows" % name):
         load_scenario(data)
+
+
+@pytest.mark.parametrize("error", [HolonomyError, GroupoidError, DoubleGroupoidError,
+                                   XModError, TopologyError])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_model_error_is_a_failed_task(error, fmt, monkeypatch, capsys):
+    """A library error raised inside a task ends in an error entry and
+    exit 1, not a traceback; tasks before it keep their entries."""
+    def task_double(scn, task, opts):
+        raise error("odd model")
+
+    monkeypatch.setitem(cli.TASKS, "double", task_double)
+    code, out = run_cli(["--scenario", scenario_path("z2z2.json"), "--format", fmt],
+                        capsys)
+    assert code == 1
+    if fmt == "json":
+        report = json.loads(out)
+        assert [t["task"] for t in report["tasks"]] == ["validate", "error"]
+        assert report["tasks"][-1] == {"task": "error", "ok": False, "details": "odd model"}
+        assert report["ok"] is False
+    else:
+        assert out.splitlines()[-3:] == ["[FAIL] error", "  odd model", "overall: FAIL"]

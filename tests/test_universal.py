@@ -6,7 +6,7 @@ from holonomy2.groupoid import GroupoidMorphism, check_groupoid_morphism
 from holonomy2.holonomy import (HolonomyError, WStructure, full_wstructure,
                                 identity_vertical_morphism, universal_morphism)
 
-from conftest import discrete_item, holonomy_of
+from conftest import discrete_item, holonomy_of, zn_on_itself
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +51,16 @@ def test_psi_after_construction_on_z4():
     assert rep["psi_after"] and rep["unique"]
     bad = check_groupoid_morphism(mp, hol.dg.vertical_groupoid(), hol.quotient)
     assert bad == []
+
+
+def test_identity_instance_on_z3_is_unique():
+    # Z/3 acting trivially on itself, discrete, full window: 81 squares
+    cm, w = discrete_item(zn_on_itself(3))
+    hol = holonomy_of(cm, w)
+    mp, rep = universal_morphism(cm, w, identity_vertical_morphism(hol.dg), hol)
+    assert len(hol.dg.squares) == 81
+    assert rep["unique"] and rep["qualifying_morphisms"] == 1
+    assert rep["psi_after"] and rep["is_morphism"]
 
 
 def test_universal_through_restricted_window():
