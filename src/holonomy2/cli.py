@@ -92,20 +92,17 @@ def task_derivations(scn, task, opts):
     name, cm = _xmod_for(scn, task, "tasks.derivations")
     dg = build_double_groupoid(cm)
     ders = enumerate_free_derivations(cm)
+    secs = set(enumerate_linear_sections(dg))
     certs = []
-    n_coad = 0
+    n_coad = matched = 0
     for s in ders:
         ok, cert = is_coadmissible(cm, s)
-        n_coad += 1 if ok else 0
+        if ok:
+            n_coad += 1
+            matched += derivation_to_section(dg, s) in secs
         certs.append({"derivation": repr(s), "coadmissible": ok,
                       "f1_bijective": cert["f1_bijective"],
                       "f2_bijective": cert["f2_bijective"]})
-    secs = enumerate_linear_sections(dg)
-    matched = 0
-    for s in ders:
-        ok, _ = is_coadmissible(cm, s)
-        if ok and derivation_to_section(dg, s) in secs:
-            matched += 1
     details = {"xmod": name, "free_derivations": len(ders),
                "coadmissible": n_coad, "linear_sections": len(secs),
                "sections_matched": matched, "certificates": certs}
@@ -240,7 +237,10 @@ def execute(argv=None):
             if tname not in TASKS:
                 raise ScenarioError("tasks[%d]" % i, "unknown task %r" % tname)
             t0 = time.monotonic()
-            ok, details = TASKS[tname](scn, task, opts)
+            try:
+                ok, details = TASKS[tname](scn, task, opts)
+            except _MODEL_ERRORS as e:
+                ok, details = False, {"error": str(e)}
             entry = {"task": tname, "ok": ok, "details": details}
             if opts.timings:
                 entry["seconds"] = round(time.monotonic() - t0, 3)
@@ -248,8 +248,6 @@ def execute(argv=None):
     except ScenarioError as e:
         _emit_error(opts, str(e))
         return 2
-    except _MODEL_ERRORS as e:
-        results.append({"task": "error", "ok": False, "details": str(e)})
 
     report = {"scenario": os.path.basename(str(opts.scenario)),
               "seed": opts.seed,

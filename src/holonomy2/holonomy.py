@@ -510,6 +510,61 @@ def section_from_squares(dg, dom1, square_map, window=None, smooth=False):
     return sec
 
 
+def square_tables(dg, arrows, candidates):
+    """Every consistent square table on ``arrows``, in search order.
+
+    Each arrow's square is drawn from ``candidates[z]``, in order.  A
+    table is consistent when squares over a common target share their
+    right edge, squares over a common source share the base point of
+    their left edge, a right edge at an object starts at the base point
+    required there, tops are distinct, and every triple (u, v, u + v)
+    of listed arrows with u, v non-units has matching edges and
+    comp2(u, v) = u + v.  Each depth checks only what its arrow adds:
+    triples are bucketed by the position of their last member.
+    """
+    G = dg.edge
+    pos = {z: i for i, z in enumerate(arrows)}
+    triples = [[] for _ in arrows]
+    for u in arrows:
+        if G.is_unit(u):
+            continue
+        for v in arrows:
+            if G.is_unit(v) or not G.composable(u, v):
+                continue
+            uv = G.add(u, v)
+            if uv in pos:
+                triples[max(pos[u], pos[v], pos[uv])].append((u, v, uv))
+    assign, rights, lefts, tops = {}, {}, {}, set()
+
+    def extend(i):
+        if i == len(arrows):
+            yield dict(assign)
+            return
+        z = arrows[i]
+        t, s = G.tgt(z), G.src(z)
+        for sq in candidates[z]:
+            la = G.src(sq.left)
+            if rights.get(t, sq.right) != sq.right or lefts.get(s, la) != la or sq.top in tops:
+                continue
+            new_t, new_s = t not in rights, s not in lefts
+            rights[t], lefts[s] = sq.right, la
+            assign[z] = sq
+            tops.add(sq.top)
+            if (all(G.src(rights[x]) == lefts[x] for x in (t, s) if x in rights and x in lefts)
+                    and all(assign[u].right == assign[v].left
+                            and dg.comp2(assign[u], assign[v]) == assign[uv]
+                            for u, v, uv in triples[i])):
+                yield from extend(i + 1)
+            tops.discard(sq.top)
+            del assign[z]
+            if new_t:
+                del rights[t]
+            if new_s:
+                del lefts[s]
+
+    return extend(0)
+
+
 def min_sections_at(dg, a, window=None, smooth=False, pin=None):
     """All sections whose arrow domain is the minimal open of ``a``.
 
@@ -518,9 +573,7 @@ def min_sections_at(dg, a, window=None, smooth=False, pin=None):
     Restriction to minimal domains loses no germs: any section restricts
     to one of these with the same germ at ``a``.
     """
-    G = dg.edge
-    AS = G.arrow_space()
-    M = sorted(AS.minimal_open(a), key=_skey)
+    M = sorted(dg.edge.arrow_space().minimal_open(a), key=_skey)
     source = window if window is not None else dg
     candidates = {}
     for z in M:
@@ -528,58 +581,11 @@ def min_sections_at(dg, a, window=None, smooth=False, pin=None):
         if pin and z in pin:
             opts = [sq for sq in opts if sq == pin[z]]
         candidates[z] = opts
-
     results = []
-
-    def consistent(assign):
-        rights = {}
-        lefts_at = {}
-        tops = set()
-        for z, sq in assign.items():
-            t = G.tgt(z)
-            if rights.get(t, sq.right) != sq.right:
-                return False
-            rights[t] = sq.right
-            u = G.src(z)
-            la = G.src(sq.left)
-            if lefts_at.get(u, la) != la:
-                return False
-            lefts_at[u] = la
-            tops.add(sq.top)
-        for t, arrow in rights.items():
-            if t in lefts_at and G.src(arrow) != lefts_at[t]:
-                return False
-        if len(tops) != len(assign):
-            return False
-        for u in assign:
-            if G.is_unit(u):
-                continue
-            for v in assign:
-                if G.is_unit(v) or not G.composable(u, v):
-                    continue
-                uv = G.add(u, v)
-                if uv in assign:
-                    if assign[u].right != assign[v].left:
-                        return False
-                    if dg.comp2(assign[u], assign[v]) != assign[uv]:
-                        return False
-        return True
-
-    def extend(i, assign):
-        if i == len(M):
-            sec = section_from_squares(dg, frozenset(M), dict(assign),
-                                       window=window, smooth=smooth)
-            if sec is not None:
-                results.append(sec)
-            return
-        z = M[i]
-        for sq in candidates[z]:
-            assign[z] = sq
-            if consistent(assign):
-                extend(i + 1, assign)
-            del assign[z]
-
-    extend(0, {})
+    for table in square_tables(dg, M, candidates):
+        sec = section_from_squares(dg, frozenset(M), table, window=window, smooth=smooth)
+        if sec is not None:
+            results.append(sec)
     results.sort(key=lambda s: _skey(s._key))
     return results
 

@@ -14,7 +14,8 @@ import itertools
 
 from .groupoid import _skey
 from .xmod import XModMorphism, apply_action
-from .dgpd import COMPOSITION_ERRORS, Square
+from .dgpd import Square
+from .holonomy import LocalLinearSection, local_section_mul, square_tables
 
 
 class DerivationError(ValueError):
@@ -178,24 +179,18 @@ def inverse_derivation(cm, s):
     return t
 
 
-class LinearSection:
-    """Everywhere-defined linear coadmissible section of a double groupoid."""
+class LinearSection(LocalLinearSection):
+    """Everywhere-defined linear coadmissible section of a double groupoid:
+    the local linear section whose domains are all objects and arrows."""
+
+    __slots__ = ()
 
     def __init__(self, sigma0, squares):
-        self.sigma0 = dict(sigma0)
-        self.squares = dict(squares)
+        super().__init__(sigma0, squares, sigma0, squares)
 
-    def sigma1(self, a):
-        return self.squares[a].inner
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearSection):
-            return NotImplemented
-        return self.sigma0 == other.sigma0 and self.squares == other.squares
-
-    def __hash__(self):
-        return hash((tuple(sorted(self.sigma0.items(), key=lambda kv: _skey(kv[0]))),
-                     tuple(sorted(self.squares.items(), key=lambda kv: _skey(kv[0])))))
+    @property
+    def sigma0(self):
+        return self.s0
 
     def __repr__(self):
         return "LinearSection(%d arrows)" % len(self.squares)
@@ -278,15 +273,10 @@ def section_to_derivation(dg, sec):
 
 
 def section_mul(dg, sec, tau):
-    """Group multiplication (sec * tau)(z) = sec(top tau(z)) +1 tau(z)."""
-    G = dg.edge
-    sigma0 = {}
-    for x in G.objects:
-        sigma0[x] = G.add(sec.sigma0[G.src(tau.sigma0[x])], tau.sigma0[x])
-    squares = {}
-    for z in G.arrows:
-        squares[z] = dg.comp1(sec.squares[tau.squares[z].top], tau.squares[z])
-    out = LinearSection(sigma0, squares)
+    """Group multiplication: the local section product of full-domain
+    sections, (sec * tau)(z) = sec(top tau(z)) +1 tau(z)."""
+    prod = local_section_mul(dg, sec, tau, check=False)
+    out = LinearSection(prod.s0, prod.squares)
     bad = check_linear_section(dg, out)
     if bad:
         raise DerivationError("product section invalid: %s" % bad[0])
@@ -294,46 +284,22 @@ def section_mul(dg, sec, tau):
 
 
 def enumerate_linear_sections(dg):
-    """All linear coadmissible sections, by direct search over square tables."""
+    """All linear coadmissible sections: for each target section sigma0
+    with alpha sigma0 a bijection, the square tables whose side edges
+    follow sigma0 that pass check_linear_section."""
     G = dg.edge
+    objects = sorted(G.objects, key=_skey)
     arrows = sorted(G.arrows, key=_skey)
     out = []
-
-    def consistent(partial, sigma0):
-        for a in partial:
-            for b in partial:
-                if not G.composable(a, b):
-                    continue
-                ab = G.add(a, b)
-                if ab in partial:
-                    try:
-                        if dg.comp2(partial[a], partial[b]) != partial[ab]:
-                            return False
-                    except COMPOSITION_ERRORS:
-                        return False
-        return True
-
-    def extend(i, partial, sigma0):
-        if i == len(arrows):
-            sec = LinearSection(sigma0, dict(partial))
+    for combo in itertools.product(*(sorted(G.beta_fiber(x), key=_skey) for x in objects)):
+        if len({G.src(e) for e in combo}) != len(objects):
+            continue
+        sigma0 = dict(zip(objects, combo))
+        candidates = {a: [sq for sq in dg.with_bottom(a)
+                          if sq.left == sigma0[G.src(a)] and sq.right == sigma0[G.tgt(a)]]
+                      for a in arrows}
+        for table in square_tables(dg, arrows, candidates):
+            sec = LinearSection(sigma0, table)
             if not check_linear_section(dg, sec):
                 out.append(sec)
-            return
-        a = arrows[i]
-        for sq in dg.with_bottom(a):
-            sx = sigma0.get(G.src(a))
-            tx = sigma0.get(G.tgt(a))
-            if sx is not None and sq.left != sx:
-                continue
-            if tx is not None and sq.right != tx:
-                continue
-            new_sigma = dict(sigma0)
-            new_sigma[G.src(a)] = sq.left
-            new_sigma[G.tgt(a)] = sq.right
-            partial[a] = sq
-            if consistent(partial, new_sigma):
-                extend(i + 1, partial, new_sigma)
-            del partial[a]
-
-    extend(0, {}, {})
     return out

@@ -46,6 +46,16 @@ def zn_on_itself(n):
                          {(c, a): c for c in C.arrows for a in G.arrows})
 
 
+def pair_bundle(points, n):
+    """Pair groupoid on ``points`` with Z/n at every point and the transport
+    action; ``pair_bundle("xy", 2)`` is ``corpus.pairz2()``."""
+    G, C = corpus.pair_groupoid(points), corpus.bundle_of_groups(points, n)
+    delta = {c: G.unit(C.src(c)) for c in C.arrows}
+    action = {(c, a): c.split("@")[0] + "@" + G.tgt(a)
+              for c in C.arrows for a in G.arrows if C.tgt(c) == G.src(a)}
+    return CrossedModule(C, G, delta, action)
+
+
 def discrete_item(cm):
     cm = corpus.with_topology(cm, "discrete")
     w = full_wstructure(cm, FiniteTopSpace.discrete(cm.C.arrows))

@@ -8,22 +8,27 @@ groupoid axioms, all arrow triples for associativity, a linear
 inverse lookup for chart coherence, and, for the universal property,
 through-sections recomputed per factorization, a preimage re-sorted at
 every factorization node and a uniqueness search that rechecks every
-assigned pair at every node.  The fast versions must agree with these,
-violation order included.
+assigned pair at every node.  The section searches are kept as they
+were before the shared square-table search: a global linear section
+search and a minimal-domain search that rescan every assigned pair at
+every node, and a global section product with its own formula.  The
+fast versions must agree with these, violation order included.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from holonomy2.dgpd import DoubleGroupoidError, build_double_groupoid, square_boundary_ok
+from holonomy2.dgpd import (COMPOSITION_ERRORS, DoubleGroupoidError, build_double_groupoid,
+                            square_boundary_ok)
 from holonomy2.fintop import FiniteTopSpace, PartialMap, TopologyError, is_continuous
 from holonomy2.groupoid import (Groupoid, GroupoidMorphism, _continuity_report, _skey,
                                 check_groupoid_morphism, generated_subgroupoid)
 from holonomy2.holonomy import (_MODEL_ERRORS, HolonomyError, build_wg, germ_at,
                                 has_enough_sections, left_translation, local_section_inv,
-                                local_section_mul, push_section, sections_through,
-                                smoothness_violations, square_subwindow)
+                                local_section_mul, push_section, section_from_squares,
+                                sections_through, smoothness_violations, square_subwindow)
+from holonomy2.homotopy import DerivationError, LinearSection, check_linear_section
 
 
 def pullback_space(component_spaces, points, components):
@@ -469,3 +474,194 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
     report["qualifying_morphisms"] = len(solutions)
     report["unique"] = len(solutions) == 1 and solutions[0] == mu_prime_map
     return mu_prime, report
+
+
+def section_mul(dg, sec, tau):
+    """Group multiplication (sec * tau)(z) = sec(top tau(z)) +1 tau(z)."""
+    G = dg.edge
+    sigma0 = {}
+    for x in G.objects:
+        sigma0[x] = G.add(sec.sigma0[G.src(tau.sigma0[x])], tau.sigma0[x])
+    squares = {}
+    for z in G.arrows:
+        squares[z] = dg.comp1(sec.squares[tau.squares[z].top], tau.squares[z])
+    out = LinearSection(sigma0, squares)
+    bad = check_linear_section(dg, out)
+    if bad:
+        raise DerivationError("product section invalid: %s" % bad[0])
+    return out
+
+
+def enumerate_linear_sections(dg):
+    """All linear coadmissible sections, by direct search over square tables."""
+    G = dg.edge
+    arrows = sorted(G.arrows, key=_skey)
+    out = []
+
+    def consistent(partial, sigma0):
+        for a in partial:
+            for b in partial:
+                if not G.composable(a, b):
+                    continue
+                ab = G.add(a, b)
+                if ab in partial:
+                    try:
+                        if dg.comp2(partial[a], partial[b]) != partial[ab]:
+                            return False
+                    except COMPOSITION_ERRORS:
+                        return False
+        return True
+
+    def extend(i, partial, sigma0):
+        if i == len(arrows):
+            sec = LinearSection(sigma0, dict(partial))
+            if not check_linear_section(dg, sec):
+                out.append(sec)
+            return
+        a = arrows[i]
+        for sq in dg.with_bottom(a):
+            sx = sigma0.get(G.src(a))
+            tx = sigma0.get(G.tgt(a))
+            if sx is not None and sq.left != sx:
+                continue
+            if tx is not None and sq.right != tx:
+                continue
+            new_sigma = dict(sigma0)
+            new_sigma[G.src(a)] = sq.left
+            new_sigma[G.tgt(a)] = sq.right
+            partial[a] = sq
+            if consistent(partial, new_sigma):
+                extend(i + 1, partial, new_sigma)
+            del partial[a]
+
+    extend(0, {}, {})
+    return out
+
+
+def min_sections_at(dg, a, window=None, smooth=False, pin=None):
+    """All sections whose arrow domain is the minimal open of ``a``.
+
+    ``window`` restricts values (and, with ``smooth``, demands continuity
+    into the window space); ``pin`` fixes chosen squares in advance.
+    Restriction to minimal domains loses no germs: any section restricts
+    to one of these with the same germ at ``a``.
+    """
+    G = dg.edge
+    AS = G.arrow_space()
+    M = sorted(AS.minimal_open(a), key=_skey)
+    source = window if window is not None else dg
+    candidates = {}
+    for z in M:
+        opts = list(source.with_bottom(z))
+        if pin and z in pin:
+            opts = [sq for sq in opts if sq == pin[z]]
+        candidates[z] = opts
+
+    results = []
+
+    def consistent(assign):
+        rights = {}
+        lefts_at = {}
+        tops = set()
+        for z, sq in assign.items():
+            t = G.tgt(z)
+            if rights.get(t, sq.right) != sq.right:
+                return False
+            rights[t] = sq.right
+            u = G.src(z)
+            la = G.src(sq.left)
+            if lefts_at.get(u, la) != la:
+                return False
+            lefts_at[u] = la
+            tops.add(sq.top)
+        for t, arrow in rights.items():
+            if t in lefts_at and G.src(arrow) != lefts_at[t]:
+                return False
+        if len(tops) != len(assign):
+            return False
+        for u in assign:
+            if G.is_unit(u):
+                continue
+            for v in assign:
+                if G.is_unit(v) or not G.composable(u, v):
+                    continue
+                uv = G.add(u, v)
+                if uv in assign:
+                    if assign[u].right != assign[v].left:
+                        return False
+                    if dg.comp2(assign[u], assign[v]) != assign[uv]:
+                        return False
+        return True
+
+    def extend(i, assign):
+        if i == len(M):
+            sec = section_from_squares(dg, frozenset(M), dict(assign),
+                                       window=window, smooth=smooth)
+            if sec is not None:
+                results.append(sec)
+            return
+        z = M[i]
+        for sq in candidates[z]:
+            assign[z] = sq
+            if consistent(assign):
+                extend(i + 1, assign)
+            del assign[z]
+
+    extend(0, {})
+    results.sort(key=lambda s: _skey(s._key))
+    return results
+
+
+def square_tables(dg, arrows, candidates):
+    """The square tables the minimal-domain search above reaches, in its
+    order: each node rescans every assigned arrow and pair."""
+    G = dg.edge
+    results = []
+
+    def consistent(assign):
+        rights = {}
+        lefts_at = {}
+        tops = set()
+        for z, sq in assign.items():
+            t = G.tgt(z)
+            if rights.get(t, sq.right) != sq.right:
+                return False
+            rights[t] = sq.right
+            u = G.src(z)
+            la = G.src(sq.left)
+            if lefts_at.get(u, la) != la:
+                return False
+            lefts_at[u] = la
+            tops.add(sq.top)
+        for t, arrow in rights.items():
+            if t in lefts_at and G.src(arrow) != lefts_at[t]:
+                return False
+        if len(tops) != len(assign):
+            return False
+        for u in assign:
+            if G.is_unit(u):
+                continue
+            for v in assign:
+                if G.is_unit(v) or not G.composable(u, v):
+                    continue
+                uv = G.add(u, v)
+                if uv in assign:
+                    if assign[u].right != assign[v].left:
+                        return False
+                    if dg.comp2(assign[u], assign[v]) != assign[uv]:
+                        return False
+        return True
+
+    def extend(i, assign):
+        if i == len(arrows):
+            results.append(dict(assign))
+            return
+        z = arrows[i]
+        for sq in candidates[z]:
+            assign[z] = sq
+            if consistent(assign):
+                extend(i + 1, assign)
+            del assign[z]
+
+    extend(0, {})
+    return results

@@ -1,5 +1,6 @@
 import pytest
 
+from holonomy2 import homotopy
 from holonomy2.dgpd import build_double_groupoid
 from holonomy2.homotopy import (DerivationError, FreeDerivation, LinearSection,
                                 check_free_derivation, check_linear_section,
@@ -10,7 +11,18 @@ from holonomy2.homotopy import (DerivationError, FreeDerivation, LinearSection,
                                 induced_endomorphism, inverse_derivation,
                                 is_coadmissible, section_mul,
                                 section_to_derivation)
+from holonomy2.holonomy import square_tables
 from holonomy2.xmod import check_xmod_morphism
+
+from conftest import pair_bundle, zn_on_itself
+
+
+def with_larger_models(all_cms):
+    """The corpus plus Z/4 and Z/5 on themselves and the pair groupoid on
+    three points with Z/2 vertex groups (162 squares, 24 sections), the
+    first model where target sections fail the alpha-bijection test."""
+    return dict(all_cms, z4_self=zn_on_itself(4), z5_self=zn_on_itself(5),
+                pair3z2=pair_bundle("xyz", 2))
 
 
 def test_four_free_derivations_on_z2z2(z2z2):
@@ -154,7 +166,7 @@ def test_section_product_matches_derivation_product(all_cms):
 
 
 def test_linear_sections_form_a_group(all_cms):
-    for name, cm in all_cms.items():
+    for name, cm in with_larger_models(all_cms).items():
         dg = build_double_groupoid(cm)
         secs = enumerate_linear_sections(dg)
         unit = derivation_to_section(dg, constant_derivation(cm))
@@ -171,7 +183,7 @@ def test_linear_sections_form_a_group(all_cms):
 
 def test_group_isomorphism_derivations_to_sections(all_cms):
     # the square-valued form is a bijective homomorphism onto all sections
-    for name, cm in all_cms.items():
+    for name, cm in with_larger_models(all_cms).items():
         dg = build_double_groupoid(cm)
         coad = [s for s in enumerate_free_derivations(cm) if is_coadmissible(cm, s)[0]]
         secs = enumerate_linear_sections(dg)
@@ -190,3 +202,32 @@ def test_linear_section_search_lets_bugs_propagate(z2z2, monkeypatch):
     monkeypatch.setattr(dg, "comp2", comp2)
     with pytest.raises(TypeError, match="comp2 broke"):
         enumerate_linear_sections(dg)
+
+
+def test_linear_section_search_pins_both_sides_to_sigma0(all_cms, monkeypatch):
+    """The table search runs once per target section sigma0 with alpha
+    sigma0 a bijection, and offers each arrow only squares whose left and
+    right edges are sigma0 at its ends."""
+    calls = []
+
+    def spy(dg, arrows, candidates):
+        calls.append(candidates)
+        return square_tables(dg, arrows, candidates)
+
+    monkeypatch.setattr(homotopy, "square_tables", spy)
+    for name, cm in with_larger_models(all_cms).items():
+        G = cm.G
+        calls.clear()
+        enumerate_linear_sections(build_double_groupoid(cm))
+        sigmas = set()
+        for candidates in calls:
+            sigma0 = {}
+            for a, squares in candidates.items():
+                for sq in squares:
+                    assert sigma0.setdefault(G.src(a), sq.left) == sq.left, name
+                    assert sigma0.setdefault(G.tgt(a), sq.right) == sq.right, name
+            assert set(sigma0) == set(G.objects), name
+            assert len({G.src(e) for e in sigma0.values()}) == len(G.objects), name
+            sigmas.add(frozenset(sigma0.items()))
+        assert len(sigmas) == len(calls), name
+    assert len(calls) == 6  # pair3z2: the 3! target sections that alpha maps bijectively

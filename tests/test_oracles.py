@@ -1,11 +1,13 @@
 """Differential tests: each indexed kernel against the scan it replaced.
 
 The oracles live in ``oracles.py``.  Inputs are random finite preorders,
-generated crossed modules (Z/2, Z/3, pair groupoids with and without a
-Z/2 bundle, Z/4 over Z/2) and deliberately corrupted composition tables,
-square sets, connections, charts, vertical morphisms and holonomy
-quotients, so that non-empty violation lists, raised errors and failed
-uniqueness searches are compared, order included.
+generated crossed modules (Z/2 to Z/5, pair groupoids on two and three
+points with and without a Z/2 or Z/3 bundle, Z/4 over Z/2, under
+discrete, indiscrete and Sierpinski topologies), drawn windows and
+pins for the section searches, and deliberately corrupted composition
+tables, square sets, connections, charts, vertical morphisms and
+holonomy quotients, so that non-empty violation lists, raised errors
+and failed uniqueness searches are compared, order included.
 """
 
 import bisect
@@ -18,15 +20,19 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (discrete_item, indiscrete_item, sierpinski_pairz2_item, square_axioms,
-                      zn_on_itself)
+from conftest import (discrete_item, indiscrete_item, pair_bundle, sierpinski_pairz2_item,
+                      square_axioms, zn_on_itself)
 from holonomy2 import corpus
-from holonomy2.dgpd import DoubleGroupoid, build_double_groupoid, check_double
+from holonomy2.dgpd import DoubleGroupoid, Square, build_double_groupoid, check_double
 from holonomy2.fintop import FiniteTopSpace, PartialMap, is_continuous, pullback_space
-from holonomy2.groupoid import Groupoid, GroupoidMorphism, check_groupoid
-from holonomy2.holonomy import (Chart, WStructure, _factorizations, check_chart_coherence,
-                                holonomy_groupoid, identity_vertical_morphism,
-                                universal_morphism)
+from holonomy2.groupoid import Groupoid, GroupoidMorphism, _skey, check_groupoid
+from holonomy2.holonomy import (Chart, WStructure, _factorizations, build_wg,
+                                check_chart_coherence, full_wstructure, holonomy_groupoid,
+                                identity_vertical_morphism, min_sections_at, square_subwindow,
+                                square_tables, universal_morphism)
+from holonomy2.homotopy import (LinearSection, enumerate_free_derivations,
+                                enumerate_linear_sections, induced_endomorphism,
+                                is_coadmissible, section_mul)
 from holonomy2.xmod import CrossedModule
 
 ORACLE = settings.get_profile("oracles")
@@ -591,3 +597,128 @@ def test_factorizations_match_deduplicated_scan(name):
         for bound, cap in ((2, 24), (4, 5), (8, 24)):
             assert (_factorizations(vert, pre, pre_by_top, sq, bound, cap)
                     == oracles._factorizations(dg, pre, sq, bound, cap))
+
+
+# ---------------------------------------------------------------------------
+# section searches: one square-table search against the two it replaced
+# ---------------------------------------------------------------------------
+
+
+def sierpinski_pair2_item():
+    """pair2 over the Sierpinski pair groupoid, its window mirroring the base."""
+    cm = corpus.with_topology(corpus.pair2(), "sierpinski")
+    space = FiniteTopSpace.from_min_opens(
+        cm.C.arrows, {"0@x": frozenset({"0@x"}), "0@y": frozenset({"0@x", "0@y"})})
+    return cm, WStructure(cm.C.arrows, space)
+
+
+def plain_item(cm):
+    """The crossed module as built, untopologized, with its full discrete window."""
+    return cm, full_wstructure(cm)
+
+
+SECTION_MODELS = {
+    "pair2-sierpinski": sierpinski_pair2_item,
+    "pairz2-sierpinski": sierpinski_pairz2_item,
+    "z3-indiscrete": lambda: indiscrete_item(zn_on_itself(3)),
+    "z4-self-indiscrete": lambda: indiscrete_item(zn_on_itself(4)),
+    "z5-discrete": lambda: discrete_item(zn_on_itself(5)),
+    "pair3z2-indiscrete": lambda: indiscrete_item(pair_bundle("xyz", 2)),
+    "pair3z3-discrete": lambda: discrete_item(pair_bundle("xyz", 3)),
+}
+for _name, _make in {"z2z2": corpus.z2z2, "pair2": corpus.pair2, "pairz2": corpus.pairz2,
+                     "z4": corpus.z4_interior}.items():
+    SECTION_MODELS[_name] = lambda make=_make: plain_item(make())
+    SECTION_MODELS[_name + "-discrete"] = lambda make=_make: discrete_item(make())
+    SECTION_MODELS[_name + "-indiscrete"] = lambda make=_make: indiscrete_item(make())
+
+
+@functools.lru_cache(maxsize=None)
+def section_model(name):
+    """Double groupoid and window squares of a section-search model."""
+    cm, w = SECTION_MODELS[name]()
+    dg = build_double_groupoid(cm)
+    return dg, build_wg(dg, w)
+
+
+def derivation_tables(dg, limit=4):
+    """Square tables of the first free derivations that are not
+    coadmissible: genuine squares whose top map is not a bijection."""
+    cm, G = dg.cm, dg.edge
+    out = []
+    for s in enumerate_free_derivations(cm):
+        if len(out) == limit:
+            break
+        if not is_coadmissible(cm, s)[0]:
+            f = induced_endomorphism(cm, s)
+            out.append(LinearSection(s.s0, {a: Square(s.s1[a], f.f1[a], s.s0[G.src(a)],
+                                                      s.s0[G.tgt(a)], a) for a in G.arrows}))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_MODELS))
+def test_linear_sections_and_products_match_oracle(name):
+    dg, _ = section_model(name)
+    secs = enumerate_linear_sections(dg)
+    assert len(set(secs)) == len(secs)
+    assert set(secs) == set(oracles.enumerate_linear_sections(dg))
+    extra = derivation_tables(dg)
+    raised = 0
+    for s, t in itertools.product(secs + extra, repeat=2):
+        got = outcome(section_mul, dg, s, t)
+        assert got == outcome(oracles.section_mul, dg, s, t)
+        raised += got[0] == "raised"
+    assert bool(raised) == bool(extra)
+
+
+@settings(ORACLE, max_examples=8)
+@given(data=st.data())
+@pytest.mark.parametrize("name", sorted(SECTION_MODELS))
+def test_min_sections_at_matches_rescanning_search(name, data):
+    """Every arrow, under a drawn window (none, the whole window, or a
+    random square subwindow), smoothness flag and pinned window square."""
+    dg, wg = section_model(name)
+    G = dg.edge
+    window = data.draw(st.sampled_from([None, wg, "subset"]))
+    if window == "subset":
+        rnd = data.draw(st.randoms(use_true_random=False))
+        keep = data.draw(st.sampled_from([0.3, 0.6, 0.9]))
+        window = square_subwindow(wg, [sq for sq in sorted(wg.squares, key=_skey)
+                                       if rnd.random() < keep])
+    smooth = data.draw(st.booleans())
+    for a in sorted(G.arrows, key=_skey):
+        pin = None
+        if data.draw(st.booleans()):
+            z = data.draw(st.sampled_from(sorted(G.arrow_space().minimal_open(a), key=_skey)))
+            if wg.with_bottom(z):
+                pin = {z: data.draw(st.sampled_from(wg.with_bottom(z)))}
+        got = outcome(min_sections_at, dg, a, window, smooth, pin)
+        assert got == outcome(oracles.min_sections_at, dg, a, window, smooth, pin)
+        event("sections" if got[0] == "ok" and got[1] else kind_of(got))
+
+
+@settings(ORACLE, max_examples=10)
+@given(data=st.data())
+@pytest.mark.parametrize("name", sorted(SECTION_MODELS))
+def test_square_tables_match_rescanning_search(name, data):
+    """Every consistent table, in order, before any final check: on a
+    minimal open, as min_sections_at searches, or on all arrows with side
+    edges on a drawn target section, as enumerate_linear_sections does."""
+    dg, wg = section_model(name)
+    G = dg.edge
+    source = data.draw(st.sampled_from([dg, wg]))
+    if data.draw(st.booleans()):
+        a = data.draw(st.sampled_from(sorted(G.arrows, key=_skey)))
+        arrows = sorted(G.arrow_space().minimal_open(a), key=_skey)
+        candidates = {z: list(source.with_bottom(z)) for z in arrows}
+    else:
+        arrows = sorted(G.arrows, key=_skey)
+        s0 = {x: data.draw(st.sampled_from(sorted(G.beta_fiber(x), key=_skey)))
+              for x in sorted(G.objects, key=_skey)}
+        candidates = {z: [sq for sq in source.with_bottom(z)
+                          if sq.left == s0[G.src(z)] and sq.right == s0[G.tgt(z)]]
+                      for z in arrows}
+    tables = list(square_tables(dg, arrows, candidates))
+    assert tables == oracles.square_tables(dg, arrows, candidates)
+    event("tables" if tables else "no table")
+

@@ -221,8 +221,8 @@ def test_loader_rejects_malformed_window_arrows(arrows):
                                    XModError, TopologyError])
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_cli_model_error_is_a_failed_task(error, fmt, monkeypatch, capsys):
-    """A library error raised inside a task ends in an error entry and
-    exit 1, not a traceback; tasks before it keep their entries."""
+    """A library error raised inside a task gives that task an error entry
+    and exit 1, not a traceback; the tasks before and after it still run."""
     def task_double(scn, task, opts):
         raise error("odd model")
 
@@ -230,10 +230,18 @@ def test_cli_model_error_is_a_failed_task(error, fmt, monkeypatch, capsys):
     code, out = run_cli(["--scenario", scenario_path("z2z2.json"), "--format", fmt],
                         capsys)
     assert code == 1
+    names = ["validate", "double", "gamma", "derivations", "holonomy"]
     if fmt == "json":
         report = json.loads(out)
-        assert [t["task"] for t in report["tasks"]] == ["validate", "error"]
-        assert report["tasks"][-1] == {"task": "error", "ok": False, "details": "odd model"}
+        assert [t["task"] for t in report["tasks"]] == names
+        assert report["tasks"][1] == {"task": "double", "ok": False,
+                                      "details": {"error": "odd model"}}
+        assert [t["ok"] for t in report["tasks"]] == [True, False, True, True, True]
         assert report["ok"] is False
     else:
-        assert out.splitlines()[-3:] == ["[FAIL] error", "  odd model", "overall: FAIL"]
+        lines = out.splitlines()
+        assert [ln for ln in lines if ln.startswith("[")] == [
+            "[pass] validate", "[FAIL] double", "[pass] gamma", "[pass] derivations",
+            "[pass] holonomy"]
+        assert lines[lines.index("[FAIL] double") + 1] == "  error: odd model"
+        assert lines[-1] == "overall: FAIL"
