@@ -19,8 +19,7 @@ import time
 from .groupoid import _skey, check_groupoid
 from .xmod import check_crossed_module, find_xmod_isomorphism, check_xmod_morphism
 from .dgpd import build_double_groupoid, check_double, crossed_module_of
-from .homotopy import (enumerate_free_derivations, enumerate_linear_sections,
-                       is_coadmissible, derivation_to_section)
+from .homotopy import coadmissible_section, enumerate_free_derivations, enumerate_linear_sections
 from .holonomy import (_MODEL_ERRORS, build_wg, check_wstructure,
                        check_locally_lie_double, check_locally_lie_xmod,
                        generation_equivalence, holonomy_groupoid,
@@ -61,9 +60,18 @@ def _xmod_for(scn, task, loc):
     return name, scn.xmods[name]
 
 
+def _double_for(scn, name, cm):
+    """The crossed module's double groupoid, shared by every task of the
+    run.  Only a successful build is kept: a model error fails each task
+    that asks for it, and no other."""
+    if name not in scn.doubles:
+        scn.doubles[name] = build_double_groupoid(cm)
+    return scn.doubles[name]
+
+
 def task_double(scn, task, opts):
     name, cm = _xmod_for(scn, task, "tasks.double")
-    dg = build_double_groupoid(cm)
+    dg = _double_for(scn, name, cm)
     bad = check_double(dg)
     details = {"xmod": name, "squares": len(dg.squares), "violations": bad}
     if opts.dump:
@@ -76,7 +84,7 @@ def task_double(scn, task, opts):
 
 def task_gamma(scn, task, opts):
     name, cm = _xmod_for(scn, task, "tasks.gamma")
-    dg = build_double_groupoid(cm)
+    dg = _double_for(scn, name, cm)
     back = crossed_module_of(dg)
     bad = check_crossed_module(back)
     iso = find_xmod_isomorphism(back, cm)
@@ -90,19 +98,18 @@ def task_gamma(scn, task, opts):
 
 def task_derivations(scn, task, opts):
     name, cm = _xmod_for(scn, task, "tasks.derivations")
-    dg = build_double_groupoid(cm)
+    dg = _double_for(scn, name, cm)
     ders = enumerate_free_derivations(cm)
     secs = set(enumerate_linear_sections(dg))
     certs = []
     n_coad = matched = 0
     for s in ders:
-        ok, cert = is_coadmissible(cm, s)
-        if ok:
+        f1_bij, f2_bij, sec = coadmissible_section(dg, s)
+        if sec is not None:
             n_coad += 1
-            matched += derivation_to_section(dg, s) in secs
-        certs.append({"derivation": repr(s), "coadmissible": ok,
-                      "f1_bijective": cert["f1_bijective"],
-                      "f2_bijective": cert["f2_bijective"]})
+            matched += sec in secs
+        certs.append({"derivation": repr(s), "coadmissible": sec is not None,
+                      "f1_bijective": f1_bij, "f2_bijective": f2_bij})
     details = {"xmod": name, "free_derivations": len(ders),
                "coadmissible": n_coad, "linear_sections": len(secs),
                "sections_matched": matched, "certificates": certs}
@@ -119,7 +126,7 @@ def _windowed(scn, task, loc):
     w, wcm = scn.windows[wname]
     if wcm is not cm:
         raise ScenarioError(loc, "window %r belongs to another xmod" % wname)
-    dg = build_double_groupoid(cm)
+    dg = _double_for(scn, name, cm)
     wg = build_wg(dg, w)
     return name, cm, wname, w, dg, wg, check_locally_lie_double(dg, wg)
 

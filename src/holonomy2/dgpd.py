@@ -35,6 +35,20 @@ class DoubleGroupoidError(ValueError):
     pass
 
 
+class PositionTables(NamedTuple):
+    """A double groupoid's squares as their indices in square order.
+
+    ``vertical[i][j]`` and ``horizontal[i][j]`` are the positions of the
+    composites of squares i and j, None where they do not compose; the
+    buckets list positions in square order."""
+    pos: dict
+    vertical: list
+    horizontal: list
+    by_top: dict
+    by_left: dict
+    by_top_left: dict
+
+
 # what comp1/comp2/neg1/neg2 raise on squares that do not compose
 COMPOSITION_ERRORS = (DoubleGroupoidError, GroupoidError, XModError)
 
@@ -52,7 +66,7 @@ class DoubleGroupoid:
             self._by_bottom.setdefault(sq.bottom, []).append(sq)
             self._by_top.setdefault(sq.top, []).append(sq)
             self._by_left.setdefault(sq.left, []).append(sq)
-        self._vertical = self._horizontal = None
+        self._vertical = self._horizontal = self._positions = None
         if connection is None:
             connection = {a: self._default_connection(a) for a in self.edge.arrows}
         self.connection = dict(connection)
@@ -153,6 +167,23 @@ class DoubleGroupoid:
                 {a: self.eps2(a) for a in self.edge.arrows})
         return self._horizontal
 
+    def position_tables(self):
+        """The squares compiled to positions, once, from the two views."""
+        if self._positions is None:
+            pos = {sq: i for i, sq in enumerate(self.squares)}
+            rows = []
+            for view in (self.vertical_groupoid(), self.horizontal_groupoid()):
+                row = [[None] * len(pos) for _ in pos]
+                for (u, v), w in view._table.items():
+                    row[pos[u]][pos[v]] = pos[w]
+                rows.append(row)
+            buckets = {}, {}, {}
+            for j, sq in enumerate(self.squares):
+                for bucket, key in zip(buckets, (sq.top, sq.left, (sq.top, sq.left))):
+                    bucket.setdefault(key, []).append(j)
+            self._positions = PositionTables(pos, *rows, *buckets)
+        return self._positions
+
     def __repr__(self):
         return "DoubleGroupoid(%d squares over %d edges)" % (len(self.squares), len(self.edge.arrows))
 
@@ -202,9 +233,7 @@ def check_double(dg):
     """All violated double-groupoid and connection axioms.
 
     Interchange quadruples are enumerated, in square order, through the
-    rows of the horizontal table and the by-top and (top, left) square
-    indices, and composites are read, by square position, from the
-    tables of the two groupoid views.
+    position tables of the double groupoid.
     """
     out = []
     G = dg.edge
@@ -212,37 +241,26 @@ def check_double(dg):
     for sq in squares:
         if not square_boundary_ok(dg.cm, sq):
             out.append("boundary equation fails for %s" % (sq,))
-    vert = dg.vertical_groupoid()
-    for v in check_groupoid(vert):
+    for v in check_groupoid(dg.vertical_groupoid()):
         out.append("vertical: %s" % v)
-    horiz = dg.horizontal_groupoid()
-    for v in check_groupoid(horiz):
+    for v in check_groupoid(dg.horizontal_groupoid()):
         out.append("horizontal: %s" % v)
     # Closure and the faces of composites need no check: the Groupoid
     # constructor of each view rejects a composite outside the square
     # set, and comp1/comp2 set the faces by the morphism formula.
-    # composition tables by position: vt[i][j] = position of u_i +1 u_j;
-    # each row keeps the views' pair order, which is square order
-    pos = {sq: i for i, sq in enumerate(squares)}
-    vt, ht = {i: {} for i in pos.values()}, {i: {} for i in pos.values()}
-    for rows, view in ((vt, vert), (ht, horiz)):
-        for (u, v), w in view._table.items():
-            rows[pos[u]][pos[v]] = pos[w]
-    by_top = {a: [pos[sq] for sq in sqs] for a, sqs in dg._by_top.items()}
-    by_top_left = {}
-    for j, sq in enumerate(squares):
-        by_top_left.setdefault((sq.top, sq.left), []).append(j)
+    t = dg.position_tables()
+    vt, ht, by_top_left = t.vertical, t.horizontal, t.by_top_left
     # interchange on all valid quadruples
     for i, u in enumerate(squares):
-        u2s = by_top.get(u.bottom, ())
-        for j, k in ht[i].items():
-            v, uv_row, v_row = squares[j], vt[k], vt[j]
+        u2s, u_vrow, u_hrow = t.by_top.get(u.bottom, ()), vt[i], ht[i]
+        for j in t.by_left.get(u.right, ()):
+            v, uv_row, v_row = squares[j], vt[u_hrow[j]], vt[j]
             for i2 in u2s:
-                u2, uu2_row, u2_row = squares[i2], ht[vt[i][i2]], ht[i2]
-                for j2 in by_top_left.get((v.bottom, u2.right), ()):
+                uu2_row, u2_row = ht[u_vrow[i2]], ht[i2]
+                for j2 in by_top_left.get((v.bottom, squares[i2].right), ()):
                     if uv_row[u2_row[j2]] != uu2_row[v_row[j2]]:
                         out.append("interchange fails at (%s,%s,%s,%s)"
-                                   % (u, v, u2, squares[j2]))
+                                   % (u, v, squares[i2], squares[j2]))
     # connection: boundary shape and transport law
     for a in G.arrows:
         con = dg.connection.get(a)

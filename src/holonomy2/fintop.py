@@ -152,9 +152,6 @@ class FiniteTopSpace:
             out |= self.minimal_open(p)
         return out
 
-    def is_discrete(self):
-        return all(len(m) == 1 for m in self._min.values())
-
     # -- derived spaces -----------------------------------------------
 
     def subspace(self, subset):

@@ -175,16 +175,27 @@ def check_groupoid(g):
     is topologized.
     """
     out = []
-    for (a, b), c in sorted(g._table.items(), key=lambda kv: (_skey(kv[0][0]), _skey(kv[0][1]))):
-        if g.tgt(a) != g.src(b):
+    arrows, src, tgt = g.arrows, g._src, g._tgt
+    skey = {a: _skey(a) for a in arrows}
+    for (a, b), c in sorted(g._table.items(), key=lambda kv: (skey[kv[0][0]], skey[kv[0][1]])):
+        if tgt[a] != src[b]:
             out.append("composition domain: %s+%s defined but tgt(%s)=%s != src(%s)=%s"
-                       % (a, b, a, g.tgt(a), b, g.src(b)))
+                       % (a, b, a, tgt[a], b, src[b]))
             continue
-        if g.src(c) != g.src(a) or g.tgt(c) != g.tgt(b):
+        if src[c] != src[a] or tgt[c] != tgt[b]:
             out.append("composition endpoints: %s+%s=%s has wrong src/tgt" % (a, b, c))
-    for a, b in g.composable_pairs():
-        if (a, b) not in g._table:
-            out.append("composition missing: %s+%s (tgt=src=%s)" % (a, b, g.tgt(a)))
+    # arrows by position, the table as rows (rows[i][j] = position of
+    # a_i + a_j) and a source index of positions in arrow order
+    pos = {a: i for i, a in enumerate(arrows)}
+    by_src, rows = {}, [{} for _ in arrows]
+    for i, a in enumerate(arrows):
+        by_src.setdefault(src[a], []).append(i)
+    for (a, b), c in g._table.items():
+        rows[pos[a]][pos[b]] = pos[c]
+    for i, a in enumerate(arrows):
+        for j in by_src.get(tgt[a], ()):
+            if j not in rows[i]:
+                out.append("composition missing: %s+%s (tgt=src=%s)" % (a, arrows[j], tgt[a]))
     for x in g.objects:
         if x not in g._units:
             out.append("unit missing at object %s" % (x,))
@@ -210,27 +221,18 @@ def check_groupoid(g):
                     out.append("right negative law fails at %s" % (a,))
                 if g._table.get((n, a)) != g._units.get(g.tgt(a)):
                     out.append("left negative law fails at %s" % (a,))
-    # associativity over composable triples, through a source index in
-    # arrow order and the table as rows: rows[a][b] = a + b
-    absent = object()
-    by_src, rows = {}, {}
-    for a in g.arrows:
-        by_src.setdefault(g._src[a], []).append(a)
-    for (a, b), c in g._table.items():
-        rows.setdefault(a, {})[b] = c
-    for a in g.arrows:
-        a_row = rows.get(a, {})
-        for b in by_src.get(g._tgt[a], ()):
-            ab = a_row.get(b, absent)
-            if ab is absent:
+    # associativity over composable triples, on positions
+    for i, a in enumerate(arrows):
+        a_row = rows[i]
+        for j in by_src.get(tgt[a], ()):
+            ab = a_row.get(j)
+            if ab is None:
                 continue
-            ab_row, b_row = rows.get(ab, {}), rows.get(b, {})
-            for c in by_src.get(g._tgt[b], ()):
-                bc = b_row.get(c, absent)
-                if bc is absent:
-                    continue
-                if ab_row.get(c) != a_row.get(bc):
-                    out.append("associativity fails at (%s,%s,%s)" % (a, b, c))
+            ab_row, b_row = rows[ab], rows[j]
+            for k in by_src.get(tgt[arrows[j]], ()):
+                bc = b_row.get(k)
+                if bc is not None and ab_row.get(k) != a_row.get(bc):
+                    out.append("associativity fails at (%s,%s,%s)" % (a, arrows[j], arrows[k]))
     if g.topology is not None:
         out.extend(_continuity_report(g))
     return out
@@ -279,15 +281,8 @@ class GroupoidMorphism:
         self.obj_map = dict(obj_map)
         self.arr_map = dict(arr_map)
 
-    def on_obj(self, x):
-        return self.obj_map[x]
-
     def __call__(self, a):
         return self.arr_map[a]
-
-    def is_bijective(self, src, tgt):
-        return (len(set(self.obj_map.values())) == len(tgt.objects) == len(src.objects)
-                and len(set(map(_skey, (self.arr_map[a] for a in src.arrows)))) == len(tgt.arrows) == len(src.arrows))
 
     def __repr__(self):
         return "GroupoidMorphism(%d objects, %d arrows)" % (len(self.obj_map), len(self.arr_map))

@@ -20,6 +20,7 @@ to an identity square, topologized by chart images of window opens.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 from .fintop import FiniteTopSpace, PartialMap, TopologyError, is_continuous, is_partial_homeomorphism, pullback_space
@@ -141,17 +142,25 @@ def square_subwindow(wg, squares):
 class LocalLinearSection:
     """Square-valued section on an open arrow set, with its boundary data."""
 
-    __slots__ = ("dom0", "dom1", "s0", "squares", "_key")
+    __slots__ = ("dom0", "dom1", "s0", "squares", "_sorted")
 
     def __init__(self, dom0, dom1, s0, squares):
         self.dom0 = frozenset(dom0)
         self.dom1 = frozenset(dom1)
         self.s0 = dict(s0)
         self.squares = dict(squares)
-        self._key = (tuple(sorted(self.dom0, key=_skey)),
-                     tuple(sorted(self.dom1, key=_skey)),
-                     tuple(sorted(self.s0.items(), key=lambda kv: _skey(kv[0]))),
-                     tuple(sorted(self.squares.items(), key=lambda kv: _skey(kv[0]))))
+        self._sorted = None
+
+    @property
+    def _key(self):
+        """Sorted contents, built on first comparison: most products are
+        never hashed."""
+        if self._sorted is None:
+            self._sorted = (tuple(sorted(self.dom0, key=_skey)),
+                            tuple(sorted(self.dom1, key=_skey)),
+                            tuple(sorted(self.s0.items(), key=lambda kv: _skey(kv[0]))),
+                            tuple(sorted(self.squares.items(), key=lambda kv: _skey(kv[0]))))
+        return self._sorted
 
     def square(self, z):
         try:
@@ -347,7 +356,7 @@ def restrict_section(dg, sec, dom1, dom0=None):
 class Germ:
     """Restriction of a section to the minimal open of its base arrow."""
 
-    __slots__ = ("base", "values", "_vm", "_hash")
+    __slots__ = ("base", "values", "_vm", "_hash", "_str")
 
     def __init__(self, base, value_map):
         self.base = base
@@ -356,6 +365,7 @@ class Germ:
             raise HolonomyError("germ base %s outside its value map" % (base,))
         self.values = tuple(sorted(self._vm.items(), key=lambda kv: _skey(kv[0])))
         self._hash = hash((base, self.values))
+        self._str = None
 
     def value_map(self):
         return dict(self._vm)
@@ -379,7 +389,10 @@ class Germ:
         return self._hash
 
     def __str__(self):
-        return "germ@%s:%s" % (self.base, ",".join("%s->%s" % (z, sq) for z, sq in self.values))
+        # the germ's sort key: built once
+        if self._str is None:
+            self._str = "germ@%s:%s" % (self.base, ",".join("%s->%s" % (z, sq) for z, sq in self.values))
+        return self._str
 
     def __repr__(self):
         return "Germ(base=%s, %d values)" % (self.base, len(self.values))
@@ -444,7 +457,8 @@ def germ_inv(dg, g):
 def _complete_base_map(dg, dom0, pins, alpha_req, smooth):
     """Find s0 on dom0 extending the right-edge pins, respecting the base
     points required by left edges, making the base deformation a partial
-    homeomorphism (and s0 continuous when smooth)."""
+    homeomorphism (and s0 continuous when smooth).  The recursion goes
+    one level per unpinned object of ``dom0``."""
     G = dg.edge
     XS = G.object_space()
     AS = G.arrow_space()
@@ -520,7 +534,9 @@ def square_tables(dg, arrows, candidates):
     required there, tops are distinct, and every triple (u, v, u + v)
     of listed arrows with u, v non-units has matching edges and
     comp2(u, v) = u + v.  Each depth checks only what its arrow adds:
-    triples are bucketed by the position of their last member.
+    triples are bucketed by the position of their last member.  The
+    recursion goes one level per listed arrow: a minimal open, or the
+    edge arrows for global sections.
     """
     G = dg.edge
     pos = {z: i for i, z in enumerate(arrows)}
@@ -859,15 +875,17 @@ def build_germ_groupoid(dg):
     arrows = sorted(germs, key=_skey)
     src = {g: g.source() for g in arrows}
     tgt = {g: g.target() for g in arrows}
+    by_base = {}
+    for g in arrows:
+        by_base.setdefault(g.base, []).append(g)
     table = {}
     for ga in arrows:
-        for gb in arrows:
-            if gb.base == ga.value().top:
-                prod = germ_mul(dg, gb, ga)
-                if prod not in germs:
-                    raise HolonomyError("germ product left the germ set at (%s, %s)"
-                                        % (gb, ga))
-                table[(gb, ga)] = germs[prod]
+        for gb in by_base.get(src[ga], ()):
+            prod = germ_mul(dg, gb, ga)
+            if prod not in germs:
+                raise HolonomyError("germ product left the germ set at (%s, %s)"
+                                    % (gb, ga))
+            table[(gb, ga)] = germs[prod]
     neg = {}
     for g in arrows:
         gi = germ_inv(dg, g)
@@ -902,35 +920,45 @@ def build_restricted_germs(dg, wg, J=None, j_witness=None):
     seed_witness = window_germs(dg, wg)
     seed = set()
     witness = {}
+    # germs are kept as J's own objects, so lookups in J match by identity
+    j_arrows = {g: g for g in J.arrows}
     for g, sec in seed_witness.items():
-        if g not in set(J.arrows):
+        if g not in j_arrows:
             raise HolonomyError("window germ missing from the germ groupoid: %s" % (g,))
-        seed.add(g)
-        witness[g] = sec
+        seed.add(j_arrows[g])
+        witness[j_arrows[g]] = sec
     # units belong to the generated subgroupoid regardless of the window
     for a in dg.edge.arrows:
-        u = unit_germ(dg, a)
+        u = J.unit(a)
         if u not in witness:
             witness[u] = constant_section(dg, dg.edge.arrow_space().minimal_open(a))
+    # the closure as a set and as a list kept in sort order; each pass
+    # walks a snapshot of the list, as it stood when the pass began
     closure = set(witness)
+    arrows = sorted(closure, key=_skey)
+
+    def admit(g, sec):
+        witness[g] = sec
+        closure.add(g)
+        bisect.insort(arrows, g, key=_skey)
+
     frontier = True
     while frontier:
         frontier = False
-        for g in sorted(closure, key=_skey):
+        for g in list(arrows):
             gi = J.neg(g)
             if gi not in closure:
-                witness[gi] = local_section_inv(dg, witness[g])
-                closure.add(gi)
+                admit(gi, local_section_inv(dg, witness[g]))
                 frontier = True
-        for g in sorted(closure, key=_skey):
-            for h in sorted(closure, key=_skey):
+        for g in list(arrows):
+            for h in list(arrows):
                 if J.composable(g, h) and J.add(g, h) not in closure:
-                    p = J.add(g, h)
-                    witness[p] = local_section_mul(dg, witness[g], witness[h])
-                    closure.add(p)
+                    admit(J.add(g, h), local_section_mul(dg, witness[g], witness[h]))
                     frontier = True
-    arrows = sorted(closure, key=_skey)
-    table = {(g, h): J.add(g, h) for g in arrows for h in arrows if J.composable(g, h)}
+    by_src = {}
+    for h in arrows:
+        by_src.setdefault(h.source(), []).append(h)
+    table = {(g, h): J.add(g, h) for g in arrows for h in by_src.get(g.target(), ())}
     jr = Groupoid(dg.edge.arrows, arrows,
                   {g: g.source() for g in arrows},
                   {g: g.target() for g in arrows},
@@ -998,9 +1026,6 @@ class HolonomyGroupoid:
         self.charts = charts
         self.report = report
 
-    def class_of(self, germ):
-        return self.projection.arr_map[germ]
-
     def __repr__(self):
         return "HolonomyGroupoid(%d arrows over %d objects)" % (
             len(self.quotient.arrows), len(self.quotient.objects))
@@ -1013,18 +1038,20 @@ def left_translation(dg, sec, w_square):
     return dg.comp1(sec.squares[w_square.top], w_square)
 
 
-def _chart_for(dg, wg, hol_proj, jr_index, sec, through_cache, strict=True):
-    """Chart of a section: w |-> class of [sec * theta]_{bottom w}."""
+def _chart_for(dg, hol_proj, jr_index, sec, through_cache, strict=True):
+    """Chart of a section: w |-> class of [sec * theta]_{bottom w}.
+
+    ``through_cache`` lists the through-sections of every window square,
+    in square order."""
     G = dg.edge
     mapping = {}
     skipped = 0
-    for sq in sorted(wg.squares, key=_skey):
+    for sq, thetas in through_cache.items():
         a = sq.bottom
         if sq.top not in sec.dom1:
             continue
-        if not (_feet(G, [sq.top]) <= sec.dom0):
+        if G.src(sq.top) not in sec.dom0 or G.tgt(sq.top) not in sec.dom0:
             continue
-        thetas = through_cache.get(sq)
         if not thetas:
             continue
         classes = set()
@@ -1121,7 +1148,7 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
         if sec in seen_sections:
             continue
         seen_sections.add(sec)
-        chart, skipped = _chart_for(dg, wg, proj, jr_set, sec, through_cache,
+        chart, skipped = _chart_for(dg, proj, jr_set, sec, through_cache,
                                     strict=require_axioms)
         chart_skips += skipped
         charts.append(chart)
@@ -1160,52 +1187,58 @@ def check_chart_coherence(hol):
 
     Only chart pairs whose images meet are visited, found through an
     index from classes to the charts whose image holds them, in chart
-    order."""
+    order.  Squares are read as positions of the double groupoid."""
     dg, wg = hol.dg, hol.wg
     out = {"charts": len(hol.charts), "violations": [], "open_image_failures": []}
     for chart in hol.charts:
         if len(set(chart.mapping.values())) != len(chart.mapping):
             out["violations"].append("chart of %r not injective" % (chart.section,))
-    inverses = [chart.inverse for chart in hol.charts]
+    # left translations L_eta(v) = eta(top v) +1 v are vertical
+    # composites of squares: read them off the position rows
+    pos, vert = dg.position_tables()[:2]
+    inverses = [{h: pos[sq] for h, sq in chart.inverse.items()} for chart in hol.charts]
     charts_at = {}
     for j, inverse in enumerate(inverses):
         for h in inverse:
             charts_at.setdefault(h, []).append(j)
+    # minimal opens of the non-isolated window squares, as positions; an
+    # isolated square's basic open is itself alone
+    wide = {pos[sq]: frozenset(map(pos.__getitem__, m))
+            for sq, m in wg.space._min.items() if len(m) > 1}
     inverse_sections = {}
-    # left translations L_eta(v) = eta(top v) +1 v are vertical
-    # composites of squares: read them off the table
-    vert = dg.vertical_groupoid()._table
     for cs in hol.charts:
-        domain = sorted(cs.domain, key=_skey)
-        meeting = sorted({j for v in domain for j in charts_at[cs.mapping[v]]})
-        for j in meeting:
-            ct, inverse = hol.charts[j], inverses[j]
-            overlap = [v for v in domain if cs.mapping[v] in inverse]
+        overlaps = {}
+        for entry in [(v, pos[v], cs.mapping[v]) for v in sorted(cs.domain, key=_skey)]:
+            for j in charts_at[entry[2]]:
+                overlaps.setdefault(j, []).append(entry)
+        for j in sorted(overlaps):
             try:
                 if j not in inverse_sections:
-                    inverse_sections[j] = local_section_inv(dg, ct.section)
+                    inverse_sections[j] = local_section_inv(dg, hol.charts[j].section)
                 eta = local_section_mul(dg, inverse_sections[j], cs.section, check=False)
             except _MODEL_ERRORS as e:
                 out["violations"].append("transition section undefined: %s" % e)
                 continue
-            moved = {}
-            for v in overlap:
-                w_sq = inverse[cs.mapping[v]]
-                if v.top not in eta.dom1:
+            eta_at = {z: vert[pos[sq]] for z, sq in eta.squares.items()}
+            inverse, moved = inverses[j], {}
+            for v, p, h in overlaps[j]:
+                row = eta_at.get(v.top)
+                if row is None:
                     out["violations"].append(
                         "transition at %s not covered by the translation" % (v,))
                     continue
-                if vert[(eta.squares[v.top], v)] != w_sq:
+                moved[p] = inverse[h]
+                if row[p] != moved[p]:
                     out["violations"].append(
                         "transition disagrees with left translation at %s" % (v,))
-                moved[v] = w_sq
             # transitions carry opens to opens: images of minimal opens
-            # within an open overlap must be open (moved keeps overlap order)
-            dom = frozenset(moved)
-            if wg.space.is_open(dom):
-                for v in moved:
-                    img = frozenset(moved[t] for t in wg.space.minimal_open(v) & dom)
-                    if not wg.space.is_open(img):
+            # within an open overlap must be open.  Only non-isolated
+            # squares constrain openness, so on a discrete window there
+            # is nothing to check
+            if wide and all(wide[p] <= moved.keys() for p in moved if p in wide):
+                for v, p, _ in overlaps[j]:
+                    img = {moved[t] for t in wide.get(p, (p,)) if t in moved}
+                    if p in moved and not all(wide[q] <= img for q in img if q in wide):
                         out["open_image_failures"].append(
                             "transition image of a basic open not open at %s" % (v,))
     out["ok"] = not out["violations"]
@@ -1223,7 +1256,8 @@ def _factorizations(vert, pre, pre_by_top, w_sq, bound, cap):
 
     ``vert`` is the vertical groupoid of the squares; ``pre_by_top`` lists
     the members of ``pre`` by top edge, in ``_skey`` order.  Each walk
-    node has its own prefix, so no factorization is found twice.
+    node has its own prefix, so no factorization is found twice.  The
+    walk nests at most ``bound`` + 1 calls, whatever the model size.
     """
     results = []
 
@@ -1392,27 +1426,32 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
         for v in dgA.with_top(u.bottom):
             uv = vertA.add(u, v)
             pairs_at[max(pos[u], pos[v], pos[uv])].append((u, v, uv))
+    # depth first, with an explicit stack of fibre iterators so that the
+    # depth (one level per square) is not bounded by the recursion limit;
+    # a node is counted when it is entered, and two solutions end it
     add = hol.quotient.add
-    count = [0]
-    solutions = []
-
-    def search(i, assign):
-        if len(solutions) > 1:
-            return
-        count[0] += 1
-        if count[0] > search_cap:
-            raise HolonomyError("uniqueness search cap exceeded")
-        if i == len(squares):
-            solutions.append(dict(assign))
-            return
-        sq = squares[i]
-        for h in fibers[sq]:
+    assign, solutions, stack = {}, [], []
+    count, entering = 0, True
+    while len(solutions) < 2:
+        if entering:
+            count += 1
+            if count > search_cap:
+                raise HolonomyError("uniqueness search cap exceeded")
+            if len(stack) == len(squares):
+                solutions.append(dict(assign))
+            else:
+                stack.append(iter(fibers[squares[len(stack)]]))
+        if not stack:
+            break
+        i = len(stack) - 1
+        sq, entering = squares[i], False
+        for h in stack[-1]:
             assign[sq] = h
             if all(add(assign[u], assign[v]) == assign[uv] for u, v, uv in pairs_at[i]):
-                search(i + 1, assign)
-            del assign[sq]
-
-    search(0, {})
+                entering = True
+                break
+        else:
+            stack.pop()
     report["qualifying_morphisms"] = len(solutions)
     report["unique"] = len(solutions) == 1 and solutions[0] == mu_prime_map
     return mu_prime, report

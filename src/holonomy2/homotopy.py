@@ -148,12 +148,15 @@ def derivation_mul(cm, s, t):
     return prod
 
 
+def _bijective(cm, f):
+    """Whether the arrow maps f1 and f2 of an endomorphism are bijective."""
+    return (len(set(map(_skey, f.f1.values()))) == len(cm.G.arrows),
+            len(set(map(_skey, f.f2.values()))) == len(cm.C.arrows))
+
+
 def is_coadmissible(cm, s):
     """(invertible?, certificate with bijectivity flags and the inverse)."""
-    G, C = cm.G, cm.C
-    f = induced_endomorphism(cm, s)
-    f1_bij = len(set(map(_skey, f.f1.values()))) == len(G.arrows)
-    f2_bij = len(set(map(_skey, f.f2.values()))) == len(C.arrows)
+    f1_bij, f2_bij = _bijective(cm, induced_endomorphism(cm, s))
     cert = {"f1_bijective": f1_bij, "f2_bijective": f2_bij, "inverse": None}
     if f1_bij:
         cert["inverse"] = inverse_derivation(cm, s)
@@ -239,16 +242,15 @@ def check_linear_section(dg, sec):
     return out
 
 
-def derivation_to_section(dg, s):
-    """Square-valued form of a coadmissible derivation."""
-    cm = dg.cm
-    ok, cert = is_coadmissible(cm, s)
-    if not ok:
-        raise DerivationError(
-            "derivation is not coadmissible: f1_bijective=%s f2_bijective=%s"
-            % (cert["f1_bijective"], cert["f2_bijective"]))
-    G = cm.G
-    f = induced_endomorphism(cm, s)
+def coadmissible_section(dg, s):
+    """(f1 bijective, f2 bijective, square-valued section) of a free
+    derivation, from one induced endomorphism.  The section is None
+    unless the derivation is coadmissible (f1 bijective)."""
+    G = dg.edge
+    f = induced_endomorphism(dg.cm, s)
+    f1_bij, f2_bij = _bijective(dg.cm, f)
+    if not f1_bij:
+        return f1_bij, f2_bij, None
     squares = {}
     for a in G.arrows:
         squares[a] = Square(s.s1[a], f.f1[a], s.s0[G.src(a)], s.s0[G.tgt(a)], a)
@@ -256,6 +258,16 @@ def derivation_to_section(dg, s):
     bad = check_linear_section(dg, sec)
     if bad:
         raise DerivationError("induced section invalid: %s" % bad[0])
+    return f1_bij, f2_bij, sec
+
+
+def derivation_to_section(dg, s):
+    """Square-valued form of a coadmissible derivation."""
+    f1_bij, f2_bij, sec = coadmissible_section(dg, s)
+    if sec is None:
+        raise DerivationError(
+            "derivation is not coadmissible: f1_bijective=%s f2_bijective=%s"
+            % (f1_bij, f2_bij))
     return sec
 
 

@@ -33,6 +33,8 @@ class Scenario:
         self.morphisms = morphisms
         self.tasks = tasks
         self.raw = raw
+        # double groupoid per xmod name, built by the first task that needs it
+        self.doubles = {}
 
 
 def load_scenario(source, point_cap=64, arrow_cap=DEFAULT_ARROW_CAP):

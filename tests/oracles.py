@@ -12,7 +12,9 @@ assigned pair at every node.  The section searches are kept as they
 were before the shared square-table search: a global linear section
 search and a minimal-domain search that rescan every assigned pair at
 every node, and a global section product with its own formula.  The
-fast versions must agree with these, violation order included.
+germ closure re-sorts the closure for every germ it extends, and
+openness is membership in the materialised open family.  The fast
+versions must agree with these, violation order included.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from holonomy2.dgpd import (COMPOSITION_ERRORS, DoubleGroupoidError, build_doubl
 from holonomy2.fintop import FiniteTopSpace, PartialMap, TopologyError, is_continuous
 from holonomy2.groupoid import (Groupoid, GroupoidMorphism, _continuity_report, _skey,
                                 check_groupoid_morphism, generated_subgroupoid)
-from holonomy2.holonomy import (_MODEL_ERRORS, HolonomyError, build_wg, germ_at,
+from holonomy2.holonomy import (_MODEL_ERRORS, HolonomyError, build_wg, constant_section,
+                                germ_at, unit_germ, window_germs,
                                 has_enough_sections, left_translation, local_section_inv,
                                 local_section_mul, push_section, section_from_squares,
                                 sections_through, smoothness_violations, square_subwindow)
@@ -70,6 +73,14 @@ def is_continuous(f, src, tgt):
             if f.table[q] not in tmin:
                 return False
     return True
+
+
+def is_open(space, subset):
+    """Openness as membership in the materialised family of opens."""
+    s = frozenset(subset)
+    if not s <= space.points:
+        raise TopologyError("subset %s not within point set" % (sorted(map(str, s)),))
+    return s in set(space.open_sets())
 
 
 def check_groupoid(g):
@@ -665,3 +676,45 @@ def square_tables(dg, arrows, candidates):
 
     extend(0, {})
     return results
+
+
+def build_restricted_germs(dg, wg, J):
+    """Germ closure that re-sorts the closure for every germ it extends."""
+    seed_witness = window_germs(dg, wg)
+    seed = set()
+    witness = {}
+    for g, sec in seed_witness.items():
+        if g not in set(J.arrows):
+            raise HolonomyError("window germ missing from the germ groupoid: %s" % (g,))
+        seed.add(g)
+        witness[g] = sec
+    for a in dg.edge.arrows:
+        u = unit_germ(dg, a)
+        if u not in witness:
+            witness[u] = constant_section(dg, dg.edge.arrow_space().minimal_open(a))
+    closure = set(witness)
+    frontier = True
+    while frontier:
+        frontier = False
+        for g in sorted(closure, key=_skey):
+            gi = J.neg(g)
+            if gi not in closure:
+                witness[gi] = local_section_inv(dg, witness[g])
+                closure.add(gi)
+                frontier = True
+        for g in sorted(closure, key=_skey):
+            for h in sorted(closure, key=_skey):
+                if J.composable(g, h) and J.add(g, h) not in closure:
+                    p = J.add(g, h)
+                    witness[p] = local_section_mul(dg, witness[g], witness[h])
+                    closure.add(p)
+                    frontier = True
+    arrows = sorted(closure, key=_skey)
+    table = {(g, h): J.add(g, h) for g in arrows for h in arrows if J.composable(g, h)}
+    jr = Groupoid(dg.edge.arrows, arrows,
+                  {g: g.source() for g in arrows},
+                  {g: g.target() for g in arrows},
+                  table,
+                  {g: J.neg(g) for g in arrows},
+                  {a: unit_germ(dg, a) for a in dg.edge.arrows})
+    return jr, frozenset(seed), witness

@@ -245,3 +245,78 @@ def test_cli_model_error_is_a_failed_task(error, fmt, monkeypatch, capsys):
             "[pass] holonomy"]
         assert lines[lines.index("[FAIL] double") + 1] == "  error: odd model"
         assert lines[-1] == "overall: FAIL"
+
+
+def cyclic_scenario(n, tasks):
+    """Scenario of Z/n acting trivially on itself, identity boundary."""
+    def group(prefix):
+        labels = [prefix + str(i) for i in range(n)]
+        return {"objects": ["x"],
+                "arrows": [{"id": a, "src": "x", "tgt": "x"} for a in labels],
+                "compose": [[labels[i], labels[j], labels[(i + j) % n]]
+                            for i in range(n) for j in range(n)],
+                "neg": {labels[i]: labels[-i % n] for i in range(n)},
+                "units": {"x": labels[0]}}
+    return {"groupoids": {"G": group(""), "C": group("c")},
+            "xmods": {"CM": {"c": "C", "g": "G",
+                             "delta": {"c%d" % i: str(i) for i in range(n)},
+                             "action": [["c%d" % i, str(j), "c%d" % i]
+                                        for i in range(n) for j in range(n)]}},
+            "wstructures": {"W": {"xmod": "CM", "arrows": ["c%d" % i for i in range(n)]}},
+            "tasks": tasks}
+
+
+def counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so that its calls are counted."""
+    fn, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_derivations_build_one_endomorphism_each(tmp_path, monkeypatch, capsys):
+    """On Z/3 on itself (9 derivations, 6 coadmissible) the task runs
+    induced_endomorphism once per derivation, and its certificates are
+    those of is_coadmissible."""
+    from holonomy2 import homotopy
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(cyclic_scenario(3, [{"task": "derivations", "xmod": "CM"}])))
+    calls = counting(monkeypatch, homotopy, "induced_endomorphism")
+    code, out = run_cli(["--scenario", str(path), "--format", "json"], capsys)
+    assert code == 0 and len(calls) == 9
+    details = json.loads(out)["tasks"][0]["details"]
+    assert (details["free_derivations"], details["coadmissible"]) == (9, 6)
+    cm = load_scenario(str(path)).xmods["CM"]
+    want = []
+    for s in homotopy.enumerate_free_derivations(cm):
+        ok, cert = homotopy.is_coadmissible(cm, s)
+        want.append({"derivation": repr(s), "coadmissible": ok,
+                     "f1_bijective": cert["f1_bijective"], "f2_bijective": cert["f2_bijective"]})
+    assert details["certificates"] == want
+
+
+def test_tasks_share_one_double_groupoid(monkeypatch, capsys):
+    calls = counting(monkeypatch, cli, "build_double_groupoid")
+    code, out = run_cli(["--scenario", scenario_path("z2z2.json"), "--format", "json"], capsys)
+    assert code == 0 and len(calls) == 1
+
+
+def test_failed_double_groupoid_build_fails_each_task_that_needs_it(monkeypatch, capsys):
+    """A build that raises is not kept: every task that asks tries again
+    and fails on its own; validate, which needs none, still passes."""
+    calls = []
+
+    def broken(cm):
+        calls.append(cm)
+        raise DoubleGroupoidError("odd model")
+
+    monkeypatch.setattr(cli, "build_double_groupoid", broken)
+    code, out = run_cli(["--scenario", scenario_path("z2z2.json"), "--format", "json"], capsys)
+    tasks = json.loads(out)["tasks"]
+    assert code == 1 and len(calls) == 4
+    assert [t["ok"] for t in tasks] == [True, False, False, False, False]
+    assert all(t["details"] == {"error": "odd model"} for t in tasks[1:])

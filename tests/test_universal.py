@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from holonomy2 import corpus
@@ -61,6 +66,28 @@ def test_identity_instance_on_z3_is_unique():
     assert len(hol.dg.squares) == 81
     assert rep["unique"] and rep["qualifying_morphisms"] == 1
     assert rep["psi_after"] and rep["is_morphism"]
+
+
+def test_uniqueness_search_is_not_bounded_by_the_recursion_limit():
+    """The search goes one level per square: with 81 squares and a
+    recursion limit of 60 it must still answer, without RecursionError."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    script = textwrap.dedent("""
+        import sys
+        from conftest import discrete_item, holonomy_of, zn_on_itself
+        from holonomy2.holonomy import identity_vertical_morphism, universal_morphism
+        cm, w = discrete_item(zn_on_itself(3))
+        hol = holonomy_of(cm, w)
+        sys.setrecursionlimit(60)
+        mp, rep = universal_morphism(cm, w, identity_vertical_morphism(hol.dg), hol)
+        print(rep["unique"], rep["qualifying_morphisms"])
+        """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(here, "..", "src"), here, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "1"]
 
 
 def test_universal_through_restricted_window():
