@@ -5,12 +5,19 @@ is open exactly when it contains the minimal open of each of its points.
 Every family of sets that contains the empty set and the whole space and
 is closed under pairwise union and intersection is the family of *all*
 such sets for the preorder it induces, so storing the minimal opens loses
-nothing.  Continuity and openness checks then reduce to pointwise
-containments, and derived spaces (products, pullbacks, subspaces) never
+nothing.  Continuity and openness checks then reduce to containments of
+minimal opens, and derived spaces (products, pullbacks, subspaces) never
 need their open-set lattice materialised.  A pullback point's minimal
 open is the product of its coordinates' minimal opens cut down to the
 admitted points, so it is assembled from per-coordinate buckets of
 points rather than by comparing every pair of points.
+
+Minimal opens are interned: a space holds one frozenset object for each
+distinct minimal open, however many points share it, and every
+constructor keeps that invariant.  Validation and the predicates
+therefore do their set work once per distinct minimal open, not once
+per point: on an indiscrete space of N points an openness test costs
+O(N), not O(N^2).
 """
 
 from __future__ import annotations
@@ -35,9 +42,10 @@ def _canon(points):
 class FiniteTopSpace:
     """A finite point set with an explicit topology.
 
-    Canonical storage is the minimal-open table.  ``from_opens`` validates
-    an extensional open family (empty set, whole set, pairwise closure)
-    and reports the first violated pair; ``from_generators`` expands a
+    Canonical storage is the minimal-open table, with one frozenset
+    object per distinct minimal open.  ``from_opens`` validates an
+    extensional open family (empty set, whole set, pairwise closure) and
+    reports the first violated pair; ``from_generators`` expands a
     subbase to its generated topology.
     """
 
@@ -45,10 +53,16 @@ class FiniteTopSpace:
 
     def __init__(self, points, min_opens):
         self.points = _canon(points)
-        self._min = {p: frozenset(min_opens[p]) for p in self.points}
         self._opens_cache = None
+        self._min, distinct = {}, {}
+        for p in self.points:
+            m = frozenset(min_opens[p])
+            self._min[p] = distinct.setdefault(m, m)
+        # the first bad point in point order; containment in the point
+        # set is tested once per distinct minimal open
+        outside = {m for m in distinct if not m <= self.points}
         for p, m in self._min.items():
-            if p not in m or not m <= self.points:
+            if p not in m or m in outside:
                 raise TopologyError("bad minimal open for %r" % (p,))
 
     # -- constructors -------------------------------------------------
@@ -129,7 +143,7 @@ class FiniteTopSpace:
         s = frozenset(subset)
         if not s <= self.points:
             raise TopologyError("subset %s not within point set" % (sorted(map(str, s)),))
-        return all(self._min[p] <= s for p in s)
+        return all(m <= s for m in set(map(self._min.__getitem__, s)))
 
     def open_sets(self):
         """Materialise every open set (all down-sets of the preorder)."""
@@ -147,10 +161,7 @@ class FiniteTopSpace:
 
     def min_neighbourhood(self, subset):
         """Smallest open set containing ``subset``."""
-        out = frozenset()
-        for p in subset:
-            out |= self.minimal_open(p)
-        return out
+        return frozenset().union(*{self.minimal_open(p) for p in subset})
 
     # -- derived spaces -----------------------------------------------
 
@@ -267,9 +278,9 @@ def is_continuous(f, src, tgt):
     """Preimages of opens are open in the subspace topology of the domain.
 
     Over finite spaces this is equivalent to the pointwise condition
-    f(min(p)) <= min(f(p)), which is what gets checked.  Points of a
-    derived space often share one minimal-open object, so each distinct
-    minimal open is mapped once.
+    f(min(p)) <= min(f(p)), which is what gets checked.  Minimal opens
+    are interned, so each distinct minimal open is mapped once and each
+    distinct (image, target minimal open) pair is compared once.
     """
     if not f.domain <= src.points:
         raise TopologyError("domain not within source space")
@@ -278,18 +289,22 @@ def is_continuous(f, src, tgt):
     if not f.image() <= tgt.points:
         raise TopologyError("values leave the target space")
     table, smin, tmin = f.table, src._min, tgt._min
-    images = {}
+    images, compared = {}, set()
     for p, fp in table.items():
         m = smin[p]
         if len(m) == 1:
             # m == {p}, and f(p) lies in min(f(p))
             continue
+        pair = (m, tmin[fp])
+        if pair in compared:
+            continue
         img = images.get(m)
         if img is None:
             # domain open, so min(p) stays inside it
             img = images[m] = frozenset(table[q] for q in m)
-        if not img <= tmin[fp]:
+        if not img <= pair[1]:
             return False
+        compared.add(pair)
     return True
 
 

@@ -103,6 +103,8 @@ class WGSquares:
         self._by_bottom = {}
         for sq in sorted(self.squares, key=_skey):
             self._by_bottom.setdefault(sq.bottom, []).append(sq)
+        # smooth window-valued minimal-domain sections, by arrow
+        self._sections = {}
 
     def with_bottom(self, a):
         return tuple(self._by_bottom.get(a, ()))
@@ -581,22 +583,18 @@ def square_tables(dg, arrows, candidates):
     return extend(0)
 
 
-def min_sections_at(dg, a, window=None, smooth=False, pin=None):
-    """All sections whose arrow domain is the minimal open of ``a``.
+def min_sections_at(dg, a, window=None, smooth=False):
+    """All sections whose arrow domain is the minimal open of ``a``, in
+    ``_skey`` order of their contents.
 
     ``window`` restricts values (and, with ``smooth``, demands continuity
-    into the window space); ``pin`` fixes chosen squares in advance.
-    Restriction to minimal domains loses no germs: any section restricts
-    to one of these with the same germ at ``a``.
+    into the window space).  Restriction to minimal domains loses no
+    germs: any section restricts to one of these with the same germ at
+    ``a``.
     """
     M = sorted(dg.edge.arrow_space().minimal_open(a), key=_skey)
     source = window if window is not None else dg
-    candidates = {}
-    for z in M:
-        opts = list(source.with_bottom(z))
-        if pin and z in pin:
-            opts = [sq for sq in opts if sq == pin[z]]
-        candidates[z] = opts
+    candidates = {z: list(source.with_bottom(z)) for z in M}
     results = []
     for table in square_tables(dg, M, candidates):
         sec = section_from_squares(dg, frozenset(M), table, window=window, smooth=smooth)
@@ -606,10 +604,24 @@ def min_sections_at(dg, a, window=None, smooth=False, pin=None):
     return results
 
 
+def _window_sections(wg, a):
+    """Smooth window-valued sections on the minimal open of ``a``,
+    searched once per window and arrow and kept on ``wg``."""
+    if a not in wg._sections:
+        wg._sections[a] = min_sections_at(wg.dg, a, window=wg, smooth=True)
+    return wg._sections[a]
+
+
 def sections_through(dg, wg, w_square):
-    """Window-valued sections through a square: value at its bottom is the square."""
-    return min_sections_at(dg, w_square.bottom, window=wg, smooth=True,
-                           pin={w_square.bottom: w_square})
+    """Window-valued sections through a square: value at its bottom is the square.
+
+    These are the window sections at the bottom arrow that take the
+    square there.  Pinning the square in the search would reach exactly
+    these tables, in the same relative order, so the filtered list is
+    the pinned search's list.
+    """
+    a = w_square.bottom
+    return [s for s in _window_sections(wg, a) if s.squares[a] == w_square]
 
 
 def has_enough_sections(dg, wg):
@@ -617,7 +629,8 @@ def has_enough_sections(dg, wg):
 
     Witnesses live on minimal domains, which suffices: restriction keeps
     every defining property.  A missing witness is a certified failure
-    since the candidate space is exhausted.
+    since the candidate space is exhausted.  One search per bottom arrow
+    serves all of its squares.
     """
     witnesses = {}
     failures = []
@@ -901,7 +914,7 @@ def window_germs(dg, wg):
     """Germs of smooth window-valued sections, with witness sections."""
     out = {}
     for a in sorted(dg.edge.arrows, key=_skey):
-        for sec in min_sections_at(dg, a, window=wg, smooth=True):
+        for sec in _window_sections(wg, a):
             g = germ_at(dg, sec, a)
             if g not in out:
                 out[g] = sec
@@ -1038,6 +1051,25 @@ def left_translation(dg, sec, w_square):
     return dg.comp1(sec.squares[w_square.top], w_square)
 
 
+def _product_germ(dg, sec, theta, a):
+    """[sec * theta]_a, read without building the product section.
+
+    ``theta``'s arrow domain is the minimal open of ``a``, as for every
+    through-section, so the germ is {z: sec(top theta(z)) +1 theta(z)}
+    there: what ``local_section_mul`` then ``germ_at`` give, with the
+    same errors, minus the product's object data, which the germ never
+    reads and which composes for valid sections.
+    """
+    values = {}
+    for z in theta.dom1:
+        sq = theta.squares[z]
+        if sq.top in sec.dom1:
+            values[z] = dg.comp1(sec.squares[sq.top], sq)
+    if a not in values:
+        raise HolonomyError("arrow %s outside the section domain" % (a,))
+    return Germ(a, {z: values[z] for z in dg.edge.arrow_space().minimal_open(a)})
+
+
 def _chart_for(dg, hol_proj, jr_index, sec, through_cache, strict=True):
     """Chart of a section: w |-> class of [sec * theta]_{bottom w}.
 
@@ -1056,8 +1088,7 @@ def _chart_for(dg, hol_proj, jr_index, sec, through_cache, strict=True):
             continue
         classes = set()
         for theta in thetas:
-            prod = local_section_mul(dg, sec, theta, check=False)
-            g = germ_at(dg, prod, a)
+            g = _product_germ(dg, sec, theta, a)
             if g not in jr_index:
                 raise HolonomyError("chart germ escaped the generated germs at %s" % (sq,))
             classes.add(hol_proj.arr_map[g])

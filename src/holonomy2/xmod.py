@@ -204,7 +204,12 @@ def find_xmod_isomorphism(src, tgt):
 
 
 def _arrow_bijections(gsrc, gtgt, f0):
-    """Structure-preserving arrow bijections over a fixed object bijection."""
+    """Structure-preserving arrow bijections over a fixed object bijection.
+
+    A depth-first search with one level of ``extend`` per source arrow,
+    so its depth is the arrow count: at most the loader's arrow cap
+    (512) for a generated groupoid.
+    """
     arrows = sorted(gsrc.arrows, key=_skey)
 
     def candidates(a, partial):

@@ -74,6 +74,21 @@ def sierpinski_pairz2_item():
     return cm, w
 
 
+def z4_coset_item():
+    """Z/4 on itself with G's arrows and the full window topologized by
+    the cosets of {0, 2}: 64 of its 256 squares have two through-sections."""
+    cm = zn_on_itself(4)
+
+    def cosets(fmt):
+        return FiniteTopSpace.from_min_opens(
+            [fmt % i for i in range(4)],
+            {fmt % i: frozenset({fmt % (i % 2), fmt % (i % 2 + 2)}) for i in range(4)})
+
+    G = cm.G.with_topology(cosets("%d"), FiniteTopSpace.discrete(cm.G.objects))
+    cm = CrossedModule(cm.C, G, cm.delta, cm.action)
+    return cm, WStructure(cm.C.arrows, cosets("c%d"))
+
+
 def sierpinski_space():
     return FiniteTopSpace.from_opens("ab", [[], ["a"], ["a", "b"]])
 

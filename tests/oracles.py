@@ -13,7 +13,10 @@ were before the shared square-table search: a global linear section
 search and a minimal-domain search that rescan every assigned pair at
 every node, and a global section product with its own formula.  The
 germ closure re-sorts the closure for every germ it extends, and
-openness is membership in the materialised open family.  The fast
+openness is membership in the materialised open family.  Finite spaces
+are built, checked and queried once per point, as before minimal opens
+were interned; through-sections come from one search pinned to each
+square; a chart multiplies whole sections to read one germ.  The fast
 versions must agree with these, violation order included.
 """
 
@@ -23,14 +26,15 @@ import itertools
 
 from holonomy2.dgpd import (COMPOSITION_ERRORS, DoubleGroupoidError, build_double_groupoid,
                             square_boundary_ok)
-from holonomy2.fintop import FiniteTopSpace, PartialMap, TopologyError, is_continuous
+from holonomy2.fintop import FiniteTopSpace, PartialMap, TopologyError
 from holonomy2.groupoid import (Groupoid, GroupoidMorphism, _continuity_report, _skey,
                                 check_groupoid_morphism, generated_subgroupoid)
-from holonomy2.holonomy import (_MODEL_ERRORS, HolonomyError, build_wg, constant_section,
+from holonomy2.holonomy import (_MODEL_ERRORS, Chart, HolonomyError, build_wg, constant_section,
                                 germ_at, unit_germ, window_germs,
-                                has_enough_sections, left_translation, local_section_inv,
+                                left_translation, local_section_inv,
                                 local_section_mul, push_section, section_from_squares,
-                                sections_through, smoothness_violations, square_subwindow)
+                                smoothness_violations, square_subwindow)
+from holonomy2.holonomy import square_tables as library_square_tables
 from holonomy2.homotopy import DerivationError, LinearSection, check_linear_section
 
 
@@ -61,7 +65,7 @@ def is_continuous(f, src, tgt):
     """
     if not f.domain <= src.points:
         raise TopologyError("domain not within source space")
-    if not src.is_open(f.domain):
+    if not is_open_pointwise(src, f.domain):
         raise TopologyError("domain of partial map is not open")
     if not f.image() <= tgt.points:
         raise TopologyError("values leave the target space")
@@ -81,6 +85,49 @@ def is_open(space, subset):
     if not s <= space.points:
         raise TopologyError("subset %s not within point set" % (sorted(map(str, s)),))
     return s in set(space.open_sets())
+
+
+def is_open_pointwise(space, subset):
+    """Openness as one containment test per point of the subset."""
+    s = frozenset(subset)
+    if not s <= space.points:
+        raise TopologyError("subset %s not within point set" % (sorted(map(str, s)),))
+    return all(space.minimal_open(p) <= s for p in s)
+
+
+def is_partial_homeomorphism(f, src, tgt):
+    """Injective, open image, continuous both ways, checked point by point."""
+    if not is_open_pointwise(src, f.domain):
+        return False, "domain-not-open"
+    if not f.image() <= tgt.points:
+        return False, "values-outside-target"
+    if not f.is_injective():
+        return False, "not-injective"
+    if not is_open_pointwise(tgt, f.image()):
+        return False, "image-not-open"
+    if not is_continuous(f, src, tgt):
+        return False, "not-continuous"
+    if not is_continuous(f.inverse(), tgt, src):
+        return False, "inverse-not-continuous"
+    return True, ""
+
+
+def checked_min_opens(points, min_opens):
+    """The constructor's check of a minimal-open table, one point at a
+    time: every point's open is copied and tested, shared or not."""
+    points = frozenset(points)
+    mins = {p: frozenset(min_opens[p]) for p in points}
+    for p, m in mins.items():
+        if p not in m or not m <= points:
+            raise TopologyError("bad minimal open for %r" % (p,))
+    return mins
+
+
+def min_neighbourhood(space, subset):
+    out = frozenset()
+    for p in subset:
+        out |= space.minimal_open(p)
+    return out
 
 
 def check_groupoid(g):
@@ -244,6 +291,35 @@ def check_double(dg):
         if con is not None and not (con == dg.eps1(e) == dg.eps2(e)):
             out.append("connection not degenerate at unit %s" % (x,))
     return out
+
+
+def chart_for(dg, hol_proj, jr_index, sec, through_cache, strict=True):
+    """Chart of a section, each germ read off the whole product section."""
+    G = dg.edge
+    mapping = {}
+    skipped = 0
+    for sq, thetas in through_cache.items():
+        a = sq.bottom
+        if sq.top not in sec.dom1:
+            continue
+        if G.src(sq.top) not in sec.dom0 or G.tgt(sq.top) not in sec.dom0:
+            continue
+        if not thetas:
+            continue
+        classes = set()
+        for theta in thetas:
+            prod = local_section_mul(dg, sec, theta, check=False)
+            g = germ_at(dg, prod, a)
+            if g not in jr_index:
+                raise HolonomyError("chart germ escaped the generated germs at %s" % (sq,))
+            classes.add(hol_proj.arr_map[g])
+        if len(classes) != 1:
+            if strict:
+                raise HolonomyError("chart value depends on the through-section at %s" % (sq,))
+            skipped += 1
+            continue
+        mapping[sq] = classes.pop()
+    return Chart(sec, mapping), skipped
 
 
 def _inverse_of(chart, h):
@@ -621,6 +697,40 @@ def min_sections_at(dg, a, window=None, smooth=False, pin=None):
     extend(0, {})
     results.sort(key=lambda s: _skey(s._key))
     return results
+
+
+def pinned_search(dg, a, window=None, smooth=False, pin=None):
+    """The library's minimal-domain search as it stood with pins: the
+    shared square-table search over candidates cut down to the pins."""
+    M = sorted(dg.edge.arrow_space().minimal_open(a), key=_skey)
+    source = window if window is not None else dg
+    candidates = {z: [sq for sq in source.with_bottom(z)
+                      if not pin or z not in pin or sq == pin[z]] for z in M}
+    results = []
+    for table in library_square_tables(dg, M, candidates):
+        sec = section_from_squares(dg, frozenset(M), table, window=window, smooth=smooth)
+        if sec is not None:
+            results.append(sec)
+    results.sort(key=lambda s: _skey(s._key))
+    return results
+
+
+def sections_through(dg, wg, w_square, search=min_sections_at):
+    """Through-sections of one square, by a search pinned to it."""
+    return search(dg, w_square.bottom, window=wg, smooth=True,
+                  pin={w_square.bottom: w_square})
+
+
+def has_enough_sections(dg, wg, search=min_sections_at):
+    """One pinned through-section search per window square."""
+    witnesses = {}
+    failures = []
+    for sq in sorted(wg.squares, key=_skey):
+        found = sections_through(dg, wg, sq, search)
+        witnesses[sq] = found[0] if found else None
+        if not found:
+            failures.append(sq)
+    return {"ok": not failures, "witnesses": witnesses, "failures": failures}
 
 
 def square_tables(dg, arrows, candidates):

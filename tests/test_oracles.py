@@ -21,15 +21,18 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import (discrete_item, indiscrete_item, pair_bundle, sierpinski_pairz2_item,
-                      square_axioms, zn_on_itself)
-from holonomy2 import corpus
+                      square_axioms, z4_coset_item, zn_on_itself)
+from holonomy2 import corpus, holonomy
 from holonomy2.dgpd import DoubleGroupoid, Square, build_double_groupoid, check_double
-from holonomy2.fintop import FiniteTopSpace, PartialMap, is_continuous, pullback_space
+from holonomy2.fintop import (FiniteTopSpace, PartialMap, is_continuous, is_partial_homeomorphism,
+                              pullback_space)
 from holonomy2.groupoid import Groupoid, GroupoidMorphism, _skey, check_groupoid
-from holonomy2.holonomy import (Chart, WStructure, _factorizations, build_germ_groupoid,
-                                build_restricted_germs, build_wg, check_chart_coherence,
-                                full_wstructure, holonomy_groupoid, identity_vertical_morphism,
-                                min_sections_at, square_subwindow, square_tables,
+from holonomy2.holonomy import (Chart, WStructure, _chart_for, _factorizations, _product_germ,
+                                build_germ_groupoid, build_restricted_germs, build_wg,
+                                check_chart_coherence, full_wstructure, germ_at,
+                                has_enough_sections, holonomy_groupoid,
+                                identity_vertical_morphism, local_section_mul, min_sections_at,
+                                sections_through, square_subwindow, square_tables,
                                 universal_morphism)
 from holonomy2.homotopy import (LinearSection, enumerate_free_derivations,
                                 enumerate_linear_sections, induced_endomorphism,
@@ -175,6 +178,136 @@ def test_is_continuous_matches_pointwise_scan(data):
     got = outcome(is_continuous, f, src, tgt)
     event("raised" if got[0] == "raised" else "continuous=%s" % got[1])
     assert got == outcome(oracles.is_continuous, f, src, tgt)
+
+
+# ---------------------------------------------------------------------------
+# interned minimal opens against per-point builds and checks
+# ---------------------------------------------------------------------------
+
+
+def assert_interned(space):
+    """One object per distinct minimal open."""
+    first = {}
+    for m in space._min.values():
+        assert first.setdefault(m, m) is m
+
+
+def test_every_constructor_interns_equal_minimal_opens():
+    ab, ab_again = frozenset("ab"), frozenset("ab")
+    assert ab is not ab_again
+    xy = FiniteTopSpace.indiscrete("xy")
+    spaces = {
+        "discrete": FiniteTopSpace.discrete("abc"),
+        "indiscrete": FiniteTopSpace.indiscrete("abc"),
+        "from_opens": FiniteTopSpace.from_opens("abc", [[], ["a", "b"], ["a", "b", "c"]]),
+        "from_generators": FiniteTopSpace.from_generators("abc", [["a", "b"], ["b", "a"]]),
+        "from_min_opens": FiniteTopSpace.from_min_opens(
+            "abc", {"a": ab, "b": ab_again, "c": frozenset("abc")}),
+        "subspace": FiniteTopSpace.indiscrete("abcd").subspace("abc"),
+        "product": xy.product(FiniteTopSpace.discrete("uv")),
+        "pullback_space": pullback_space([xy, xy], list(itertools.product("xy", repeat=2)),
+                                         lambda p: p),
+    }
+    for name, space in spaces.items():
+        assert_interned(space)
+        shared = [p for p in sorted(space.points) if len(space.minimal_open(p)) > 1]
+        assert name == "discrete" or len(shared) > 1, name
+        for p, q in itertools.combinations(shared, 2):
+            if space.minimal_open(p) == space.minimal_open(q):
+                assert space.minimal_open(p) is space.minimal_open(q), name
+    assert spaces["from_min_opens"].minimal_open("a") is spaces["from_min_opens"].minimal_open("b")
+
+
+@ORACLE
+@given(preorders(), st.data())
+def test_constructor_check_matches_per_point_check(space, data):
+    """Tables with a point missing from its own open, a foreign point, a
+    point without an entry, or another point's open: the interned check
+    raises the per-point check's first error, or builds its table."""
+    points = sorted(space.points)
+    table = {p: set(space.minimal_open(p)) for p in points}
+    for p in data.draw(st.lists(st.sampled_from(points), max_size=3)):
+        if p not in table:
+            continue
+        fault = data.draw(st.sampled_from(["drop-self", "foreign", "missing", "borrow"]))
+        if fault == "drop-self":
+            table[p].discard(p)
+        elif fault == "foreign":
+            table[p].add("outside")
+        elif fault == "missing":
+            del table[p]
+        else:
+            table[p] = set(space.minimal_open(data.draw(st.sampled_from(points))))
+    got = outcome(lambda: FiniteTopSpace(points, table)._min)
+    event(kind_of(got) if got[0] == "raised" else "built")
+    assert got == outcome(oracles.checked_min_opens, points, table)
+
+
+@ORACLE
+@given(preorders(), preorders(prefix="q", max_points=3), st.data())
+def test_derived_spaces_are_interned(space, other, data):
+    """Subspaces, products and generated topologies come out interned,
+    and minimal neighbourhoods, unioned once per distinct open, match
+    unioning every point's open; foreign points raise alike."""
+    points = sorted(space.points)
+    subset = data.draw(st.sets(st.sampled_from(points)))
+    gens = data.draw(st.lists(st.sets(st.sampled_from(points)), max_size=6))
+    gens = [list(g) for g in gens + gens[:2]]
+    for derived in (space.subspace(subset), space.product(other),
+                    FiniteTopSpace.from_generators(points, gens)):
+        assert_interned(derived)
+    foreign = subset | {"outside"}
+    assert outcome(space.min_neighbourhood, subset) == \
+        outcome(oracles.min_neighbourhood, space, subset)
+    assert outcome(space.min_neighbourhood, foreign) == \
+        outcome(oracles.min_neighbourhood, space, foreign)
+
+
+@st.composite
+def derived_spaces(draw, prefix):
+    """A random preorder, built from equal opens that are distinct
+    objects, or a subspace of one, or its product with another."""
+    space = draw(preorders(prefix=prefix, max_points=4))
+    kind = draw(st.sampled_from(["space", "subspace", "product"]))
+    if kind == "subspace":
+        return space.subspace(draw(st.sets(st.sampled_from(sorted(space.points)), min_size=1)))
+    if kind == "product":
+        return space.product(draw(preorders(prefix=prefix + "q", max_points=3)))
+    return space
+
+
+@st.composite
+def derived_maps(draw):
+    """A partial map between derived spaces, injective half of the time
+    so that partial homeomorphisms occur."""
+    src, tgt = draw(derived_spaces("a")), draw(derived_spaces("b"))
+    domain = draw(st.sets(st.sampled_from(sorted(src.points)), min_size=1))
+    if draw(st.integers(0, 3)):
+        domain = src.min_neighbourhood(domain)
+    domain, targets = sorted(domain), sorted(tgt.points)
+    if len(domain) <= len(targets) and draw(st.booleans()):
+        values = draw(st.permutations(targets))[:len(domain)]
+    else:
+        values = [draw(st.sampled_from(targets)) for _ in domain]
+    return PartialMap(dict(zip(domain, values))), src, tgt
+
+
+@settings(ORACLE, max_examples=300)
+@given(derived_maps(), st.data())
+def test_interned_predicates_match_per_point_oracles(data, draws):
+    f, src, tgt = data
+    assert_interned(src)
+    assert_interned(tgt)
+    subsets = [f.domain, f.image()] + draws.draw(st.lists(
+        st.sets(st.sampled_from(sorted(src.points))), max_size=4))
+    for s in subsets:
+        assert outcome(src.is_open, s) == outcome(oracles.is_open_pointwise, src, s)
+    got = outcome(is_continuous, f, src, tgt)
+    assert got == outcome(oracles.is_continuous, f, src, tgt)
+    homeo = outcome(is_partial_homeomorphism, f, src, tgt)
+    event("homeomorphism" if homeo == ("ok", (True, "")) else
+          "raised" if got[0] == "raised" else "continuous=%s" % got[1])
+    assert homeo == outcome(oracles.is_partial_homeomorphism, f, src, tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +583,31 @@ def test_restricted_germs_match_resorting_closure(item):
     assert list(fast[2].items()) == list(slow[2].items())
 
 
+@pytest.mark.parametrize("name", ["z2z2", "pairz2", "z4", "pairz2-sierpinski"])
+def test_charts_match_whole_product_germs(name):
+    """Charts whose germs are read on the minimal open alone equal charts
+    whose germs are read off the whole product section; so does every
+    single germ, raised errors included, over every chart section,
+    window square and through-section."""
+    hol = holonomy_model(name)
+    dg, wg = hol.dg, hol.wg
+    through = {sq: sections_through(dg, wg, sq) for sq in sorted(wg.squares, key=_skey)}
+    jr = set(hol.germ_groupoid.arrows)
+    kinds = set()
+    for chart in hol.charts:
+        fast = _chart_for(dg, hol.projection, jr, chart.section, through, strict=False)
+        slow = oracles.chart_for(dg, hol.projection, jr, chart.section, through, strict=False)
+        assert fast[0].mapping == slow[0].mapping == chart.mapping
+        assert fast[1] == slow[1]
+        for sq, thetas in through.items():
+            for theta in thetas:
+                got = outcome(_product_germ, dg, chart.section, theta, sq.bottom)
+                assert got == outcome(lambda: germ_at(dg, local_section_mul(
+                    dg, chart.section, theta, check=False), sq.bottom))
+                kinds.add(got[0] if got[0] == "ok" else got[1])
+    assert "ok" in kinds and len(kinds) > 1
+
+
 @pytest.mark.parametrize("name", ["z4", "pairz2-sierpinski"])
 def test_chart_coherence_matches_linear_scan_on_models(name):
     """Z/4 with a discrete window, and Sierpinski pairz2, whose window
@@ -688,6 +846,56 @@ def test_factorizations_match_deduplicated_scan(name):
 
 
 # ---------------------------------------------------------------------------
+# through-sections: one search per bottom arrow against one per square
+# ---------------------------------------------------------------------------
+
+
+S4_MODELS = {"z3-indiscrete": lambda: indiscrete_item(zn_on_itself(3)),
+             "pairz2-sierpinski": sierpinski_pairz2_item,
+             "z4-coset": z4_coset_item}
+
+
+@pytest.mark.parametrize("name", sorted(S4_MODELS))
+def test_through_sections_match_pinned_search_on_every_square(name, monkeypatch):
+    """Every window square's through-sections, in order, and the S4
+    witnesses and failure order, against a rescanning search pinned to
+    each square; the library searches once per bottom arrow."""
+    cm, w = S4_MODELS[name]()
+    dg = build_double_groupoid(cm)
+    wg = build_wg(dg, w)
+    squares = sorted(wg.squares, key=_skey)
+    searched = []
+
+    def counted(dg, a, *args, **kwargs):
+        searched.append(a)
+        return min_sections_at(dg, a, *args, **kwargs)
+
+    monkeypatch.setattr(holonomy, "min_sections_at", counted)
+    fast = {sq: sections_through(dg, wg, sq) for sq in squares}
+    assert sorted(searched, key=_skey) == sorted({sq.bottom for sq in squares}, key=_skey)
+    assert fast == {sq: oracles.sections_through(dg, wg, sq) for sq in squares}
+    enough = has_enough_sections(dg, wg)
+    assert enough == oracles.has_enough_sections(dg, wg)
+    assert enough["failures"] and len(searched) == len(wg._sections)
+    counts = [len(found) for found in fast.values()]
+    if name == "z4-coset":
+        assert counts.count(2) == 64
+
+
+def test_s1_s5_report_on_z4_indiscrete_matches_per_square_search(monkeypatch):
+    """The whole S1-S5 report on Z/4 indiscrete (256 squares), with one
+    section search per bottom arrow, equals the report with one search
+    pinned to each square."""
+    cm, w = indiscrete_item(zn_on_itself(4))
+    fast = square_axioms(cm, w)[2]
+    monkeypatch.setattr(holonomy, "has_enough_sections", functools.partial(
+        oracles.has_enough_sections, search=oracles.pinned_search))
+    slow = square_axioms(cm, w)[2]
+    assert fast == slow
+    assert not fast["S4"]["enough_sections"] and len(fast["S4"]["missing_sections"]) == 4
+
+
+# ---------------------------------------------------------------------------
 # section searches: one square-table search against the two it replaced
 # ---------------------------------------------------------------------------
 
@@ -759,12 +967,19 @@ def test_linear_sections_and_products_match_oracle(name):
     assert bool(raised) == bool(extra)
 
 
+def pinned_min_sections_at(dg, a, window, smooth, pin):
+    """The sections of ``min_sections_at`` that take the pinned squares."""
+    return [s for s in min_sections_at(dg, a, window, smooth)
+            if all(s.squares[z] == sq for z, sq in (pin or {}).items())]
+
+
 @settings(ORACLE, max_examples=8)
 @given(data=st.data())
 @pytest.mark.parametrize("name", sorted(SECTION_MODELS))
 def test_min_sections_at_matches_rescanning_search(name, data):
     """Every arrow, under a drawn window (none, the whole window, or a
-    random square subwindow), smoothness flag and pinned window square."""
+    random square subwindow), smoothness flag and pinned window square;
+    the fast search has no pins, so its results are filtered by the pin."""
     dg, wg = section_model(name)
     G = dg.edge
     window = data.draw(st.sampled_from([None, wg, "subset"]))
@@ -780,7 +995,7 @@ def test_min_sections_at_matches_rescanning_search(name, data):
             z = data.draw(st.sampled_from(sorted(G.arrow_space().minimal_open(a), key=_skey)))
             if wg.with_bottom(z):
                 pin = {z: data.draw(st.sampled_from(wg.with_bottom(z)))}
-        got = outcome(min_sections_at, dg, a, window, smooth, pin)
+        got = outcome(pinned_min_sections_at, dg, a, window, smooth, pin)
         assert got == outcome(oracles.min_sections_at, dg, a, window, smooth, pin)
         event("sections" if got[0] == "ok" and got[1] else kind_of(got))
 
