@@ -55,7 +55,7 @@ def task_validate(scn, task, opts):
 
 def _xmod_for(scn, task, loc):
     name = task.get("xmod")
-    if name is None or name not in scn.xmods:
+    if not isinstance(name, str) or name not in scn.xmods:
         raise ScenarioError(loc, "missing or unknown 'xmod' %r" % name)
     return name, scn.xmods[name]
 
@@ -121,7 +121,7 @@ def _windowed(scn, task, loc):
     the window squares and their S1-S5 report, built once for the task."""
     name, cm = _xmod_for(scn, task, loc)
     wname = task.get("w")
-    if wname is None or wname not in scn.windows:
+    if not isinstance(wname, str) or wname not in scn.windows:
         raise ScenarioError(loc, "missing or unknown 'w' %r" % wname)
     w, wcm = scn.windows[wname]
     if wcm is not cm:
@@ -162,7 +162,8 @@ def task_universal(scn, task, opts):
     name, cm, wname, w, dg, wg, axioms = _windowed(scn, task, "tasks.universal")
     mu_name = task.get("mu", "identity")
     hol = holonomy_groupoid(dg, wg, axioms)
-    if mu_name == "identity" or scn.morphisms.get(mu_name) == "identity":
+    if isinstance(mu_name, str) and (mu_name == "identity"
+                                     or scn.morphisms.get(mu_name) == "identity"):
         mu = identity_vertical_morphism(hol.dg)
     else:
         raise ScenarioError("tasks.universal", "unsupported morphism %r" % mu_name)
@@ -194,11 +195,14 @@ def _table_dump(g):
 
 
 def _dump(directory, filename, payload):
-    os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, filename)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    try:
+        os.makedirs(directory, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    except OSError as e:
+        raise ScenarioError("--dump", "cannot write %s: %s" % (path, e)) from None
 
 
 TASKS = {"validate": task_validate, "double": task_double, "gamma": task_gamma,

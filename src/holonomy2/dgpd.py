@@ -35,6 +35,16 @@ class DoubleGroupoidError(ValueError):
     pass
 
 
+class VerticalTables(NamedTuple):
+    """The vertical composition on square positions (indices in square
+    order): ``vertical[i][j]`` is the position of the composite of
+    squares i and j, None where they do not compose, and ``neg[i]`` the
+    position of the vertical inverse of square i."""
+    pos: dict
+    vertical: list
+    neg: list
+
+
 class PositionTables(NamedTuple):
     """A double groupoid's squares as their indices in square order.
 
@@ -61,12 +71,15 @@ class DoubleGroupoid:
         self.edge = cm.G
         self.squares = tuple(sorted(set(squares), key=_skey))
         self._square_set = frozenset(self.squares)
+        # square -> its index in square order
+        self.position = {sq: i for i, sq in enumerate(self.squares)}
         self._by_bottom, self._by_top, self._by_left = {}, {}, {}
         for sq in self.squares:
             self._by_bottom.setdefault(sq.bottom, []).append(sq)
             self._by_top.setdefault(sq.top, []).append(sq)
             self._by_left.setdefault(sq.left, []).append(sq)
         self._vertical = self._horizontal = self._positions = None
+        self._vertical_tables = None
         if connection is None:
             connection = {a: self._default_connection(a) for a in self.edge.arrows}
         self.connection = dict(connection)
@@ -167,22 +180,48 @@ class DoubleGroupoid:
                 {a: self.eps2(a) for a in self.edge.arrows})
         return self._horizontal
 
+    def vertical_tables(self):
+        """The vertical view compiled to positions, once; the horizontal
+        view is not built."""
+        if self._vertical_tables is None:
+            view, pos = self.vertical_groupoid(), self.position
+            rows = [[None] * len(pos) for _ in pos]
+            for (u, v), w in view._table.items():
+                rows[pos[u]][pos[v]] = pos[w]
+            neg = [pos[view._neg[sq]] for sq in self.squares]
+            self._vertical_tables = VerticalTables(pos, rows, neg)
+        return self._vertical_tables
+
     def position_tables(self):
         """The squares compiled to positions, once, from the two views."""
         if self._positions is None:
-            pos = {sq: i for i, sq in enumerate(self.squares)}
-            rows = []
-            for view in (self.vertical_groupoid(), self.horizontal_groupoid()):
-                row = [[None] * len(pos) for _ in pos]
-                for (u, v), w in view._table.items():
-                    row[pos[u]][pos[v]] = pos[w]
-                rows.append(row)
+            pos, vertical = self.vertical_tables()[:2]
+            horizontal = [[None] * len(pos) for _ in pos]
+            for (u, v), w in self.horizontal_groupoid()._table.items():
+                horizontal[pos[u]][pos[v]] = pos[w]
             buckets = {}, {}, {}
             for j, sq in enumerate(self.squares):
                 for bucket, key in zip(buckets, (sq.top, sq.left, (sq.top, sq.left))):
                     bucket.setdefault(key, []).append(j)
-            self._positions = PositionTables(pos, *rows, *buckets)
+            self._positions = PositionTables(pos, vertical, horizontal, *buckets)
         return self._positions
+
+    def vcomp(self, u, v):
+        """``comp1(u, v)`` read from the vertical rows.  Where the rows
+        hold no composite (the pair does not compose, or a square is not
+        in the square set) ``comp1`` itself runs, so every error and
+        message is comp1's."""
+        t = self._vertical_tables or self.vertical_tables()
+        i, j = t.pos.get(u), t.pos.get(v)
+        k = None if i is None or j is None else t.vertical[i][j]
+        return self.comp1(u, v) if k is None else self.squares[k]
+
+    def vneg(self, u):
+        """``neg1(u)`` read from the negation row; ``neg1`` itself for a
+        square outside the square set."""
+        t = self._vertical_tables or self.vertical_tables()
+        i = t.pos.get(u)
+        return self.neg1(u) if i is None else self.squares[t.neg[i]]
 
     def __repr__(self):
         return "DoubleGroupoid(%d squares over %d edges)" % (len(self.squares), len(self.edge.arrows))

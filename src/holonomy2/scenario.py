@@ -44,32 +44,43 @@ def load_scenario(source, point_cap=64, arrow_cap=DEFAULT_ARROW_CAP):
     else:
         text = source
         if "\n" not in str(source) and str(source).endswith(".json"):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(source, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except UnicodeDecodeError as e:
+                raise ScenarioError("<file>", "not UTF-8: %s" % e) from None
         try:
             data = json.loads(text)
         except json.JSONDecodeError as e:
             raise ScenarioError("<file>", "not valid JSON: %s" % e) from None
+    if not isinstance(data, dict):
+        raise ScenarioError("<file>", "top level must be a JSON object")
+
+    def named(key):
+        blocks = data.get(key, {})
+        if not isinstance(blocks, dict):
+            raise ScenarioError(key, "must be an object of named blocks")
+        return sorted(blocks.items())
 
     spaces = {}
-    for name, block in sorted(data.get("spaces", {}).items()):
+    for name, block in named("spaces"):
         spaces[name] = _load_space("spaces.%s" % name, block, point_cap)
 
     groupoids = {}
-    for name, block in sorted(data.get("groupoids", {}).items()):
+    for name, block in named("groupoids"):
         groupoids[name] = _load_groupoid("groupoids.%s" % name, block, spaces,
                                          point_cap, arrow_cap)
 
     xmods = {}
-    for name, block in sorted(data.get("xmods", {}).items()):
+    for name, block in named("xmods"):
         xmods[name] = _load_xmod("xmods.%s" % name, block, groupoids)
 
     windows = {}
-    for name, block in sorted(data.get("wstructures", {}).items()):
+    for name, block in named("wstructures"):
         windows[name] = _load_window("wstructures.%s" % name, block, xmods, spaces,
                                      point_cap)
 
-    morphisms = dict(data.get("morphisms", {}))
+    morphisms = dict(named("morphisms"))
 
     tasks = data.get("tasks", [])
     if not isinstance(tasks, list):
@@ -77,6 +88,8 @@ def load_scenario(source, point_cap=64, arrow_cap=DEFAULT_ARROW_CAP):
     for i, task in enumerate(tasks):
         if not isinstance(task, dict) or "task" not in task:
             raise ScenarioError("tasks[%d]" % i, "missing 'task' field")
+        if not isinstance(task["task"], str):
+            raise ScenarioError("tasks[%d].task" % i, "must be a task name")
 
     return Scenario(spaces, groupoids, xmods, windows, morphisms, tasks, data)
 

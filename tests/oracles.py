@@ -16,8 +16,10 @@ germ closure re-sorts the closure for every germ it extends, and
 openness is membership in the materialised open family.  Finite spaces
 are built, checked and queried once per point, as before minimal opens
 were interned; through-sections come from one search pinned to each
-square; a chart multiplies whole sections to read one germ.  The fast
-versions must agree with these, violation order included.
+square; a chart multiplies whole sections to read one germ.  The
+window operations of S3, C1 and C4 test openness and continuity on a
+materialised pair space.  The fast versions must agree with these,
+violation order included.
 """
 
 from __future__ import annotations
@@ -93,6 +95,28 @@ def is_open_pointwise(space, subset):
     if not s <= space.points:
         raise TopologyError("subset %s not within point set" % (sorted(map(str, s)),))
     return all(space.minimal_open(p) <= s for p in s)
+
+
+def window_operation(factors, pairs, op, target):
+    """Openness and continuity of a partial operation on pairs, over the
+    materialised pair space: ``pairs`` as a pullback of ``factors``, the
+    pairs whose value ``op(*pair)`` lands in ``target`` tested for
+    openness, and the operation on them for continuity (None when the
+    set is not open)."""
+    pspace = pullback_space(factors, pairs, lambda p: p)
+    values = {}
+    for p in pairs:
+        value = op(*p)
+        if value in target.points:
+            values[p] = value
+    is_open = pspace.is_open(frozenset(values))
+    cont = None
+    if is_open:
+        try:
+            cont = is_continuous(PartialMap(values), pspace, target)
+        except TopologyError:
+            cont = False
+    return is_open, cont
 
 
 def is_partial_homeomorphism(f, src, tgt):

@@ -3,11 +3,13 @@ import itertools
 
 import pytest
 
+from conftest import zn_on_itself
 from holonomy2 import corpus
 from holonomy2.dgpd import (DoubleGroupoid, DoubleGroupoidError, Square,
                             boundary_triples, build_double_groupoid,
                             check_double, crossed_module_of, square_boundary_ok)
-from holonomy2.groupoid import Groupoid
+from holonomy2.groupoid import Groupoid, _skey
+from holonomy2.holonomy import build_wg, full_wstructure
 from holonomy2.xmod import (CrossedModule, check_crossed_module,
                             check_xmod_morphism, find_xmod_isomorphism)
 
@@ -157,3 +159,19 @@ def test_vertical_and_horizontal_groupoids_valid(z4):
     dg = build_double_groupoid(z4)
     assert check_groupoid(dg.vertical_groupoid()) == []
     assert check_groupoid(dg.horizontal_groupoid()) == []
+
+
+LOOKUP_MODELS = {**corpus.corpus(), "z3": zn_on_itself(3)}
+
+
+@pytest.mark.parametrize("name", sorted(LOOKUP_MODELS))
+def test_position_order_is_skey_order(name):
+    """Square positions follow _skey order, no two squares share a _skey,
+    and a window lists its squares in the same order."""
+    dg = build_double_groupoid(LOOKUP_MODELS[name])
+    keys = [_skey(sq) for sq in dg.squares]
+    assert len(set(keys)) == len(keys)
+    assert keys == sorted(keys)
+    assert [dg.position[sq] for sq in dg.squares] == list(range(len(keys)))
+    wg = build_wg(dg, full_wstructure(dg.cm))
+    assert list(wg.ordered) == sorted(wg.squares, key=_skey)

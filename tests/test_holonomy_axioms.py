@@ -5,7 +5,8 @@ from holonomy2.dgpd import build_double_groupoid
 from holonomy2.fintop import (FiniteTopSpace, PartialMap, TopologyError,
                               is_continuous, pullback_space)
 from holonomy2.groupoid import _skey, generated_subgroupoid
-from holonomy2.holonomy import (HolonomyError, WStructure, _window_operation,
+from holonomy2.holonomy import (HolonomyError, WStructure, _window_differences,
+                                _window_operation, _window_products,
                                 build_wg, check_locally_lie_double,
                                 check_locally_lie_xmod, check_wstructure,
                                 full_wstructure, generation_equivalence,
@@ -248,10 +249,8 @@ def test_shared_report_matches_replaced_blocks(cm, w):
     s3 = axioms["S3"]
     assert (s3["difference_set_open"], s3["difference_continuous"]) == difference
     squares = sorted(wg.squares, key=_skey)
-    assert _window_operation(
-        [wg.space, wg.space],
-        [(u, v) for u in squares for v in squares if u.bottom == v.top],
-        dg.comp1, wg.space) == product
+    products = {(u, v): dg.comp1(u, v) for u in squares for v in squares if u.bottom == v.top}
+    assert _window_operation([wg.space, wg.space], products, wg.space) == product
     if "deductions" in axioms:
         ded = axioms["deductions"]
         assert (ded["product_set_open"], ded["product_continuous"]) == product
@@ -260,3 +259,16 @@ def test_shared_report_matches_replaced_blocks(cm, w):
     c1, c4 = kernel["C1"], kernel["C4"]
     assert (c1["difference_set_open"], c1["difference_continuous"]) == kdiff
     assert (c4["action_set_open"], c4["action_continuous"]) == kaction
+
+
+@pytest.mark.parametrize("cm,w", _oracle_items())
+def test_window_differences_and_products_match_comp1(cm, w):
+    """The table-read S3 differences and deduction products are comp1's,
+    on every pair the suites compose."""
+    dg, wg, _ = square_axioms(cm, w)
+    squares = sorted(wg.squares, key=_skey)
+    assert _window_differences(dg, wg) == {
+        (u, v): dg.comp1(u, dg.neg1(v)) for u in squares for v in squares
+        if u.bottom == v.bottom}
+    assert _window_products(dg, wg) == {
+        (u, v): dg.comp1(u, v) for u in squares for v in squares if u.bottom == v.top}

@@ -5,7 +5,7 @@ import pytest
 
 from holonomy2.dgpd import DoubleGroupoidError, build_double_groupoid
 from holonomy2.fintop import FiniteTopSpace
-from holonomy2.holonomy import (HolonomyError, LocalLinearSection, WStructure,
+from holonomy2.holonomy import (Germ, HolonomyError, LocalLinearSection, WStructure,
                                 build_wg, check_local_section,
                                 check_wstructure, constant_section,
                                 full_wstructure, germ_at, germ_inv, germ_mul,
@@ -206,6 +206,24 @@ def test_germ_products_and_inverses(z4):
     for g in germs[:20]:
         assert germ_mul(dg, g, unit_germ(dg, g.base)) == g
         assert germ_mul(dg, unit_germ(dg, g.source()), g) == g
+
+
+def test_non_composable_germ_product_raises_comp1_error(z4):
+    """A germ product whose values do not compose vertically raises what
+    comp1 raises on those squares, with the same message."""
+    cm, _ = discrete_item(z4)
+    dg = build_double_groupoid(cm)
+    ga = unit_germ(dg, "1")
+    sq = ga.value()
+    # a square on the right base whose bottom is not the top of ga's value
+    bad = next(b for b in dg.squares if b.bottom != sq.top)
+    gb = Germ(sq.top, {z: bad for z in dg.edge.arrow_space().minimal_open(sq.top)})
+    with pytest.raises(DoubleGroupoidError) as want:
+        dg.comp1(bad, sq)
+    with pytest.raises(DoubleGroupoidError) as got:
+        germ_mul(dg, gb, ga)
+    assert str(got.value) == str(want.value)
+    assert "vertical composition undefined" in str(got.value)
 
 
 def test_smoothness_violations_on_window(pairz2):

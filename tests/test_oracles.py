@@ -145,6 +145,74 @@ def test_pullback_shares_minimal_opens():
                 assert space.minimal_open(p) is space.minimal_open(q)
 
 
+@pytest.mark.parametrize("name", sorted(corpus.corpus()))
+def test_vertical_lookups_match_comp1_and_neg1(name):
+    """vcomp and vneg return what comp1 and neg1 return, and raise what
+    they raise with the same message: on every pair of squares, and on a
+    square outside the square set."""
+    dg = build_double_groupoid(corpus.corpus()[name])
+    foreign = dg.squares[-1]._replace(inner="outside")
+    assert not dg.contains(foreign)
+    squares = dg.squares + (foreign,)
+    raised = 0
+    for u in squares:
+        assert outcome(dg.vneg, u) == outcome(dg.neg1, u)
+        for v in squares:
+            got = outcome(dg.vcomp, u, v)
+            assert got == outcome(dg.comp1, u, v)
+            raised += got[0] == "raised"
+    assert raised
+
+
+@st.composite
+def window_operations(draw):
+    """Two factor spaces, a pair set over them, a target space and an
+    operation whose values lie in the target or outside it."""
+    first = draw(preorders(prefix="x", max_points=4))
+    second = draw(preorders(prefix="y", max_points=4))
+    target = draw(preorders(prefix="t", max_points=4))
+    grid = list(itertools.product(sorted(first.points), sorted(second.points)))
+    keep = draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
+    pairs = [p for p, k in zip(grid, keep) if k] or grid[:1]
+    values = draw(st.lists(st.sampled_from(sorted(target.points) + ["outside"]),
+                           min_size=len(pairs), max_size=len(pairs)))
+    return (first, second), dict(zip(pairs, values)), target
+
+
+def window_verdicts(spaces, table, target):
+    """The lazy and the materialised verdicts of one window operation."""
+    fast = outcome(holonomy._window_operation, spaces, table, target)
+    slow = outcome(oracles.window_operation, list(spaces), list(table),
+                   lambda x, y: table[(x, y)], target)
+    return fast, slow
+
+
+@settings(ORACLE, max_examples=300)
+@given(window_operations())
+def test_window_operation_matches_materialised_pair_space(data):
+    fast, slow = window_verdicts(*data)
+    event("raised" if fast[0] == "raised" else "open %s, continuous %s" % fast[1])
+    assert fast == slow
+
+
+def test_window_operation_verdicts_on_hand_cases():
+    """Not open, open but not continuous, open and continuous, and a pair
+    off the factor space: each verdict equals the materialised one."""
+    sierpinski = FiniteTopSpace.from_min_opens("ab", {"a": {"a"}, "b": {"a", "b"}})
+    single = FiniteTopSpace.discrete(["u"])
+    discrete, indiscrete = FiniteTopSpace.discrete(["s", "t"]), FiniteTopSpace.indiscrete(["s", "t"])
+    cases = [
+        ({("a", "u"): "outside", ("b", "u"): "t"}, discrete, ("ok", (False, None))),
+        ({("a", "u"): "s", ("b", "u"): "t"}, discrete, ("ok", (True, False))),
+        ({("a", "u"): "s", ("b", "u"): "t"}, indiscrete, ("ok", (True, True))),
+        ({("a", "u"): "s", ("c", "u"): "t"}, discrete, None),
+    ]
+    for table, target, want in cases:
+        fast, slow = window_verdicts((sierpinski, single), table, target)
+        assert fast == slow
+        assert fast == want if want else fast[0] == "raised"
+
+
 @pytest.mark.parametrize("item", [discrete_item(corpus.z2z2()), indiscrete_item(corpus.pairz2()),
                                   sierpinski_pairz2_item(), discrete_item(corpus.z4_interior())],
                          ids=["z2z2-discrete", "pairz2-indiscrete", "pairz2-sierpinski", "z4-discrete"])
@@ -606,6 +674,18 @@ def test_charts_match_whole_product_germs(name):
                     dg, chart.section, theta, check=False), sq.bottom))
                 kinds.add(got[0] if got[0] == "ok" else got[1])
     assert "ok" in kinds and len(kinds) > 1
+
+
+@pytest.mark.parametrize("name", ["z2z2", "pairz2", "z4", "pairz2-sierpinski"])
+def test_chart_topology_is_generated_by_every_basic_open(name):
+    """The holonomy topology is the one generated by the chart image of
+    every window square's basic open, listed in square order, repeats
+    included."""
+    hol = holonomy_model(name)
+    basis = [frozenset(chart.mapping[t] for t in hol.wg.space.minimal_open(sq) & chart.domain)
+             for chart in hol.charts for sq in sorted(chart.domain, key=_skey)]
+    assert hol.topology == FiniteTopSpace.from_generators(hol.quotient.arrows, basis,
+                                                          point_cap=None)
 
 
 @pytest.mark.parametrize("name", ["z4", "pairz2-sierpinski"])

@@ -2,6 +2,7 @@ import glob
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from holonomy2.xmod import XModError
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 EXPECTED = os.path.join(os.path.dirname(__file__), "..", "perfbench", "expected.json")
+WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
 
 
 def scenario_path(name):
@@ -195,13 +197,28 @@ def test_byte_identical_across_processes():
     assert a.stdout == b.stdout
 
 
-@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SCENARIOS, "*.json"))),
-                         ids=os.path.basename)
-def test_cli_report_matches_recorded_golden(path, capsys):
+def workload_inputs(workload, out_dir):
+    """The benchmark's seed-0 input files for a workload, written to
+    ``out_dir`` by its generator (run without importing the benchmark
+    package, so nothing is written next to it)."""
+    make_inputs = runpy.run_path(WORKLOADS)["make_inputs"]
+    return [str(p) for p in make_inputs(workload, 0, SCENARIOS, out_dir)]
+
+
+GOLDEN = ([pytest.param("corpus", path, id=os.path.basename(path))
+           for path in sorted(glob.glob(os.path.join(SCENARIOS, "*.json")))]
+          + [pytest.param(w, None, id=w + ".json") for w in ("z3-discrete", "z3-indiscrete")])
+
+
+@pytest.mark.parametrize("workload,path", GOLDEN)
+def test_cli_report_matches_recorded_golden(workload, path, tmp_path, capsys):
     """Default JSON reports are byte-identical to the benchmark's seed-0
-    recordings (exit code and sha256 of stdout)."""
+    recordings (exit code and sha256 of stdout): the five scenarios, and
+    the generated Z/3 models with discrete and indiscrete topologies."""
+    if path is None:
+        [path] = workload_inputs(workload, tmp_path)
     with open(EXPECTED, encoding="utf-8") as fh:
-        golden = json.load(fh)["corpus"][os.path.basename(path)]
+        golden = json.load(fh)[workload][os.path.basename(path)]
     code, out = run_cli(["--scenario", path, "--format", "json"], capsys)
     assert code == golden["exit"]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden["sha256"]
@@ -320,3 +337,50 @@ def test_failed_double_groupoid_build_fails_each_task_that_needs_it(monkeypatch,
     assert code == 1 and len(calls) == 4
     assert [t["ok"] for t in tasks] == [True, False, False, False, False]
     assert all(t["details"] == {"error": "odd model"} for t in tasks[1:])
+
+
+def _bad_input(kind, tmp_path):
+    """CLI arguments for one malformed input of the given kind."""
+    base = "universal_z2z2.json" if kind == "mu-list" else "z2z2.json"
+    with open(scenario_path(base), encoding="utf-8") as fh:
+        data = json.load(fh)
+    path = tmp_path / "bad.json"
+    extra = []
+    if kind == "top-level-array":
+        data = [data]
+    elif kind == "non-utf8":
+        path.write_bytes(b'{"tasks": "\xff\xfe"}')
+        data = None
+    elif kind.endswith(("-list", "-string")) and kind.split("-")[0] in ("groupoids", "spaces",
+                                                                         "xmods"):
+        key = kind.split("-")[0]
+        data[key] = [] if kind.endswith("-list") else key
+    elif kind == "morphisms-number":
+        data["morphisms"] = 5
+    elif kind in ("xmod-list", "w-list", "mu-list"):
+        field = kind.split("-")[0]
+        task = next(t for t in data["tasks"] if t["task"] in ("holonomy", "universal"))
+        task[field] = [task.get(field, "identity")]
+    elif kind == "task-name-list":
+        data["tasks"][0]["task"] = [data["tasks"][0]["task"]]
+    elif kind == "dump-blocked":
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        extra = ["--dump", str(blocker / "dumps"), "--task", "double"]
+    if data is not None:
+        path.write_text(json.dumps(data), encoding="utf-8")
+    return ["--scenario", str(path), "--format", "json"] + extra
+
+
+@pytest.mark.parametrize("kind", [
+    "top-level-array", "non-utf8",
+    "groupoids-list", "groupoids-string", "spaces-list", "spaces-string",
+    "xmods-list", "xmods-string", "morphisms-number",
+    "xmod-list", "w-list", "mu-list", "task-name-list", "dump-blocked"])
+def test_cli_malformed_input_exits_2_with_an_error_report(kind, tmp_path, capsys):
+    """Bad input ends in exit 2 and the usual error report, never a traceback."""
+    code, out = run_cli(_bad_input(kind, tmp_path), capsys)
+    assert code == 2
+    report = json.loads(out)
+    assert set(report) == {"error", "ok"} and report["ok"] is False
+    assert isinstance(report["error"], str) and report["error"]
