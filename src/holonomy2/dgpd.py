@@ -10,6 +10,12 @@ target = bottom); the horizontal structure composes left-to-right
 (source = left, target = right).  Both are groupoids over the edge
 groupoid, and a connection assigns to each edge a canonical corner
 square satisfying the transport law.
+
+Each view is built once per double groupoid and compiles its own
+position tables once (``Groupoid.tables``); since both views list the
+squares in square order, a square's position is the same in either.
+``check_double`` and the vertical lookups ``vcomp``/``vneg`` read those
+tables; nothing here compiles a table of its own.
 """
 
 from __future__ import annotations
@@ -35,30 +41,6 @@ class DoubleGroupoidError(ValueError):
     pass
 
 
-class VerticalTables(NamedTuple):
-    """The vertical composition on square positions (indices in square
-    order): ``vertical[i][j]`` is the position of the composite of
-    squares i and j, None where they do not compose, and ``neg[i]`` the
-    position of the vertical inverse of square i."""
-    pos: dict
-    vertical: list
-    neg: list
-
-
-class PositionTables(NamedTuple):
-    """A double groupoid's squares as their indices in square order.
-
-    ``vertical[i][j]`` and ``horizontal[i][j]`` are the positions of the
-    composites of squares i and j, None where they do not compose; the
-    buckets list positions in square order."""
-    pos: dict
-    vertical: list
-    horizontal: list
-    by_top: dict
-    by_left: dict
-    by_top_left: dict
-
-
 # what comp1/comp2/neg1/neg2 raise on squares that do not compose
 COMPOSITION_ERRORS = (DoubleGroupoidError, GroupoidError, XModError)
 
@@ -71,15 +53,12 @@ class DoubleGroupoid:
         self.edge = cm.G
         self.squares = tuple(sorted(set(squares), key=_skey))
         self._square_set = frozenset(self.squares)
-        # square -> its index in square order
-        self.position = {sq: i for i, sq in enumerate(self.squares)}
         self._by_bottom, self._by_top, self._by_left = {}, {}, {}
         for sq in self.squares:
             self._by_bottom.setdefault(sq.bottom, []).append(sq)
             self._by_top.setdefault(sq.top, []).append(sq)
             self._by_left.setdefault(sq.left, []).append(sq)
-        self._vertical = self._horizontal = self._positions = None
-        self._vertical_tables = None
+        self._vertical = self._horizontal = None
         if connection is None:
             connection = {a: self._default_connection(a) for a in self.edge.arrows}
         self.connection = dict(connection)
@@ -180,48 +159,22 @@ class DoubleGroupoid:
                 {a: self.eps2(a) for a in self.edge.arrows})
         return self._horizontal
 
-    def vertical_tables(self):
-        """The vertical view compiled to positions, once; the horizontal
-        view is not built."""
-        if self._vertical_tables is None:
-            view, pos = self.vertical_groupoid(), self.position
-            rows = [[None] * len(pos) for _ in pos]
-            for (u, v), w in view._table.items():
-                rows[pos[u]][pos[v]] = pos[w]
-            neg = [pos[view._neg[sq]] for sq in self.squares]
-            self._vertical_tables = VerticalTables(pos, rows, neg)
-        return self._vertical_tables
-
-    def position_tables(self):
-        """The squares compiled to positions, once, from the two views."""
-        if self._positions is None:
-            pos, vertical = self.vertical_tables()[:2]
-            horizontal = [[None] * len(pos) for _ in pos]
-            for (u, v), w in self.horizontal_groupoid()._table.items():
-                horizontal[pos[u]][pos[v]] = pos[w]
-            buckets = {}, {}, {}
-            for j, sq in enumerate(self.squares):
-                for bucket, key in zip(buckets, (sq.top, sq.left, (sq.top, sq.left))):
-                    bucket.setdefault(key, []).append(j)
-            self._positions = PositionTables(pos, vertical, horizontal, *buckets)
-        return self._positions
-
     def vcomp(self, u, v):
-        """``comp1(u, v)`` read from the vertical rows.  Where the rows
-        hold no composite (the pair does not compose, or a square is not
-        in the square set) ``comp1`` itself runs, so every error and
+        """``comp1(u, v)`` read from the vertical view's rows.  Where the
+        rows hold no composite (the pair does not compose, or a square is
+        not in the square set) ``comp1`` itself runs, so every error and
         message is comp1's."""
-        t = self._vertical_tables or self.vertical_tables()
-        i, j = t.pos.get(u), t.pos.get(v)
-        k = None if i is None or j is None else t.vertical[i][j]
+        pos, rows = (self._vertical or self.vertical_groupoid()).tables()[:2]
+        i, j = pos.get(u), pos.get(v)
+        k = None if i is None or j is None else rows[i][j]
         return self.comp1(u, v) if k is None else self.squares[k]
 
     def vneg(self, u):
-        """``neg1(u)`` read from the negation row; ``neg1`` itself for a
-        square outside the square set."""
-        t = self._vertical_tables or self.vertical_tables()
-        i = t.pos.get(u)
-        return self.neg1(u) if i is None else self.squares[t.neg[i]]
+        """``neg1(u)`` read from the vertical view's negation row;
+        ``neg1`` itself for a square outside the square set."""
+        pos, _, neg, _ = (self._vertical or self.vertical_groupoid()).tables()
+        i = pos.get(u)
+        return self.neg1(u) if i is None else self.squares[neg[i]]
 
     def __repr__(self):
         return "DoubleGroupoid(%d squares over %d edges)" % (len(self.squares), len(self.edge.arrows))
@@ -272,7 +225,9 @@ def check_double(dg):
     """All violated double-groupoid and connection axioms.
 
     Interchange quadruples are enumerated, in square order, through the
-    position tables of the double groupoid.
+    tables of the two square views: both list the squares in square
+    order, the vertical source is the top edge and the horizontal source
+    the left edge.
     """
     out = []
     G = dg.edge
@@ -280,19 +235,23 @@ def check_double(dg):
     for sq in squares:
         if not square_boundary_ok(dg.cm, sq):
             out.append("boundary equation fails for %s" % (sq,))
-    for v in check_groupoid(dg.vertical_groupoid()):
+    vert, horiz = dg.vertical_groupoid(), dg.horizontal_groupoid()
+    for v in check_groupoid(vert):
         out.append("vertical: %s" % v)
-    for v in check_groupoid(dg.horizontal_groupoid()):
+    for v in check_groupoid(horiz):
         out.append("horizontal: %s" % v)
     # Closure and the faces of composites need no check: the Groupoid
     # constructor of each view rejects a composite outside the square
     # set, and comp1/comp2 set the faces by the morphism formula.
-    t = dg.position_tables()
-    vt, ht, by_top_left = t.vertical, t.horizontal, t.by_top_left
+    _, vt, _, by_top = vert.tables()
+    _, ht, _, by_left = horiz.tables()
+    by_top_left = {}
+    for j, sq in enumerate(squares):
+        by_top_left.setdefault((sq.top, sq.left), []).append(j)
     # interchange on all valid quadruples
     for i, u in enumerate(squares):
-        u2s, u_vrow, u_hrow = t.by_top.get(u.bottom, ()), vt[i], ht[i]
-        for j in t.by_left.get(u.right, ()):
+        u2s, u_vrow, u_hrow = by_top.get(u.bottom, ()), vt[i], ht[i]
+        for j in by_left.get(u.right, ()):
             v, uv_row, v_row = squares[j], vt[u_hrow[j]], vt[j]
             for i2 in u2s:
                 uu2_row, u2_row = ht[u_vrow[i2]], ht[i2]

@@ -56,7 +56,7 @@ class Groupoid:
             arr_space, obj_space = topology
             if arr_space.points != aset or obj_space.points != oset:
                 raise GroupoidError("topology points do not match arrows/objects")
-        self._fibers = None
+        self._fibers = self._tables = None
         self._discrete_arrows = self._discrete_objects = None
 
     # -- derivation of missing structure (for lenient loading) ---------
@@ -139,6 +139,26 @@ class Groupoid:
                 self._fibers.setdefault(self._tgt[a], []).append(a)
         return tuple(self._fibers.get(x, ()))
 
+    def tables(self):
+        """The composition compiled to arrow positions (indices in arrow
+        order), once: ``(pos, rows, neg, by_src)``.  ``pos`` maps each
+        arrow to its position, ``rows[i][j]`` is the position of
+        a_i + a_j (None exactly where ``add`` raises), ``neg[i]`` the
+        position of -a_i (None where ``neg`` raises) and ``by_src`` maps
+        an object to the positions of the arrows out of it, in arrow
+        order."""
+        if self._tables is None:
+            pos = {a: i for i, a in enumerate(self.arrows)}
+            rows = [[None] * len(pos) for _ in pos]
+            for (a, b), c in self._table.items():
+                rows[pos[a]][pos[b]] = pos[c]
+            neg = [pos[self._neg[a]] if a in self._neg else None for a in self.arrows]
+            by_src = {}
+            for i, a in enumerate(self.arrows):
+                by_src.setdefault(self._src[a], []).append(i)
+            self._tables = pos, rows, neg, by_src
+        return self._tables
+
     def arrow_space(self):
         if self.topology is not None:
             return self.topology[0]
@@ -159,10 +179,11 @@ class Groupoid:
                         topology=(arrow_space, object_space))
 
     def composable_pairs(self):
-        for a in self.arrows:
-            for b in self.arrows:
-                if self.composable(a, b):
-                    yield a, b
+        """Every (a, b) with tgt(a) == src(b), in arrow order of a, then of b."""
+        arrows, by_src = self.arrows, self.tables()[3]
+        for a in arrows:
+            for j in by_src.get(self._tgt[a], ()):
+                yield a, arrows[j]
 
     def __repr__(self):
         return "Groupoid(%d objects, %d arrows)" % (len(self.objects), len(self.arrows))
@@ -184,17 +205,12 @@ def check_groupoid(g):
             continue
         if src[c] != src[a] or tgt[c] != tgt[b]:
             out.append("composition endpoints: %s+%s=%s has wrong src/tgt" % (a, b, c))
-    # arrows by position, the table as rows (rows[i][j] = position of
-    # a_i + a_j) and a source index of positions in arrow order
-    pos = {a: i for i, a in enumerate(arrows)}
-    by_src, rows = {}, [{} for _ in arrows]
+    # the table as rows of positions, from the groupoid's own tables
+    _, rows, _, by_src = g.tables()
     for i, a in enumerate(arrows):
-        by_src.setdefault(src[a], []).append(i)
-    for (a, b), c in g._table.items():
-        rows[pos[a]][pos[b]] = pos[c]
-    for i, a in enumerate(arrows):
+        row = rows[i]
         for j in by_src.get(tgt[a], ()):
-            if j not in rows[i]:
+            if row[j] is None:
                 out.append("composition missing: %s+%s (tgt=src=%s)" % (a, arrows[j], tgt[a]))
     for x in g.objects:
         if x not in g._units:
@@ -225,13 +241,13 @@ def check_groupoid(g):
     for i, a in enumerate(arrows):
         a_row = rows[i]
         for j in by_src.get(tgt[a], ()):
-            ab = a_row.get(j)
+            ab = a_row[j]
             if ab is None:
                 continue
             ab_row, b_row = rows[ab], rows[j]
             for k in by_src.get(tgt[arrows[j]], ()):
-                bc = b_row.get(k)
-                if bc is not None and ab_row.get(k) != a_row.get(bc):
+                bc = b_row[k]
+                if bc is not None and ab_row[k] != a_row[bc]:
                     out.append("associativity fails at (%s,%s,%s)" % (a, arrows[j], arrows[k]))
     if g.topology is not None:
         out.extend(_continuity_report(g))
@@ -322,6 +338,7 @@ def check_groupoid_morphism(m, src, tgt):
 
 def generated_subgroupoid(g, seed):
     """Least arrow subset containing the seed and all units, closed under + and -."""
+    arrows, by_src = g.arrows, g.tables()[3]
     closure = set(g.units()) | set(seed)
     frontier = True
     while frontier:
@@ -332,8 +349,9 @@ def generated_subgroupoid(g, seed):
                 closure.add(n)
                 frontier = True
         for a in list(closure):
-            for b in list(closure):
-                if g.composable(a, b):
+            for j in by_src.get(g.tgt(a), ()):
+                b = arrows[j]
+                if b in closure:
                     c = g.add(a, b)
                     if c not in closure:
                         closure.add(c)
@@ -356,14 +374,15 @@ class NormalSubgroupoid:
         for x in g.objects:
             if g.unit(x) not in self.arrows:
                 out.append("not wide: unit at %s missing" % (x,))
-        for n in sorted(self.arrows, key=_skey):
+        members = sorted(self.arrows, key=_skey)
+        for n in members:
             if g.neg(n) not in self.arrows:
                 out.append("not closed under negation at %s" % (n,))
-        for n in sorted(self.arrows, key=_skey):
-            for m in sorted(self.arrows, key=_skey):
+        for n in members:
+            for m in members:
                 if g.composable(n, m) and g.add(n, m) not in self.arrows:
                     out.append("not closed under composition at (%s,%s)" % (n, m))
-        for n in sorted(self.arrows, key=_skey):
+        for n in members:
             for a in g.arrows:
                 # conjugate -a + n + a, defined when n is a loop at src(a)
                 if g.src(a) == g.src(n) and g.src(n) == g.tgt(n):

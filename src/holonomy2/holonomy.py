@@ -103,7 +103,9 @@ class WGSquares:
         self.space = space
         if space.points != self.squares:
             raise HolonomyError("square window space points mismatch")
-        self.ordered = tuple(sorted(self.squares, key=dg.position.__getitem__))
+        self.ordered = tuple(sq for sq in dg.squares if sq in self.squares)
+        if len(self.ordered) != len(self.squares):
+            raise HolonomyError("window squares outside the double groupoid")
         self._by_bottom = {}
         for sq in self.ordered:
             self._by_bottom.setdefault(sq.bottom, []).append(sq)
@@ -752,7 +754,7 @@ def check_locally_lie_double(dg, wg, deduction_triples=120):
 def _window_differences(dg, wg):
     """u -1 v = u +1 (-1 v) for every pair of window squares with a
     common bottom edge, read from the vertical table."""
-    pos, rows, neg = dg.vertical_tables()
+    pos, rows, neg, _ = dg.vertical_groupoid().tables()
     squares = dg.squares
     out = {}
     for same_bottom in wg._by_bottom.values():
@@ -767,7 +769,7 @@ def _window_differences(dg, wg):
 def _window_products(dg, wg):
     """u +1 v for every pair of window squares with the bottom of u the
     top of v, read from the vertical table."""
-    pos, rows = dg.vertical_tables()[:2]
+    pos, rows = dg.vertical_groupoid().tables()[:2]
     squares = dg.squares
     by_top = {}
     for sq in wg.ordered:
@@ -912,7 +914,8 @@ def generation_equivalence(cm, w_arrows, dg):
     lhs = (generated_subgroupoid(C, w_arrows) == set(C.arrows)
            and is_equivariant(cm, w_arrows))
     vert = dg.vertical_groupoid()
-    wg_squares = [sq for sq in dg.squares if sq.inner in set(w_arrows)]
+    w_set = set(w_arrows)
+    wg_squares = [sq for sq in dg.squares if sq.inner in w_set]
     rhs = generated_subgroupoid(vert, wg_squares) == set(dg.squares)
     orbit = action_orbit_closure(cm, w_arrows)
     orbit_side = generated_subgroupoid(C, orbit) == set(C.arrows)
@@ -1170,6 +1173,9 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
     if bad:
         raise HolonomyError("germ groupoid invalid: %s" % bad[0])
     jr, seed, witness = build_restricted_germs(dg, wg, J, j_witness)
+    # nothing below reads J: drop it and its compiled tables now, so they
+    # do not add to the peak memory of the quotient and the charts
+    del J, j_witness
     unit_sub = build_unit_germs(dg, wg, jr, seed)
     hol_raw, proj_raw = quotient(jr, unit_sub)
     if len(hol_raw.objects) != len(jr.objects) or any(len(o) != 1 for o in hol_raw.objects):
@@ -1279,7 +1285,7 @@ def check_chart_coherence(hol):
     for chart in hol.charts:
         if len(set(chart.mapping.values())) != len(chart.mapping):
             out["violations"].append("chart of %r not injective" % (chart.section,))
-    pos, vert = dg.vertical_tables()[:2]
+    pos, vert = dg.vertical_groupoid().tables()[:2]
     squares = dg.squares
     # each chart's squares as positions in square order, and its inverse:
     # class -> position, where on a non-injective chart the first wins
@@ -1519,13 +1525,14 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
                           and hol.quotient.src(h) == sq.top
                           and hol.quotient.tgt(h) == sq.bottom]
     # each composable pair (u, v, u+v) is checked at the depth of its last
-    # member, in (u, v) square order
-    pos = {sq: i for i, sq in enumerate(squares)}
+    # member, in (u, v) square order, read from the vertical rows of the
+    # source (its arrows are the squares, in square order)
+    _, rows, _, by_top = vertA.tables()
     pairs_at = [[] for _ in squares]
-    for u in squares:
-        for v in dgA.with_top(u.bottom):
-            uv = vertA.add(u, v)
-            pairs_at[max(pos[u], pos[v], pos[uv])].append((u, v, uv))
+    for i, u in enumerate(squares):
+        row = rows[i]
+        for j in by_top.get(u.bottom, ()):
+            pairs_at[max(i, j, row[j])].append((u, squares[j], squares[row[j]]))
     # depth first, with an explicit stack of fibre iterators so that the
     # depth (one level per square) is not bounded by the recursion limit;
     # a node is counted when it is entered, and two solutions end it

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import settings
 
@@ -44,6 +46,19 @@ def zn_on_itself(n):
     G, C = corpus.cyclic_groupoid(n), corpus.cyclic_groupoid(n, prefix="c")
     return CrossedModule(C, G, {"c%d" % i: str(i) for i in range(n)},
                          {(c, a): c for c in C.arrows for a in G.arrows})
+
+
+@functools.cache
+def corpus_groupoids():
+    """The kernel and edge groupoids of every corpus crossed module and
+    both square views of its double groupoid, by name."""
+    out = {}
+    for name, cm in corpus.corpus().items():
+        dg = build_double_groupoid(cm)
+        out.update({name + ".C": cm.C, name + ".G": cm.G,
+                    name + ".vertical": dg.vertical_groupoid(),
+                    name + ".horizontal": dg.horizontal_groupoid()})
+    return out
 
 
 def pair_bundle(points, n):

@@ -12,7 +12,8 @@ assigned pair at every node.  The section searches are kept as they
 were before the shared square-table search: a global linear section
 search and a minimal-domain search that rescan every assigned pair at
 every node, and a global section product with its own formula.  The
-germ closure re-sorts the closure for every germ it extends, and
+germ closure re-sorts the closure for every germ it extends, a
+generated subgroupoid tries every pair of its members, and
 openness is membership in the materialised open family.  Finite spaces
 are built, checked and queried once per point, as before minimal opens
 were interned; through-sections come from one search pinned to each
@@ -30,7 +31,7 @@ from holonomy2.dgpd import (COMPOSITION_ERRORS, DoubleGroupoidError, build_doubl
                             square_boundary_ok)
 from holonomy2.fintop import FiniteTopSpace, PartialMap, TopologyError
 from holonomy2.groupoid import (Groupoid, GroupoidMorphism, _continuity_report, _skey,
-                                check_groupoid_morphism, generated_subgroupoid)
+                                check_groupoid_morphism)
 from holonomy2.holonomy import (_MODEL_ERRORS, Chart, HolonomyError, build_wg, constant_section,
                                 germ_at, unit_germ, window_germs,
                                 left_translation, local_section_inv,
@@ -168,9 +169,10 @@ def check_groupoid(g):
             continue
         if g.src(c) != g.src(a) or g.tgt(c) != g.tgt(b):
             out.append("composition endpoints: %s+%s=%s has wrong src/tgt" % (a, b, c))
-    for a, b in g.composable_pairs():
-        if (a, b) not in g._table:
-            out.append("composition missing: %s+%s (tgt=src=%s)" % (a, b, g.tgt(a)))
+    for a in g.arrows:
+        for b in g.arrows:
+            if g.composable(a, b) and (a, b) not in g._table:
+                out.append("composition missing: %s+%s (tgt=src=%s)" % (a, b, g.tgt(a)))
     for x in g.objects:
         if x not in g._units:
             out.append("unit missing at object %s" % (x,))
@@ -210,6 +212,29 @@ def check_groupoid(g):
     if g.topology is not None:
         out.extend(_continuity_report(g))
     return out
+
+
+def generated_subgroupoid(g, seed):
+    """Least arrow subset containing the seed and all units, closed under
+    + and -: every pair of closure members is tried, pass after pass,
+    until a pass adds nothing."""
+    closure = set(g.units()) | set(seed)
+    frontier = True
+    while frontier:
+        frontier = False
+        for a in list(closure):
+            n = g.neg(a)
+            if n not in closure:
+                closure.add(n)
+                frontier = True
+        for a in list(closure):
+            for b in list(closure):
+                if g.composable(a, b):
+                    c = g.add(a, b)
+                    if c not in closure:
+                        closure.add(c)
+                        frontier = True
+    return frozenset(closure)
 
 
 def vertical_groupoid(dg):

@@ -3,13 +3,13 @@ import itertools
 
 import pytest
 
-from conftest import zn_on_itself
+from conftest import corpus_groupoids, discrete_item, zn_on_itself
 from holonomy2 import corpus
 from holonomy2.dgpd import (DoubleGroupoid, DoubleGroupoidError, Square,
                             boundary_triples, build_double_groupoid,
                             check_double, crossed_module_of, square_boundary_ok)
-from holonomy2.groupoid import Groupoid, _skey
-from holonomy2.holonomy import build_wg, full_wstructure
+from holonomy2.groupoid import Groupoid, GroupoidError, _skey
+from holonomy2.holonomy import build_germ_groupoid, build_wg, full_wstructure
 from holonomy2.xmod import (CrossedModule, check_crossed_module,
                             check_xmod_morphism, find_xmod_isomorphism)
 
@@ -167,11 +167,67 @@ LOOKUP_MODELS = {**corpus.corpus(), "z3": zn_on_itself(3)}
 @pytest.mark.parametrize("name", sorted(LOOKUP_MODELS))
 def test_position_order_is_skey_order(name):
     """Square positions follow _skey order, no two squares share a _skey,
-    and a window lists its squares in the same order."""
+    both square views give a square the same position, and a window
+    lists its squares in the same order."""
     dg = build_double_groupoid(LOOKUP_MODELS[name])
     keys = [_skey(sq) for sq in dg.squares]
     assert len(set(keys)) == len(keys)
     assert keys == sorted(keys)
-    assert [dg.position[sq] for sq in dg.squares] == list(range(len(keys)))
+    vert, horiz = dg.vertical_groupoid(), dg.horizontal_groupoid()
+    assert vert.arrows == horiz.arrows == dg.squares
+    for view in (vert, horiz):
+        pos = view.tables()[0]
+        assert [pos[sq] for sq in dg.squares] == list(range(len(keys)))
     wg = build_wg(dg, full_wstructure(dg.cm))
     assert list(wg.ordered) == sorted(wg.squares, key=_skey)
+
+
+def _tables_models():
+    """Every corpus groupoid, both views of each corpus double groupoid,
+    the germ groupoid J of Z/3 under the discrete topology, and the pair
+    groupoid on two points with a composite and a negation dropped and an
+    entry on a non-composable pair."""
+    out = dict(corpus_groupoids())
+    out["z3-discrete.J"] = build_germ_groupoid(
+        build_double_groupoid(discrete_item(zn_on_itself(3))[0]))[0]
+    pair = corpus.pair_groupoid("xy")
+    table, neg = dict(pair._table), dict(pair._neg)
+    del table[("xy", "yx")], neg["yx"]
+    table[("xy", "xy")] = "xx"
+    out["pair-broken"] = Groupoid(pair.objects, pair.arrows, pair._src, pair._tgt, table, neg,
+                                  pair._units)
+    return out
+
+
+def test_tables_agree_with_add_neg_and_src():
+    """Each groupoid compiles its tables once; the rows hold a position
+    exactly where add is defined and None exactly where it raises, the
+    negation row likewise, the buckets list the arrows out of each object
+    in arrow order, and composable_pairs is the filter over all pairs."""
+    models = _tables_models()
+    for name, g in models.items():
+        tables = g.tables()
+        assert g.tables() is tables, name
+        pos, rows, neg, by_src = tables
+        assert list(pos.items()) == [(a, i) for i, a in enumerate(g.arrows)], name
+        for i, a in enumerate(g.arrows):
+            for j, b in enumerate(g.arrows):
+                try:
+                    want = pos[g.add(a, b)]
+                except GroupoidError:
+                    want = None
+                assert rows[i][j] == want, (name, a, b)
+            try:
+                want = pos[g.neg(a)]
+            except GroupoidError:
+                want = None
+            assert neg[i] == want, (name, a)
+        buckets = {}
+        for i, a in enumerate(g.arrows):
+            buckets.setdefault(g.src(a), []).append(i)
+        assert by_src == buckets, name
+        assert list(g.composable_pairs()) == [
+            (a, b) for a in g.arrows for b in g.arrows if g.composable(a, b)], name
+    pos, rows, neg, _ = models["pair-broken"].tables()
+    assert rows[pos["xy"]][pos["yx"]] is None and neg[pos["yx"]] is None
+    assert rows[pos["xy"]][pos["xy"]] == pos["xx"]

@@ -75,6 +75,15 @@ def test_s2_fails_without_identities(z4):
     assert not rep["S2"]["ok"] and rep["S2"]["witnesses"]
 
 
+def test_window_squares_outside_the_double_groupoid_rejected(z4):
+    cm, _ = discrete_item(z4)
+    dg = build_double_groupoid(cm)
+    from holonomy2.holonomy import WGSquares
+    squares = [dg.squares[0], dg.squares[0]._replace(inner="outside")]
+    with pytest.raises(HolonomyError, match="outside the double groupoid"):
+        WGSquares(dg, squares, FiniteTopSpace.discrete(squares))
+
+
 def test_s1_s5_on_z4_window(z4):
     cm, _ = discrete_item(z4)
     dg = build_double_groupoid(cm)

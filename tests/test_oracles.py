@@ -20,13 +20,14 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (discrete_item, indiscrete_item, pair_bundle, sierpinski_pairz2_item,
-                      square_axioms, z4_coset_item, zn_on_itself)
+from conftest import (corpus_groupoids, discrete_item, indiscrete_item, pair_bundle,
+                      sierpinski_pairz2_item, square_axioms, z4_coset_item, zn_on_itself)
 from holonomy2 import corpus, holonomy
 from holonomy2.dgpd import DoubleGroupoid, Square, build_double_groupoid, check_double
 from holonomy2.fintop import (FiniteTopSpace, PartialMap, is_continuous, is_partial_homeomorphism,
                               pullback_space)
-from holonomy2.groupoid import Groupoid, GroupoidMorphism, _skey, check_groupoid
+from holonomy2.groupoid import (Groupoid, GroupoidMorphism, _skey, check_groupoid,
+                                generated_subgroupoid)
 from holonomy2.holonomy import (Chart, WStructure, _chart_for, _factorizations, _product_germ,
                                 build_germ_groupoid, build_restricted_germs, build_wg,
                                 check_chart_coherence, full_wstructure, germ_at,
@@ -461,6 +462,83 @@ def test_check_groupoid_matches_on_z3_square_views():
     for g in (vert, dg.horizontal_groupoid(), broken):
         assert check_groupoid(g) == oracles.check_groupoid(g)
     assert check_groupoid(broken)
+
+
+PERTURBATIONS = ("drop", "redirect", "endpoints", "domain", "neg", "unit", "swap")
+
+
+@st.composite
+def perturbed_corpus_groupoids(draw):
+    """A corpus groupoid or square view with one to three perturbations:
+    a dropped entry, a composite redirected to a parallel arrow, a
+    composite with wrong endpoints, an entry on a non-composable pair, a
+    dropped negation or unit, or two parallel composites swapped (which
+    breaks associativity without touching endpoints)."""
+    name = draw(st.sampled_from(sorted(corpus_groupoids())))
+    g = corpus_groupoids()[name]
+    table, neg, units = dict(g._table), dict(g._neg), dict(g._units)
+    ends = {a: (g.src(a), g.tgt(a)) for a in g.arrows}
+    kinds = draw(st.lists(st.sampled_from(PERTURBATIONS), min_size=1, max_size=3))
+    for kind in kinds:
+        keys = sorted(table, key=repr)
+        key = draw(st.sampled_from(keys))
+        value = table[key]
+        parallel = [a for a in g.arrows if ends[a] == ends[value] and a != value]
+        if kind == "drop":
+            del table[key]
+        elif kind == "redirect" and parallel:
+            table[key] = draw(st.sampled_from(parallel))
+        elif kind == "endpoints":
+            table[key] = draw(st.sampled_from(
+                [a for a in g.arrows if ends[a] != ends[value]] or g.arrows))
+        elif kind == "domain":
+            pairs = [(a, b) for a in g.arrows for b in g.arrows if not g.composable(a, b)]
+            if pairs:
+                table[draw(st.sampled_from(pairs))] = draw(st.sampled_from(g.arrows))
+        elif kind == "neg":
+            neg.pop(draw(st.sampled_from(g.arrows)), None)
+        elif kind == "unit":
+            units.pop(draw(st.sampled_from(g.objects)), None)
+        elif kind == "swap":
+            others = [k for k in keys if table[k] in parallel]
+            if others:
+                other = draw(st.sampled_from(others))
+                table[key], table[other] = table[other], value
+    event("%s: %s" % (name.split(".")[1], "+".join(sorted(set(kinds)))))
+    return Groupoid(g.objects, g.arrows, g._src, g._tgt, table, neg, units)
+
+
+@settings(ORACLE, max_examples=200)
+@given(perturbed_corpus_groupoids())
+def test_check_groupoid_matches_scan_on_perturbed_corpus_groupoids(g):
+    """The position-table checker and the all-triples scan report the
+    same violations, order included, on perturbed corpus groupoids and
+    square views."""
+    got = check_groupoid(g)
+    event(kind_of(("ok", got)))
+    for kind in {" ".join(v.split()[:2]) for v in got}:
+        event("reports " + kind)
+    assert got == oracles.check_groupoid(g)
+
+
+@functools.cache
+def z3_vertical():
+    return build_double_groupoid(zn_on_itself(3)).vertical_groupoid()
+
+
+@settings(ORACLE, max_examples=150)
+@given(st.data())
+def test_generated_subgroupoid_matches_all_pairs_scan(data):
+    """The closure over by-source buckets is the closure over all pairs,
+    on corpus groupoids and square views and on the vertical view of
+    Z/3, from seeds of up to three arrows."""
+    groupoids = {**corpus_groupoids(), "z3.vertical": z3_vertical()}
+    name = data.draw(st.sampled_from(sorted(groupoids)))
+    g = groupoids[name]
+    seed = data.draw(st.sets(st.sampled_from(g.arrows), max_size=3))
+    got = generated_subgroupoid(g, seed)
+    event("%s: %s" % (name, "all" if len(got) == len(g.arrows) else "proper"))
+    assert got == oracles.generated_subgroupoid(g, seed)
 
 
 # ---------------------------------------------------------------------------
