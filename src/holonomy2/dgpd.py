@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .groupoid import Groupoid, GroupoidError, _skey, check_groupoid
+from .groupoid import Groupoid, GroupoidError, _skey, spanning_generators
 from .xmod import CrossedModule, XModError, apply_action
 
 
@@ -224,41 +224,28 @@ def build_double_groupoid(cm):
 def check_double(dg):
     """All violated double-groupoid and connection axioms.
 
-    Interchange quadruples are enumerated, in square order, through the
-    tables of the two square views: both list the squares in square
-    order, the vertical source is the top edge and the horizontal source
-    the left edge.
+    Each view's verdict is its cached ``Groupoid.violations``.  When
+    both views pass, interchange is proved on generators
+    (``_interchange_on_generators``); otherwise, or when that proof
+    fails, the quadruples are scanned for witnesses.
     """
     out = []
     G = dg.edge
-    squares = dg.squares
-    for sq in squares:
+    for sq in dg.squares:
         if not square_boundary_ok(dg.cm, sq):
             out.append("boundary equation fails for %s" % (sq,))
     vert, horiz = dg.vertical_groupoid(), dg.horizontal_groupoid()
-    for v in check_groupoid(vert):
+    vbad, hbad = vert.violations(), horiz.violations()
+    for v in vbad:
         out.append("vertical: %s" % v)
-    for v in check_groupoid(horiz):
+    for v in hbad:
         out.append("horizontal: %s" % v)
-    # Closure and the faces of composites need no check: the Groupoid
+    # Closure and the faces of composites are not reported: the Groupoid
     # constructor of each view rejects a composite outside the square
-    # set, and comp1/comp2 set the faces by the morphism formula.
-    _, vt, _, by_top = vert.tables()
-    _, ht, _, by_left = horiz.tables()
-    by_top_left = {}
-    for j, sq in enumerate(squares):
-        by_top_left.setdefault((sq.top, sq.left), []).append(j)
-    # interchange on all valid quadruples
-    for i, u in enumerate(squares):
-        u2s, u_vrow, u_hrow = by_top.get(u.bottom, ()), vt[i], ht[i]
-        for j in by_left.get(u.right, ()):
-            v, uv_row, v_row = squares[j], vt[u_hrow[j]], vt[j]
-            for i2 in u2s:
-                uu2_row, u2_row = ht[u_vrow[i2]], ht[i2]
-                for j2 in by_top_left.get((v.bottom, squares[i2].right), ()):
-                    if uv_row[u2_row[j2]] != uu2_row[v_row[j2]]:
-                        out.append("interchange fails at (%s,%s,%s,%s)"
-                                   % (u, v, squares[i2], squares[j2]))
+    # set, and comp1/comp2 set the faces by the morphism formula (the
+    # interchange certificate still checks the side faces it uses).
+    if vbad or hbad or not _interchange_on_generators(dg):
+        out.extend(_interchange_failures(dg))
     # connection: boundary shape and transport law
     for a in G.arrows:
         con = dg.connection.get(a)
@@ -290,6 +277,122 @@ def check_double(dg):
         con = dg.connection.get(e)
         if con is not None and not (con == dg.eps1(e) == dg.eps2(e)):
             out.append("connection not degenerate at unit %s" % (x,))
+    return out
+
+
+def _interchange_on_generators(dg):
+    """Interchange on every quadruple, proved on generators, for square
+    views that both pass ``check_groupoid``: interchange as a morphism
+    of groupoids (Brown & Spencer, *Double groupoids and crossed
+    modules*, Cahiers 17, 1976).
+
+    Let P be the pairs (u, v) with right(u) = left(v), composed
+    vertically in each component, (u, v)(u2, v2) = (u +1 u2, v +1 v2),
+    and let H(u, v) = u +2 v.  A quadruple is a composable pair s, a of
+    P, and interchange there says H(sa) = H(s) +1 H(a).
+
+    P is a subgroupoid of the square of the vertical view when the left
+    and right faces of a vertical composite, and of a negative, are
+    functions of the factors' faces, the same function on both sides:
+    then right(u +1 u2) = left(v +1 v2) and right(-u) = left(-v).
+    comp1 and neg1 set the faces through G; the functions are checked
+    here all the same.  Call s good when H(sa) = H(s) +1 H(a) for every
+    a out of the target of s.  For good s and s',
+
+        H(ss'a) = H(s) +1 H(s'a) = H(s) +1 (H(s') +1 H(a))
+                = (H(s) +1 H(s')) +1 H(a) = H(ss') +1 H(a)
+
+    by associativity of the vertical view, so good arrows are closed
+    under composition.  Every arrow of P is a word in the generating
+    set of ``spanning_generators``; interchange holds everywhere once
+    each generator s is good, which checks each s against the arrows
+    out of its target only.  P's arrows are walked out of each object
+    and composed through the two views' rows; its table is not built.
+    False when a face function or a generator fails.
+    """
+    squares = dg.squares
+    _, vt, vneg, by_top = dg.vertical_groupoid().tables()
+    ht = dg.horizontal_groupoid().tables()[1]
+    faces, neg_faces = {}, {}
+    for i, u in enumerate(squares):
+        row = vt[i]
+        for j in by_top.get(u.bottom, ()):
+            u2, w = squares[j], squares[row[j]]
+            if (faces.setdefault((u.left, u2.left), w.left) != w.left
+                    or faces.setdefault((u.right, u2.right), w.right) != w.right):
+                return False
+        n = squares[vneg[i]]
+        if (neg_faces.setdefault(u.left, n.left) != n.left
+                or neg_faces.setdefault(u.right, n.right) != n.right):
+            return False
+    objects, out = _pair_arrows(dg)
+    for i, j in _pair_generators(dg, objects, out):
+        hs_row, u_row, v_row = vt[ht[i][j]], vt[i], vt[j]
+        for (i2, j2), _ in out((squares[i].bottom, squares[j].bottom)):
+            if hs_row[ht[i2][j2]] != ht[u_row[i2]][v_row[j2]]:
+                return False
+    return True
+
+
+def _pair_arrows(dg):
+    """The groupoid P of ``_interchange_on_generators``, walked without
+    being stored: ``(objects, out)``.  ``objects`` lists the pairs
+    (top u, top v), in square order; ``out(x)`` yields the arrows (u, v)
+    out of x, as pairs of square positions, each with its target
+    (bottom u, bottom v)."""
+    squares = dg.squares
+    by_top = dg.vertical_groupoid().tables()[3]
+    by_top_left, tops_by_left = {}, {}
+    for j, sq in enumerate(squares):
+        by_top_left.setdefault((sq.top, sq.left), []).append(j)
+        tops_by_left.setdefault(sq.left, {})[sq.top] = None
+    objects = {(u.top, b): None for u in squares for b in tops_by_left.get(u.right, ())}
+
+    def out(x):
+        a, b = x
+        for i in by_top.get(a, ()):
+            u = squares[i]
+            for j in by_top_left.get((b, u.right), ()):
+                yield (i, j), (u.bottom, squares[j].bottom)
+
+    return list(objects), out
+
+
+def _pair_generators(dg, objects, out):
+    """``spanning_generators`` of P, composed and negated in the vertical
+    view in each component."""
+    vert = dg.vertical_groupoid()
+    vpos, vt, vneg, _ = vert.tables()
+    units = vert._units
+    return spanning_generators(
+        objects, out,
+        lambda s, a: (vt[s[0]][a[0]], vt[s[1]][a[1]]),
+        lambda s: (vneg[s[0]], vneg[s[1]]),
+        lambda x: (vpos[units[x[0]]], vpos[units[x[1]]]))
+
+
+def _interchange_failures(dg):
+    """Every quadruple where interchange fails, in square order, scanned
+    through the tables of the two square views: both list the squares
+    in square order, the vertical source is the top edge and the
+    horizontal source the left edge."""
+    out = []
+    squares = dg.squares
+    _, vt, _, by_top = dg.vertical_groupoid().tables()
+    _, ht, _, by_left = dg.horizontal_groupoid().tables()
+    by_top_left = {}
+    for j, sq in enumerate(squares):
+        by_top_left.setdefault((sq.top, sq.left), []).append(j)
+    for i, u in enumerate(squares):
+        u2s, u_vrow, u_hrow = by_top.get(u.bottom, ()), vt[i], ht[i]
+        for j in by_left.get(u.right, ()):
+            v, uv_row, v_row = squares[j], vt[u_hrow[j]], vt[j]
+            for i2 in u2s:
+                uu2_row, u2_row = ht[u_vrow[i2]], ht[i2]
+                for j2 in by_top_left.get((v.bottom, squares[i2].right), ()):
+                    if uv_row[u2_row[j2]] != uu2_row[v_row[j2]]:
+                        out.append("interchange fails at (%s,%s,%s,%s)"
+                                   % (u, v, squares[i2], squares[j2]))
     return out
 
 

@@ -8,6 +8,8 @@ an untopologized groupoid behaves as discrete.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .fintop import FiniteTopSpace, PartialMap, is_continuous, pullback_space
 
 
@@ -56,7 +58,7 @@ class Groupoid:
             arr_space, obj_space = topology
             if arr_space.points != aset or obj_space.points != oset:
                 raise GroupoidError("topology points do not match arrows/objects")
-        self._fibers = self._tables = None
+        self._fibers = self._index = self._tables = self._violations = None
         self._discrete_arrows = self._discrete_objects = None
 
     # -- derivation of missing structure (for lenient loading) ---------
@@ -139,6 +141,17 @@ class Groupoid:
                 self._fibers.setdefault(self._tgt[a], []).append(a)
         return tuple(self._fibers.get(x, ()))
 
+    def _positions(self):
+        """``(pos, by_src)`` of ``tables()``, compiled once without the
+        rows, for readers that only walk the by-source buckets."""
+        if self._index is None:
+            pos = {a: i for i, a in enumerate(self.arrows)}
+            by_src = {}
+            for i, a in enumerate(self.arrows):
+                by_src.setdefault(self._src[a], []).append(i)
+            self._index = pos, by_src
+        return self._index
+
     def tables(self):
         """The composition compiled to arrow positions (indices in arrow
         order), once: ``(pos, rows, neg, by_src)``.  ``pos`` maps each
@@ -148,16 +161,20 @@ class Groupoid:
         an object to the positions of the arrows out of it, in arrow
         order."""
         if self._tables is None:
-            pos = {a: i for i, a in enumerate(self.arrows)}
+            pos, by_src = self._positions()
             rows = [[None] * len(pos) for _ in pos]
             for (a, b), c in self._table.items():
                 rows[pos[a]][pos[b]] = pos[c]
             neg = [pos[self._neg[a]] if a in self._neg else None for a in self.arrows]
-            by_src = {}
-            for i, a in enumerate(self.arrows):
-                by_src.setdefault(self._src[a], []).append(i)
             self._tables = pos, rows, neg, by_src
         return self._tables
+
+    def violations(self):
+        """``check_groupoid(self)``, run once: every reader of this
+        groupoid shares one verdict."""
+        if self._violations is None:
+            self._violations = tuple(check_groupoid(self))
+        return self._violations
 
     def arrow_space(self):
         if self.topology is not None:
@@ -180,7 +197,7 @@ class Groupoid:
 
     def composable_pairs(self):
         """Every (a, b) with tgt(a) == src(b), in arrow order of a, then of b."""
-        arrows, by_src = self.arrows, self.tables()[3]
+        arrows, by_src = self.arrows, self._positions()[1]
         for a in arrows:
             for j in by_src.get(self._tgt[a], ()):
                 yield a, arrows[j]
@@ -197,21 +214,25 @@ def check_groupoid(g):
     """
     out = []
     arrows, src, tgt = g.arrows, g._src, g._tgt
-    skey = {a: _skey(a) for a in arrows}
-    for (a, b), c in sorted(g._table.items(), key=lambda kv: (skey[kv[0][0]], skey[kv[0][1]])):
+    # entries off the composable pairs or with wrong endpoints, in
+    # _skey order of the pair; only those are sorted
+    bad = [((a, b), c) for (a, b), c in g._table.items()
+           if tgt[a] != src[b] or src[c] != src[a] or tgt[c] != tgt[b]]
+    for (a, b), c in sorted(bad, key=lambda kv: (_skey(kv[0][0]), _skey(kv[0][1]))):
         if tgt[a] != src[b]:
             out.append("composition domain: %s+%s defined but tgt(%s)=%s != src(%s)=%s"
                        % (a, b, a, tgt[a], b, src[b]))
-            continue
-        if src[c] != src[a] or tgt[c] != tgt[b]:
+        else:
             out.append("composition endpoints: %s+%s=%s has wrong src/tgt" % (a, b, c))
     # the table as rows of positions, from the groupoid's own tables
     _, rows, _, by_src = g.tables()
     for i, a in enumerate(arrows):
-        row = rows[i]
-        for j in by_src.get(tgt[a], ()):
-            if row[j] is None:
-                out.append("composition missing: %s+%s (tgt=src=%s)" % (a, arrows[j], tgt[a]))
+        row, bucket = rows[i], by_src.get(tgt[a], ())
+        if None in map(row.__getitem__, bucket):
+            for j in bucket:
+                if row[j] is None:
+                    out.append("composition missing: %s+%s (tgt=src=%s)"
+                               % (a, arrows[j], tgt[a]))
     for x in g.objects:
         if x not in g._units:
             out.append("unit missing at object %s" % (x,))
@@ -237,7 +258,129 @@ def check_groupoid(g):
                     out.append("right negative law fails at %s" % (a,))
                 if g._table.get((n, a)) != g._units.get(g.tgt(a)):
                     out.append("left negative law fails at %s" % (a,))
-    # associativity over composable triples, on positions
+    # associativity: proved on generators, or scanned for its witnesses
+    if out or not _associative_on_generators(g):
+        out.extend(_associativity_failures(g))
+    if g.topology is not None:
+        out.extend(_continuity_report(g))
+    return out
+
+
+def spanning_generators(objects, out, add, neg, unit):
+    """Arrows of a finite groupoid of which every arrow is a composite, a
+    word in them, as a list.
+
+    ``objects`` lists the objects, ``out(x)`` the (arrow, target) pairs
+    out of x, and ``add``, ``neg`` and ``unit`` are the groupoid's
+    operations.  Each component is taken at its first object r; it
+    gives the arrows e_y of a breadth-first spanning tree from r with
+    their negatives, and greedy generators of the vertex group at r: a
+    loop joins when it is not yet a word in the earlier ones, the words
+    being closed by right multiplication.  A component that gives
+    nothing else, one object with only its unit, gives its unit.
+
+    Every arrow a: x -> y is then a word in the set.  Let t_x be the tree
+    path from r to x, a word in the e's; -t_x is a word in the -e's.
+    Then a = -t_x + g + t_y, where g = t_x + a - t_y is a loop at r and
+    so a word in the vertex group's generators: the group is finite, so
+    its words are closed under negation too, and hold the unit at r
+    once there is a generator.  The unit at x is -t_x + t_x.
+    """
+    seen, gens = set(), []
+    for r in objects:
+        if r in seen:
+            continue
+        seen.add(r)
+        first, e = len(gens), unit(r)
+        queue, loops = [r], []
+        for x in queue:
+            for a, y in out(x):
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+                    gens += (a, neg(a))
+                elif x == r == y:
+                    loops.append(a)
+        group, vertex_gens = {e}, []
+        for g in loops:
+            if g in group:
+                continue
+            vertex_gens.append(g)
+            words = list(group)
+            for h in words:
+                for s in vertex_gens:
+                    p = add(h, s)
+                    if p not in group:
+                        group.add(p)
+                        words.append(p)
+        gens += vertex_gens
+        if len(gens) == first:
+            gens.append(e)
+    return gens
+
+
+def _associative_on_generators(g):
+    """Light's associativity test (Clifford & Preston, *The Algebraic
+    Theory of Semigroups* I, 1961, section 1.2), for a table in which
+    every composite is present, with the right endpoints, and the unit
+    and negation laws hold.
+
+    Call b good when (a+b)+c = a+(b+c) for every a ending where b starts
+    and every c starting where b ends.  Good arrows are closed under +:
+    for good b, b' and any such a and c,
+
+        (a+(b+b'))+c = ((a+b)+b')+c = (a+b)+(b'+c)
+                     = a+(b+(b'+c)) = a+((b+b')+c),
+
+    using b, b', b and b' in turn; the endpoint laws make every term
+    defined.  Units are good by the unit laws, so they are not tested.
+    Let every other arrow of ``spanning_generators`` be good; then every
+    arrow is.  The table is not yet known to be associative, so this
+    uses only the laws above.  Loops at a root r are sums of the vertex
+    generators, and so good.  Let e: y' -> y be a tree edge.  Since -e
+    is good, c = (c + -e) + e for every c ending at y: an arrow r -> y
+    is good when the arrow r -> y' before it is, so by induction along
+    the tree every arrow out of r is good.  Since e is good,
+    c = -e + (e + c) for every c starting at y: an arrow out of y is
+    good when the arrows out of y' are, so by induction every arrow is.
+    False when a tested b is not good; the caller then scans for the
+    failing triples.
+    """
+    arrows, src, tgt = g.arrows, g._src, g._tgt
+    pos, rows, _, by_src = g.tables()
+    ends = [tgt[a] for a in arrows]
+    into = {}
+    for i, a in enumerate(arrows):
+        into.setdefault(tgt[a], []).append(i)
+    units = {pos[e] for e in g._units.values()}
+    for b in _arrow_generators(g):
+        if b in units:
+            continue
+        # (a+b)+c against a+(b+c), for every c at once
+        cs = by_src[ends[b]]
+        at_c, at_bc = itemgetter(*cs), itemgetter(*map(rows[b].__getitem__, cs))
+        for i in into[src[arrows[b]]]:
+            a_row = rows[i]
+            if at_c(rows[a_row[b]]) != at_bc(a_row):
+                return False
+    return True
+
+
+def _arrow_generators(g):
+    """``spanning_generators`` of a groupoid, as arrow positions."""
+    pos, rows, neg, by_src = g.tables()
+    ends = [g._tgt[a] for a in g.arrows]
+    return spanning_generators(
+        g.objects, lambda x: [(j, ends[j]) for j in by_src.get(x, ())],
+        lambda i, j: rows[i][j], neg.__getitem__, lambda x: pos[g._units[x]])
+
+
+def _associativity_failures(g):
+    """Every composable triple where (a+b)+c and a+(b+c) differ, in arrow
+    order, scanned over the position rows."""
+    out = []
+    arrows, tgt = g.arrows, g._tgt
+    _, rows, _, by_src = g.tables()
     for i, a in enumerate(arrows):
         a_row = rows[i]
         for j in by_src.get(tgt[a], ()):
@@ -249,8 +392,6 @@ def check_groupoid(g):
                 bc = b_row[k]
                 if bc is not None and ab_row[k] != a_row[bc]:
                     out.append("associativity fails at (%s,%s,%s)" % (a, arrows[j], arrows[k]))
-    if g.topology is not None:
-        out.extend(_continuity_report(g))
     return out
 
 
@@ -338,7 +479,7 @@ def check_groupoid_morphism(m, src, tgt):
 
 def generated_subgroupoid(g, seed):
     """Least arrow subset containing the seed and all units, closed under + and -."""
-    arrows, by_src = g.arrows, g.tables()[3]
+    arrows, by_src = g.arrows, g._positions()[1]
     closure = set(g.units()) | set(seed)
     frontier = True
     while frontier:
@@ -496,8 +637,3 @@ def quotient(g, n):
     proj = GroupoidMorphism({x: obj_class[x] for x in g.objects}, arrow_class)
     return q, proj
 
-
-def morphism_kernel(m, src, tgt):
-    """Arrows of src mapped to a unit of tgt."""
-    units = tgt.units()
-    return frozenset(a for a in src.arrows if m.arr_map[a] in units)

@@ -344,18 +344,6 @@ def local_section_inv(dg, sec, check=True):
     return out
 
 
-def restrict_section(dg, sec, dom1, dom0=None):
-    G = dg.edge
-    XS = G.object_space()
-    dom1 = frozenset(dom1) & sec.dom1
-    if dom0 is None:
-        dom0 = XS.min_neighbourhood(_feet(G, dom1))
-    dom0 = frozenset(dom0) & sec.dom0
-    return LocalLinearSection(dom0, dom1,
-                              {x: sec.s0[x] for x in dom0},
-                              {z: sec.squares[z] for z in dom1})
-
-
 # ---------------------------------------------------------------------------
 # germs
 # ---------------------------------------------------------------------------
@@ -415,23 +403,6 @@ def germ_at(dg, sec, a):
         raise HolonomyError("arrow %s outside the section domain" % (a,))
     M = dg.edge.arrow_space().minimal_open(a)
     return Germ(a, {z: sec.squares[z] for z in M})
-
-
-def germs_equal_somewhere(dg, s, t, a):
-    """Existential germ equivalence: agreement on some open neighbourhood.
-
-    Quantifies over all open sets of the arrow space; the canonical test
-    compares restrictions to the minimal open instead.
-    """
-    AS = dg.edge.arrow_space()
-    if a not in s.dom1 or a not in t.dom1:
-        raise HolonomyError("arrow %s outside a section domain" % (a,))
-    for o in AS.open_sets():
-        if a not in o or not (o <= s.dom1 and o <= t.dom1):
-            continue
-        if all(s.squares[z] == t.squares[z] for z in o):
-            return True
-    return False
 
 
 def unit_germ(dg, a):
@@ -1274,17 +1245,83 @@ def check_chart_coherence(hol):
     transition images is reported apart, since it is only guaranteed once
     the axioms hold.
 
-    Only chart pairs whose images meet are visited, found through an
-    index from classes to the charts whose image holds them, in chart
-    order.  Squares are read as positions of the double groupoid, taken
-    in square order, and the transition eta = t^-1 * s of charts s and t
-    is read off the vertical rows.  Its object data is not built: no
-    check reads it, and it composes for valid sections."""
+    Transitions are proved to be left translations chart by chart
+    (``_charts_translate``); otherwise, or when that proof fails, chart
+    pairs are scanned for witnesses (``_transition_pairs``).  On a window
+    with a non-isolated square the pair loop still runs for openness."""
     dg, wg = hol.dg, hol.wg
     out = {"charts": len(hol.charts), "violations": [], "open_image_failures": []}
     for chart in hol.charts:
         if len(set(chart.mapping.values())) != len(chart.mapping):
             out["violations"].append("chart of %r not injective" % (chart.section,))
+    pos = dg.vertical_groupoid().tables()[0]
+    # minimal opens of the non-isolated window squares, as positions; an
+    # isolated square's basic open is itself alone
+    wide = {pos[sq]: frozenset(map(pos.__getitem__, m))
+            for sq, m in wg.space._min.items() if len(m) > 1}
+    proved = not out["violations"] and _charts_translate(hol)
+    if wide or not proved:
+        _transition_pairs(hol, wide, proved, out)
+    out["ok"] = not out["violations"]
+    out["opens_to_opens"] = not out["open_image_failures"]
+    return out
+
+
+def _charts_translate(hol):
+    """Chart coherence through psi: every transition is a left
+    translation, proved one chart at a time, for injective charts.
+
+    Preconditions, checked here: the vertical view passes
+    ``check_groupoid`` (its cached verdict); for every chart s and every
+    square v in its domain, psi(c_s(v)) = s(top v) +1 v; every chart
+    with a square has a section whose inverse is defined
+    (``local_section_inv`` does not raise).
+
+    Then let c_s(v) = c_t(v').  Applying psi gives
+    w = s(top v) +1 v = t(top v') +1 v', so top w = top t(top v') lies
+    in the image of t's top map, the domain of t^-1, and
+    t^-1(top w) = -t(top v').  The transition eta = t^-1 * s is thus
+    defined at top v, and by associativity and the inverse laws
+
+        L_eta(v) = (-t(top v') +1 s(top v)) +1 v = -t(top v') +1 w = v',
+
+    which is the square the pair scan expects.  The check reads each
+    chart's squares once instead of every overlapping pair of charts.
+    """
+    dg = hol.dg
+    vert = dg.vertical_groupoid()
+    if vert.violations():
+        return False
+    pos, rows = vert.tables()[:2]
+    psi = hol.psi.arr_map
+    for chart in hol.charts:
+        squares = chart.section.squares
+        for v, h in chart.mapping.items():
+            i = pos.get(squares.get(v.top))
+            k = None if i is None else rows[i][pos[v]]
+            if k is None or k != pos.get(psi.get(h)):
+                return False
+    for chart in hol.charts:
+        if chart.mapping:
+            try:
+                local_section_inv(dg, chart.section)
+            except _MODEL_ERRORS:
+                return False
+    return True
+
+
+def _transition_pairs(hol, wide, proved, out):
+    """The pair loop of ``check_chart_coherence``, into ``out``.
+
+    Only chart pairs whose images meet are visited, found through an
+    index from classes to the charts whose image holds them, in chart
+    order.  Squares are read as positions of the double groupoid, taken
+    in square order.  Unless ``proved``, the transition eta = t^-1 * s
+    of charts s and t is read off the vertical rows and compared with
+    the chart values; its object data is not built: no check reads it,
+    and it composes for valid sections.  With ``wide``, transition
+    images of basic opens are checked for openness."""
+    dg = hol.dg
     pos, vert = dg.vertical_groupoid().tables()[:2]
     squares = dg.squares
     # each chart's squares as positions in square order, and its inverse:
@@ -1300,10 +1337,6 @@ def check_chart_coherence(hol):
     for j, inverse in enumerate(inverses):
         for h in inverse:
             charts_at.setdefault(h, []).append(j)
-    # minimal opens of the non-isolated window squares, as positions; an
-    # isolated square's basic open is itself alone
-    wide = {pos[sq]: frozenset(map(pos.__getitem__, m))
-            for sq, m in wg.space._min.items() if len(m) > 1}
     inverse_sections = {}
     for cs, ps in zip(hol.charts, ordered):
         overlaps = defaultdict(list)
@@ -1314,42 +1347,42 @@ def check_chart_coherence(hol):
                 overlaps[j].append(entry)
         s_at = [(z, sq.top, pos[sq]) for z, sq in cs.section.squares.items()]
         for j in sorted(overlaps):
-            try:
-                if j not in inverse_sections:
-                    inv = local_section_inv(dg, hol.charts[j].section)
-                    inverse_sections[j] = {z: pos[sq] for z, sq in inv.squares.items()}
-                t_inv = inverse_sections[j]
-            except _MODEL_ERRORS as e:
-                out["violations"].append("transition section undefined: %s" % e)
-                continue
-            # eta(z) = t^-1(top s(z)) +1 s(z); t^-1(w) has bottom w, so
-            # every such pair composes
-            eta_at = {z: vert[vert[t_inv[top]][c]] for z, top, c in s_at if top in t_inv}
             inverse = inverses[j]
-            for v, p, h in overlaps[j]:
-                row = eta_at.get(v.top)
-                if row is None:
-                    out["violations"].append(
-                        "transition at %s not covered by the translation" % (v,))
-                elif row[p] != inverse[h]:
-                    out["violations"].append(
-                        "transition disagrees with left translation at %s" % (v,))
+            if proved:
+                moved = {p: inverse[h] for _, p, h in overlaps[j]}
+            else:
+                try:
+                    if j not in inverse_sections:
+                        inv = local_section_inv(dg, hol.charts[j].section)
+                        inverse_sections[j] = {z: pos[sq] for z, sq in inv.squares.items()}
+                    t_inv = inverse_sections[j]
+                except _MODEL_ERRORS as e:
+                    out["violations"].append("transition section undefined: %s" % e)
+                    continue
+                # eta(z) = t^-1(top s(z)) +1 s(z); t^-1(w) has bottom w, so
+                # every such pair composes
+                eta_at = {z: vert[vert[t_inv[top]][c]] for z, top, c in s_at if top in t_inv}
+                for v, p, h in overlaps[j]:
+                    row = eta_at.get(v.top)
+                    if row is None:
+                        out["violations"].append(
+                            "transition at %s not covered by the translation" % (v,))
+                    elif row[p] != inverse[h]:
+                        out["violations"].append(
+                            "transition disagrees with left translation at %s" % (v,))
+                moved = {p: inverse[h] for v, p, h in overlaps[j] if v.top in eta_at}
             # transitions carry opens to opens: images of minimal opens
             # within an open overlap must be open.  Only non-isolated
             # squares constrain openness, so on a discrete window there
             # is nothing to check
             if not wide:
                 continue
-            moved = {p: inverse[h] for v, p, h in overlaps[j] if v.top in eta_at}
             if all(wide[p] <= moved.keys() for p in moved if p in wide):
                 for v, p, _ in overlaps[j]:
                     img = {moved[t] for t in wide.get(p, (p,)) if t in moved}
                     if p in moved and not all(wide[q] <= img for q in img if q in wide):
                         out["open_image_failures"].append(
                             "transition image of a basic open not open at %s" % (v,))
-    out["ok"] = not out["violations"]
-    out["opens_to_opens"] = not out["open_image_failures"]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -179,12 +179,6 @@ def check_xmod_morphism(m, src, tgt):
     return out, is_iso
 
 
-def identity_xmod_morphism(cm):
-    return XModMorphism({x: x for x in cm.G.objects},
-                        {a: a for a in cm.G.arrows},
-                        {c: c for c in cm.C.arrows})
-
-
 def find_xmod_isomorphism(src, tgt):
     """Exhaustive search with pruning; None when no isomorphism exists."""
     if (len(src.G.objects) != len(tgt.G.objects)

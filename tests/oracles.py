@@ -32,13 +32,14 @@ from holonomy2.dgpd import (COMPOSITION_ERRORS, DoubleGroupoidError, build_doubl
 from holonomy2.fintop import FiniteTopSpace, PartialMap, TopologyError
 from holonomy2.groupoid import (Groupoid, GroupoidMorphism, _continuity_report, _skey,
                                 check_groupoid_morphism)
-from holonomy2.holonomy import (_MODEL_ERRORS, Chart, HolonomyError, build_wg, constant_section,
-                                germ_at, unit_germ, window_germs,
+from holonomy2.holonomy import (_MODEL_ERRORS, Chart, HolonomyError, LocalLinearSection, _feet,
+                                build_wg, constant_section, germ_at, unit_germ, window_germs,
                                 left_translation, local_section_inv,
                                 local_section_mul, push_section, section_from_squares,
                                 smoothness_violations, square_subwindow)
 from holonomy2.holonomy import square_tables as library_square_tables
 from holonomy2.homotopy import DerivationError, LinearSection, check_linear_section
+from holonomy2.xmod import XModMorphism
 
 
 def pullback_space(component_spaces, points, components):
@@ -877,3 +878,51 @@ def build_restricted_germs(dg, wg, J):
                   {g: J.neg(g) for g in arrows},
                   {a: unit_germ(dg, a) for a in dg.edge.arrows})
     return jr, frozenset(seed), witness
+
+
+# ---------------------------------------------------------------------------
+# definitions only the tests read
+# ---------------------------------------------------------------------------
+
+
+def germs_equal_somewhere(dg, s, t, a):
+    """Existential germ equivalence: agreement on some open neighbourhood.
+
+    Quantifies over all open sets of the arrow space; the canonical test
+    (``germ_at``) compares restrictions to the minimal open instead.
+    """
+    AS = dg.edge.arrow_space()
+    if a not in s.dom1 or a not in t.dom1:
+        raise HolonomyError("arrow %s outside a section domain" % (a,))
+    for o in AS.open_sets():
+        if a not in o or not (o <= s.dom1 and o <= t.dom1):
+            continue
+        if all(s.squares[z] == t.squares[z] for z in o):
+            return True
+    return False
+
+
+def restrict_section(dg, sec, dom1, dom0=None):
+    """The section on the arrows of ``dom1`` it is defined on, over the
+    minimal open neighbourhood of their feet unless ``dom0`` is given."""
+    G = dg.edge
+    XS = G.object_space()
+    dom1 = frozenset(dom1) & sec.dom1
+    if dom0 is None:
+        dom0 = XS.min_neighbourhood(_feet(G, dom1))
+    dom0 = frozenset(dom0) & sec.dom0
+    return LocalLinearSection(dom0, dom1,
+                              {x: sec.s0[x] for x in dom0},
+                              {z: sec.squares[z] for z in dom1})
+
+
+def morphism_kernel(m, src, tgt):
+    """Arrows of src mapped to a unit of tgt."""
+    units = tgt.units()
+    return frozenset(a for a in src.arrows if m.arr_map[a] in units)
+
+
+def identity_xmod_morphism(cm):
+    return XModMorphism({x: x for x in cm.G.objects},
+                        {a: a for a in cm.G.arrows},
+                        {c: c for c in cm.C.arrows})

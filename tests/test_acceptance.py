@@ -14,7 +14,7 @@ import pytest
 from holonomy2 import corpus
 from holonomy2.dgpd import Square, build_double_groupoid, check_double, crossed_module_of, square_boundary_ok
 from holonomy2.fintop import FiniteTopSpace
-from holonomy2.groupoid import check_groupoid, check_groupoid_morphism, generated_subgroupoid, morphism_kernel
+from holonomy2.groupoid import check_groupoid, check_groupoid_morphism, generated_subgroupoid
 from holonomy2.homotopy import (constant_derivation, derivation_mul,
                                 derivation_to_section,
                                 enumerate_free_derivations,
@@ -25,7 +25,7 @@ from holonomy2.holonomy import (WStructure, build_wg,
                                 check_chart_coherence,
                                 check_wstructure,
                                 full_wstructure, generation_equivalence,
-                                germ_at, germs_equal_somewhere,
+                                germ_at,
                                 holonomy_groupoid,
                                 identity_vertical_morphism, local_section_inv,
                                 local_section_mul, min_sections_at,
@@ -34,6 +34,7 @@ from holonomy2.xmod import check_crossed_module, check_xmod_morphism, find_xmod_
 
 from conftest import (discrete_item, holonomy_of, indiscrete_item,
                       sierpinski_pairz2_item, square_axioms)
+from oracles import germs_equal_somewhere
 
 
 def _verdict(number, label, ok):

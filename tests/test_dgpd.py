@@ -3,12 +3,12 @@ import itertools
 
 import pytest
 
-from conftest import corpus_groupoids, discrete_item, zn_on_itself
+from conftest import corpus_groupoids, discrete_item, holonomy_of, zn_on_itself
 from holonomy2 import corpus
 from holonomy2.dgpd import (DoubleGroupoid, DoubleGroupoidError, Square,
                             boundary_triples, build_double_groupoid,
                             check_double, crossed_module_of, square_boundary_ok)
-from holonomy2.groupoid import Groupoid, GroupoidError, _skey
+from holonomy2.groupoid import Groupoid, GroupoidError, _skey, generated_subgroupoid
 from holonomy2.holonomy import build_germ_groupoid, build_wg, full_wstructure
 from holonomy2.xmod import (CrossedModule, check_crossed_module,
                             check_xmod_morphism, find_xmod_isomorphism)
@@ -231,3 +231,18 @@ def test_tables_agree_with_add_neg_and_src():
     pos, rows, neg, _ = models["pair-broken"].tables()
     assert rows[pos["xy"]][pos["yx"]] is None and neg[pos["yx"]] is None
     assert rows[pos["xy"]][pos["xy"]] == pos["xx"]
+
+
+def test_bucket_walks_leave_the_rows_uncompiled():
+    """composable_pairs and generated_subgroupoid read the by-source
+    buckets only: on fresh groupoids they compile no rows, and the
+    holonomy quotient, read only by them, ends its build without rows."""
+    models = [corpus.pair_groupoid("xyz"), corpus.bundle_of_groups("xy", 3),
+              build_double_groupoid(zn_on_itself(3)).vertical_groupoid()]
+    for g in models:
+        pairs = list(g.composable_pairs())
+        assert pairs == [(a, b) for a in g.arrows for b in g.arrows if g.composable(a, b)]
+        assert generated_subgroupoid(g, g.arrows[-1:]) >= g.units()
+        assert g._tables is None
+    hol = holonomy_of(*discrete_item(zn_on_itself(3)))
+    assert hol.quotient._tables is None

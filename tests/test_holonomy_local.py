@@ -9,11 +9,11 @@ from holonomy2.holonomy import (Germ, HolonomyError, LocalLinearSection, WStruct
                                 build_wg, check_local_section,
                                 check_wstructure, constant_section,
                                 full_wstructure, germ_at, germ_inv, germ_mul,
-                                germs_equal_somewhere,
                                 local_section_inv, local_section_mul,
-                                min_sections_at, restrict_section,
-                                smoothness_violations, unit_germ)
+                                min_sections_at, smoothness_violations, unit_germ)
 from holonomy2.xmod import XModError
+
+from oracles import germs_equal_somewhere, restrict_section
 
 from conftest import discrete_item, indiscrete_item, sierpinski_pairz2_item
 

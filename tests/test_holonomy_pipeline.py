@@ -5,7 +5,7 @@ import pytest
 from holonomy2 import corpus
 from holonomy2.dgpd import build_double_groupoid
 from holonomy2.fintop import FiniteTopSpace
-from holonomy2.groupoid import check_groupoid, check_groupoid_morphism, morphism_kernel
+from holonomy2.groupoid import check_groupoid, check_groupoid_morphism
 from holonomy2.holonomy import (HolonomyError, WStructure, build_germ_groupoid,
                                 build_restricted_germs, build_unit_germs,
                                 build_wg, check_chart_coherence,
@@ -15,6 +15,7 @@ from holonomy2.holonomy import (HolonomyError, WStructure, build_germ_groupoid,
 
 from conftest import (discrete_item, holonomy_of, indiscrete_item,
                       sierpinski_pairz2_item)
+from oracles import morphism_kernel
 
 
 def brute_force_singleton_germs(dg, a):

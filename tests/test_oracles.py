@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (corpus_groupoids, discrete_item, indiscrete_item, pair_bundle,
                       sierpinski_pairz2_item, square_axioms, z4_coset_item, zn_on_itself)
-from holonomy2 import corpus, holonomy
+from holonomy2 import corpus, dgpd, groupoid, holonomy
 from holonomy2.dgpd import DoubleGroupoid, Square, build_double_groupoid, check_double
 from holonomy2.fintop import (FiniteTopSpace, PartialMap, is_continuous, is_partial_homeomorphism,
                               pullback_space)
@@ -32,9 +32,9 @@ from holonomy2.holonomy import (Chart, WStructure, _chart_for, _factorizations, 
                                 build_germ_groupoid, build_restricted_germs, build_wg,
                                 check_chart_coherence, full_wstructure, germ_at,
                                 has_enough_sections, holonomy_groupoid,
-                                identity_vertical_morphism, local_section_mul, min_sections_at,
-                                sections_through, square_subwindow, square_tables,
-                                universal_morphism)
+                                identity_vertical_morphism, local_section_inv, local_section_mul,
+                                min_sections_at, sections_through, square_subwindow,
+                                square_tables, universal_morphism)
 from holonomy2.homotopy import (LinearSection, enumerate_free_derivations,
                                 enumerate_linear_sections, induced_endomorphism,
                                 is_coadmissible, section_mul)
@@ -661,6 +661,24 @@ def test_groupoid_views_match_scans():
             assert list(fast._table.items()) == list(slow._table.items())
             assert fast._neg == slow._neg and fast._units == slow._units
         assert dg.vertical_groupoid() is dg.vertical_groupoid()
+        assert dg.vertical_groupoid().violations() == tuple(check_groupoid(dg.vertical_groupoid()))
+
+
+def test_views_keep_one_verdict(monkeypatch):
+    """check_double reads each view's verdict once, and chart coherence
+    reuses the vertical one."""
+    hol = holonomy_model("z2z2")
+    calls = []
+    real = groupoid.check_groupoid
+    monkeypatch.setattr(groupoid, "check_groupoid", lambda g: calls.append(g) or real(g))
+    dg = copy.copy(hol.dg)
+    dg._vertical = dg._horizontal = None
+    views = [dg.vertical_groupoid(), dg.horizontal_groupoid()]
+    assert check_double(dg) == check_double(dg) == []
+    hol = copy.copy(hol)
+    hol.dg = dg
+    assert check_chart_coherence(hol)["ok"]
+    assert calls == views
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +703,8 @@ def corrupted_holonomy(draw):
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(charts) - 1))
         section, mapping = charts[i]
-        kind = draw(st.sampled_from(["merge", "shift", "drop", "swap-section", "reorder"]))
+        kind = draw(st.sampled_from(["merge", "shift", "drop", "swap-section", "reorder",
+                                     "widen-section"]))
         squares = sorted(mapping, key=str)
         if kind == "merge" and len(squares) > 1:
             a, b = draw(st.permutations(squares))[:2]
@@ -698,6 +717,18 @@ def corrupted_holonomy(draw):
             charts[i] = (charts[draw(st.integers(0, len(charts) - 1))][0], mapping)
         elif kind == "reorder":
             charts = draw(st.permutations(charts))
+        elif kind == "widen-section":
+            # one more arrow, valued at a square whose top the section
+            # already reaches: chart values are kept, but the top map is
+            # no longer injective, so the section has no inverse
+            tops = {sq.top for sq in section.squares.values()}
+            extra = [sq for sq in hol.dg.squares
+                     if sq.bottom not in section.dom1 and sq.top in tops]
+            if extra:
+                sq = draw(st.sampled_from(extra))
+                charts[i] = (holonomy.LocalLinearSection(
+                    section.dom0, section.dom1 | {sq.bottom}, section.s0,
+                    {**section.squares, sq.bottom: sq}), mapping)
     hol.charts = [Chart(section, mapping) for section, mapping in charts]
     return hol
 
@@ -1183,3 +1214,330 @@ def test_square_tables_match_rescanning_search(name, data):
     assert tables == oracles.square_tables(dg, arrows, candidates)
     event("tables" if tables else "no table")
 
+
+
+# ---------------------------------------------------------------------------
+# certificates against the scans they replace
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def inverse_loops(draw):
+    """A Latin square on 0..n-1 with identity 0 and two-sided inverses, as
+    a one-object groupoid: every axiom but associativity holds, and
+    from order 5 on most such squares are not associative."""
+    n = draw(st.integers(2, 6))
+    rnd = draw(st.randoms(use_true_random=False))
+    while True:
+        rest = list(range(1, n))
+        rnd.shuffle(rest)
+        inv = {0: 0}
+        while rest:
+            a = rest.pop()
+            b = rest.pop() if rest and rnd.random() < 0.7 else a
+            inv[a], inv[b] = b, a
+        table = {(0, a): a for a in range(n)}
+        table.update({(a, 0): a for a in range(n)})
+        table.update({(a, inv[a]): 0 for a in range(1, n)})
+        cells = [(a, b) for a in range(1, n) for b in range(1, n) if (a, b) not in table]
+        if _fill_latin(n, table, cells, rnd, [2000]):
+            break
+    arrows = [str(a) for a in range(n)]
+    return Groupoid(["*"], arrows, {a: "*" for a in arrows}, {a: "*" for a in arrows},
+                    {(str(a), str(b)): str(c) for (a, b), c in table.items()},
+                    {str(a): str(inv[a]) for a in range(n)}, {"*": "0"})
+
+
+def _fill_latin(n, table, cells, rnd, budget):
+    """Complete ``table`` to a Latin square by randomized backtracking over
+    ``cells``; False when it cannot, or after ``budget[0]`` nodes."""
+    if not cells:
+        return True
+    budget[0] -= 1
+    if budget[0] < 0:
+        return False
+    (a, b), rest = cells[0], cells[1:]
+    used = {table[a, c] for c in range(n) if (a, c) in table}
+    used |= {table[c, b] for c in range(n) if (c, b) in table}
+    values = [v for v in range(1, n) if v not in used]
+    rnd.shuffle(values)
+    for v in values:
+        table[a, b] = v
+        if _fill_latin(n, table, rest, rnd, budget):
+            return True
+    table.pop((a, b), None)
+    return False
+
+
+@settings(ORACLE, max_examples=150)
+@given(inverse_loops(), st.booleans())
+def test_light_test_matches_associativity_scan(loop, paired):
+    """On tables that pass every other axiom, Light's test proves
+    associativity exactly when the all-triples scan finds no failure;
+    with two objects (the loop times the pair groupoid on x, y) too."""
+    g = product_groupoid(corpus.pair_groupoid("xy"), loop) if paired else loop
+    want = oracles.check_groupoid(g)
+    assert all(v.startswith("associativity") for v in want)
+    event("%s, %s" % ("two objects" if paired else "one object",
+                      "associative" if not want else "not associative"))
+    assert groupoid._associative_on_generators(g) == (not want)
+    assert check_groupoid(g) == want
+
+
+class ConjugatedDoubleGroupoid(DoubleGroupoid):
+    """The horizontal structure moved along a permutation of the squares
+    that keeps every boundary: u +2 v becomes p^-1(p(u) +2 p(v)), and
+    likewise for neg2 and eps2.  The horizontal view stays a groupoid,
+    the vertical view is untouched, and interchange may fail."""
+
+    def __init__(self, cm, squares, perm):
+        self.perm, self.back = perm, {v: k for k, v in perm.items()}
+        super().__init__(cm, squares)
+
+    def comp2(self, u, v):
+        return self.back[super().comp2(self.perm[u], self.perm[v])]
+
+    def neg2(self, u):
+        return self.back[super().neg2(self.perm[u])]
+
+    def eps2(self, a):
+        return self.back[super().eps2(a)]
+
+
+@st.composite
+def conjugated_double_groupoids(draw):
+    """A unit-boundary model, its action twisted at up to one entry, with
+    its horizontal structure conjugated by a drawn boundary-preserving
+    permutation (often the identity)."""
+    cm = MODELS[draw(st.sampled_from(["z2-trivial", "pairz2-trivial"]))]()
+    action = dict(cm.action)
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(action, key=repr)))
+        action[key] = draw(st.sampled_from(
+            [c for c in cm.C.arrows if cm.C.tgt(c) == cm.C.tgt(action[key])]))
+    cm = CrossedModule(cm.C, cm.G, cm.delta, action)
+    squares = build_double_groupoid(cm).squares
+    by_boundary = {}
+    for sq in squares:
+        by_boundary.setdefault(sq[1:], []).append(sq)
+    perm = {}
+    for group in by_boundary.values():
+        moved = draw(st.permutations(group)) if draw(st.booleans()) else group
+        perm.update(zip(group, moved))
+    return ConjugatedDoubleGroupoid(cm, squares, perm)
+
+
+@settings(ORACLE, max_examples=60)
+@given(conjugated_double_groupoids())
+def test_interchange_certificate_matches_quadruple_scan(dg):
+    """Where both square views pass, the certificate holds exactly when
+    no quadruple fails; every violation list equals the oracle's."""
+    want = oracles.check_double(dg)
+    views_pass = not any(v.startswith(("vertical", "horizontal")) for v in want)
+    holds = not any(v.startswith("interchange") for v in want)
+    event("views %s, interchange %s" % ("pass" if views_pass else "fail",
+                                         "holds" if holds else "fails"))
+    if views_pass:
+        assert dgpd._interchange_on_generators(dg) == holds
+    assert check_double(dg) == want
+
+
+class BentFacesDoubleGroupoid(DoubleGroupoid):
+    """The vertical structure moved along a permutation of the squares
+    that keeps top and bottom edges but not side edges: the vertical
+    view stays a groupoid, but the side faces of its composites no
+    longer follow G, so horizontally composable pairs need not compose
+    to one."""
+
+    def __init__(self, cm, squares, perm):
+        self.perm, self.back = perm, {v: k for k, v in perm.items()}
+        super().__init__(cm, squares)
+
+    def comp1(self, u, v):
+        return self.back[super().comp1(self.perm[u], self.perm[v])]
+
+    def neg1(self, u):
+        return self.back[super().neg1(self.perm[u])]
+
+    def eps1(self, a):
+        return self.back[super().eps1(a)]
+
+
+@settings(ORACLE, max_examples=60)
+@given(st.sampled_from(["z2-trivial", "pairz2-trivial", "pairz2"]), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_interchange_certificate_refuses_bent_faces(model, swap, rnd):
+    """With side faces that are not functions of the factors' faces the
+    certificate's lemma does not apply: it must not claim interchange
+    where the quadruple scan finds failures.  One swapped pair of
+    squares bends few composites, which the generators may all miss;
+    a shuffle of every class bends most."""
+    cm = MODELS[model]()
+    squares = build_double_groupoid(cm).squares
+    by_ends = {}
+    for sq in squares:
+        by_ends.setdefault((sq.top, sq.bottom), []).append(sq)
+    perm = {sq: sq for sq in squares}
+    if swap:
+        group = rnd.choice([g for g in by_ends.values() if len(g) > 1])
+        u, v = rnd.sample(group, 2)
+        perm[u], perm[v] = v, u
+    else:
+        for group in by_ends.values():
+            moved = list(group)
+            rnd.shuffle(moved)
+            perm.update(zip(group, moved))
+    dg = BentFacesDoubleGroupoid(cm, squares, perm)
+    assert not dg.vertical_groupoid().violations()
+    failures = dgpd._interchange_failures(dg)
+    event("interchange fails" if failures else "interchange holds")
+    if failures:
+        assert not dgpd._interchange_on_generators(dg)
+        assert [v for v in check_double(dg) if v.startswith("interchange")] == failures
+
+
+@settings(ORACLE, max_examples=40)
+@given(corrupted_holonomy())
+def test_chart_certificate_matches_pair_scan(hol):
+    """A proved chart coherence leaves the pair scan nothing to find."""
+    scan = {"violations": [], "open_image_failures": []}
+    holonomy._transition_pairs(hol, {}, False, scan)
+    injective = all(len(set(c.mapping.values())) == len(c.mapping) for c in hol.charts)
+    proved = injective and holonomy._charts_translate(hol)
+    event("proved" if proved else "scanned, %s" % kind_of(("ok", scan)))
+    if proved:
+        assert scan["violations"] == []
+
+
+@pytest.mark.parametrize("name", ["z2z2", "pairz2", "z4", "pairz2-sierpinski"])
+def test_chart_certificate_holds_on_models(name):
+    assert holonomy._charts_translate(holonomy_model(name))
+
+
+@functools.lru_cache(maxsize=None)
+def scan_products(name):
+    """The vertical products the chart pair scan reads on a holonomy
+    model: t^-1(top s(z)) +1 s(z), then eta(z) +1 v, in _skey order."""
+    hol = holonomy_model(name)
+    vert = hol.dg.vertical_groupoid()
+    read = set()
+    for cs in hol.charts:
+        for ct in hol.charts:
+            if not set(cs.mapping.values()) & set(ct.mapping.values()):
+                continue
+            t_inv = local_section_inv(hol.dg, ct.section).squares
+            for z, sq in cs.section.squares.items():
+                if sq.top in t_inv:
+                    read.add((t_inv[sq.top], sq))
+                    eta = vert.add(t_inv[sq.top], sq)
+                    read.update((eta, v) for v in cs.mapping if v.top == z)
+    return sorted(read, key=_skey)
+
+
+@settings(ORACLE, max_examples=60)
+@given(st.sampled_from(["z2z2", "pairz2", "z4", "pairz2-sierpinski"]), st.data())
+def test_chart_certificate_needs_a_groupoid_vertical_view(name, data):
+    """With one vertical product the pair scan reads redirected to a
+    parallel square, the rows the scan reads may disagree with the ones
+    the chart values were checked on: the certificate must then defer
+    to the scan.  On the Sierpinski model the scan reads products the
+    chart values do not."""
+    hol = copy.copy(holonomy_model(name))
+    vert = hol.dg.vertical_groupoid()
+    table = dict(vert._table)
+    key = data.draw(st.sampled_from(scan_products(name)))
+    value = table[key]
+    parallel = [sq for sq in vert.arrows
+                if (sq.top, sq.bottom) == (value.top, value.bottom) and sq != value]
+    if parallel:
+        table[key] = data.draw(st.sampled_from(parallel))
+    hol.dg = copy.copy(hol.dg)
+    hol.dg._vertical = Groupoid(vert.objects, vert.arrows, vert._src, vert._tgt, table,
+                                vert._neg, vert._units)
+    scan = {"violations": [], "open_image_failures": []}
+    holonomy._transition_pairs(hol, {}, False, scan)
+    proved = holonomy._charts_translate(hol)
+    event("proved" if proved else "scanned, %s" % kind_of(("ok", scan)))
+    if proved:
+        assert scan["violations"] == []
+
+
+def words(gens, ends, add):
+    """Every left-bracketed word in ``gens``: the generators closed under
+    right multiplication by a generator starting where the word ends;
+    ``ends(a)`` is (source, target)."""
+    starting = {}
+    for s in gens:
+        starting.setdefault(ends(s)[0], []).append(s)
+    out, seen = list(gens), set(gens)
+    for w in out:
+        for s in starting.get(ends(w)[1], ()):
+            p = add(w, s)
+            if p not in seen:
+                seen.add(p)
+                out.append(p)
+    return seen
+
+
+def cert_model(name):
+    return zn_on_itself(int(name[1])) if name in ("z3", "z4") else corpus.corpus()[name]
+
+
+@pytest.mark.parametrize("name", sorted(corpus.corpus()) + ["z3", "z4"])
+def test_generating_sets_reach_every_arrow(name):
+    """The generating sets of the certificates: every arrow of the kernel
+    and edge groupoids, both square views, the germ groupoid J and the
+    groupoid P of horizontally composable pairs is a word in them."""
+    cm = cert_model(name)
+    dg = build_double_groupoid(discrete_item(cm)[0])
+    J = build_germ_groupoid(dg)[0]
+    for g in (cm.C, cm.G, dg.vertical_groupoid(), dg.horizontal_groupoid(), J):
+        rows = g.tables()[1]
+        gens = groupoid._arrow_generators(g)
+        assert len(gens) < len(g.arrows) or len(g.arrows) <= 2 * len(g.objects)
+        assert words(gens, lambda i: (g.src(g.arrows[i]), g.tgt(g.arrows[i])),
+                     lambda i, j: rows[i][j]) == set(range(len(g.arrows)))
+    objects, out = dgpd._pair_arrows(dg)
+    vt, squares = dg.vertical_groupoid().tables()[1], dg.squares
+    gens = dgpd._pair_generators(dg, objects, out)
+    got = words(gens, lambda s: ((squares[s[0]].top, squares[s[1]].top),
+                                 (squares[s[0]].bottom, squares[s[1]].bottom)),
+                lambda s, a: (vt[s[0]][a[0]], vt[s[1]][a[1]]))
+    pairs = {(i, j) for i, u in enumerate(squares) for j, v in enumerate(squares)
+             if u.right == v.left}
+    assert {s for x in objects for s, _ in out(x)} == pairs
+    assert got == pairs
+
+
+SCANS = ((groupoid, "_associativity_failures"), (dgpd, "_interchange_failures"),
+         (holonomy, "_transition_pairs"))
+CERTIFICATES = ((groupoid, "_associative_on_generators"), (dgpd, "_interchange_on_generators"),
+                (holonomy, "_charts_translate"))
+
+
+def test_certificates_are_taken_on_z4(monkeypatch):
+    """On Z/4 discrete (256 squares) check_double, check_groupoid on the
+    germ groupoid and chart coherence never reach their scans, and give
+    the verdicts that the scans give with every certificate refused."""
+    cm, w = discrete_item(zn_on_itself(4))
+    dg, wg, axioms = square_axioms(cm, w)
+    hol = holonomy_groupoid(dg, wg, axioms)
+
+    def refuse(*args):
+        raise AssertionError("a scan ran where its certificate should hold")
+
+    def verdicts():
+        fresh = build_double_groupoid(cm)
+        return (check_double(fresh), check_groupoid(build_germ_groupoid(fresh)[0]),
+                check_chart_coherence(hol))
+
+    with monkeypatch.context() as m:
+        for module, name in SCANS:
+            m.setattr(module, name, refuse)
+        got = verdicts()
+    with monkeypatch.context() as m:
+        for module, name in CERTIFICATES:
+            m.setattr(module, name, lambda *args: False)
+        want = verdicts()
+    assert got == want
+    assert got[:2] == ([], []) and got[2]["ok"] and got[2]["opens_to_opens"]
