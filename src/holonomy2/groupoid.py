@@ -500,6 +500,54 @@ def generated_subgroupoid(g, seed):
     return frozenset(closure)
 
 
+def triples_by_last(g, keys):
+    """The composable triples (u, v, u + v) of ``g`` whose three members
+    are all among ``keys``, as position triples into ``keys``, bucketed
+    by their largest position: a table search filling ``keys`` in order
+    checks bucket i when it places position i.  Each u walks the
+    by-source bucket of its target, so a bucket lists its triples in
+    order of u, then of v in arrow order."""
+    pos = {k: i for i, k in enumerate(keys)}
+    arrows, tgt, by_src = g.arrows, g._tgt, g._positions()[1]
+    out = [[] for _ in keys]
+    for i, u in enumerate(keys):
+        for j in by_src.get(tgt[u], ()):
+            v = arrows[j]
+            if v in pos:
+                k = pos.get(g.add(u, v))
+                if k is not None:
+                    out[max(i, pos[v], k)].append((i, pos[v], k))
+    return out
+
+
+def depth_first(n, options, fits):
+    """Every table f of length ``n`` that the search reaches, as a tuple,
+    in depth-first order.
+
+    Position i takes the values of ``options(i, f)`` in turn, read when
+    f[:i] is placed; the search goes deeper only where ``fits(i, f)``
+    holds for the value just placed at f[i].  The stack holds one
+    iterator per placed position, so no search depends on the
+    recursion limit."""
+    if not n:
+        yield ()
+        return
+    f = [None] * n
+    stack = [iter(options(0, f))]
+    while stack:
+        i = len(stack) - 1
+        for value in stack[i]:
+            f[i] = value
+            if fits(i, f):
+                if i + 1 == n:
+                    yield tuple(f)
+                else:
+                    stack.append(iter(options(i + 1, f)))
+                    break
+        else:
+            stack.pop()
+
+
 class NormalSubgroupoid:
     """Wide subset of arrows, closed under +, - and conjugation."""
 

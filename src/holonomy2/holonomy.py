@@ -25,7 +25,7 @@ import itertools
 from collections import defaultdict
 
 from .fintop import FiniteTopSpace, PartialMap, TopologyError, is_continuous, is_partial_homeomorphism, pullback_space
-from .groupoid import Groupoid, GroupoidMorphism, NormalSubgroupoid, _skey, check_groupoid, check_groupoid_morphism, generated_subgroupoid, quotient
+from .groupoid import Groupoid, GroupoidMorphism, NormalSubgroupoid, _skey, check_groupoid, check_groupoid_morphism, depth_first, generated_subgroupoid, quotient, triples_by_last
 from .xmod import apply_action
 from .dgpd import COMPOSITION_ERRORS, build_double_groupoid
 
@@ -169,15 +169,6 @@ class LocalLinearSection:
                             tuple(sorted(self.s0.items(), key=lambda kv: _skey(kv[0]))),
                             tuple(sorted(self.squares.items(), key=lambda kv: _skey(kv[0]))))
         return self._sorted
-
-    def square(self, z):
-        try:
-            return self.squares[z]
-        except KeyError:
-            raise HolonomyError("arrow %s outside section domain" % (z,)) from None
-
-    def top(self, z):
-        return self.square(z).top
 
     def top_map(self):
         return PartialMap({z: sq.top for z, sq in self.squares.items()})
@@ -366,9 +357,6 @@ class Germ:
         self._hash = hash((base, self.values))
         self._str = None
 
-    def value_map(self):
-        return dict(self._vm)
-
     def value(self):
         """The square at the base arrow (the final-map value)."""
         return self._vm[self.base]
@@ -434,10 +422,10 @@ def germ_inv(dg, g):
 
 
 def _complete_base_map(dg, dom0, pins, alpha_req, smooth):
-    """Find s0 on dom0 extending the right-edge pins, respecting the base
-    points required by left edges, making the base deformation a partial
-    homeomorphism (and s0 continuous when smooth).  The recursion goes
-    one level per unpinned object of ``dom0``."""
+    """The first s0 on dom0, in ``_skey`` order of the unpinned fibres,
+    that extends the right-edge pins, respects the base points required
+    by left edges, makes the base deformation a partial homeomorphism
+    (and is continuous when smooth); None when there is none."""
     G = dg.edge
     XS = G.object_space()
     AS = G.arrow_space()
@@ -446,31 +434,15 @@ def _complete_base_map(dg, dom0, pins, alpha_req, smooth):
         if x in alpha_req and G.src(arrow) != alpha_req[x]:
             return None
     free = [x for x in points if x not in pins]
-
-    def finish(s0):
-        f0 = PartialMap({x: G.src(s0[x]) for x in points})
-        ok, _ = is_partial_homeomorphism(f0, XS, XS)
-        if not ok:
-            return None
-        if smooth and not is_continuous(PartialMap(s0), XS, AS):
-            return None
-        return dict(s0)
-
-    def extend(i, s0):
-        if i == len(free):
-            return finish(s0)
-        x = free[i]
-        for arrow in sorted(G.beta_fiber(x), key=_skey):
-            if x in alpha_req and G.src(arrow) != alpha_req[x]:
-                continue
-            s0[x] = arrow
-            got = extend(i + 1, s0)
-            if got is not None:
-                return got
-            del s0[x]
-        return None
-
-    return extend(0, dict(pins))
+    fibres = [[arrow for arrow in sorted(G.beta_fiber(x), key=_skey)
+               if x not in alpha_req or G.src(arrow) == alpha_req[x]] for x in free]
+    for combo in itertools.product(*fibres):
+        s0 = dict(pins)
+        s0.update(zip(free, combo))
+        ok, _ = is_partial_homeomorphism(PartialMap({x: G.src(s0[x]) for x in points}), XS, XS)
+        if ok and (not smooth or is_continuous(PartialMap(s0), XS, AS)):
+            return s0
+    return None
 
 
 def section_from_squares(dg, dom1, square_map, window=None, smooth=False):
@@ -512,52 +484,49 @@ def square_tables(dg, arrows, candidates):
     their left edge, a right edge at an object starts at the base point
     required there, tops are distinct, and every triple (u, v, u + v)
     of listed arrows with u, v non-units has matching edges and
-    comp2(u, v) = u + v.  Each depth checks only what its arrow adds:
-    triples are bucketed by the position of their last member.  The
-    recursion goes one level per listed arrow: a minimal open, or the
-    edge arrows for global sections.
+    comp2(u, v) = u + v.  A ``depth_first`` search: the options of an
+    arrow are its candidates that take the right edge and left base
+    point pinned by the first earlier arrow at each foot and a top not
+    yet used; the fit checks the base points both of whose arrows are
+    now placed and the triples whose last member this is.
     """
     G = dg.edge
-    pos = {z: i for i, z in enumerate(arrows)}
-    triples = [[] for _ in arrows]
-    for u in arrows:
-        if G.is_unit(u):
-            continue
-        for v in arrows:
-            if G.is_unit(v) or not G.composable(u, v):
-                continue
-            uv = G.add(u, v)
-            if uv in pos:
-                triples[max(pos[u], pos[v], pos[uv])].append((u, v, uv))
-    assign, rights, lefts, tops = {}, {}, {}, set()
+    src, comp2 = G.src, dg.comp2
+    triples = [[t for t in bucket if not G.is_unit(arrows[t[0]]) and not G.is_unit(arrows[t[1]])]
+               for bucket in triples_by_last(G, arrows)]
+    # the first arrow into and out of each object fix its right edge and
+    # the base point of its left edge
+    first_in, first_out = {}, {}
+    for i, z in enumerate(arrows):
+        first_in.setdefault(G.tgt(z), i)
+        first_out.setdefault(G.src(z), i)
+    pins, feet = [], []
+    for i, z in enumerate(arrows):
+        r, l = first_in[G.tgt(z)], first_out[G.src(z)]
+        pins.append((candidates[z], r if r < i else None, l if l < i else None))
+        feet.append([(first_in[x], first_out[x]) for x in dict.fromkeys((G.tgt(z), G.src(z)))
+                     if x in first_in and x in first_out
+                     and max(first_in[x], first_out[x]) == i])
 
-    def extend(i):
-        if i == len(arrows):
-            yield dict(assign)
-            return
-        z = arrows[i]
-        t, s = G.tgt(z), G.src(z)
-        for sq in candidates[z]:
-            la = G.src(sq.left)
-            if rights.get(t, sq.right) != sq.right or lefts.get(s, la) != la or sq.top in tops:
-                continue
-            new_t, new_s = t not in rights, s not in lefts
-            rights[t], lefts[s] = sq.right, la
-            assign[z] = sq
-            tops.add(sq.top)
-            if (all(G.src(rights[x]) == lefts[x] for x in (t, s) if x in rights and x in lefts)
-                    and all(assign[u].right == assign[v].left
-                            and dg.comp2(assign[u], assign[v]) == assign[uv]
-                            for u, v, uv in triples[i])):
-                yield from extend(i + 1)
-            tops.discard(sq.top)
-            del assign[z]
-            if new_t:
-                del rights[t]
-            if new_s:
-                del lefts[s]
+    def options(i, f):
+        cands, r, l = pins[i]
+        if r is not None:
+            right = f[r].right
+            cands = [sq for sq in cands if sq.right == right]
+        if l is not None:
+            base = src(f[l].left)
+            cands = [sq for sq in cands if src(sq.left) == base]
+        if i:
+            used = {sq.top for sq in f[:i]}
+            cands = [sq for sq in cands if sq.top not in used]
+        return cands
 
-    return extend(0)
+    def fits(i, f):
+        return (all(src(f[r].right) == src(f[l].left) for r, l in feet[i])
+                and all(f[u].right == f[v].left and comp2(f[u], f[v]) == f[uv]
+                        for u, v, uv in triples[i]))
+
+    return (dict(zip(arrows, f)) for f in depth_first(len(arrows), options, fits))
 
 
 def min_sections_at(dg, a, window=None, smooth=False):
@@ -676,7 +645,11 @@ def _difference_lands_in_window(differences, wg):
     return all(d in wg for d in differences.values() if d in wg)
 
 
-def check_locally_lie_double(dg, wg, deduction_triples=120):
+# section triples the triple-restriction deduction checks at most
+DEDUCTION_TRIPLES = 120
+
+
+def check_locally_lie_double(dg, wg):
     """Axioms S1-S5 for a windowed double groupoid, with the standard
     deductions verified when the axioms pass.
 
@@ -717,8 +690,7 @@ def check_locally_lie_double(dg, wg, deduction_triples=120):
     report["ok"] = all(report[k]["ok"] for k in ("S1", "S2", "S3", "S4", "S5"))
 
     if report["ok"]:
-        report["deductions"] = _locally_lie_deductions(dg, wg, enough, deduction_triples,
-                                                       differences)
+        report["deductions"] = _locally_lie_deductions(dg, wg, enough, differences)
     return report
 
 
@@ -753,7 +725,7 @@ def _window_products(dg, wg):
     return out
 
 
-def _locally_lie_deductions(dg, wg, enough, triple_cap, differences):
+def _locally_lie_deductions(dg, wg, enough, differences):
     out = {}
     # 1) the vertical inverse is continuous on the window
     inv_map = PartialMap({sq: dg.vneg(sq) for sq in wg.squares})
@@ -773,7 +745,7 @@ def _locally_lie_deductions(dg, wg, enough, triple_cap, differences):
             secs.append(wit)
     checked = failures = 0
     for k, s, t in itertools.product(secs, repeat=3):
-        if checked >= triple_cap:
+        if checked >= DEDUCTION_TRIPLES:
             break
         try:
             ks = local_section_mul(dg, k, s, check=False)
@@ -950,15 +922,13 @@ def window_germs(dg, wg):
     return out
 
 
-def build_restricted_germs(dg, wg, J=None, j_witness=None):
-    """Subgroupoid of the germ groupoid generated by window germs.
+def build_restricted_germs(dg, wg, J):
+    """Subgroupoid of the germ groupoid J generated by window germs.
 
     Returns (groupoid, seed germs, witness sections for every germ);
     witnesses of products are products of witnesses, so every germ comes
     with an explicit word section.
     """
-    if J is None:
-        J, j_witness = build_germ_groupoid(dg)
     seed_witness = window_germs(dg, wg)
     seed = set()
     witness = {}
@@ -1139,14 +1109,14 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
             if not axioms[key]["ok"]:
                 raise HolonomyError("axiom %s failed: %s" % (key, axioms[key]))
 
-    J, j_witness = build_germ_groupoid(dg)
+    J = build_germ_groupoid(dg)[0]
     bad = check_groupoid(J)
     if bad:
         raise HolonomyError("germ groupoid invalid: %s" % bad[0])
-    jr, seed, witness = build_restricted_germs(dg, wg, J, j_witness)
+    jr, seed, witness = build_restricted_germs(dg, wg, J)
     # nothing below reads J: drop it and its compiled tables now, so they
     # do not add to the peak memory of the quotient and the charts
-    del J, j_witness
+    del J
     unit_sub = build_unit_germs(dg, wg, jr, seed)
     hol_raw, proj_raw = quotient(jr, unit_sub)
     if len(hol_raw.objects) != len(jr.objects) or any(len(o) != 1 for o in hol_raw.objects):
@@ -1426,8 +1396,13 @@ def push_section(dg_target, mu, sec):
     return section_from_squares(dg_target, sec.dom1, squares)
 
 
-def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
-                       theta_choices=3, search_cap=200000):
+# the choices the universal construction re-verifies: factorizations per
+# square and through-sections per factor
+MAX_FACTORIZATIONS = 24
+THETA_CHOICES = 3
+
+
+def universal_morphism(cmA, wA, mu, hol, word_bound=8, search_cap=200000):
     """The unique morphism into the holonomy groupoid over a vertical
     morphism of double groupoids.
 
@@ -1438,12 +1413,12 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
     uniqueness by exhaustive search.
 
     "Up to the bounds" means: each square is factored in at most
-    ``max_factorizations`` ways into at most ``word_bound`` preimage
-    squares; each factor contributes its first ``theta_choices``
-    through-sections, computed once per call.  The uniqueness search is
-    exhaustive (up to ``search_cap`` nodes) and checks each composable
-    pair of squares once, when the last of the pair and its composite is
-    assigned.
+    ``MAX_FACTORIZATIONS`` ways into at most ``word_bound`` preimage
+    squares; each factor contributes its first ``THETA_CHOICES``
+    through-sections, computed once per call.  The uniqueness search,
+    ``qualifying_tables``, is exhaustive (up to ``search_cap`` nodes) and
+    checks each composable pair of squares once, when the last of the
+    pair and its composite is assigned.
     """
     dgC, wg = hol.dg, hol.wg
     dgA = build_double_groupoid(cmA)
@@ -1484,11 +1459,11 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
     pushed_through = {}
 
     def pushed(piece):
-        """The first ``theta_choices`` through-sections of a factor that
+        """The first ``THETA_CHOICES`` through-sections of a factor that
         stay smooth when pushed along ``mu``."""
         if piece not in pushed_through:
             out = []
-            for theta in sections_through(dgA, preW, piece)[:theta_choices]:
+            for theta in sections_through(dgA, preW, piece)[:THETA_CHOICES]:
                 img = push_section(dgC, mu, theta)
                 if img is not None and not smoothness_violations(dgC, wg, img):
                     out.append(img)
@@ -1498,7 +1473,7 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
     def classes_for(w_sq):
         found = set()
         for fact in _factorizations(vertA, pre, pre_by_top, w_sq, word_bound,
-                                    max_factorizations):
+                                    MAX_FACTORIZATIONS):
             chain = []
             for piece in reversed(fact):
                 chain.append(pushed(piece))
@@ -1548,53 +1523,40 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
         raise HolonomyError("constructed map not a morphism: %s" % bad[0])
 
     # uniqueness by exhaustive search over qualifying morphisms
-    fibers = {}
-    for sq in squares:
-        if sq in pre:
-            fibers[sq] = [hol.embed[mu.arr_map[sq]]]
-        else:
-            fibers[sq] = [h for h in hol.quotient.arrows
-                          if hol.psi.arr_map[h] == mu.arr_map[sq]
-                          and hol.quotient.src(h) == sq.top
-                          and hol.quotient.tgt(h) == sq.bottom]
-    # each composable pair (u, v, u+v) is checked at the depth of its last
-    # member, in (u, v) square order, read from the vertical rows of the
-    # source (its arrows are the squares, in square order)
-    _, rows, _, by_top = vertA.tables()
-    pairs_at = [[] for _ in squares]
-    for i, u in enumerate(squares):
-        row = rows[i]
-        for j in by_top.get(u.bottom, ()):
-            pairs_at[max(i, j, row[j])].append((u, squares[j], squares[row[j]]))
-    # depth first, with an explicit stack of fibre iterators so that the
-    # depth (one level per square) is not bounded by the recursion limit;
-    # a node is counted when it is entered, and two solutions end it
-    add = hol.quotient.add
-    assign, solutions, stack = {}, [], []
-    count, entering = 0, True
-    while len(solutions) < 2:
-        if entering:
-            count += 1
-            if count > search_cap:
-                raise HolonomyError("uniqueness search cap exceeded")
-            if len(stack) == len(squares):
-                solutions.append(dict(assign))
-            else:
-                stack.append(iter(fibers[squares[len(stack)]]))
-        if not stack:
-            break
-        i = len(stack) - 1
-        sq, entering = squares[i], False
-        for h in stack[-1]:
-            assign[sq] = h
-            if all(add(assign[u], assign[v]) == assign[uv] for u, v, uv in pairs_at[i]):
-                entering = True
-                break
-        else:
-            stack.pop()
+    fibres = [[hol.embed[mu.arr_map[sq]]] if sq in pre else
+              [h for h in hol.quotient.arrows
+               if hol.psi.arr_map[h] == mu.arr_map[sq]
+               and hol.quotient.src(h) == sq.top and hol.quotient.tgt(h) == sq.bottom]
+              for sq in squares]
+    solutions = qualifying_tables(fibres, triples_by_last(vertA, squares), hol.quotient.add,
+                                  search_cap)
     report["qualifying_morphisms"] = len(solutions)
-    report["unique"] = len(solutions) == 1 and solutions[0] == mu_prime_map
+    report["unique"] = (len(solutions) == 1
+                        and solutions[0] == tuple(mu_prime_map[sq] for sq in squares))
     return mu_prime, report
+
+
+def qualifying_tables(fibres, triples, add, search_cap):
+    """The first two tables h, in depth-first order, with h[i] drawn from
+    ``fibres[i]`` and add(h[u], h[v]) == h[w] for every triple (u, v, w)
+    of ``triples``, which are bucketed by their last position as
+    ``triples_by_last`` gives them.  One node is counted per table
+    prefix entered, the empty one included; past ``search_cap`` nodes
+    the search raises."""
+    count = 1
+    if count > search_cap:
+        raise HolonomyError("uniqueness search cap exceeded")
+
+    def fits(i, h):
+        nonlocal count
+        if not all(add(h[u], h[v]) == h[w] for u, v, w in triples[i]):
+            return False
+        count += 1
+        if count > search_cap:
+            raise HolonomyError("uniqueness search cap exceeded")
+        return True
+
+    return list(itertools.islice(depth_first(len(fibres), lambda i, h: fibres[i], fits), 2))
 
 
 def identity_vertical_morphism(dg):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .groupoid import _skey
+from .groupoid import _skey, depth_first, triples_by_last
 from .xmod import XModMorphism, apply_action
 from .dgpd import Square
 from .holonomy import LocalLinearSection, local_section_mul, square_tables
@@ -76,38 +76,21 @@ def constant_derivation(cm):
 
 
 def enumerate_free_derivations(cm):
-    """All free derivations, by constraint-propagating table search."""
+    """All free derivations: every target section s0 with every s1 table
+    of the ``depth_first`` search over the G arrows, whose fit checks the
+    derivation law on the composable triples that each arrow completes."""
     G, C = cm.G, cm.C
-    arrows = sorted(G.arrows, key=_skey)
+    arrows = G.arrows
     s0_choices = [sorted(G.beta_fiber(x), key=_skey) for x in G.objects]
-    results = []
+    s1_choices = [[c for c in C.arrows if C.tgt(c) == G.tgt(a)] for a in arrows]
+    triples = triples_by_last(G, arrows)
 
-    def s1_candidates(a, partial):
-        return [c for c in C.arrows if C.tgt(c) == G.tgt(a)]
+    def fits(i, f):
+        return all(f[ab] == C.add(apply_action(cm, f[a], arrows[b]), f[b])
+                   for a, b, ab in triples[i])
 
-    def consistent(partial):
-        for a in partial:
-            for b in partial:
-                if not G.composable(a, b):
-                    continue
-                ab = G.add(a, b)
-                if ab in partial:
-                    if partial[ab] != C.add(apply_action(cm, partial[a], b), partial[b]):
-                        return False
-        return True
-
-    def extend(i, partial):
-        if i == len(arrows):
-            results.append(dict(partial))
-            return
-        a = arrows[i]
-        for c in s1_candidates(a, partial):
-            partial[a] = c
-            if consistent(partial):
-                extend(i + 1, partial)
-            del partial[a]
-
-    extend(0, {})
+    results = [dict(zip(arrows, f))
+               for f in depth_first(len(arrows), lambda i, f: s1_choices[i], fits)]
     out = []
     for combo in itertools.product(*s0_choices):
         s0 = dict(zip(G.objects, combo))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .groupoid import Groupoid, GroupoidMorphism, _skey
+from .groupoid import GroupoidMorphism, _skey, depth_first, triples_by_last
 
 
 class XModError(ValueError):
@@ -198,45 +198,23 @@ def find_xmod_isomorphism(src, tgt):
 
 
 def _arrow_bijections(gsrc, gtgt, f0):
-    """Structure-preserving arrow bijections over a fixed object bijection.
+    """Structure-preserving arrow bijections over a fixed object bijection,
+    in ``depth_first`` order over the source arrows: each takes an unused
+    target arrow with the mapped endpoints and the same unit status, and
+    fits when it preserves the sums of the composable triples it
+    completes."""
+    arrows = gsrc.arrows
+    choices = [[b for b in gtgt.arrows
+                if gtgt.src(b) == f0[gsrc.src(a)] and gtgt.tgt(b) == f0[gsrc.tgt(a)]
+                and gsrc.is_unit(a) == gtgt.is_unit(b)] for a in arrows]
+    triples = triples_by_last(gsrc, arrows)
 
-    A depth-first search with one level of ``extend`` per source arrow,
-    so its depth is the arrow count: at most the loader's arrow cap
-    (512) for a generated groupoid.
-    """
-    arrows = sorted(gsrc.arrows, key=_skey)
+    def options(i, f):
+        used = set(f[:i])
+        return [b for b in choices[i] if b not in used]
 
-    def candidates(a, partial):
-        used = set(partial.values())
-        out = []
-        for b in gtgt.arrows:
-            if b in used:
-                continue
-            if gtgt.src(b) != f0[gsrc.src(a)] or gtgt.tgt(b) != f0[gsrc.tgt(a)]:
-                continue
-            if gsrc.is_unit(a) != gtgt.is_unit(b):
-                continue
-            out.append(b)
-        return out
+    def fits(i, f):
+        return all(gtgt.add(f[x], f[y]) == f[z] for x, y, z in triples[i])
 
-    def consistent(partial):
-        for x in partial:
-            for y in partial:
-                if gsrc.composable(x, y):
-                    z = gsrc.add(x, y)
-                    if z in partial and gtgt.add(partial[x], partial[y]) != partial[z]:
-                        return False
-        return True
-
-    def extend(i, partial):
-        if i == len(arrows):
-            yield dict(partial)
-            return
-        a = arrows[i]
-        for b in candidates(a, partial):
-            partial[a] = b
-            if consistent(partial):
-                yield from extend(i + 1, partial)
-            del partial[a]
-
-    yield from extend(0, {})
+    for f in depth_first(len(arrows), options, fits):
+        yield dict(zip(arrows, f))

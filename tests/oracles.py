@@ -12,9 +12,12 @@ assigned pair at every node.  The section searches are kept as they
 were before the shared square-table search: a global linear section
 search and a minimal-domain search that rescan every assigned pair at
 every node, and a global section product with its own formula.  The
-germ closure re-sorts the closure for every germ it extends, a
-generated subgroupoid tries every pair of its members, and
-openness is membership in the materialised open family.  Finite spaces
+free-derivation search and the arrow-bijection search of the gamma
+isomorphism are kept as they were before the shared depth-first
+search: one recursive level per arrow, rescanning every assigned pair
+at every node.  The germ closure re-sorts the closure for every germ
+it extends, a generated subgroupoid tries every pair of its members,
+and openness is membership in the materialised open family.  Finite spaces
 are built, checked and queried once per point, as before minimal opens
 were interned; through-sections come from one search pinned to each
 square; a chart multiplies whole sections to read one germ.  The
@@ -38,8 +41,8 @@ from holonomy2.holonomy import (_MODEL_ERRORS, Chart, HolonomyError, LocalLinear
                                 local_section_mul, push_section, section_from_squares,
                                 smoothness_violations, square_subwindow)
 from holonomy2.holonomy import square_tables as library_square_tables
-from holonomy2.homotopy import DerivationError, LinearSection, check_linear_section
-from holonomy2.xmod import XModMorphism
+from holonomy2.homotopy import DerivationError, FreeDerivation, LinearSection, check_linear_section
+from holonomy2.xmod import XModMorphism, apply_action
 
 
 def pullback_space(component_spaces, points, components):
@@ -673,6 +676,90 @@ def enumerate_linear_sections(dg):
 
     extend(0, {}, {})
     return out
+
+
+def enumerate_free_derivations(cm):
+    """All free derivations, in the order of the library search: each
+    node rescans every assigned pair."""
+    G, C = cm.G, cm.C
+    arrows = sorted(G.arrows, key=_skey)
+    s0_choices = [sorted(G.beta_fiber(x), key=_skey) for x in G.objects]
+    results = []
+
+    def s1_candidates(a, partial):
+        return [c for c in C.arrows if C.tgt(c) == G.tgt(a)]
+
+    def consistent(partial):
+        for a in partial:
+            for b in partial:
+                if not G.composable(a, b):
+                    continue
+                ab = G.add(a, b)
+                if ab in partial:
+                    if partial[ab] != C.add(apply_action(cm, partial[a], b), partial[b]):
+                        return False
+        return True
+
+    def extend(i, partial):
+        if i == len(arrows):
+            results.append(dict(partial))
+            return
+        a = arrows[i]
+        for c in s1_candidates(a, partial):
+            partial[a] = c
+            if consistent(partial):
+                extend(i + 1, partial)
+            del partial[a]
+
+    extend(0, {})
+    out = []
+    for combo in itertools.product(*s0_choices):
+        s0 = dict(zip(G.objects, combo))
+        for s1 in results:
+            out.append(FreeDerivation(s0, s1))
+    return out
+
+
+def arrow_bijections(gsrc, gtgt, f0):
+    """Structure-preserving arrow bijections over a fixed object
+    bijection, in the order of the library search: each node rescans
+    every assigned pair."""
+    arrows = sorted(gsrc.arrows, key=_skey)
+
+    def candidates(a, partial):
+        used = set(partial.values())
+        out = []
+        for b in gtgt.arrows:
+            if b in used:
+                continue
+            if gtgt.src(b) != f0[gsrc.src(a)] or gtgt.tgt(b) != f0[gsrc.tgt(a)]:
+                continue
+            if gsrc.is_unit(a) != gtgt.is_unit(b):
+                continue
+            out.append(b)
+        return out
+
+    def consistent(partial):
+        for x in partial:
+            for y in partial:
+                if gsrc.composable(x, y):
+                    z = gsrc.add(x, y)
+                    if z in partial and gtgt.add(partial[x], partial[y]) != partial[z]:
+                        return False
+        return True
+
+    def extend(i, partial):
+        if i == len(arrows):
+            yield dict(partial)
+            return
+        a = arrows[i]
+        for b in candidates(a, partial):
+            partial[a] = b
+            if consistent(partial):
+                yield from extend(i + 1, partial)
+            del partial[a]
+
+    yield from extend(0, {})
 
 
 def min_sections_at(dg, a, window=None, smooth=False, pin=None):

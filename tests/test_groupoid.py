@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,3 +170,61 @@ def test_generated_subgroupoid_contains_seed_and_units(seed):
     g = corpus.cyclic_groupoid(4)
     out = generated_subgroupoid(g, seed)
     assert seed <= out and g.units() <= out
+
+
+@pytest.mark.parametrize("search", ["gamma", "derivations", "linear-sections", "uniqueness"])
+def test_table_searches_answer_at_one_recursion_limit(search):
+    """Every table search runs on ``depth_first``'s explicit stack: the
+    lowest recursion limit at which it answers on Z/n acting on itself
+    is the same for n = 2, 3 and 4, although its depth grows with the
+    arrows (with the squares, for the uniqueness search)."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    script = textwrap.dedent("""
+        import bisect
+        import sys
+        from conftest import discrete_item, holonomy_of, zn_on_itself
+        from holonomy2.dgpd import build_double_groupoid, crossed_module_of
+        from holonomy2.holonomy import identity_vertical_morphism, universal_morphism
+        from holonomy2.homotopy import enumerate_free_derivations, enumerate_linear_sections
+        from holonomy2.xmod import find_xmod_isomorphism
+
+        def search(kind, n):
+            cm = zn_on_itself(n)
+            if kind == "gamma":
+                back = crossed_module_of(build_double_groupoid(cm))
+                return lambda: find_xmod_isomorphism(back, cm) is not None
+            if kind == "derivations":
+                return lambda: len(enumerate_free_derivations(cm)) == n ** 2
+            if kind == "linear-sections":
+                dg = build_double_groupoid(cm)
+                return lambda: len(enumerate_linear_sections(dg)) > 0
+            cm, w = discrete_item(cm)
+            hol = holonomy_of(cm, w)
+            mu = identity_vertical_morphism(hol.dg)
+            return lambda: universal_morphism(cm, w, mu, hol)[1]["unique"]
+
+        def answers(run, limit):
+            try:
+                sys.setrecursionlimit(limit)
+                return run()
+            except RecursionError:
+                return False
+            finally:
+                sys.setrecursionlimit(1000)
+
+        lowest = []
+        for n in (2, 3, 4):
+            run = search(sys.argv[1], n)
+            # every call from the same frame depth
+            limits = range(5, 200)
+            lowest.append(limits[bisect.bisect(limits, False,
+                                               key=lambda limit: answers(run, limit))])
+        print(*lowest)
+        """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(here, "..", "src"), here, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script, search], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lowest = done.stdout.split()
+    assert len(lowest) == 3 and len(set(lowest)) == 1, lowest

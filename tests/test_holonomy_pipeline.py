@@ -54,9 +54,9 @@ def test_unit_germs_are_units(z2z2):
 def test_restricted_germs_wide_subgroupoid(z4):
     cm, w = discrete_item(z4)
     dg = build_double_groupoid(cm)
-    J, jwit = build_germ_groupoid(dg)
+    J, _ = build_germ_groupoid(dg)
     wg = build_wg(dg, w)
-    jr, seed, wit = build_restricted_germs(dg, wg, J, jwit)
+    jr, seed, wit = build_restricted_germs(dg, wg, J)
     assert set(jr.arrows) <= set(J.arrows)
     assert check_groupoid(jr) == []
     for a in dg.edge.arrows:
@@ -89,18 +89,18 @@ def test_final_map_unit_value(z2z2):
 def test_final_map_surjective_discrete_full_window(z2z2):
     cm, w = discrete_item(z2z2)
     dg = build_double_groupoid(cm)
-    J, jwit = build_germ_groupoid(dg)
+    J, _ = build_germ_groupoid(dg)
     wg = build_wg(dg, w)
-    jr, seed, wit = build_restricted_germs(dg, wg, J, jwit)
+    jr, seed, wit = build_restricted_germs(dg, wg, J)
     assert {g.value() for g in jr.arrows} == set(dg.squares)
 
 
 def test_kernel_germs_discrete_are_units(z2z2):
     cm, w = discrete_item(z2z2)
     dg = build_double_groupoid(cm)
-    J, jwit = build_germ_groupoid(dg)
+    J, _ = build_germ_groupoid(dg)
     wg = build_wg(dg, w)
-    jr, seed, wit = build_restricted_germs(dg, wg, J, jwit)
+    jr, seed, wit = build_restricted_germs(dg, wg, J)
     sub = build_unit_germs(dg, wg, jr, seed)
     assert sub.arrows == frozenset(unit_germ(dg, a) for a in dg.edge.arrows)
 
@@ -109,9 +109,9 @@ def test_kernel_germs_contain_constant_everywhere(all_cms):
     for name in ("z2z2", "z4"):
         cm, w = discrete_item(all_cms[name])
         dg = build_double_groupoid(cm)
-        J, jwit = build_germ_groupoid(dg)
+        J, _ = build_germ_groupoid(dg)
         wg = build_wg(dg, w)
-        jr, seed, wit = build_restricted_germs(dg, wg, J, jwit)
+        jr, seed, wit = build_restricted_germs(dg, wg, J)
         sub = build_unit_germs(dg, wg, jr, seed)
         for a in dg.edge.arrows:
             assert unit_germ(dg, a) in sub.arrows
@@ -120,9 +120,9 @@ def test_kernel_germs_contain_constant_everywhere(all_cms):
 def test_kernel_germs_conjugation_closed_indiscrete(z2z2):
     cm, w = indiscrete_item(z2z2)
     dg = build_double_groupoid(cm)
-    J, jwit = build_germ_groupoid(dg)
+    J, _ = build_germ_groupoid(dg)
     wg = build_wg(dg, w)
-    jr, seed, wit = build_restricted_germs(dg, wg, J, jwit)
+    jr, seed, wit = build_restricted_germs(dg, wg, J)
     sub = build_unit_germs(dg, wg, jr, seed)
     assert sub.violations() == []
     for n in sub.arrows:

@@ -11,9 +11,11 @@ and failed uniqueness searches are compared, order included.
 """
 
 import bisect
+import contextlib
 import copy
 import functools
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -22,8 +24,9 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (corpus_groupoids, discrete_item, indiscrete_item, pair_bundle,
                       sierpinski_pairz2_item, square_axioms, z4_coset_item, zn_on_itself)
-from holonomy2 import corpus, dgpd, groupoid, holonomy
-from holonomy2.dgpd import DoubleGroupoid, Square, build_double_groupoid, check_double
+from holonomy2 import corpus, dgpd, groupoid, holonomy, xmod
+from holonomy2.dgpd import (DoubleGroupoid, Square, build_double_groupoid, check_double,
+                            crossed_module_of)
 from holonomy2.fintop import (FiniteTopSpace, PartialMap, is_continuous, is_partial_homeomorphism,
                               pullback_space)
 from holonomy2.groupoid import (Groupoid, GroupoidMorphism, _skey, check_groupoid,
@@ -863,7 +866,17 @@ def universal_model(name):
 
 
 def universal_outcome(fn, cm, wa, mu, hol, **bounds):
-    got = outcome(functools.partial(fn, **bounds), cm, wa, mu, hol)
+    """The outcome of ``fn`` under ``bounds``; the library reads its
+    factorization and through-section bounds from module constants,
+    patched for the call."""
+    constants = contextlib.nullcontext()
+    if fn is universal_morphism:
+        constants = mock.patch.multiple(
+            holonomy,
+            MAX_FACTORIZATIONS=bounds.pop("max_factorizations", holonomy.MAX_FACTORIZATIONS),
+            THETA_CHOICES=bounds.pop("theta_choices", holonomy.THETA_CHOICES))
+    with constants:
+        got = outcome(functools.partial(fn, **bounds), cm, wa, mu, hol)
     if got[0] == "ok":
         mu_prime, report = got[1]
         return "ok", mu_prime.obj_map, mu_prime.arr_map, report
@@ -1213,6 +1226,34 @@ def test_square_tables_match_rescanning_search(name, data):
     tables = list(square_tables(dg, arrows, candidates))
     assert tables == oracles.square_tables(dg, arrows, candidates)
     event("tables" if tables else "no table")
+
+
+SEARCH_MODELS = dict(corpus.corpus(), **{"z%d" % n: zn_on_itself(n) for n in (2, 3, 4)})
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_MODELS))
+def test_free_derivations_match_rescanning_search(name):
+    cm = SEARCH_MODELS[name]
+    got = enumerate_free_derivations(cm)
+    assert got and got == oracles.enumerate_free_derivations(cm)
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_MODELS))
+def test_arrow_bijections_match_rescanning_search(name):
+    """The bijections of the gamma search, from the crossed module of the
+    double groupoid back to the model and from the model to itself, over
+    every object bijection, for the edge and the kernel groupoids."""
+    cm = SEARCH_MODELS[name]
+    back = crossed_module_of(build_double_groupoid(cm))
+    found = 0
+    for source in (back, cm):
+        for perm in itertools.permutations(cm.G.objects):
+            f0 = dict(zip(source.G.objects, perm))
+            for gsrc, gtgt in ((source.G, cm.G), (source.C, cm.C)):
+                got = list(xmod._arrow_bijections(gsrc, gtgt, f0))
+                assert got == list(oracles.arrow_bijections(gsrc, gtgt, f0))
+                found += len(got)
+    assert found
 
 
 

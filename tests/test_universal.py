@@ -1,15 +1,13 @@
-import os
-import subprocess
-import sys
-import textwrap
+import itertools
 
 import pytest
 
 from holonomy2 import corpus
 from holonomy2.fintop import FiniteTopSpace
-from holonomy2.groupoid import GroupoidMorphism, check_groupoid_morphism
+from holonomy2.groupoid import GroupoidMorphism, check_groupoid_morphism, triples_by_last
 from holonomy2.holonomy import (HolonomyError, WStructure, full_wstructure,
-                                identity_vertical_morphism, universal_morphism)
+                                identity_vertical_morphism, qualifying_tables,
+                                universal_morphism)
 
 from conftest import discrete_item, holonomy_of, zn_on_itself
 
@@ -68,26 +66,25 @@ def test_identity_instance_on_z3_is_unique():
     assert rep["psi_after"] and rep["is_morphism"]
 
 
-def test_uniqueness_search_is_not_bounded_by_the_recursion_limit():
-    """The search goes one level per square: with 81 squares and a
-    recursion limit of 60 it must still answer, without RecursionError."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    script = textwrap.dedent("""
-        import sys
-        from conftest import discrete_item, holonomy_of, zn_on_itself
-        from holonomy2.holonomy import identity_vertical_morphism, universal_morphism
-        cm, w = discrete_item(zn_on_itself(3))
-        hol = holonomy_of(cm, w)
-        sys.setrecursionlimit(60)
-        mp, rep = universal_morphism(cm, w, identity_vertical_morphism(hol.dg), hol)
-        print(rep["unique"], rep["qualifying_morphisms"])
-        """)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(here, "..", "src"), here, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["True", "1"]
+def test_uniqueness_search_reports_two_qualifiers():
+    """Z/2 into Z/2 x Z/2 with the unit on the unit: the generator may go
+    to any of the four elements, so four tables qualify.  The search
+    returns the first two, counting one node per prefix entered: the
+    empty prefix, the unit, and one per qualifier."""
+    z2 = corpus.cyclic_groupoid(2)
+    triples = triples_by_last(z2, z2.arrows)
+    klein = list(itertools.product(range(2), repeat=2))
+
+    def add(x, y):
+        return tuple((i + j) % 2 for i, j in zip(x, y))
+
+    e = (0, 0)
+    assert qualifying_tables([[e], klein], triples, add, 4) == [(e, (0, 0)), (e, (0, 1))]
+    with pytest.raises(HolonomyError, match="cap exceeded"):
+        qualifying_tables([[e], klein], triples, add, 3)
+    assert qualifying_tables([[e], [(1, 1)]], triples, add, 3) == [(e, (1, 1))]
+    # the unit law fails at the first position: no qualifier, one node
+    assert qualifying_tables([[(1, 0)], klein], triples, add, 1) == []
 
 
 def test_universal_through_restricted_window():

@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-import textwrap
-
 import pytest
 
 from holonomy2 import corpus
@@ -120,43 +115,3 @@ def test_no_isomorphism_between_different_sizes(z2z2, z4):
     assert find_xmod_isomorphism(z2z2, z4) is None
 
 
-def test_gamma_search_goes_one_level_per_arrow():
-    """The arrow-bijection search nests one ``extend`` level per source
-    arrow: the lowest recursion limit at which the gamma isomorphism
-    search of Z/n finishes is the arrow count plus a fixed overhead, for
-    n = 2, 3, 4 alike."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    script = textwrap.dedent("""
-        import sys
-        from conftest import zn_on_itself
-        from holonomy2.dgpd import build_double_groupoid, crossed_module_of
-        from holonomy2.xmod import find_xmod_isomorphism
-
-        def found_under(limit, back, cm):
-            try:
-                sys.setrecursionlimit(limit)
-                return find_xmod_isomorphism(back, cm) is not None
-            except RecursionError:
-                return False
-            finally:
-                sys.setrecursionlimit(1000)
-
-        overheads = []
-        for n in (2, 3, 4):
-            cm = zn_on_itself(n)
-            back = crossed_module_of(build_double_groupoid(cm))
-            arrows = max(len(back.G.arrows), len(back.C.arrows))
-            # every call from the same frame depth
-            limit = 5
-            while not found_under(limit, back, cm) and limit < 200:
-                limit += 1
-            overheads.append(limit - arrows)
-        print(*overheads)
-        """)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(here, "..", "src"), here, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    overheads = done.stdout.split()
-    assert len(overheads) == 3 and len(set(overheads)) == 1, overheads
