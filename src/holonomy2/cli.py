@@ -2,9 +2,9 @@
 
 Exit codes: 0 when every requested verdict passes, 1 on verdict
 failures (witnesses included in the report), 2 on parse or reference
-errors.  Reports are deterministic for a fixed scenario and seed;
-timings are included only on request so that default output is
-byte-identical across runs.
+errors.  Reports are deterministic for a fixed scenario (nothing is
+sampled; the seed is only echoed); timings are included only on
+request so that default output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 
@@ -159,15 +158,14 @@ def task_holonomy(scn, task, opts):
 
 
 def task_universal(scn, task, opts):
-    name, cm, wname, w, dg, wg, axioms = _windowed(scn, task, "tasks.universal")
     mu_name = task.get("mu", "identity")
-    hol = holonomy_groupoid(dg, wg, axioms)
-    if isinstance(mu_name, str) and (mu_name == "identity"
-                                     or scn.morphisms.get(mu_name) == "identity"):
-        mu = identity_vertical_morphism(hol.dg)
-    else:
+    if not (isinstance(mu_name, str) and (mu_name == "identity"
+                                          or scn.morphisms.get(mu_name) == "identity")):
         raise ScenarioError("tasks.universal", "unsupported morphism %r" % mu_name)
-    mp, rep = universal_morphism(cm, w, mu, hol, word_bound=opts.word_bound)
+    name, cm, wname, w, dg, wg, axioms = _windowed(scn, task, "tasks.universal")
+    mu = identity_vertical_morphism(dg)
+    hol = holonomy_groupoid(dg, wg, axioms)
+    mp, rep = universal_morphism(wg, mu, hol, word_bound=opts.word_bound)
     details = {"xmod": name, "window": wname, "morphism": mu_name, "report": rep}
     return all(v for v in rep.values() if isinstance(v, bool)), details
 
@@ -218,7 +216,7 @@ def execute(argv=None):
     parser.add_argument("--task", action="append", default=None,
                         help="run only tasks with this name (repeatable)")
     parser.add_argument("--dump", default=None, help="directory for structure dumps")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    parser.add_argument("--seed", type=int, default=0, help="only echoed in the report")
     parser.add_argument("--max-points", type=int, default=64,
                         help="point cap for loaded spaces")
     parser.add_argument("--word-bound", type=int, default=8,
@@ -228,7 +226,6 @@ def execute(argv=None):
                         help="include per-task wall times (non-deterministic)")
     opts = parser.parse_args(argv)
 
-    random.seed(opts.seed)
     try:
         scn = load_scenario(opts.scenario, point_cap=opts.max_points)
     except ScenarioError as e:

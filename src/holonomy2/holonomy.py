@@ -27,7 +27,7 @@ from collections import defaultdict
 from .fintop import FiniteTopSpace, PartialMap, TopologyError, is_continuous, is_partial_homeomorphism, pullback_space
 from .groupoid import Groupoid, GroupoidMorphism, NormalSubgroupoid, _skey, check_groupoid, check_groupoid_morphism, depth_first, generated_subgroupoid, quotient, triples_by_last
 from .xmod import apply_action
-from .dgpd import COMPOSITION_ERRORS, build_double_groupoid
+from .dgpd import COMPOSITION_ERRORS
 
 
 class HolonomyError(ValueError):
@@ -137,8 +137,11 @@ def build_wg(dg, w):
 
 
 def square_subwindow(wg, squares):
-    """Window on a subset of squares, with the subspace topology."""
+    """Window on a subset of squares, with the subspace topology; ``wg``
+    itself, with the section searches it keeps, on all of its squares."""
     subset = frozenset(squares)
+    if subset == wg.squares:
+        return wg
     return WGSquares(wg.dg, subset, wg.space.subspace(subset))
 
 
@@ -558,7 +561,7 @@ def _window_sections(wg, a):
     return wg._sections[a]
 
 
-def sections_through(dg, wg, w_square):
+def sections_through(wg, w_square):
     """Window-valued sections through a square: value at its bottom is the square.
 
     These are the window sections at the bottom arrow that take the
@@ -570,7 +573,7 @@ def sections_through(dg, wg, w_square):
     return [s for s in _window_sections(wg, a) if s.squares[a] == w_square]
 
 
-def has_enough_sections(dg, wg):
+def has_enough_sections(wg):
     """Search a through-section for every window square.
 
     Witnesses live on minimal domains, which suffices: restriction keeps
@@ -581,7 +584,7 @@ def has_enough_sections(dg, wg):
     witnesses = {}
     failures = []
     for sq in wg.ordered:
-        found = sections_through(dg, wg, sq)
+        found = sections_through(wg, sq)
         if found:
             witnesses[sq] = found[0]
         else:
@@ -675,7 +678,7 @@ def check_locally_lie_double(dg, wg):
 
     top_cont = is_continuous(PartialMap({sq: sq.top for sq in wg.squares}), wg.space, AS)
     bot_cont = is_continuous(PartialMap({sq: sq.bottom for sq in wg.squares}), wg.space, AS)
-    enough = has_enough_sections(dg, wg)
+    enough = has_enough_sections(wg)
     report["S4"] = {"ok": bool(top_cont and bot_cont and enough["ok"]),
                     "source_continuous": top_cont,
                     "target_continuous": bot_cont,
@@ -1149,7 +1152,7 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
     through_cache = {}
     embed = {}
     for sq in wg.ordered:
-        thetas = sections_through(dg, wg, sq)
+        thetas = sections_through(wg, sq)
         through_cache[sq] = thetas
         classes = set()
         for theta in thetas:
@@ -1396,13 +1399,14 @@ def push_section(dg_target, mu, sec):
     return section_from_squares(dg_target, sec.dom1, squares)
 
 
-# the choices the universal construction re-verifies: factorizations per
-# square and through-sections per factor
+# the choices the universal construction re-verifies (factorizations per
+# square, through-sections per factor) and its uniqueness search's node cap
 MAX_FACTORIZATIONS = 24
 THETA_CHOICES = 3
+SEARCH_CAP = 200000
 
 
-def universal_morphism(cmA, wA, mu, hol, word_bound=8, search_cap=200000):
+def universal_morphism(wgA, mu, hol, word_bound=8):
     """The unique morphism into the holonomy groupoid over a vertical
     morphism of double groupoids.
 
@@ -1416,18 +1420,21 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, search_cap=200000):
     ``MAX_FACTORIZATIONS`` ways into at most ``word_bound`` preimage
     squares; each factor contributes its first ``THETA_CHOICES``
     through-sections, computed once per call.  The uniqueness search,
-    ``qualifying_tables``, is exhaustive (up to ``search_cap`` nodes) and
+    ``qualifying_tables``, is exhaustive (up to ``SEARCH_CAP`` nodes) and
     checks each composable pair of squares once, when the last of the
     pair and its composite is assigned.
+
+    ``wgA`` is the source's window on its double groupoid ``wgA.dg``; S4
+    and the through-sections read the searches it keeps.  A window on
+    every square is one on every kernel arrow c: c is the inner arrow of
+    the square with unit left, bottom and right edges and top delta(c).
     """
-    dgC, wg = hol.dg, hol.wg
-    dgA = build_double_groupoid(cmA)
-    if frozenset(wA.arrows) != frozenset(cmA.C.arrows):
+    dgA, dgC, wg = wgA.dg, hol.dg, hol.wg
+    if wgA.squares != frozenset(dgA.squares):
         raise HolonomyError("hypothesis: the source needs a topology on all of its kernel")
-    wgA = build_wg(dgA, wA)
 
     # (i) identity on objects
-    if set(cmA.G.arrows) != set(dgC.edge.arrows):
+    if set(dgA.edge.arrows) != set(dgC.edge.arrows):
         raise HolonomyError("hypothesis (i) fails: edge groupoids differ")
     if any(mu.obj_map[a] != a for a in dgA.edge.arrows):
         raise HolonomyError("hypothesis (i) fails: not the identity on objects")
@@ -1447,7 +1454,7 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, search_cap=200000):
         raise HolonomyError("hypothesis (ii) fails: preimage does not generate vertically")
 
     # (iii) enough sections on the source
-    enough = has_enough_sections(dgA, wgA)
+    enough = has_enough_sections(wgA)
     if not enough["ok"]:
         raise HolonomyError("hypothesis (iii) fails: not enough sections on the source")
 
@@ -1463,7 +1470,7 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, search_cap=200000):
         stay smooth when pushed along ``mu``."""
         if piece not in pushed_through:
             out = []
-            for theta in sections_through(dgA, preW, piece)[:THETA_CHOICES]:
+            for theta in sections_through(preW, piece)[:THETA_CHOICES]:
                 img = push_section(dgC, mu, theta)
                 if img is not None and not smoothness_violations(dgC, wg, img):
                     out.append(img)
@@ -1499,12 +1506,8 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, search_cap=200000):
 
     mu_prime_map = {}
     for w_sq in squares:
-        if w_sq in pre:
-            cands = {hol.embed[mu.arr_map[w_sq]]}
-            extra = classes_for(w_sq)
-            cands |= extra
-        else:
-            cands = classes_for(w_sq)
+        cands = {hol.embed[mu.arr_map[w_sq]]} if w_sq in pre else set()
+        cands |= classes_for(w_sq)
         if not cands:
             raise HolonomyError("factorization bound exceeded at %s" % (w_sq,))
         if len(cands) != 1:
@@ -1529,7 +1532,7 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, search_cap=200000):
                and hol.quotient.src(h) == sq.top and hol.quotient.tgt(h) == sq.bottom]
               for sq in squares]
     solutions = qualifying_tables(fibres, triples_by_last(vertA, squares), hol.quotient.add,
-                                  search_cap)
+                                  SEARCH_CAP)
     report["qualifying_morphisms"] = len(solutions)
     report["unique"] = (len(solutions) == 1
                         and solutions[0] == tuple(mu_prime_map[sq] for sq in squares))

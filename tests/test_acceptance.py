@@ -253,12 +253,12 @@ def test_criterion_09_universal_property():
     cm, w = discrete_item(corpus.z2z2())
     hol = holonomy_of(cm, w)
     mu = identity_vertical_morphism(hol.dg)
-    mp, rep = universal_morphism(cm, w, mu, hol)
+    mp, rep = universal_morphism(hol.wg, mu, hol)
     ok = rep["is_morphism"] and rep["psi_after"] and rep["embeds_preimage"]
     ok = ok and rep["qualifying_morphisms"] == 1 and rep["unique"]
     cm4, w4 = discrete_item(corpus.z4_interior())
     hol4 = holonomy_of(cm4, w4)
-    mp4, rep4 = universal_morphism(cm4, w4, identity_vertical_morphism(hol4.dg),
+    mp4, rep4 = universal_morphism(hol4.wg, identity_vertical_morphism(hol4.dg),
                                    hol4)
     ok = ok and rep4["psi_after"] and rep4["unique"]
     ok = ok and (time.monotonic() - t0) < 60.0

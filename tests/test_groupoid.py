@@ -201,7 +201,7 @@ def test_table_searches_answer_at_one_recursion_limit(search):
             cm, w = discrete_item(cm)
             hol = holonomy_of(cm, w)
             mu = identity_vertical_morphism(hol.dg)
-            return lambda: universal_morphism(cm, w, mu, hol)[1]["unique"]
+            return lambda: universal_morphism(hol.wg, mu, hol)[1]["unique"]
 
         def answers(run, limit):
             try:

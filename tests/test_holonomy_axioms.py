@@ -106,7 +106,7 @@ def test_enough_sections_discrete_one_object(all_cms):
     for name in ("z2z2", "z4"):
         cm, w = discrete_item(all_cms[name])
         dg = build_double_groupoid(cm)
-        rep = has_enough_sections(dg, build_wg(dg, w))
+        rep = has_enough_sections(build_wg(dg, w))
         assert rep["ok"], name
         for sq, wit in rep["witnesses"].items():
             assert wit.squares[sq.bottom] == sq
@@ -117,10 +117,10 @@ def test_enough_sections_failure_witness(pairz2):
     # differently cannot be thickened
     cm, w = discrete_item(pairz2)
     dg = build_double_groupoid(cm)
-    rep = has_enough_sections(dg, build_wg(dg, w))
+    rep = has_enough_sections(build_wg(dg, w))
     assert not rep["ok"]
     bad = rep["failures"][0]
-    assert sections_through(dg, build_wg(dg, w), bad) == []
+    assert sections_through(build_wg(dg, w), bad) == []
 
 
 def test_kernel_axioms_discrete(z2z2):
@@ -248,7 +248,7 @@ def _oracle_items():
 def test_shared_report_matches_replaced_blocks(cm, w):
     dg, wg, axioms = square_axioms(cm, w)
     kernel = check_locally_lie_xmod(cm, w, axioms)
-    fresh = has_enough_sections(dg, build_wg(dg, w))
+    fresh = has_enough_sections(build_wg(dg, w))
     assert kernel["C5"]["ok"] == fresh["ok"]
     assert kernel["C5"]["missing"] == [str(sq) for sq in fresh["failures"][:4]]
 

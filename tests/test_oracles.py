@@ -771,7 +771,7 @@ def test_charts_match_whole_product_germs(name):
     window square and through-section."""
     hol = holonomy_model(name)
     dg, wg = hol.dg, hol.wg
-    through = {sq: sections_through(dg, wg, sq) for sq in sorted(wg.squares, key=_skey)}
+    through = {sq: sections_through(wg, sq) for sq in sorted(wg.squares, key=_skey)}
     jr = set(hol.germ_groupoid.arrows)
     kinds = set()
     for chart in hol.charts:
@@ -865,18 +865,21 @@ def universal_model(name):
     return cm, wa, holonomy_groupoid(*square_axioms(cm, w), require_axioms=False)
 
 
-def universal_outcome(fn, cm, wa, mu, hol, **bounds):
-    """The outcome of ``fn`` under ``bounds``; the library reads its
-    factorization and through-section bounds from module constants,
-    patched for the call."""
-    constants = contextlib.nullcontext()
+def universal_outcome(fn, cm, wa, mu, hol, wga=None, **bounds):
+    """The outcome of ``fn`` under ``bounds``.  The library takes the
+    source's window squares, ``wga`` or else built from ``cm`` and
+    ``wa``, and reads its bounds other than ``word_bound`` from module
+    constants, patched for the call."""
+    args, constants = (cm, wa, mu, hol), contextlib.nullcontext()
     if fn is universal_morphism:
         constants = mock.patch.multiple(
             holonomy,
             MAX_FACTORIZATIONS=bounds.pop("max_factorizations", holonomy.MAX_FACTORIZATIONS),
-            THETA_CHOICES=bounds.pop("theta_choices", holonomy.THETA_CHOICES))
+            THETA_CHOICES=bounds.pop("theta_choices", holonomy.THETA_CHOICES),
+            SEARCH_CAP=bounds.pop("search_cap", holonomy.SEARCH_CAP))
+        args = (build_wg(build_double_groupoid(cm), wa) if wga is None else wga, mu, hol)
     with constants:
-        got = outcome(functools.partial(fn, **bounds), cm, wa, mu, hol)
+        got = outcome(functools.partial(fn, **bounds), *args)
     if got[0] == "ok":
         mu_prime, report = got[1]
         return "ok", mu_prime.obj_map, mu_prime.arr_map, report
@@ -977,10 +980,24 @@ def test_universal_morphism_matches_rescanning_search(instance):
 
 
 @pytest.mark.parametrize("name", ["pairz2", "z2z2", "z4", "z4-c013"])
-def test_universal_morphism_matches_oracle_on_models(name):
+def test_universal_morphism_matches_oracle_on_models(name, monkeypatch):
+    """On a full target window the source is the target's own window
+    squares, whose S4 searches are kept: the library searches no more."""
     cm, wa, hol = universal_model(name)
     mu = identity_vertical_morphism(hol.dg)
-    got = universal_outcome(universal_morphism, cm, wa, mu, hol)
+    wga = hol.wg if UNIVERSAL_MODELS[name][1] is None else None
+    searched = []
+
+    def counted(*args, **kwargs):
+        searched.append(args)
+        return min_sections_at(*args, **kwargs)
+
+    if wga is not None:
+        assert wga._sections
+        monkeypatch.setattr(holonomy, "min_sections_at", counted)
+    got = universal_outcome(universal_morphism, cm, wa, mu, hol, wga=wga)
+    monkeypatch.undo()
+    assert searched == []
     assert got == universal_outcome(oracles.universal_morphism, cm, wa, mu, hol)
 
 
@@ -1073,10 +1090,10 @@ def test_through_sections_match_pinned_search_on_every_square(name, monkeypatch)
         return min_sections_at(dg, a, *args, **kwargs)
 
     monkeypatch.setattr(holonomy, "min_sections_at", counted)
-    fast = {sq: sections_through(dg, wg, sq) for sq in squares}
+    fast = {sq: sections_through(wg, sq) for sq in squares}
     assert sorted(searched, key=_skey) == sorted({sq.bottom for sq in squares}, key=_skey)
     assert fast == {sq: oracles.sections_through(dg, wg, sq) for sq in squares}
-    enough = has_enough_sections(dg, wg)
+    enough = has_enough_sections(wg)
     assert enough == oracles.has_enough_sections(dg, wg)
     assert enough["failures"] and len(searched) == len(wg._sections)
     counts = [len(found) for found in fast.values()]
@@ -1090,8 +1107,8 @@ def test_s1_s5_report_on_z4_indiscrete_matches_per_square_search(monkeypatch):
     pinned to each square."""
     cm, w = indiscrete_item(zn_on_itself(4))
     fast = square_axioms(cm, w)[2]
-    monkeypatch.setattr(holonomy, "has_enough_sections", functools.partial(
-        oracles.has_enough_sections, search=oracles.pinned_search))
+    monkeypatch.setattr(holonomy, "has_enough_sections", lambda wg: oracles.has_enough_sections(
+        wg.dg, wg, search=oracles.pinned_search))
     slow = square_axioms(cm, w)[2]
     assert fast == slow
     assert not fast["S4"]["enough_sections"] and len(fast["S4"]["missing_sections"]) == 4

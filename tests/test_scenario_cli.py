@@ -284,14 +284,18 @@ def cyclic_scenario(n, tasks):
 
 
 def counting(monkeypatch, module, name):
-    """Wrap ``module.name`` so that its calls are counted."""
+    """Wrap ``module.name`` wherever a ``holonomy2`` module binds it, so
+    that its calls are counted."""
     fn, calls = getattr(module, name), []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
+    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "holonomy2"]:
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, attr, counted)
     return calls
 
 
@@ -337,6 +341,47 @@ def test_failed_double_groupoid_build_fails_each_task_that_needs_it(monkeypatch,
     assert code == 1 and len(calls) == 4
     assert [t["ok"] for t in tasks] == [True, False, False, False, False]
     assert all(t["details"] == {"error": "odd model"} for t in tasks[1:])
+
+
+def test_universal_task_builds_each_structure_once(monkeypatch, capsys):
+    """The universal task reads the double groupoid, the window squares
+    and the S4 searches its own task built: one of each, and one section
+    search per arrow of Z/2."""
+    from holonomy2 import dgpd, holonomy
+    built = [counting(monkeypatch, dgpd, "build_double_groupoid"),
+             counting(monkeypatch, holonomy, "build_wg"),
+             counting(monkeypatch, holonomy, "min_sections_at")]
+    code, out = run_cli(["--scenario", scenario_path("universal_z2z2.json"),
+                         "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["tasks"][0]["details"]["report"]["unique"]
+    assert [len(calls) for calls in built] == [1, 1, 4]
+
+
+def test_unsupported_morphism_exits_2_before_any_build(tmp_path, monkeypatch, capsys):
+    """An unsupported morphism is bad input even where the model fails its
+    axioms: here indiscrete topologies fail S4, which the task never
+    reaches."""
+    with open(scenario_path("universal_z2z2.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+
+    def indiscrete(points):
+        return {"points": points, "kind": "indiscrete"}
+
+    for name, arrows in (("G", ["0", "1"]), ("C", ["c0", "c1"])):
+        data["groupoids"][name]["topology"] = {"arrows": indiscrete(arrows),
+                                               "objects": indiscrete(["x"])}
+    data["wstructures"]["W"]["space"] = indiscrete(["c0", "c1"])
+    path = tmp_path / "nosuch.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out = run_cli(["--scenario", str(path), "--format", "json"], capsys)
+    assert code == 1 and "axiom S4 failed" in out
+    data["tasks"][0]["mu"] = "nosuch"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    built = counting(monkeypatch, cli, "build_double_groupoid")
+    code, out = run_cli(["--scenario", str(path), "--format", "json"], capsys)
+    assert code == 2 and built == []
+    assert json.loads(out) == {"error": "tasks.universal: unsupported morphism 'nosuch'",
+                               "ok": False}
 
 
 def _bad_input(kind, tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -5,9 +6,9 @@ import pytest
 from holonomy2 import corpus
 from holonomy2.fintop import FiniteTopSpace
 from holonomy2.groupoid import GroupoidMorphism, check_groupoid_morphism, triples_by_last
-from holonomy2.holonomy import (HolonomyError, WStructure, full_wstructure,
-                                identity_vertical_morphism, qualifying_tables,
-                                universal_morphism)
+from holonomy2.holonomy import (HolonomyError, WStructure, build_wg, check_wstructure,
+                                full_wstructure, identity_vertical_morphism,
+                                qualifying_tables, universal_morphism)
 
 from conftest import discrete_item, holonomy_of, zn_on_itself
 
@@ -22,7 +23,7 @@ def z2z2_setup():
 def test_identity_instance_satisfies_theorem(z2z2_setup):
     cm, w, hol = z2z2_setup
     mu = identity_vertical_morphism(hol.dg)
-    mp, rep = universal_morphism(cm, w, mu, hol)
+    mp, rep = universal_morphism(hol.wg, mu, hol)
     assert rep["is_morphism"]
     assert rep["psi_after"]
     assert rep["embeds_preimage"]
@@ -31,7 +32,7 @@ def test_identity_instance_satisfies_theorem(z2z2_setup):
 def test_identity_instance_inverts_the_final_map(z2z2_setup):
     cm, w, hol = z2z2_setup
     mu = identity_vertical_morphism(hol.dg)
-    mp, rep = universal_morphism(cm, w, mu, hol)
+    mp, rep = universal_morphism(hol.wg, mu, hol)
     for sq in hol.dg.squares:
         assert hol.psi.arr_map[mp.arr_map[sq]] == sq
     # and covers every class: the inverse of the evaluation
@@ -41,7 +42,7 @@ def test_identity_instance_inverts_the_final_map(z2z2_setup):
 def test_uniqueness_exhaustive(z2z2_setup):
     cm, w, hol = z2z2_setup
     mu = identity_vertical_morphism(hol.dg)
-    mp, rep = universal_morphism(cm, w, mu, hol)
+    mp, rep = universal_morphism(hol.wg, mu, hol)
     assert rep["qualifying_morphisms"] == 1
     assert rep["unique"]
 
@@ -50,7 +51,7 @@ def test_psi_after_construction_on_z4():
     cm, w = discrete_item(corpus.z4_interior())
     hol = holonomy_of(cm, w)
     mu = identity_vertical_morphism(hol.dg)
-    mp, rep = universal_morphism(cm, w, mu, hol)
+    mp, rep = universal_morphism(hol.wg, mu, hol)
     assert rep["psi_after"] and rep["unique"]
     bad = check_groupoid_morphism(mp, hol.dg.vertical_groupoid(), hol.quotient)
     assert bad == []
@@ -60,7 +61,7 @@ def test_identity_instance_on_z3_is_unique():
     # Z/3 acting trivially on itself, discrete, full window: 81 squares
     cm, w = discrete_item(zn_on_itself(3))
     hol = holonomy_of(cm, w)
-    mp, rep = universal_morphism(cm, w, identity_vertical_morphism(hol.dg), hol)
+    mp, rep = universal_morphism(hol.wg, identity_vertical_morphism(hol.dg), hol)
     assert len(hol.dg.squares) == 81
     assert rep["unique"] and rep["qualifying_morphisms"] == 1
     assert rep["psi_after"] and rep["is_morphism"]
@@ -95,7 +96,7 @@ def test_universal_through_restricted_window():
     hol = holonomy_of(cm, w)
     wa = full_wstructure(cm, FiniteTopSpace.discrete(cm.C.arrows))
     mu = identity_vertical_morphism(hol.dg)
-    mp, rep = universal_morphism(cm, wa, mu, hol)
+    mp, rep = universal_morphism(build_wg(hol.dg, wa), mu, hol)
     assert rep["psi_after"] and rep["is_morphism"] and rep["unique"]
     # squares outside the window needed genuine factorizations
     pre = {sq for sq in hol.dg.squares if sq in hol.wg.squares}
@@ -111,14 +112,13 @@ def test_hypothesis_failure_named_nongenerating():
                       full_wstructure(cm, FiniteTopSpace.discrete(cm.C.arrows)))
     # build a fake "window" holonomy target via the w02 window squares
     from holonomy2.dgpd import build_double_groupoid
-    from holonomy2.holonomy import build_wg
     dg = build_double_groupoid(cm)
     wg02 = build_wg(dg, w02)
     hol.wg = wg02
     mu = identity_vertical_morphism(dg)
     wa = full_wstructure(cm, FiniteTopSpace.discrete(cm.C.arrows))
     with pytest.raises(HolonomyError, match="hypothesis \\(ii\\).*generate"):
-        universal_morphism(cm, wa, mu, hol)
+        universal_morphism(build_wg(dg, wa), mu, hol)
 
 
 def test_hypothesis_failure_named_objects(z2z2_setup):
@@ -127,12 +127,32 @@ def test_hypothesis_failure_named_objects(z2z2_setup):
     swapped = GroupoidMorphism({"0": "1", "1": "0"},
                                {sq: sq for sq in dg.squares})
     with pytest.raises(HolonomyError, match="hypothesis \\(i\\)"):
-        universal_morphism(cm, w, swapped, hol)
+        universal_morphism(hol.wg, swapped, hol)
 
 
-def test_source_needs_global_kernel_topology(z2z2_setup):
-    cm, w, hol = z2z2_setup
-    partial = WStructure(["c0"], FiniteTopSpace.discrete(["c0"]))
-    mu = identity_vertical_morphism(hol.dg)
+MODELS = {"z2z2": corpus.z2z2, "z4": corpus.z4_interior}
+
+
+@functools.lru_cache(maxsize=None)
+def full_window_holonomy(name):
+    return holonomy_of(*discrete_item(MODELS[name]()))
+
+
+# every proper window of z2z2 and Z/4 that passes check_wstructure: the
+# subsets that hold the unit c0
+@pytest.mark.parametrize("name,arrows", [
+    pytest.param(name, arrows, id="-".join((name,) + arrows))
+    for name, arrows in [("z2z2", ("c0",)), ("z4", ("c0",)), ("z4", ("c0", "c1")),
+                         ("z4", ("c0", "c2")), ("z4", ("c0", "c3")),
+                         ("z4", ("c0", "c1", "c2")), ("z4", ("c0", "c1", "c3")),
+                         ("z4", ("c0", "c2", "c3"))]])
+def test_source_needs_global_kernel_topology(name, arrows):
+    """A source window that misses a kernel arrow misses a square, and
+    the source's window squares are all that the hypothesis reads."""
+    hol = full_window_holonomy(name)
+    w = WStructure(arrows, FiniteTopSpace.discrete(arrows))
+    assert check_wstructure(hol.dg.cm, w) == []
+    wga = build_wg(hol.dg, w)
+    assert len(wga.squares) < len(hol.dg.squares)
     with pytest.raises(HolonomyError, match="topology on all"):
-        universal_morphism(cm, partial, mu, hol)
+        universal_morphism(wga, identity_vertical_morphism(hol.dg), hol)
