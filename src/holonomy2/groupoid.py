@@ -585,103 +585,51 @@ class NormalSubgroupoid:
 
 
 def quotient(g, n):
-    """Quotient groupoid and its projection morphism.
+    """Quotient groupoid and its projection morphism, for a wide normal
+    subgroupoid ``n`` of loops; raises on any other input, citing the
+    failing instance or member.
 
-    Arrows are merged by a ~ b iff n1 + a + n2 = b for some n1, n2 in the
-    subgroupoid; objects are merged along the non-loop members.  Raises
-    on a non-normal input, citing the failing instance.
+    The quotient keeps ``g``'s objects, and the projection is the
+    identity on them.  The class of a: x -> y is the coset N(x) + a,
+    where N(x) is the vertex group of ``n`` at x.  Composition, negation
+    and units are read on one representative per class.
+
+    Coset lemma.  Conjugation stability gives -a + N(x) + a <= N(y), and,
+    applied to -a, a + N(y) - a <= N(x); so N(x) + a = a + N(y).  The
+    class of a under two-sided translation by members of ``n`` is then
+    N(x) + a + N(y) = N(x) + N(x) + a = N(x) + a: its coset, all of whose
+    members run from x to y.  For b: y -> z,
+
+        (N(x) + a) + (N(y) + b) = N(x) + (a + N(y)) + b
+                                = N(x) + (N(x) + a) + b = N(x) + (a + b),
+
+    and -(N(x) + a) = -a + N(x) = N(y) + (-a), so the class of a + b,
+    of -a and of the unit at x do not depend on the representatives.
     """
     bad = n.violations()
     if bad:
         raise GroupoidError("not a normal subgroupoid: %s" % bad[0])
-
-    # object classes
-    oparent = {x: x for x in g.objects}
-
-    def ofind(x):
-        while oparent[x] != x:
-            oparent[x] = oparent[oparent[x]]
-            x = oparent[x]
-        return x
-
-    def ounion(x, y):
-        rx, ry = ofind(x), ofind(y)
-        if rx != ry:
-            if _skey(ry) < _skey(rx):
-                rx, ry = ry, rx
-            oparent[ry] = rx
-
-    for m in n.arrows:
-        ounion(g.src(m), g.tgt(m))
-
-    # arrow classes under two-sided translation by members of n
-    aparent = {a: a for a in g.arrows}
-
-    def afind(a):
-        while aparent[a] != a:
-            aparent[a] = aparent[aparent[a]]
-            a = aparent[a]
-        return a
-
-    def aunion(a, b):
-        ra, rb = afind(a), afind(b)
-        if ra != rb:
-            if _skey(rb) < _skey(ra):
-                ra, rb = rb, ra
-            aparent[rb] = ra
-
+    vertex = {x: [] for x in g.objects}
+    for m in sorted(n.arrows, key=_skey):
+        if g.src(m) != g.tgt(m):
+            raise GroupoidError("not a subgroupoid of loops: member %s runs from %s to %s"
+                                % (m, g.src(m), g.tgt(m)))
+        vertex[g.src(m)].append(m)
+    # each class once, with its first arrow as representative
+    arrow_class, reps = {}, {}
     for a in g.arrows:
-        for m in n.arrows:
-            if g.tgt(m) == g.src(a):
-                aunion(a, g.add(m, a))
-            if g.tgt(a) == g.src(m):
-                aunion(a, g.add(a, m))
-
-    classes = {}
-    for a in g.arrows:
-        classes.setdefault(afind(a), []).append(a)
-    arrow_class = {a: frozenset(classes[afind(a)]) for a in g.arrows}
-    obj_class = {x: frozenset(y for y in g.objects if ofind(y) == ofind(x))
-                 for x in g.objects}
-
-    qobjects = sorted(set(obj_class.values()), key=_skey)
-    qarrows = sorted(set(arrow_class.values()), key=_skey)
-    qsrc = {}
-    qtgt = {}
-    for cls in qarrows:
-        reps = sorted(cls, key=_skey)
-        srcs = {obj_class[g.src(a)] for a in reps}
-        tgts = {obj_class[g.tgt(a)] for a in reps}
-        if len(srcs) != 1 or len(tgts) != 1:
-            raise GroupoidError("quotient ill-defined: class %s has mixed endpoints"
-                                % (sorted(map(_skey, cls)),))
-        qsrc[cls] = srcs.pop()
-        qtgt[cls] = tgts.pop()
-
-    qtable = {}
-    for ca in qarrows:
-        for cb in qarrows:
-            if qtgt[ca] != qsrc[cb]:
-                continue
-            results = set()
-            for a in ca:
-                for b in cb:
-                    if g.composable(a, b):
-                        results.add(arrow_class[g.add(a, b)])
-                    else:
-                        # bridge through a connecting member of n
-                        for m in n.arrows:
-                            if g.src(m) == g.tgt(a) and g.tgt(m) == g.src(b):
-                                results.add(arrow_class[g.add(g.add(a, m), b)])
-                                break
-            if len(results) != 1:
-                raise GroupoidError("quotient composition ill-defined on (%s,%s)"
-                                    % (sorted(map(_skey, ca)), sorted(map(_skey, cb))))
-            qtable[(ca, cb)] = results.pop()
-
-    qneg = {cls: arrow_class[g.neg(sorted(cls, key=_skey)[0])] for cls in qarrows}
-    qunits = {obj_class[x]: arrow_class[g.unit(x)] for x in g.objects}
-    q = Groupoid(qobjects, qarrows, qsrc, qtgt, qtable, qneg, qunits)
-    proj = GroupoidMorphism({x: obj_class[x] for x in g.objects}, arrow_class)
-    return q, proj
-
+        if a not in arrow_class:
+            cls = frozenset(g.add(m, a) for m in vertex[g.src(a)])
+            reps[cls] = a
+            arrow_class.update(dict.fromkeys(cls, cls))
+    by_src = {}
+    for cls, a in reps.items():
+        by_src.setdefault(g.src(a), []).append(cls)
+    qtable = {(ca, cb): arrow_class[g.add(a, reps[cb])]
+              for ca, a in reps.items() for cb in by_src[g.tgt(a)]}
+    q = Groupoid(g.objects, reps,
+                 {cls: g.src(a) for cls, a in reps.items()},
+                 {cls: g.tgt(a) for cls, a in reps.items()}, qtable,
+                 {cls: arrow_class[g.neg(a)] for cls, a in reps.items()},
+                 {x: arrow_class[g.unit(x)] for x in g.objects})
+    return q, GroupoidMorphism({x: x for x in g.objects}, arrow_class)

@@ -1048,53 +1048,46 @@ def left_translation(dg, sec, w_square):
     return dg.comp1(sec.squares[w_square.top], w_square)
 
 
-def _product_germ(dg, sec, theta, a):
-    """[sec * theta]_a, read without building the product section.
+def _chart_for(dg, hol, proj, jr_index, sec, through_classes):
+    """Chart of a section, c_s(w) = proj([s]_{top w}) + embed[w] in the
+    quotient ``hol``, with the number of squares it skips because their
+    embedding is ill-defined.
 
-    ``theta``'s arrow domain is the minimal open of ``a``, as for every
-    through-section, so the germ is {z: sec(top theta(z)) +1 theta(z)}
-    there: what ``local_section_mul`` then ``germ_at`` give, with the
-    same errors, minus the product's object data, which the germ never
-    reads and which composes for valid sections.
+    ``through_classes`` maps each window square with a through-section,
+    in square order, to the classes of its through-germs, as the
+    embedding found them: one class, embed[w], where it is well defined.
+    ``jr_index`` holds the generated germs, among them every
+    through-germ; ``proj`` is the quotient's projection from them.
+
+    Chart-translate lemma.  The chart of s sends w to the class of
+    [s * theta]_a, for any through-section theta of w and a = bottom w,
+    and [s * theta]_a = [s]_{top w} + [theta]_a in the germ groupoid.
+    For theta's top map is continuous, so it maps M(a), the minimal open
+    of a, into M(top w), which lies in s's open arrow domain: on M(a) the
+    product's value s(top theta(z)) +1 theta(z) is defined, and it is the
+    value ``germ_mul`` gives for [s]_{top w} + [theta]_a.  ``proj`` is a
+    morphism (the coset lemma of ``quotient``), so the class is
+    proj([s]_{top w}) + proj([theta]_a): one class for all theta exactly
+    where the embedding is well defined.  The generated germs form a
+    subgroupoid holding [theta]_a, so [s * theta]_a is among them
+    exactly when [s]_{top w} is.
     """
-    values = {}
-    for z in theta.dom1:
-        sq = theta.squares[z]
-        if sq.top in sec.dom1:
-            values[z] = dg.vcomp(sec.squares[sq.top], sq)
-    if a not in values:
-        raise HolonomyError("arrow %s outside the section domain" % (a,))
-    return Germ(a, {z: values[z] for z in dg.edge.arrow_space().minimal_open(a)})
-
-
-def _chart_for(dg, hol_proj, jr_index, sec, through_cache, strict=True):
-    """Chart of a section: w |-> class of [sec * theta]_{bottom w}.
-
-    ``through_cache`` lists the through-sections of every window square,
-    in square order."""
     G = dg.edge
-    mapping = {}
+    mapping, at_top = {}, {}
     skipped = 0
-    for sq, thetas in through_cache.items():
-        a = sq.bottom
-        if sq.top not in sec.dom1:
+    for sq, classes in through_classes.items():
+        top = sq.top
+        if top not in sec.dom1 or G.src(top) not in sec.dom0 or G.tgt(top) not in sec.dom0:
             continue
-        if G.src(sq.top) not in sec.dom0 or G.tgt(sq.top) not in sec.dom0:
-            continue
-        if not thetas:
-            continue
-        classes = set()
-        for theta in thetas:
-            g = _product_germ(dg, sec, theta, a)
+        if top not in at_top:
+            g = germ_at(dg, sec, top)
             if g not in jr_index:
                 raise HolonomyError("chart germ escaped the generated germs at %s" % (sq,))
-            classes.add(hol_proj.arr_map[g])
+            at_top[top] = proj.arr_map[g]
         if len(classes) != 1:
-            if strict:
-                raise HolonomyError("chart value depends on the through-section at %s" % (sq,))
             skipped += 1
             continue
-        mapping[sq] = classes.pop()
+        mapping[sq] = hol.add(at_top[top], next(iter(classes)))
     return Chart(sec, mapping), skipped
 
 
@@ -1121,17 +1114,7 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
     # do not add to the peak memory of the quotient and the charts
     del J
     unit_sub = build_unit_germs(dg, wg, jr, seed)
-    hol_raw, proj_raw = quotient(jr, unit_sub)
-    if len(hol_raw.objects) != len(jr.objects) or any(len(o) != 1 for o in hol_raw.objects):
-        raise HolonomyError("unit germs merged objects; kernel not loop-shaped")
-    # kernel germs are loops, so object classes are singletons; unwrap them
-    unwrap = {o: next(iter(o)) for o in hol_raw.objects}
-    hol = Groupoid([unwrap[o] for o in hol_raw.objects], hol_raw.arrows,
-                   {h: unwrap[hol_raw.src(h)] for h in hol_raw.arrows},
-                   {h: unwrap[hol_raw.tgt(h)] for h in hol_raw.arrows},
-                   hol_raw._table, hol_raw._neg,
-                   {unwrap[o]: hol_raw.unit(o) for o in hol_raw.objects})
-    proj = GroupoidMorphism({x: x for x in jr.objects}, proj_raw.arr_map)
+    hol, proj = quotient(jr, unit_sub)
 
     # the induced evaluation on classes must be constant on each class
     vert = dg.vertical_groupoid()
@@ -1147,15 +1130,14 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
     if bad:
         raise HolonomyError("induced evaluation not a morphism: %s" % bad[0])
 
-    # embedding of window squares by germs of through-sections
+    # embedding of window squares by germs of through-sections; the
+    # charts read the classes found for each square
     jr_set = set(jr.arrows)
-    through_cache = {}
+    through_classes = {}
     embed = {}
     for sq in wg.ordered:
-        thetas = sections_through(wg, sq)
-        through_cache[sq] = thetas
         classes = set()
-        for theta in thetas:
+        for theta in sections_through(wg, sq):
             g = germ_at(dg, theta, sq.bottom)
             if g not in jr_set:
                 raise HolonomyError("through germ outside generated germs at %s" % (sq,))
@@ -1164,11 +1146,12 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
             if require_axioms:
                 raise HolonomyError("no through-section for %s despite S4" % (sq,))
             continue
+        through_classes[sq] = classes
         if len(classes) != 1:
             if require_axioms:
                 raise HolonomyError("embedding ill-defined at %s" % (sq,))
             continue
-        embed[sq] = classes.pop()
+        [embed[sq]] = classes
 
     # charts and the generated topology
     charts = []
@@ -1179,8 +1162,7 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
         if sec in seen_sections:
             continue
         seen_sections.add(sec)
-        chart, skipped = _chart_for(dg, proj, jr_set, sec, through_cache,
-                                    strict=require_axioms)
+        chart, skipped = _chart_for(dg, hol, proj, jr_set, sec, through_classes)
         chart_skips += skipped
         charts.append(chart)
     # the generated topology depends neither on the order of its basis
@@ -1428,6 +1410,14 @@ def universal_morphism(wgA, mu, hol, word_bound=8):
     and the through-sections read the searches it keeps.  A window on
     every square is one on every kernel arrow c: c is the inner arrow of
     the square with unit left, bottom and right edges and top delta(c).
+
+    A factor's through-sections are those of ``wgA`` valued in the
+    preimage, in their order: the same list as a search on the preimage
+    with the subspace topology.  A square table valued in the preimage
+    is consistent in both searches and gets the same first continuous
+    s0; its square map is continuous into the subspace exactly when it
+    is continuous into ``wgA.space``, as its image lies in the preimage;
+    and filtering a sorted list keeps its order.
     """
     dgA, dgC, wg = wgA.dg, hol.dg, hol.wg
     if wgA.squares != frozenset(dgA.squares):
@@ -1458,7 +1448,6 @@ def universal_morphism(wgA, mu, hol, word_bound=8):
     if not enough["ok"]:
         raise HolonomyError("hypothesis (iii) fails: not enough sections on the source")
 
-    preW = square_subwindow(wgA, pre)
     jr_set = set(hol.germ_groupoid.arrows)
     squares = dgA.squares  # in _skey order, as with_top lists them
     pre_by_top = {a: [sq for sq in dgA.with_top(a) if sq in pre]
@@ -1470,7 +1459,9 @@ def universal_morphism(wgA, mu, hol, word_bound=8):
         stay smooth when pushed along ``mu``."""
         if piece not in pushed_through:
             out = []
-            for theta in sections_through(preW, piece)[:THETA_CHOICES]:
+            thetas = [t for t in sections_through(wgA, piece)
+                      if all(v in pre for v in t.squares.values())]
+            for theta in thetas[:THETA_CHOICES]:
                 img = push_section(dgC, mu, theta)
                 if img is not None and not smoothness_violations(dgC, wg, img):
                     out.append(img)

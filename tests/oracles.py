@@ -20,7 +20,9 @@ it extends, a generated subgroupoid tries every pair of its members,
 and openness is membership in the materialised open family.  Finite spaces
 are built, checked and queried once per point, as before minimal opens
 were interned; through-sections come from one search pinned to each
-square; a chart multiplies whole sections to read one germ.  The
+square; a chart multiplies whole sections to read one germ, per
+through-section; the quotient merges objects along non-loop members
+and composes every pair of class members.  The
 window operations of S3, C1 and C4 test openness and continuity on a
 materialised pair space.  The fast versions must agree with these,
 violation order included.
@@ -33,8 +35,8 @@ import itertools
 from holonomy2.dgpd import (COMPOSITION_ERRORS, DoubleGroupoidError, build_double_groupoid,
                             square_boundary_ok)
 from holonomy2.fintop import FiniteTopSpace, PartialMap, TopologyError
-from holonomy2.groupoid import (Groupoid, GroupoidMorphism, _continuity_report, _skey,
-                                check_groupoid_morphism)
+from holonomy2.groupoid import (Groupoid, GroupoidError, GroupoidMorphism, _continuity_report,
+                                _skey, check_groupoid_morphism)
 from holonomy2.holonomy import (_MODEL_ERRORS, Chart, HolonomyError, LocalLinearSection, _feet,
                                 build_wg, constant_section, germ_at, unit_germ, window_germs,
                                 left_translation, local_section_inv,
@@ -373,6 +375,115 @@ def chart_for(dg, hol_proj, jr_index, sec, through_cache, strict=True):
             continue
         mapping[sq] = classes.pop()
     return Chart(sec, mapping), skipped
+
+
+def quotient(g, n):
+    """Quotient groupoid and its projection morphism, as ``holonomy_groupoid``
+    read it before the quotient kept its objects: arrows merged by
+    two-sided translation by members of ``n``, objects merged along its
+    non-loop members, composition checked on every pair of class members
+    (bridged through a connecting member where they do not compose), and
+    the singleton object classes unwrapped."""
+    bad = n.violations()
+    if bad:
+        raise GroupoidError("not a normal subgroupoid: %s" % bad[0])
+
+    # object classes
+    oparent = {x: x for x in g.objects}
+
+    def ofind(x):
+        while oparent[x] != x:
+            oparent[x] = oparent[oparent[x]]
+            x = oparent[x]
+        return x
+
+    def ounion(x, y):
+        rx, ry = ofind(x), ofind(y)
+        if rx != ry:
+            if _skey(ry) < _skey(rx):
+                rx, ry = ry, rx
+            oparent[ry] = rx
+
+    for m in n.arrows:
+        ounion(g.src(m), g.tgt(m))
+
+    # arrow classes under two-sided translation by members of n
+    aparent = {a: a for a in g.arrows}
+
+    def afind(a):
+        while aparent[a] != a:
+            aparent[a] = aparent[aparent[a]]
+            a = aparent[a]
+        return a
+
+    def aunion(a, b):
+        ra, rb = afind(a), afind(b)
+        if ra != rb:
+            if _skey(rb) < _skey(ra):
+                ra, rb = rb, ra
+            aparent[rb] = ra
+
+    for a in g.arrows:
+        for m in n.arrows:
+            if g.tgt(m) == g.src(a):
+                aunion(a, g.add(m, a))
+            if g.tgt(a) == g.src(m):
+                aunion(a, g.add(a, m))
+
+    classes = {}
+    for a in g.arrows:
+        classes.setdefault(afind(a), []).append(a)
+    arrow_class = {a: frozenset(classes[afind(a)]) for a in g.arrows}
+    obj_class = {x: frozenset(y for y in g.objects if ofind(y) == ofind(x))
+                 for x in g.objects}
+
+    qobjects = sorted(set(obj_class.values()), key=_skey)
+    qarrows = sorted(set(arrow_class.values()), key=_skey)
+    qsrc = {}
+    qtgt = {}
+    for cls in qarrows:
+        reps = sorted(cls, key=_skey)
+        srcs = {obj_class[g.src(a)] for a in reps}
+        tgts = {obj_class[g.tgt(a)] for a in reps}
+        if len(srcs) != 1 or len(tgts) != 1:
+            raise GroupoidError("quotient ill-defined: class %s has mixed endpoints"
+                                % (sorted(map(_skey, cls)),))
+        qsrc[cls] = srcs.pop()
+        qtgt[cls] = tgts.pop()
+
+    qtable = {}
+    for ca in qarrows:
+        for cb in qarrows:
+            if qtgt[ca] != qsrc[cb]:
+                continue
+            results = set()
+            for a in ca:
+                for b in cb:
+                    if g.composable(a, b):
+                        results.add(arrow_class[g.add(a, b)])
+                    else:
+                        # bridge through a connecting member of n
+                        for m in n.arrows:
+                            if g.src(m) == g.tgt(a) and g.tgt(m) == g.src(b):
+                                results.add(arrow_class[g.add(g.add(a, m), b)])
+                                break
+            if len(results) != 1:
+                raise GroupoidError("quotient composition ill-defined on (%s,%s)"
+                                    % (sorted(map(_skey, ca)), sorted(map(_skey, cb))))
+            qtable[(ca, cb)] = results.pop()
+
+    qneg = {cls: arrow_class[g.neg(sorted(cls, key=_skey)[0])] for cls in qarrows}
+    qunits = {obj_class[x]: arrow_class[g.unit(x)] for x in g.objects}
+    q = Groupoid(qobjects, qarrows, qsrc, qtgt, qtable, qneg, qunits)
+    if len(q.objects) != len(g.objects):
+        raise HolonomyError("unit germs merged objects; kernel not loop-shaped")
+    # kernel members are loops, so object classes are singletons; unwrap them
+    unwrap = {o: next(iter(o)) for o in q.objects}
+    q = Groupoid([unwrap[o] for o in q.objects], q.arrows,
+                 {h: unwrap[q.src(h)] for h in q.arrows},
+                 {h: unwrap[q.tgt(h)] for h in q.arrows},
+                 q._table, q._neg, {unwrap[o]: q.unit(o) for o in q.objects})
+    return q, GroupoidMorphism({x: x for x in g.objects}, arrow_class)
 
 
 def _inverse_of(chart, h):

@@ -125,6 +125,17 @@ def test_quotient_rejects_non_normal():
         quotient(g, NormalSubgroupoid(g, {"xx", "yy", "xy"}))
 
 
+def test_quotient_rejects_non_loop_member():
+    """Every arrow of the pair groupoid is a wide normal subgroupoid, but
+    its classes would merge x and y: the quotient names a member that is
+    not a loop."""
+    g = corpus.pair_groupoid("xy")
+    n = NormalSubgroupoid(g, g.arrows)
+    assert n.violations() == []
+    with pytest.raises(GroupoidError, match="not a subgroupoid of loops: member xy runs from x to y"):
+        quotient(g, n)
+
+
 def test_corpus_groupoid_laws():
     for g in (corpus.cyclic_groupoid(2), corpus.cyclic_groupoid(4),
               corpus.pair_groupoid("xy"), corpus.bundle_of_groups("xy", 2)):

@@ -14,7 +14,7 @@ from holonomy2.holonomy import (HolonomyError, WStructure, build_germ_groupoid,
                                 local_section_mul, min_sections_at, unit_germ)
 
 from conftest import (discrete_item, holonomy_of, indiscrete_item,
-                      sierpinski_pairz2_item)
+                      sierpinski_pairz2_item, zn_on_itself)
 from oracles import morphism_kernel
 
 
@@ -164,6 +164,19 @@ def test_pipeline_quotient_kernel_is_unit_subgroupoid(all_cms):
         hol = full_window_pipeline(name, all_cms)
         ker = morphism_kernel(hol.projection, hol.germ_groupoid, hol.quotient)
         assert ker == hol.unit_sub.arrows, name
+
+
+@pytest.mark.parametrize("item", [lambda: discrete_item(corpus.z2z2()),
+                                  lambda: discrete_item(corpus.z4_interior()),
+                                  lambda: discrete_item(zn_on_itself(3))],
+                         ids=["z2z2", "z4", "z3"])
+def test_unit_germs_are_loops(item):
+    """A germ valued at eps1(a) runs from top eps1(a) = a to a, so every
+    unit germ is a loop and the quotient by them keeps its objects."""
+    hol = holonomy_of(*item())
+    assert hol.report["axioms"]["ok"]
+    assert all(g.source() == g.target() for g in hol.unit_sub.arrows)
+    assert hol.quotient.objects == hol.germ_groupoid.objects
 
 
 def test_pipeline_objects_are_edge_arrows(all_cms):

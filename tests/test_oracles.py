@@ -29,15 +29,15 @@ from holonomy2.dgpd import (DoubleGroupoid, Square, build_double_groupoid, check
                             crossed_module_of)
 from holonomy2.fintop import (FiniteTopSpace, PartialMap, is_continuous, is_partial_homeomorphism,
                               pullback_space)
-from holonomy2.groupoid import (Groupoid, GroupoidMorphism, _skey, check_groupoid,
-                                generated_subgroupoid)
-from holonomy2.holonomy import (Chart, WStructure, _chart_for, _factorizations, _product_germ,
+from holonomy2.groupoid import (Groupoid, GroupoidMorphism, NormalSubgroupoid, _skey,
+                                check_groupoid, generated_subgroupoid)
+from holonomy2.holonomy import (Chart, WStructure, _chart_for, _factorizations,
                                 build_germ_groupoid, build_restricted_germs, build_wg,
                                 check_chart_coherence, full_wstructure, germ_at,
                                 has_enough_sections, holonomy_groupoid,
-                                identity_vertical_morphism, local_section_inv, local_section_mul,
-                                min_sections_at, sections_through, square_subwindow,
-                                square_tables, universal_morphism)
+                                identity_vertical_morphism, local_section_inv, min_sections_at,
+                                sections_through, square_subwindow, square_tables,
+                                universal_morphism)
 from holonomy2.homotopy import (LinearSection, enumerate_free_derivations,
                                 enumerate_linear_sections, induced_endomorphism,
                                 is_coadmissible, section_mul)
@@ -694,7 +694,9 @@ def holonomy_model(name):
     item = {"z2z2": lambda: discrete_item(corpus.z2z2()),
             "pairz2": lambda: discrete_item(corpus.pairz2()),
             "z4": lambda: discrete_item(corpus.z4_interior()),
-            "pairz2-sierpinski": sierpinski_pairz2_item}[name]()
+            "pairz2-sierpinski": sierpinski_pairz2_item,
+            "z3": lambda: discrete_item(zn_on_itself(3)),
+            "z4-self": lambda: discrete_item(zn_on_itself(4))}[name]()
     return holonomy_groupoid(*square_axioms(*item), require_axioms=False)
 
 
@@ -763,29 +765,47 @@ def test_restricted_germs_match_resorting_closure(item):
     assert list(fast[2].items()) == list(slow[2].items())
 
 
-@pytest.mark.parametrize("name", ["z2z2", "pairz2", "z4", "pairz2-sierpinski"])
+@pytest.mark.parametrize("name", ["z2z2", "pairz2", "z4", "pairz2-sierpinski", "z3"])
 def test_charts_match_whole_product_germs(name):
-    """Charts whose germs are read on the minimal open alone equal charts
-    whose germs are read off the whole product section; so does every
-    single germ, raised errors included, over every chart section,
-    window square and through-section."""
+    """Charts read as translates of the embedding, proj([s]_{top w}) +
+    embed[w], equal charts whose germs are read off the whole product of
+    the chart section with every through-section: the same mappings and
+    the same skip counts, over every chart section."""
     hol = holonomy_model(name)
     dg, wg = hol.dg, hol.wg
-    through = {sq: sections_through(wg, sq) for sq in sorted(wg.squares, key=_skey)}
+    through = {sq: sections_through(wg, sq) for sq in wg.ordered}
+    classes = {sq: {hol.projection.arr_map[germ_at(dg, t, sq.bottom)] for t in thetas}
+               for sq, thetas in through.items() if thetas}
     jr = set(hol.germ_groupoid.arrows)
-    kinds = set()
+    skips = 0
     for chart in hol.charts:
-        fast = _chart_for(dg, hol.projection, jr, chart.section, through, strict=False)
+        fast = _chart_for(dg, hol.quotient, hol.projection, jr, chart.section, classes)
         slow = oracles.chart_for(dg, hol.projection, jr, chart.section, through, strict=False)
         assert fast[0].mapping == slow[0].mapping == chart.mapping
         assert fast[1] == slow[1]
-        for sq, thetas in through.items():
-            for theta in thetas:
-                got = outcome(_product_germ, dg, chart.section, theta, sq.bottom)
-                assert got == outcome(lambda: germ_at(dg, local_section_mul(
-                    dg, chart.section, theta, check=False), sq.bottom))
-                kinds.add(got[0] if got[0] == "ok" else got[1])
-    assert "ok" in kinds and len(kinds) > 1
+        skips += fast[1]
+    assert skips == hol.report["chart_skips"] == (10 if name == "pairz2-sierpinski" else 0)
+
+
+def quotient_tables(q, proj):
+    return (q.objects, q.arrows, {h: (q.src(h), q.tgt(h)) for h in q.arrows}, q._table,
+            q._neg, q._units, proj.obj_map, proj.arr_map)
+
+
+@pytest.mark.parametrize("name", ["z2z2", "pairz2", "z4", "pairz2-sierpinski", "z3", "z4-self",
+                                  "Z/4 by {0,2}", "Z/4 by units"])
+def test_quotient_by_cosets_matches_object_merging_quotient(name):
+    """The quotient by cosets of loops equals the object-merging quotient
+    it replaced, unwrapped as the holonomy groupoid read it: on the
+    holonomy kernels of the models, and on Z/4 by {0, 2} and by its
+    units."""
+    if name.startswith("Z/4"):
+        g = corpus.cyclic_groupoid(4)
+        n = NormalSubgroupoid(g, {"0", "2"} if name == "Z/4 by {0,2}" else g.units())
+    else:
+        hol = holonomy_model(name)
+        g, n = hol.germ_groupoid, hol.unit_sub
+    assert quotient_tables(*groupoid.quotient(g, n)) == quotient_tables(*oracles.quotient(g, n))
 
 
 @pytest.mark.parametrize("name", ["z2z2", "pairz2", "z4", "pairz2-sierpinski"])
@@ -979,10 +999,13 @@ def test_universal_morphism_matches_rescanning_search(instance):
     assert got == universal_outcome(oracles.universal_morphism, cm, wa, mu, hol, **bounds)
 
 
-@pytest.mark.parametrize("name", ["pairz2", "z2z2", "z4", "z4-c013"])
+@pytest.mark.parametrize("name", ["pairz2", "z2z2", "z4", "z4-c013", "z4-c01"])
 def test_universal_morphism_matches_oracle_on_models(name, monkeypatch):
     """On a full target window the source is the target's own window
-    squares, whose S4 searches are kept: the library searches no more."""
+    squares, whose S4 searches are kept: the library searches no more.
+    On a proper one the source's window is built for the call: its S4
+    searches, one per edge arrow, serve the factors too, with no search
+    on the preimage."""
     cm, wa, hol = universal_model(name)
     mu = identity_vertical_morphism(hol.dg)
     wga = hol.wg if UNIVERSAL_MODELS[name][1] is None else None
@@ -994,10 +1017,10 @@ def test_universal_morphism_matches_oracle_on_models(name, monkeypatch):
 
     if wga is not None:
         assert wga._sections
-        monkeypatch.setattr(holonomy, "min_sections_at", counted)
+    monkeypatch.setattr(holonomy, "min_sections_at", counted)
     got = universal_outcome(universal_morphism, cm, wa, mu, hol, wga=wga)
     monkeypatch.undo()
-    assert searched == []
+    assert len(searched) == (0 if wga is not None else len(hol.dg.edge.arrows))
     assert got == universal_outcome(oracles.universal_morphism, cm, wa, mu, hol)
 
 

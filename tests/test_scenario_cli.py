@@ -224,6 +224,24 @@ def test_cli_report_matches_recorded_golden(workload, path, tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden["sha256"]
 
 
+# exit code and sha256 of the default JSON report of ``z4_discrete.json``;
+# it lives beside the tests because the benchmark's corpus workload
+# takes every file under scenarios/
+Z4_GOLDEN = {"exit": 0,
+             "sha256": "7bef63ec7145a13681caf7216c04d02c26ff51cd29904f00d96d63570c0bd1ff"}
+
+
+def test_z4_report_matches_recorded_golden(capsys):
+    """Z/4 on itself with discrete topologies and the full window: 256
+    squares, classes and charts, eight times the largest scenario's.  Its
+    validate and holonomy report is byte-identical to the recording."""
+    path = os.path.join(os.path.dirname(__file__), "z4_discrete.json")
+    code, out = run_cli(["--scenario", path, "--format", "json"], capsys)
+    assert json.loads(out)["tasks"][1]["details"]["holonomy"]["arrows"] == 256
+    assert code == Z4_GOLDEN["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == Z4_GOLDEN["sha256"]
+
+
 @pytest.mark.parametrize("arrows", [[["c0"]], 5])
 def test_loader_rejects_malformed_window_arrows(arrows):
     with open(scenario_path("z2z2.json"), encoding="utf-8") as fh:
