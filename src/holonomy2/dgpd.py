@@ -59,6 +59,10 @@ class DoubleGroupoid:
             self._by_top.setdefault(sq.top, []).append(sq)
             self._by_left.setdefault(sq.left, []).append(sq)
         self._vertical = self._horizontal = None
+        # kept by holonomy: local section verdicts by section content
+        # (section_violations) and base maps by their constraints
+        # (section_from_squares)
+        self._section_verdicts, self._base_maps = {}, {}
         if connection is None:
             connection = {a: self._default_connection(a) for a in self.edge.arrows}
         self.connection = dict(connection)
@@ -130,15 +134,11 @@ class DoubleGroupoid:
     def vertical_groupoid(self):
         """Squares under vertical composition, over the edge arrows."""
         if self._vertical is None:
-            table = {}
-            for u in self.squares:
-                for v in self._by_top.get(u.bottom, ()):
-                    table[(u, v)] = self.comp1(u, v)
             self._vertical = Groupoid(
                 self.edge.arrows, self.squares,
                 {sq: sq.top for sq in self.squares},
                 {sq: sq.bottom for sq in self.squares},
-                table,
+                self._view_table(vertical=True),
                 {sq: self.neg1(sq) for sq in self.squares},
                 {a: self.eps1(a) for a in self.edge.arrows})
         return self._vertical
@@ -146,18 +146,59 @@ class DoubleGroupoid:
     def horizontal_groupoid(self):
         """Squares under horizontal composition, over the edge arrows."""
         if self._horizontal is None:
-            table = {}
-            for u in self.squares:
-                for v in self._by_left.get(u.right, ()):
-                    table[(u, v)] = self.comp2(u, v)
             self._horizontal = Groupoid(
                 self.edge.arrows, self.squares,
                 {sq: sq.left for sq in self.squares},
                 {sq: sq.right for sq in self.squares},
-                table,
+                self._view_table(vertical=False),
                 {sq: self.neg2(sq) for sq in self.squares},
                 {a: self.eps2(a) for a in self.edge.arrows})
         return self._horizontal
+
+    def _view_table(self, vertical):
+        """The composition table of the vertical view (of the horizontal
+        one when not ``vertical``): ``comp1(u, v)`` for every pair with
+        bottom u = top v (``comp2(u, v)`` where right u = left v), in
+        square order of u, then of v.
+
+        A square's coordinates are the positions of its inner arrow in C
+        and of its four edges in G (``Groupoid.tables``).  A composite's
+        coordinates are read as comp1 and comp2 compute them: the inner
+        arrow from C's row at the action value, the composed sides from
+        G's rows.  The square with those coordinates is the composite;
+        where a coordinate, an action entry, a row entry or that square
+        is missing, comp1 (comp2) itself runs, so every error and every
+        composite outside the square set is still its own."""
+        G, C, squares = self.edge, self.cm.C, self.squares
+        gpos, grows = G.tables()[:2]
+        cpos, crows = C.tables()[:2]
+        act = {(cpos[c], gpos[a]): cpos[value] for (c, a), value in self.cm.action.items()
+               if C.tgt(c) == G.src(a)}
+        coords = [(cpos.get(sq.inner), gpos.get(sq.top), gpos.get(sq.left),
+                   gpos.get(sq.right), gpos.get(sq.bottom)) for sq in squares]
+        coords = [None if None in xy else xy for xy in coords]
+        at = {xy: k for k, xy in enumerate(coords) if xy is not None}
+        comp = self.comp1 if vertical else self.comp2
+        by_source = {}
+        for j, sq in enumerate(squares):
+            by_source.setdefault(sq.top if vertical else sq.left, []).append(j)
+        table = {}
+        for u, cu in zip(squares, coords):
+            for j in by_source.get(u.bottom if vertical else u.right, ()):
+                v, cv, k = squares[j], coords[j], None
+                if cu is not None and cv is not None:
+                    ci, t, l, r, b = cu
+                    ci2, t2, l2, r2, b2 = cv
+                    if vertical:
+                        a = act.get((ci, r2))
+                        if a is not None:
+                            k = at.get((crows[ci2][a], t, grows[l][l2], grows[r][r2], b2))
+                    else:
+                        a = act.get((ci, b2))
+                        if a is not None:
+                            k = at.get((crows[a][ci2], grows[t][t2], l, r2, grows[b][b2]))
+                table[(u, v)] = comp(u, v) if k is None else squares[k]
+        return table
 
     def vcomp(self, u, v):
         """``comp1(u, v)`` read from the vertical view's rows.  Where the

@@ -214,25 +214,40 @@ def check_groupoid(g):
     """
     out = []
     arrows, src, tgt = g.arrows, g._src, g._tgt
-    # entries off the composable pairs or with wrong endpoints, in
-    # _skey order of the pair; only those are sorted
-    bad = [((a, b), c) for (a, b), c in g._table.items()
-           if tgt[a] != src[b] or src[c] != src[a] or tgt[c] != tgt[b]]
-    for (a, b), c in sorted(bad, key=lambda kv: (_skey(kv[0][0]), _skey(kv[0][1]))):
-        if tgt[a] != src[b]:
-            out.append("composition domain: %s+%s defined but tgt(%s)=%s != src(%s)=%s"
-                       % (a, b, a, tgt[a], b, src[b]))
-        else:
-            out.append("composition endpoints: %s+%s=%s has wrong src/tgt" % (a, b, c))
-    # the table as rows of positions, from the groupoid's own tables
+    # one pass over the composable pairs, as rows of positions from the
+    # groupoid's own tables: the entries there, whether each composite
+    # runs from the start of its first factor to the end of its second,
+    # and the composites missing there
     _, rows, _, by_src = g.tables()
+    starts, ends = [src[a] for a in arrows], [tgt[a] for a in arrows]
+    ends_out_of = {x: [ends[j] for j in bucket] for x, bucket in by_src.items()}
+    entries, endpoints_ok, missing = 0, True, []
     for i, a in enumerate(arrows):
-        row, bucket = rows[i], by_src.get(tgt[a], ())
-        if None in map(row.__getitem__, bucket):
-            for j in bucket:
-                if row[j] is None:
-                    out.append("composition missing: %s+%s (tgt=src=%s)"
-                               % (a, arrows[j], tgt[a]))
+        bucket = by_src.get(ends[i], ())
+        composites = list(map(rows[i].__getitem__, bucket))
+        want_ends = ends_out_of.get(ends[i], [])
+        if None in composites:
+            missing.extend("composition missing: %s+%s (tgt=src=%s)" % (a, arrows[j], ends[i])
+                           for j, k in zip(bucket, composites) if k is None)
+            want_ends = [ends[j] for j, k in zip(bucket, composites) if k is not None]
+            composites = [k for k in composites if k is not None]
+        entries += len(composites)
+        endpoints_ok = (endpoints_ok
+                        and list(map(ends.__getitem__, composites)) == want_ends
+                        and list(map(starts.__getitem__, composites)).count(starts[i])
+                        == len(composites))
+    if entries != len(g._table) or not endpoints_ok:
+        # entries off the composable pairs or with wrong endpoints, in
+        # _skey order of the pair; only those are sorted
+        bad = [((a, b), c) for (a, b), c in g._table.items()
+               if tgt[a] != src[b] or src[c] != src[a] or tgt[c] != tgt[b]]
+        for (a, b), c in sorted(bad, key=lambda kv: (_skey(kv[0][0]), _skey(kv[0][1]))):
+            if tgt[a] != src[b]:
+                out.append("composition domain: %s+%s defined but tgt(%s)=%s != src(%s)=%s"
+                           % (a, b, a, tgt[a], b, src[b]))
+            else:
+                out.append("composition endpoints: %s+%s=%s has wrong src/tgt" % (a, b, c))
+    out.extend(missing)
     for x in g.objects:
         if x not in g._units:
             out.append("unit missing at object %s" % (x,))

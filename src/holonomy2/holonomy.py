@@ -136,15 +136,6 @@ def build_wg(dg, w):
     return WGSquares(dg, squares, space)
 
 
-def square_subwindow(wg, squares):
-    """Window on a subset of squares, with the subspace topology; ``wg``
-    itself, with the section searches it keeps, on all of its squares."""
-    subset = frozenset(squares)
-    if subset == wg.squares:
-        return wg
-    return WGSquares(wg.dg, subset, wg.space.subspace(subset))
-
-
 # ---------------------------------------------------------------------------
 # local linear sections
 # ---------------------------------------------------------------------------
@@ -273,6 +264,19 @@ def check_local_section(dg, sec):
     return out
 
 
+def section_violations(dg, sec):
+    """``check_local_section(dg, sec)``, run once per section content on
+    each double groupoid and kept there: the verdict reads nothing of the
+    section but its dom0, dom1, s0 and squares, which equal sections
+    share.  The section searches, the closure products and the chart
+    certificate's inverses meet the same sections again."""
+    verdicts = dg._section_verdicts
+    bad = verdicts.get(sec)
+    if bad is None:
+        bad = verdicts[sec] = check_local_section(dg, sec)
+    return bad
+
+
 def smoothness_violations(dg, wg, sec):
     """Window-valuedness plus continuity of s0 and of the square map."""
     G = dg.edge
@@ -314,7 +318,7 @@ def local_section_mul(dg, sec, tau, check=True):
     s0 = {x: G.add(sec.s0[f0[x]], tau.s0[x]) for x in dom0}
     out = LocalLinearSection(dom0, dom1, s0, squares)
     if check:
-        bad = check_local_section(dg, out)
+        bad = section_violations(dg, out)
         if bad:
             raise HolonomyError("section product invalid: %s" % bad[0])
     return out
@@ -332,7 +336,7 @@ def local_section_inv(dg, sec, check=True):
     s0 = {x: G.neg(sec.s0[f0inv.table[x]]) for x in dom0}
     out = LocalLinearSection(dom0, dom1, s0, squares)
     if check:
-        bad = check_local_section(dg, out)
+        bad = section_violations(dg, out)
         if bad:
             raise HolonomyError("section inverse invalid: %s" % bad[0])
     return out
@@ -467,11 +471,16 @@ def section_from_squares(dg, dom1, square_map, window=None, smooth=False):
         if alpha_req.get(u, la) != la:
             return None
         alpha_req[u] = la
-    s0 = _complete_base_map(dg, dom0, pins, alpha_req, smooth)
+    # the tables of a search share dom0 and repeat their pins: each
+    # completion is searched once per double groupoid
+    key = (dom0, tuple(pins.items()), tuple(alpha_req.items()), smooth)
+    if key not in dg._base_maps:
+        dg._base_maps[key] = _complete_base_map(dg, dom0, pins, alpha_req, smooth)
+    s0 = dg._base_maps[key]
     if s0 is None:
         return None
     sec = LocalLinearSection(dom0, dom1, s0, square_map)
-    if check_local_section(dg, sec):
+    if section_violations(dg, sec):
         return None
     if window is not None and smoothness_violations(dg, window, sec):
         return None
@@ -610,18 +619,20 @@ def _window_operation(spaces, values, target):
     operation is continuous into ``target`` (second verdict, None when
     the set is not open).
 
-    No pair space is built: the work is done once per distinct
-    (M(x), M(y)), and skipped when both are singletons, since the pair
-    is then its own minimal open (as in ``is_continuous``).
+    No pair space is built: each point's minimal open is looked up once,
+    the work is done once per distinct (M(x), M(y)), and skipped when
+    both are singletons, since the pair is then its own minimal open (as
+    in ``is_continuous``).
     """
     first, second = spaces
     tmin = target._min
-    by_first, pairs_at = {}, {}
+    by_first, pairs_at, first_min, second_min = {}, {}, {}, {}
     for x, y in values:
         by_first.setdefault(x, []).append(y)
-        key = (first.minimal_open(x), second.minimal_open(y))
-        if len(key[0]) > 1 or len(key[1]) > 1:
-            pairs_at.setdefault(key, []).append((x, y))
+        mx = first_min.get(x) or first_min.setdefault(x, first.minimal_open(x))
+        my = second_min.get(y) or second_min.setdefault(y, second.minimal_open(y))
+        if len(mx) > 1 or len(my) > 1:
+            pairs_at.setdefault((mx, my), []).append((x, y))
     continuous = True
     for (mx, my), pairs in pairs_at.items():
         if not any(values[p] in tmin for p in pairs):
@@ -742,30 +753,41 @@ def _locally_lie_deductions(dg, wg, enough, differences):
     out["difference_lands_in_window"] = _difference_lands_in_window(differences, wg)
     # 3) triple-restriction: products of window sections that evaluate into
     #    the window restrict to window-valued sections
-    secs = []
-    for wit in enough["witnesses"].values():
-        if wit is not None and wit not in secs:
-            secs.append(wit)
+    secs = list(dict.fromkeys(w for w in enough["witnesses"].values() if w is not None))
+    # The triples are walked in product order, k * s once per pair.  A
+    # product whose factor's tops miss the other's arrow domain has an
+    # empty arrow domain and checks nothing, so it is not formed.
     checked = failures = 0
-    for k, s, t in itertools.product(secs, repeat=3):
-        if checked >= DEDUCTION_TRIPLES:
-            break
-        try:
-            ks = local_section_mul(dg, k, s, check=False)
-            kst = local_section_mul(dg, ks, t, check=False)
-        except _MODEL_ERRORS:
-            continue
-        for a in sorted(kst.dom1, key=_skey):
-            b = t.squares[a].top
-            if b not in ks.dom1:
+    for k in secs:
+        for s in secs:
+            if checked >= DEDUCTION_TRIPLES:
+                break
+            if not any(sq.top in k.dom1 for sq in s.squares.values()):
                 continue
-            if ks.squares[b] not in wg or kst.squares[a] not in wg:
+            try:
+                ks = local_section_mul(dg, k, s, check=False)
+            except _MODEL_ERRORS:
                 continue
-            checked += 1
-            M = dg.edge.arrow_space().minimal_open(a)
-            if not M <= kst.dom1 or any(kst.squares[z] not in wg for z in M):
-                failures += 1
-            break
+            for t in secs:
+                if checked >= DEDUCTION_TRIPLES:
+                    break
+                if not any(sq.top in ks.dom1 for sq in t.squares.values()):
+                    continue
+                try:
+                    kst = local_section_mul(dg, ks, t, check=False)
+                except _MODEL_ERRORS:
+                    continue
+                for a in sorted(kst.dom1, key=_skey):
+                    b = t.squares[a].top
+                    if b not in ks.dom1:
+                        continue
+                    if ks.squares[b] not in wg or kst.squares[a] not in wg:
+                        continue
+                    checked += 1
+                    M = dg.edge.arrow_space().minimal_open(a)
+                    if not M <= kst.dom1 or any(kst.squares[z] not in wg for z in M):
+                        failures += 1
+                    break
     out["triple_restriction_checked"] = checked
     out["triple_restriction_ok"] = failures == 0
     return out
@@ -879,6 +901,14 @@ def build_germ_groupoid(dg):
 
     Objects are edge arrows; a germ runs from the top of its base value to
     its base.  Returns (groupoid, witness sections per germ).
+
+    Products are read through the vertical rows: a germ is keyed by its
+    base and the positions of its values, in the order of its arrows,
+    and [s]_{top ta} * [t]_a takes, at each arrow z of [t]_a, the row of
+    s's value at top t(z) at the position of t(z).  The germs at one
+    base list the arrows of its minimal open in one order, so equal keys
+    are equal germs.  ``germ_mul`` runs only for a product with no key
+    among the germs, to be refused.
     """
     G = dg.edge
     germs = {}
@@ -895,14 +925,24 @@ def build_germ_groupoid(dg):
     by_base = {}
     for g in arrows:
         by_base.setdefault(g.base, []).append(g)
+    pos, rows = dg.vertical_groupoid().tables()[:2]
+    keyed, at, steps = {}, {}, {}
+    for g in arrows:
+        at[g] = {z: pos[sq] for z, sq in g.values}
+        keyed[(g.base, tuple(at[g].values()))] = g
+        steps[g] = [(sq.top, pos[sq]) for _, sq in g.values]
     table = {}
     for ga in arrows:
         for gb in by_base.get(src[ga], ()):
-            prod = germ_mul(dg, gb, ga)
-            if prod not in germs:
-                raise HolonomyError("germ product left the germ set at (%s, %s)"
-                                    % (gb, ga))
-            table[(gb, ga)] = germs[prod]
+            b_at = at[gb]
+            prod = keyed.get((ga.base, tuple(rows[b_at[t]][p] for t, p in steps[ga])))
+            if prod is None:
+                prod = germ_mul(dg, gb, ga)
+                if prod not in germs:
+                    raise HolonomyError("germ product left the germ set at (%s, %s)"
+                                        % (gb, ga))
+                prod = germs[prod]
+            table[(gb, ga)] = prod
     neg = {}
     for g in arrows:
         gi = germ_inv(dg, g)
@@ -947,15 +987,21 @@ def build_restricted_germs(dg, wg, J):
         u = J.unit(a)
         if u not in witness:
             witness[u] = constant_section(dg, dg.edge.arrow_space().minimal_open(a))
-    # the closure as a set and as a list kept in sort order; each pass
-    # walks a snapshot of the list, as it stood when the pass began
+    # the closure as a set, as a list kept in sort order and as by-source
+    # buckets kept in sort order; each pass walks a snapshot of the list,
+    # as it stood when the pass began, and each g of it composes with a
+    # snapshot of the bucket at its target, as it stands when g is reached
     closure = set(witness)
     arrows = sorted(closure, key=_skey)
+    by_src = {}
+    for h in arrows:
+        by_src.setdefault(h.source(), []).append(h)
 
     def admit(g, sec):
         witness[g] = sec
         closure.add(g)
         bisect.insort(arrows, g, key=_skey)
+        bisect.insort(by_src.setdefault(g.source(), []), g, key=_skey)
 
     frontier = True
     while frontier:
@@ -966,13 +1012,11 @@ def build_restricted_germs(dg, wg, J):
                 admit(gi, local_section_inv(dg, witness[g]))
                 frontier = True
         for g in list(arrows):
-            for h in list(arrows):
-                if J.composable(g, h) and J.add(g, h) not in closure:
-                    admit(J.add(g, h), local_section_mul(dg, witness[g], witness[h]))
+            for h in list(by_src.get(g.target(), ())):
+                gh = J.add(g, h)
+                if gh not in closure:
+                    admit(gh, local_section_mul(dg, witness[g], witness[h]))
                     frontier = True
-    by_src = {}
-    for h in arrows:
-        by_src.setdefault(h.source(), []).append(h)
     table = {(g, h): J.add(g, h) for g in arrows for h in by_src.get(g.target(), ())}
     jr = Groupoid(dg.edge.arrows, arrows,
                   {g: g.source() for g in arrows},

@@ -24,8 +24,10 @@ square; a chart multiplies whole sections to read one germ, per
 through-section; the quotient merges objects along non-loop members
 and composes every pair of class members.  The
 window operations of S3, C1 and C4 test openness and continuity on a
-materialised pair space.  The fast versions must agree with these,
-violation order included.
+materialised pair space.  The square views compose every pair of
+squares through ``comp1``/``comp2``, and the triple-restriction
+deduction walks every triple of witness sections.  The fast versions
+must agree with these, violation order included.
 """
 
 from __future__ import annotations
@@ -37,11 +39,12 @@ from holonomy2.dgpd import (COMPOSITION_ERRORS, DoubleGroupoidError, build_doubl
 from holonomy2.fintop import FiniteTopSpace, PartialMap, TopologyError
 from holonomy2.groupoid import (Groupoid, GroupoidError, GroupoidMorphism, _continuity_report,
                                 _skey, check_groupoid_morphism)
-from holonomy2.holonomy import (_MODEL_ERRORS, Chart, HolonomyError, LocalLinearSection, _feet,
-                                build_wg, constant_section, germ_at, unit_germ, window_germs,
-                                left_translation, local_section_inv,
+from holonomy2 import holonomy
+from holonomy2.holonomy import (_MODEL_ERRORS, Chart, HolonomyError, LocalLinearSection,
+                                WGSquares, _feet, build_wg, constant_section, germ_at,
+                                unit_germ, window_germs, left_translation, local_section_inv,
                                 local_section_mul, push_section, section_from_squares,
-                                smoothness_violations, square_subwindow)
+                                smoothness_violations)
 from holonomy2.holonomy import square_tables as library_square_tables
 from holonomy2.homotopy import DerivationError, FreeDerivation, LinearSection, check_linear_section
 from holonomy2.xmod import XModMorphism, apply_action
@@ -243,30 +246,35 @@ def generated_subgroupoid(g, seed):
     return frozenset(closure)
 
 
-def vertical_groupoid(dg):
-    """Squares under vertical composition, over the edge arrows."""
+def view_table(dg, vertical):
+    """The composition table of the vertical (horizontal) square view,
+    composed pair by pair by ``dg.comp1`` (``dg.comp2``) over every pair
+    of squares."""
     table = {}
     for u in dg.squares:
-        for v in [sq for sq in dg.squares if sq.top == u.bottom]:
-            table[(u, v)] = dg.comp1(u, v)
+        for v in dg.squares:
+            if vertical and u.bottom == v.top:
+                table[(u, v)] = dg.comp1(u, v)
+            elif not vertical and u.right == v.left:
+                table[(u, v)] = dg.comp2(u, v)
+    return table
+
+
+def vertical_groupoid(dg):
+    """Squares under vertical composition, over the edge arrows."""
     return Groupoid(dg.edge.arrows, dg.squares,
                     {sq: sq.top for sq in dg.squares},
                     {sq: sq.bottom for sq in dg.squares},
-                    table,
+                    view_table(dg, vertical=True),
                     {sq: dg.neg1(sq) for sq in dg.squares},
                     {a: dg.eps1(a) for a in dg.edge.arrows})
 
 
 def horizontal_groupoid(dg):
-    table = {}
-    for u in dg.squares:
-        for v in dg.squares:
-            if u.right == v.left:
-                table[(u, v)] = dg.comp2(u, v)
     return Groupoid(dg.edge.arrows, dg.squares,
                     {sq: sq.left for sq in dg.squares},
                     {sq: sq.right for sq in dg.squares},
-                    table,
+                    view_table(dg, vertical=False),
                     {sq: dg.neg2(sq) for sq in dg.squares},
                     {a: dg.eps2(a) for a in dg.edge.arrows})
 
@@ -1112,6 +1120,56 @@ def restrict_section(dg, sec, dom1, dom0=None):
     return LocalLinearSection(dom0, dom1,
                               {x: sec.s0[x] for x in dom0},
                               {z: sec.squares[z] for z in dom1})
+
+
+def locally_lie_deductions(dg, wg, enough, differences):
+    """The S1-S5 deductions with the triple-restriction loop over every
+    triple of witness sections in product order, k * s recomputed for
+    every t and the witnesses deduplicated by list membership."""
+    out = {}
+    inv_map = PartialMap({sq: dg.vneg(sq) for sq in wg.squares})
+    out["inverse_continuous"] = holonomy.is_continuous(inv_map, wg.space, wg.space)
+    p_open, p_cont = holonomy._window_operation(
+        [wg.space, wg.space], holonomy._window_products(dg, wg), wg.space)
+    out["product_set_open"] = p_open
+    out["product_continuous"] = p_cont
+    out["difference_lands_in_window"] = holonomy._difference_lands_in_window(differences, wg)
+    secs = []
+    for wit in enough["witnesses"].values():
+        if wit is not None and wit not in secs:
+            secs.append(wit)
+    checked = failures = 0
+    for k, s, t in itertools.product(secs, repeat=3):
+        if checked >= holonomy.DEDUCTION_TRIPLES:
+            break
+        try:
+            ks = local_section_mul(dg, k, s, check=False)
+            kst = local_section_mul(dg, ks, t, check=False)
+        except _MODEL_ERRORS:
+            continue
+        for a in sorted(kst.dom1, key=_skey):
+            b = t.squares[a].top
+            if b not in ks.dom1:
+                continue
+            if ks.squares[b] not in wg or kst.squares[a] not in wg:
+                continue
+            checked += 1
+            M = dg.edge.arrow_space().minimal_open(a)
+            if not M <= kst.dom1 or any(kst.squares[z] not in wg for z in M):
+                failures += 1
+            break
+    out["triple_restriction_checked"] = checked
+    out["triple_restriction_ok"] = failures == 0
+    return out
+
+
+def square_subwindow(wg, squares):
+    """Window on a subset of squares, with the subspace topology; ``wg``
+    itself, with the section searches it keeps, on all of its squares."""
+    subset = frozenset(squares)
+    if subset == wg.squares:
+        return wg
+    return WGSquares(wg.dg, subset, wg.space.subspace(subset))
 
 
 def morphism_kernel(m, src, tgt):

@@ -36,7 +36,7 @@ from holonomy2.holonomy import (Chart, WStructure, _chart_for, _factorizations,
                                 check_chart_coherence, full_wstructure, germ_at,
                                 has_enough_sections, holonomy_groupoid,
                                 identity_vertical_morphism, local_section_inv, min_sections_at,
-                                sections_through, square_subwindow, square_tables,
+                                sections_through, square_tables,
                                 universal_morphism)
 from holonomy2.homotopy import (LinearSection, enumerate_free_derivations,
                                 enumerate_linear_sections, induced_endomorphism,
@@ -524,6 +524,31 @@ def test_check_groupoid_matches_scan_on_perturbed_corpus_groupoids(g):
     assert got == oracles.check_groupoid(g)
 
 
+@settings(ORACLE, max_examples=60)
+@given(st.sampled_from(sorted(corpus_groupoids())), st.booleans(), st.booleans(), st.data())
+def test_check_groupoid_falls_back_to_the_table_scan(name, off_pair, wrong_ends, data):
+    """The first pass counts the entries on composable pairs and compares
+    their endpoints by position.  An entry off a composable pair, or a
+    composite with the wrong endpoints, sends it to the scan of the
+    table, which lists those entries in the oracle's order."""
+    g = corpus_groupoids()[name]
+    table = dict(g._table)
+    ends = {a: (g.src(a), g.tgt(a)) for a in g.arrows}
+    off = [(a, b) for a in g.arrows for b in g.arrows if not g.composable(a, b)]
+    if off_pair and off:
+        table[data.draw(st.sampled_from(off))] = data.draw(st.sampled_from(g.arrows))
+    key = data.draw(st.sampled_from(sorted(g._table, key=repr)))
+    moved = [a for a in g.arrows if ends[a] != ends[g._table[key]]]
+    if wrong_ends and moved:
+        table[key] = data.draw(st.sampled_from(moved))
+    h = Groupoid(g.objects, g.arrows, g._src, g._tgt, table, g._neg, g._units)
+    got = check_groupoid(h)
+    assert got == oracles.check_groupoid(h)
+    assert any(v.startswith("composition domain") for v in got) == bool(off_pair and off)
+    assert any(v.startswith("composition endpoints") for v in got) == bool(wrong_ends and moved)
+    event("off pair %s, wrong endpoints %s" % (bool(off_pair and off), bool(wrong_ends and moved)))
+
+
 @functools.cache
 def z3_vertical():
     return build_double_groupoid(zn_on_itself(3)).vertical_groupoid()
@@ -629,6 +654,9 @@ class BentDoubleGroupoid(DoubleGroupoid):
     def __init__(self, cm, squares, bent):
         self.bent = bent
         super().__init__(cm, squares)
+
+    def _view_table(self, vertical):
+        return oracles.view_table(self, vertical)
 
     def comp1(self, u, v):
         w = super().comp1(u, v)
@@ -1209,6 +1237,42 @@ def test_linear_sections_and_products_match_oracle(name):
     assert bool(raised) == bool(extra)
 
 
+def deduction_reports(dg, wg):
+    """The S1-S5 deductions of a window, from the library and from the
+    every-triple loop, on the same witnesses."""
+    enough = has_enough_sections(wg)
+    differences = holonomy._window_differences(dg, wg)
+    return (holonomy._locally_lie_deductions(dg, wg, enough, differences),
+            oracles.locally_lie_deductions(dg, wg, enough, differences))
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_MODELS))
+def test_deductions_match_every_triple_loop(name):
+    """Walking only the triples whose products have arrows, k * s once
+    per pair, checks the same triples as the loop over every triple."""
+    fast, slow = deduction_reports(*section_model(name))
+    assert fast == slow
+
+
+def test_deductions_match_every_triple_loop_when_a_product_raises():
+    """A vertical composite that raises ends the products through it in
+    both loops, which then go on to the next triple."""
+    dg, wg = section_model("z2z2-discrete")
+    dg = copy.copy(dg)
+    first = has_enough_sections(wg)["witnesses"][wg.ordered[0]]
+    bent, compose, raised = next(iter(first.squares.values())), dg.vcomp, []
+
+    def vcomp(u, v):
+        if u == bent:
+            raised.append((u, v))
+            raise dgpd.DoubleGroupoidError("no composite through %s" % (u,))
+        return compose(u, v)
+
+    dg.vcomp = vcomp
+    fast, slow = deduction_reports(dg, wg)
+    assert raised and fast == slow
+
+
 def pinned_min_sections_at(dg, a, window, smooth, pin):
     """The sections of ``min_sections_at`` that take the pinned squares."""
     return [s for s in min_sections_at(dg, a, window, smooth)
@@ -1228,8 +1292,8 @@ def test_min_sections_at_matches_rescanning_search(name, data):
     if window == "subset":
         rnd = data.draw(st.randoms(use_true_random=False))
         keep = data.draw(st.sampled_from([0.3, 0.6, 0.9]))
-        window = square_subwindow(wg, [sq for sq in sorted(wg.squares, key=_skey)
-                                       if rnd.random() < keep])
+        window = oracles.square_subwindow(wg, [sq for sq in sorted(wg.squares, key=_skey)
+                                               if rnd.random() < keep])
     smooth = data.draw(st.booleans())
     for a in sorted(G.arrows, key=_skey):
         pin = None
@@ -1375,6 +1439,9 @@ class ConjugatedDoubleGroupoid(DoubleGroupoid):
         self.perm, self.back = perm, {v: k for k, v in perm.items()}
         super().__init__(cm, squares)
 
+    def _view_table(self, vertical):
+        return oracles.view_table(self, vertical)
+
     def comp2(self, u, v):
         return self.back[super().comp2(self.perm[u], self.perm[v])]
 
@@ -1433,6 +1500,9 @@ class BentFacesDoubleGroupoid(DoubleGroupoid):
     def __init__(self, cm, squares, perm):
         self.perm, self.back = perm, {v: k for k, v in perm.items()}
         super().__init__(cm, squares)
+
+    def _view_table(self, vertical):
+        return oracles.view_table(self, vertical)
 
     def comp1(self, u, v):
         return self.back[super().comp1(self.perm[u], self.perm[v])]

@@ -338,6 +338,25 @@ def test_derivations_build_one_endomorphism_each(tmp_path, monkeypatch, capsys):
     assert details["certificates"] == want
 
 
+def test_z3_pass_checks_each_section_once(tmp_path, monkeypatch, capsys):
+    """validate, double and holonomy on Z/3 on itself (discrete, full
+    window) search the minimal-domain sections once per arrow for the
+    window and once for the germ groupoid, check each of the 81 distinct
+    sections once, and form only the section products the deductions
+    can check."""
+    from holonomy2 import holonomy
+    path = tmp_path / "z3.json"
+    tasks = [{"task": "validate"}, {"task": "double", "xmod": "CM"},
+             {"task": "holonomy", "xmod": "CM", "w": "W"}]
+    path.write_text(json.dumps(cyclic_scenario(3, tasks)))
+    counted = [counting(monkeypatch, holonomy, name)
+               for name in ("min_sections_at", "check_local_section", "local_section_mul")]
+    code, out = run_cli(["--scenario", str(path), "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["tasks"][2]["details"]["holonomy"]["arrows"] == 81
+    searches, checks, products = map(len, counted)
+    assert (searches, checks) == (6, 81) and products <= 126
+
+
 def test_tasks_share_one_double_groupoid(monkeypatch, capsys):
     calls = counting(monkeypatch, cli, "build_double_groupoid")
     code, out = run_cli(["--scenario", scenario_path("z2z2.json"), "--format", "json"], capsys)
