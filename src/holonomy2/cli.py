@@ -165,7 +165,7 @@ def task_universal(scn, task, opts):
     name, cm, wname, w, dg, wg, axioms = _windowed(scn, task, "tasks.universal")
     mu = identity_vertical_morphism(dg)
     hol = holonomy_groupoid(dg, wg, axioms)
-    mp, rep = universal_morphism(wg, mu, hol, word_bound=opts.word_bound)
+    mp, rep = universal_morphism(wg, mu, hol)
     details = {"xmod": name, "window": wname, "morphism": mu_name, "report": rep}
     return all(v for v in rep.values() if isinstance(v, bool)), details
 
@@ -219,8 +219,6 @@ def execute(argv=None):
     parser.add_argument("--seed", type=int, default=0, help="only echoed in the report")
     parser.add_argument("--max-points", type=int, default=64,
                         help="point cap for loaded spaces")
-    parser.add_argument("--word-bound", type=int, default=8,
-                        help="factorization bound for the universal property")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--timings", action="store_true",
                         help="include per-task wall times (non-deterministic)")

@@ -571,8 +571,16 @@ class NormalSubgroupoid:
         self.arrows = frozenset(arrows)
         if not self.arrows <= set(parent.arrows):
             raise GroupoidError("subgroupoid arrows not within parent")
+        self._violations = None
 
     def violations(self):
+        """The checks of ``_scan``, run once: every reader of this
+        subgroupoid shares one verdict."""
+        if self._violations is None:
+            self._violations = self._scan()
+        return self._violations
+
+    def _scan(self):
         g = self.parent
         out = []
         for x in g.objects:

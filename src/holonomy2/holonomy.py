@@ -1389,63 +1389,25 @@ def _transition_pairs(hol, wide, proved, out):
 # ---------------------------------------------------------------------------
 
 
-def _factorizations(vert, pre, pre_by_top, w_sq, bound, cap):
-    """Vertical factorizations of a square into members of a generating set.
-
-    ``vert`` is the vertical groupoid of the squares; ``pre_by_top`` lists
-    the members of ``pre`` by top edge, in ``_skey`` order.  Each walk
-    node has its own prefix, so no factorization is found twice.  The
-    walk nests at most ``bound`` + 1 calls, whatever the model size.
-    """
-    results = []
-
-    def walk(current, acc, depth):
-        if len(results) >= cap:
-            return
-        if current in pre:
-            results.append(tuple(acc) + (current,))
-            if len(acc) + 1 >= bound:
-                return
-        if depth >= bound:
-            return
-        unit = vert.unit(current.top)
-        for u in pre_by_top.get(current.top, ()):
-            rest = vert.add(vert.neg(u), current)
-            if rest == current and u == unit:
-                continue
-            walk(rest, acc + [u], depth + 1)
-
-    walk(w_sq, [], 0)
-    return results
-
-
 def push_section(dg_target, mu, sec):
     """Image of a section under a vertical morphism, revalidated."""
     squares = {z: mu.arr_map[sq] for z, sq in sec.squares.items()}
     return section_from_squares(dg_target, sec.dom1, squares)
 
 
-# the choices the universal construction re-verifies (factorizations per
-# square, through-sections per factor) and its uniqueness search's node cap
-MAX_FACTORIZATIONS = 24
-THETA_CHOICES = 3
+# the uniqueness search's node cap
 SEARCH_CAP = 200000
 
 
-def universal_morphism(wgA, mu, hol, word_bound=8):
+def universal_morphism(wgA, mu, hol):
     """The unique morphism into the holonomy groupoid over a vertical
     morphism of double groupoids.
 
     Verifies the hypotheses (identity on objects; open, continuous,
     vertically generating preimage of the window; enough sections), builds
-    the morphism by factoring through the preimage, re-verifies
-    independence of all choices up to the bounds, and certifies
-    uniqueness by exhaustive search.
-
-    "Up to the bounds" means: each square is factored in at most
-    ``MAX_FACTORIZATIONS`` ways into at most ``word_bound`` preimage
-    squares; each factor contributes its first ``THETA_CHOICES``
-    through-sections, computed once per call.  The uniqueness search,
+    the morphism by factoring through the preimage, verifies that it is
+    independent of every choice of factorization and through-section, and
+    certifies uniqueness by exhaustive search.  The uniqueness search,
     ``qualifying_tables``, is exhaustive (up to ``SEARCH_CAP`` nodes) and
     checks each composable pair of squares once, when the last of the
     pair and its composite is assigned.
@@ -1462,6 +1424,31 @@ def universal_morphism(wgA, mu, hol, word_bound=8):
     s0; its square map is continuous into the subspace exactly when it
     is continuous into ``wgA.space``, as its image lies in the preimage;
     and filtering a sorted list keeps its order.
+
+    The construction factors a square w vertically as w = u1 + ... + uk
+    with every ui in the preimage and u1, ..., u(k-1) non-units, picks
+    for each ui a through-section theta valued in the preimage whose push
+    along ``mu`` is smooth, and folds the classes of the pushed germs at
+    the bottom edges, add(c1, add(c2, ..., ck)).  Its candidates at w are every
+    class so reached, together with ``embed[mu w]`` when w is in the
+    preimage; independence of choices means there is exactly one.
+
+    They are computed exactly, in two steps.  (a) C(p), for p in the
+    preimage, is the set of classes proj([mu theta] at the bottom of p)
+    over every such theta whose germ lies in J_r.  The germ of the i-th
+    choice is taken at the bottom of ui, and the fold moves up one factor
+    per step, so a word's classes are the folds of c1 in C(u1), ...,
+    ck in C(uk), chosen independently; a factor with empty C(ui) gives
+    its word no class.  (b) R is the least set of pairs holding (p, c)
+    for c in C(p) and, with (x, q), the pair (u + x, add(c, q)) for every
+    non-unit u of the preimage above x and c in C(u).  By induction on
+    k, R holds (u1 + ... + uk, add(c1, add(..., ck))) for exactly the
+    words and choices above: the one-factor words start it and each step
+    prepends a non-unit factor.  So R's values at w are the classes of
+    all of w's factorizations, of any length.  R lies in squares x
+    classes, so the worklist, which adds each pair once, ends.  A factor
+    with empty C(p) can leave a square with no candidate, which is
+    reported as such.
     """
     dgA, dgC, wg = wgA.dg, hol.dg, hol.wg
     if wgA.squares != frozenset(dgA.squares):
@@ -1492,59 +1479,45 @@ def universal_morphism(wgA, mu, hol, word_bound=8):
     if not enough["ok"]:
         raise HolonomyError("hypothesis (iii) fails: not enough sections on the source")
 
+    # (a) each factor's classes, in the order of its through-sections
     jr_set = set(hol.germ_groupoid.arrows)
-    squares = dgA.squares  # in _skey order, as with_top lists them
-    pre_by_top = {a: [sq for sq in dgA.with_top(a) if sq in pre]
-                  for a in dgA.edge.arrows}
-    pushed_through = {}
-
-    def pushed(piece):
-        """The first ``THETA_CHOICES`` through-sections of a factor that
-        stay smooth when pushed along ``mu``."""
-        if piece not in pushed_through:
-            out = []
-            thetas = [t for t in sections_through(wgA, piece)
-                      if all(v in pre for v in t.squares.values())]
-            for theta in thetas[:THETA_CHOICES]:
-                img = push_section(dgC, mu, theta)
-                if img is not None and not smoothness_violations(dgC, wg, img):
-                    out.append(img)
-            pushed_through[piece] = out
-        return pushed_through[piece]
-
-    def classes_for(w_sq):
-        found = set()
-        for fact in _factorizations(vertA, pre, pre_by_top, w_sq, word_bound,
-                                    MAX_FACTORIZATIONS):
-            chain = []
-            for piece in reversed(fact):
-                chain.append(pushed(piece))
-                if not chain[-1]:
-                    break
-            if not chain[-1]:
+    squares = dgA.squares  # in _skey order
+    factor = {p: [] for p in squares if p in pre}
+    for p, classes in factor.items():
+        for theta in sections_through(wgA, p):
+            if not all(v in pre for v in theta.squares.values()):
                 continue
-            for combo in itertools.product(*chain):
-                a = w_sq.bottom
-                cls = None
-                for img in combo:
-                    if a not in img.dom1:
-                        break
-                    g = germ_at(dgC, img, a)
-                    if g not in jr_set:
-                        break
-                    step = hol.projection.arr_map[g]
-                    cls = step if cls is None else hol.quotient.add(step, cls)
-                    a = g.source()
-                else:
-                    found.add(cls)
-        return found
+            img = push_section(dgC, mu, theta)
+            if img is None or smoothness_violations(dgC, wg, img):
+                continue
+            g = germ_at(dgC, img, p.bottom)
+            if g in jr_set and hol.projection.arr_map[g] not in classes:
+                classes.append(hol.projection.arr_map[g])
+
+    # (b) the closure, breadth first: each pair once, in the order reached
+    above = {}
+    for u in squares:
+        if factor.get(u) and not vertA.is_unit(u):
+            above.setdefault(vertA.tgt(u), []).append(u)
+    work = [(p, c) for p in squares for c in factor.get(p, ())]
+    reached = set(work)
+    for x, q in work:  # the loop reads the pairs appended as it runs
+        for u in above.get(vertA.src(x), ()):
+            ux = vertA.add(u, x)
+            for c in factor[u]:
+                pair = (ux, hol.quotient.add(c, q))
+                if pair not in reached:
+                    reached.add(pair)
+                    work.append(pair)
+    cands_at = {p: {hol.embed[mu.arr_map[p]]} for p in pre}
+    for x, q in work:
+        cands_at.setdefault(x, set()).add(q)
 
     mu_prime_map = {}
     for w_sq in squares:
-        cands = {hol.embed[mu.arr_map[w_sq]]} if w_sq in pre else set()
-        cands |= classes_for(w_sq)
+        cands = cands_at.get(w_sq, set())
         if not cands:
-            raise HolonomyError("factorization bound exceeded at %s" % (w_sq,))
+            raise HolonomyError("no factorization through the preimage at %s" % (w_sq,))
         if len(cands) != 1:
             raise HolonomyError("construction not independent of choices at %s" % (w_sq,))
         mu_prime_map[w_sq] = cands.pop()

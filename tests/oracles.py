@@ -577,6 +577,36 @@ def _factorizations(dg, pre_set, w_sq, bound, cap):
     return seen
 
 
+def closure_classes(dgA, pre, factor, add):
+    """Every class of every factorization of every square, of any length,
+    by square: the least set of pairs holding (p, c) for c in
+    ``factor[p]`` and, with (x, q), the pair (u + x, add(c, q)) for every
+    non-unit u of ``pre`` above x and c in ``factor[u]``.  Round by
+    round, each round rescanning ``pre`` with comp1 for the factors above
+    the pairs the last round found, in the order they were found, so a
+    composite that ``add`` lacks raises at the same pair as in the
+    library's worklist."""
+    ordered = sorted(pre, key=_skey)
+    frontier = [(p, c) for p in ordered for c in factor[p]]
+    seen = set(frontier)
+    values = {}
+    while frontier:
+        found = []
+        for x, q in frontier:
+            values.setdefault(x, set()).add(q)
+            for u in ordered:
+                if u.bottom != x.top or u == dgA.eps1(u.top):
+                    continue
+                ux = dgA.comp1(u, x)
+                for c in factor[u]:
+                    pair = (ux, add(c, q))
+                    if pair not in seen:
+                        seen.add(pair)
+                        found.append(pair)
+        frontier = found
+    return values
+
+
 def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
                        theta_choices=3, search_cap=200000):
     """The unique morphism into the holonomy groupoid over a vertical
@@ -586,7 +616,9 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
     vertically generating preimage of the window; enough sections), builds
     the morphism by factoring through the preimage, re-verifies
     independence of all choices up to the bounds, and certifies
-    uniqueness by exhaustive search.
+    uniqueness by exhaustive search.  With ``word_bound`` None there are
+    no bounds: every through-section of every factor, and every
+    factorization, by ``closure_classes``.
     """
     dgC, wg = hol.dg, hol.wg
     dgA = build_double_groupoid(cmA)
@@ -622,30 +654,22 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
     preW = square_subwindow(wgA, pre)
     jr_set = set(hol.germ_groupoid.arrows)
 
+    def pushed(piece, choices):
+        out = []
+        for theta in sections_through(dgA, preW, piece)[:choices]:
+            img = push_section(dgC, mu, theta)
+            if img is not None and not smoothness_violations(dgC, wg, img):
+                out.append(img)
+        return out
+
     def classes_for(w_sq):
         found = set()
         for fact in _factorizations(dgA, pre, w_sq, word_bound, max_factorizations):
-            base = w_sq.bottom
-            chain = []
-            ok = True
-            for piece in reversed(fact):
-                thetas = sections_through(dgA, preW, piece)[:theta_choices]
-                pushed = []
-                for theta in thetas:
-                    img = push_section(dgC, mu, theta)
-                    if img is None:
-                        continue
-                    if smoothness_violations(dgC, wg, img):
-                        continue
-                    pushed.append(img)
-                if not pushed:
-                    ok = False
-                    break
-                chain.append(pushed)
-            if not ok:
+            chain = [pushed(piece, theta_choices) for piece in reversed(fact)]
+            if not all(chain):
                 continue
             for combo in itertools.product(*chain):
-                a = base
+                a = w_sq.bottom
                 cls = None
                 good = True
                 for img in combo:
@@ -663,6 +687,19 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
                     found.add(cls)
         return found
 
+    if word_bound is None:
+        factor = {}
+        for p in sorted(pre, key=_skey):
+            factor[p] = []
+            for img in pushed(p, None):
+                g = germ_at(dgC, img, p.bottom)
+                if g in jr_set and hol.projection.arr_map[g] not in factor[p]:
+                    factor[p].append(hol.projection.arr_map[g])
+        values = closure_classes(dgA, pre, factor, hol.quotient.add)
+
+        def classes_for(w_sq):
+            return set(values.get(w_sq, ()))
+
     mu_prime_map = {}
     for w_sq in sorted(dgA.squares, key=_skey):
         if w_sq in pre:
@@ -672,7 +709,7 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
         else:
             cands = classes_for(w_sq)
         if not cands:
-            raise HolonomyError("factorization bound exceeded at %s" % (w_sq,))
+            raise HolonomyError("no factorization through the preimage at %s" % (w_sq,))
         if len(cands) != 1:
             raise HolonomyError("construction not independent of choices at %s" % (w_sq,))
         mu_prime_map[w_sq] = cands.pop()

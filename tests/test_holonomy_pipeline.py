@@ -5,7 +5,7 @@ import pytest
 from holonomy2 import corpus
 from holonomy2.dgpd import build_double_groupoid
 from holonomy2.fintop import FiniteTopSpace
-from holonomy2.groupoid import check_groupoid, check_groupoid_morphism
+from holonomy2.groupoid import NormalSubgroupoid, check_groupoid, check_groupoid_morphism
 from holonomy2.holonomy import (HolonomyError, WStructure, build_germ_groupoid,
                                 build_restricted_germs, build_unit_germs,
                                 build_wg, check_chart_coherence,
@@ -244,3 +244,18 @@ def test_every_class_is_chart_covered(all_cms):
         for chart in hol.charts:
             covered |= set(chart.mapping.values())
         assert covered == set(hol.quotient.arrows), name
+
+
+def test_unit_germs_are_scanned_once_per_holonomy_groupoid(z2z2, monkeypatch):
+    """``build_unit_germs`` and the quotient both read the kernel's
+    verdict; it is computed once."""
+    scans = []
+    real = NormalSubgroupoid._scan
+
+    def counted(self):
+        scans.append(self)
+        return real(self)
+
+    monkeypatch.setattr(NormalSubgroupoid, "_scan", counted)
+    hol = holonomy_of(*discrete_item(z2z2))
+    assert scans == [hol.unit_sub]

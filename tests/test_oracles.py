@@ -31,8 +31,7 @@ from holonomy2.fintop import (FiniteTopSpace, PartialMap, is_continuous, is_part
                               pullback_space)
 from holonomy2.groupoid import (Groupoid, GroupoidMorphism, NormalSubgroupoid, _skey,
                                 check_groupoid, generated_subgroupoid)
-from holonomy2.holonomy import (Chart, WStructure, _chart_for, _factorizations,
-                                build_germ_groupoid, build_restricted_germs, build_wg,
+from holonomy2.holonomy import (Chart, WStructure, _chart_for, build_germ_groupoid, build_restricted_germs, build_wg,
                                 check_chart_coherence, full_wstructure, germ_at,
                                 has_enough_sections, holonomy_groupoid,
                                 identity_vertical_morphism, local_section_inv, min_sections_at,
@@ -916,15 +915,12 @@ def universal_model(name):
 def universal_outcome(fn, cm, wa, mu, hol, wga=None, **bounds):
     """The outcome of ``fn`` under ``bounds``.  The library takes the
     source's window squares, ``wga`` or else built from ``cm`` and
-    ``wa``, and reads its bounds other than ``word_bound`` from module
-    constants, patched for the call."""
+    ``wa``, and reads its search cap from a module constant, patched for
+    the call."""
     args, constants = (cm, wa, mu, hol), contextlib.nullcontext()
     if fn is universal_morphism:
-        constants = mock.patch.multiple(
-            holonomy,
-            MAX_FACTORIZATIONS=bounds.pop("max_factorizations", holonomy.MAX_FACTORIZATIONS),
-            THETA_CHOICES=bounds.pop("theta_choices", holonomy.THETA_CHOICES),
-            SEARCH_CAP=bounds.pop("search_cap", holonomy.SEARCH_CAP))
+        constants = mock.patch.object(holonomy, "SEARCH_CAP",
+                                      bounds.pop("search_cap", holonomy.SEARCH_CAP))
         args = (build_wg(build_double_groupoid(cm), wa) if wga is None else wga, mu, hol)
     with constants:
         got = outcome(functools.partial(fn, **bounds), *args)
@@ -971,7 +967,8 @@ def quotient_parts(hol):
 @st.composite
 def corrupted_universal(draw):
     """A universal-property instance whose vertical morphism, quotient
-    table, evaluation or class set has been altered, with drawn bounds.
+    table, evaluation or class set has been altered, with a drawn search
+    cap.
 
     A twin class copies the table rows and the evaluation of a class
     outside the window, so a fibre of the search holds two candidates
@@ -1010,21 +1007,20 @@ def corrupted_universal(draw):
             psi[h], psi[h2] = psi[h2], psi[h]
     hol = altered_holonomy(hol, *parts)
     mu = GroupoidMorphism({a: a for a in dg.edge.arrows}, arr_map)
-    bounds = {"word_bound": draw(st.sampled_from([1, 3])),
-              "max_factorizations": draw(st.sampled_from([1, 24])),
-              "theta_choices": draw(st.sampled_from([1, 3])),
-              "search_cap": draw(st.one_of(st.just(200000),
-                                           st.integers(1, 2 * len(dg.squares) + 2)))}
-    return cm, wa, mu, hol, bounds
+    search_cap = draw(st.one_of(st.just(200000), st.integers(1, 2 * len(dg.squares) + 2)))
+    return cm, wa, mu, hol, search_cap
 
 
 @settings(ORACLE, max_examples=40)
 @given(corrupted_universal())
 def test_universal_morphism_matches_rescanning_search(instance):
-    cm, wa, mu, hol, bounds = instance
-    got = universal_outcome(universal_morphism, cm, wa, mu, hol, **bounds)
+    """The library against the exhaustive reference: every
+    through-section of every factor and factorizations of any length."""
+    cm, wa, mu, hol, search_cap = instance
+    got = universal_outcome(universal_morphism, cm, wa, mu, hol, search_cap=search_cap)
     event(universal_event(got))
-    assert got == universal_outcome(oracles.universal_morphism, cm, wa, mu, hol, **bounds)
+    assert got == universal_outcome(oracles.universal_morphism, cm, wa, mu, hol,
+                                    word_bound=None, search_cap=search_cap)
 
 
 @pytest.mark.parametrize("name", ["pairz2", "z2z2", "z4", "z4-c013", "z4-c01"])
@@ -1076,8 +1072,9 @@ def test_uniqueness_search_matches_oracle_when_it_backtracks(alteration):
                 psi[h], psi[h2] = psi[h2], psi[h]
     hol = altered_holonomy(hol, *parts)
     mu = identity_vertical_morphism(hol.dg)
-    fast, slow = (functools.partial(universal_outcome, fn, cm, wa, mu, hol, word_bound=3)
-                  for fn in (universal_morphism, oracles.universal_morphism))
+    fast = functools.partial(universal_outcome, universal_morphism, cm, wa, mu, hol)
+    slow = functools.partial(universal_outcome, oracles.universal_morphism, cm, wa, mu, hol,
+                             word_bound=3)
     got = fast()
     assert got == slow()
     if alteration == "bare-twins":
@@ -1100,19 +1097,19 @@ def test_universal_morphism_matches_oracle_on_z3():
     assert got == universal_outcome(oracles.universal_morphism, cm, wa, mu, hol)
 
 
-@pytest.mark.parametrize("name", ["z4-c013", "z4-c01"])
-def test_factorizations_match_deduplicated_scan(name):
-    """The walk finds each factorization once, in the order the re-sorting
-    walk with list de-duplication gave."""
-    cm, wa, hol = universal_model(name)
-    dg = build_double_groupoid(cm)
-    vert = dg.vertical_groupoid()
-    pre = frozenset(sq for sq in dg.squares if sq in hol.wg.squares)
-    pre_by_top = {a: [sq for sq in dg.with_top(a) if sq in pre] for a in dg.edge.arrows}
-    for sq in dg.squares:
-        for bound, cap in ((2, 24), (4, 5), (8, 24)):
-            assert (_factorizations(vert, pre, pre_by_top, sq, bound, cap)
-                    == oracles._factorizations(dg, pre, sq, bound, cap))
+@pytest.mark.parametrize("name", ["Z/4", "z4-coset"])
+def test_universal_morphism_matches_bounded_oracle_on_larger_models(name):
+    """Z/4 on itself, discrete (256 squares), passes, and the bounded
+    reference finds the same morphism.  The coset window has two
+    through-sections at 64 squares, but not enough sections: both stop
+    at hypothesis (iii)."""
+    cm, wa = discrete_item(zn_on_itself(4)) if name == "Z/4" else z4_coset_item()
+    hol = holonomy_groupoid(*square_axioms(cm, wa), require_axioms=False)
+    mu = identity_vertical_morphism(hol.dg)
+    got = universal_outcome(universal_morphism, cm, wa, mu, hol)
+    assert universal_event(got) == ("qualifiers 1, unique True" if name == "Z/4" else
+                                    "raised HolonomyError: hypothesis (iii) fails")
+    assert got == universal_outcome(oracles.universal_morphism, cm, wa, mu, hol)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,18 @@ def test_cli_entry_point_runs():
     assert "pass" in proc.stdout
 
 
+def test_word_bound_is_a_usage_error():
+    """The universal check has no bound to set: the old flag is an
+    argparse usage error, exit 2, with no traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "holonomy2.cli", "--scenario",
+         scenario_path("universal_z2z2.json"), "--word-bound", "3"],
+        capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "unrecognized arguments: --word-bound 3" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_byte_identical_across_processes():
     cmd = [sys.executable, "-m", "holonomy2.cli", "--scenario",
            scenario_path("z2z2.json"), "--format", "json"]

@@ -1,11 +1,13 @@
+import copy
 import functools
 import itertools
 
 import pytest
 
-from holonomy2 import corpus
+from holonomy2 import corpus, holonomy
 from holonomy2.fintop import FiniteTopSpace
-from holonomy2.groupoid import GroupoidMorphism, check_groupoid_morphism, triples_by_last
+from holonomy2.groupoid import (Groupoid, GroupoidMorphism, check_groupoid_morphism,
+                                triples_by_last)
 from holonomy2.holonomy import (HolonomyError, WStructure, build_wg, check_wstructure,
                                 full_wstructure, identity_vertical_morphism,
                                 qualifying_tables, universal_morphism)
@@ -156,3 +158,42 @@ def test_source_needs_global_kernel_topology(name, arrows):
     assert len(wga.squares) < len(hol.dg.squares)
     with pytest.raises(HolonomyError, match="topology on all"):
         universal_morphism(wga, identity_vertical_morphism(hol.dg), hol)
+
+
+def test_second_class_from_a_fourth_through_section_is_caught(monkeypatch):
+    """A factor whose fourth through-section gives a second class: every
+    through-section of every factor is read, so the closure reaches two
+    classes, and the first square in order to hold two is the unit."""
+    hol = full_window_holonomy("z4")
+    dg = hol.dg
+    p = dg.squares[5]
+    q = next(t for t in dg.squares if t != p and (t.top, t.bottom) == (p.top, p.bottom))
+    real = holonomy.sections_through
+
+    def listed(wg, sq):
+        return real(wg, p) * 3 + real(wg, q) if sq == p else real(wg, sq)
+
+    assert len(real(hol.wg, p)) == 1
+    monkeypatch.setattr(holonomy, "sections_through", listed)
+    with pytest.raises(HolonomyError,
+                       match=r"not independent of choices at \[c0:0\|0\|0\|0\]$"):
+        universal_morphism(hol.wg, identity_vertical_morphism(dg), hol)
+
+
+def test_corrupted_quotient_entry_is_named_at_a_square():
+    """On Z/3, class(s) + unit := unit for the loop s = [c2:0|0|2|0]: the
+    word s + unit now folds to the unit class, so s, and through s the
+    unit square, get two classes.  A square is named, before the
+    morphism check runs."""
+    cm, w = discrete_item(zn_on_itself(3))
+    hol = holonomy_of(cm, w)
+    q = hol.quotient
+    s = next(sq for sq in hol.dg.squares if str(sq) == "[c2:0|0|2|0]")
+    unit = q.unit(s.top)
+    table = dict(q._table)
+    table[(hol.embed[s], unit)] = unit
+    bad = copy.copy(hol)
+    bad.quotient = Groupoid(q.objects, q.arrows, q._src, q._tgt, table, q._neg, q._units)
+    with pytest.raises(HolonomyError,
+                       match=r"not independent of choices at \[c0:0\|0\|0\|0\]$"):
+        universal_morphism(hol.wg, identity_vertical_morphism(hol.dg), bad)
