@@ -33,13 +33,15 @@ def _sorted_strs(values):
 
 def task_validate(scn, task, opts):
     """Structure validators plus the crossed-module axiom suite."""
+    names = task.get("xmods", sorted(scn.xmods))
+    if not isinstance(names, list) or not all(isinstance(n, str) and n in scn.xmods for n in names):
+        raise ScenarioError("tasks.validate", "'xmods' %r is not a list of known xmods" % (names,))
     details = {"groupoids": {}, "xmods": {}, "wstructures": {}}
     ok = True
     for name in sorted(scn.groupoids):
         bad = check_groupoid(scn.groupoids[name])
         details["groupoids"][name] = bad
         ok = ok and not bad
-    names = task.get("xmods", sorted(scn.xmods))
     for name in names:
         bad = check_crossed_module(scn.xmods[name])
         details["xmods"][name] = bad
@@ -189,7 +191,7 @@ def _table_dump(g):
     return {"objects": _sorted_strs(g.objects),
             "arrows": _sorted_strs(g.arrows),
             "compose": sorted(["%s + %s = %s" % (a, b, c)
-                               for (a, b), c in g._table.items()])}
+                               for (a, b), c in g.entries()])}
 
 
 def _dump(directory, filename, payload):

@@ -11,11 +11,11 @@ target = bottom); the horizontal structure composes left-to-right
 groupoid, and a connection assigns to each edge a canonical corner
 square satisfying the transport law.
 
-Each view is built once per double groupoid and compiles its own
-position tables once (``Groupoid.tables``); since both views list the
+Each view is built once per double groupoid and stores its composition
+as position rows (``Groupoid.tables``); since both views list the
 squares in square order, a square's position is the same in either.
 ``check_double`` and the vertical lookups ``vcomp``/``vneg`` read those
-tables; nothing here compiles a table of its own.
+rows; nothing here builds a table of its own.
 """
 
 from __future__ import annotations
@@ -53,11 +53,9 @@ class DoubleGroupoid:
         self.edge = cm.G
         self.squares = tuple(sorted(set(squares), key=_skey))
         self._square_set = frozenset(self.squares)
-        self._by_bottom, self._by_top, self._by_left = {}, {}, {}
+        self._by_bottom = {}
         for sq in self.squares:
             self._by_bottom.setdefault(sq.bottom, []).append(sq)
-            self._by_top.setdefault(sq.top, []).append(sq)
-            self._by_left.setdefault(sq.left, []).append(sq)
         self._vertical = self._horizontal = None
         # kept by holonomy: local section verdicts by section content
         # (section_violations) and base maps by their constraints
@@ -93,9 +91,6 @@ class DoubleGroupoid:
 
     def with_bottom(self, a):
         return tuple(self._by_bottom.get(a, ()))
-
-    def with_top(self, a):
-        return tuple(self._by_top.get(a, ()))
 
     # -- compositions -----------------------------------------------------
 

@@ -8,6 +8,7 @@ an untopologized groupoid behaves as discrete.
 
 from __future__ import annotations
 
+import copy
 from operator import itemgetter
 
 from .fintop import FiniteTopSpace, PartialMap, is_continuous, pullback_space
@@ -27,13 +28,20 @@ def _skey(v):
 
 
 class Groupoid:
-    """Finite object/arrow tables with src, tgt, partial add, neg and units."""
+    """Finite object/arrow tables with src, tgt, partial add, neg and units.
 
-    def __init__(self, objects, arrows, src, tgt, table, neg=None, units=None,
-                 topology=None):
+    The composition is stored once, as rows over the arrows in ``_skey``
+    order: ``rows[i][j]`` is the position of a_i + a_j, None where the
+    table dict given to the constructor has no entry.  Entries on pairs
+    that do not compose are kept, for ``check_groupoid`` to report.
+    ``tables()`` hands the rows to readers that work on positions and
+    ``entries()`` lists them again as arrow pairs.
+    """
+
+    def __init__(self, objects, arrows, src, tgt, table, neg=None, units=None):
         self.objects = tuple(sorted(set(objects), key=_skey))
         self.arrows = tuple(sorted(set(arrows), key=_skey))
-        oset, aset = set(self.objects), set(self.arrows)
+        oset = set(self.objects)
         self._src = dict(src)
         self._tgt = dict(tgt)
         for a in self.arrows:
@@ -41,51 +49,55 @@ class Groupoid:
                 raise GroupoidError("arrow %s missing src/tgt" % (a,))
             if self._src[a] not in oset or self._tgt[a] not in oset:
                 raise GroupoidError("arrow %s has dangling endpoint" % (a,))
-        self._table = dict(table)
-        for (a, b), c in self._table.items():
-            if a not in aset or b not in aset or c not in aset:
-                raise GroupoidError("composition entry %s+%s=%s has dangling identifiers" % (a, b, c))
+        self._pos = pos = {a: i for i, a in enumerate(self.arrows)}
+        self._rows = rows = [[None] * len(pos) for _ in pos]
+        for (a, b), c in table.items():
+            try:
+                rows[pos[a]][pos[b]] = pos[c]
+            except KeyError:
+                raise GroupoidError("composition entry %s+%s=%s has dangling identifiers"
+                                    % (a, b, c)) from None
+        self._by_src = {}
+        for i, a in enumerate(self.arrows):
+            self._by_src.setdefault(self._src[a], []).append(i)
         self._units = dict(units) if units is not None else self._derive_units()
         self._neg = dict(neg) if neg is not None else self._derive_neg()
         for a, b in self._neg.items():
-            if a not in aset or b not in aset:
+            if a not in pos or b not in pos:
                 raise GroupoidError("negation entry %s -> %s has dangling identifiers" % (a, b))
         for x, e in self._units.items():
-            if x not in oset or e not in aset:
+            if x not in oset or e not in pos:
                 raise GroupoidError("unit entry %s -> %s has dangling identifiers" % (x, e))
-        self.topology = topology
-        if topology is not None:
-            arr_space, obj_space = topology
-            if arr_space.points != aset or obj_space.points != oset:
-                raise GroupoidError("topology points do not match arrows/objects")
-        self._fibers = self._index = self._tables = self._violations = None
+        self._negs = [pos[self._neg[a]] if a in self._neg else None for a in self.arrows]
+        self.topology = self._violations = None
         self._discrete_arrows = self._discrete_objects = None
 
     # -- derivation of missing structure (for lenient loading) ---------
 
     def _derive_units(self):
         units = {}
+        arrows, rows = self.arrows, self._rows
         for x in self.objects:
-            cands = [e for e in self.arrows
-                     if self._src[e] == x and self._tgt[e] == x
-                     and self._table.get((e, e)) == e
-                     and all(self._table.get((e, a), a) == a
-                             for a in self.arrows if self._src[a] == x)
-                     and all(self._table.get((a, e), a) == a
-                             for a in self.arrows if self._tgt[a] == x)]
+            out_of = [j for j, a in enumerate(arrows) if self._src[a] == x]
+            into = [j for j, a in enumerate(arrows) if self._tgt[a] == x]
+            cands = [arrows[i] for i in out_of
+                     if self._tgt[arrows[i]] == x and rows[i][i] == i
+                     and all(rows[i][j] in (None, j) for j in out_of)
+                     and all(rows[j][i] in (None, j) for j in into)]
             if len(cands) == 1:
                 units[x] = cands[0]
         return units
 
     def _derive_neg(self):
         neg = {}
-        for a in self.arrows:
+        arrows, rows = self.arrows, self._rows
+        for i, a in enumerate(arrows):
             x, y = self._src[a], self._tgt[a]
-            ex, ey = self._units.get(x), self._units.get(y)
-            cands = [b for b in self.arrows
+            ex, ey = self._pos.get(self._units.get(x)), self._pos.get(self._units.get(y))
+            cands = [b for j, b in enumerate(arrows)
                      if self._src[b] == y and self._tgt[b] == x
-                     and ex is not None and self._table.get((a, b)) == ex
-                     and ey is not None and self._table.get((b, a)) == ey]
+                     and ex is not None and rows[i][j] == ex
+                     and ey is not None and rows[j][i] == ey]
             if len(cands) == 1:
                 neg[a] = cands[0]
         return neg
@@ -103,17 +115,14 @@ class Groupoid:
 
     def add(self, a, b):
         try:
-            return self._table[(a, b)]
+            k = self._rows[self._pos[a]][self._pos[b]]
         except KeyError:
+            k = None
+        if k is None:
             raise GroupoidError(
                 "composition %s + %s undefined (tgt=%s, src=%s)"
-                % (a, b, self._tgt.get(a), self._src.get(b))) from None
-
-    def add_all(self, *arrows):
-        out = arrows[0]
-        for a in arrows[1:]:
-            out = self.add(out, a)
-        return out
+                % (a, b, self._tgt.get(a), self._src.get(b)))
+        return self.arrows[k]
 
     def neg(self, a):
         try:
@@ -135,39 +144,21 @@ class Groupoid:
 
     def beta_fiber(self, x):
         """Arrows whose target is x."""
-        if self._fibers is None:
-            self._fibers = {}
-            for a in self.arrows:
-                self._fibers.setdefault(self._tgt[a], []).append(a)
-        return tuple(self._fibers.get(x, ()))
-
-    def _positions(self):
-        """``(pos, by_src)`` of ``tables()``, compiled once without the
-        rows, for readers that only walk the by-source buckets."""
-        if self._index is None:
-            pos = {a: i for i, a in enumerate(self.arrows)}
-            by_src = {}
-            for i, a in enumerate(self.arrows):
-                by_src.setdefault(self._src[a], []).append(i)
-            self._index = pos, by_src
-        return self._index
+        return tuple(a for a in self.arrows if self._tgt[a] == x)
 
     def tables(self):
-        """The composition compiled to arrow positions (indices in arrow
-        order), once: ``(pos, rows, neg, by_src)``.  ``pos`` maps each
-        arrow to its position, ``rows[i][j]`` is the position of
-        a_i + a_j (None exactly where ``add`` raises), ``neg[i]`` the
-        position of -a_i (None where ``neg`` raises) and ``by_src`` maps
-        an object to the positions of the arrows out of it, in arrow
-        order."""
-        if self._tables is None:
-            pos, by_src = self._positions()
-            rows = [[None] * len(pos) for _ in pos]
-            for (a, b), c in self._table.items():
-                rows[pos[a]][pos[b]] = pos[c]
-            neg = [pos[self._neg[a]] if a in self._neg else None for a in self.arrows]
-            self._tables = pos, rows, neg, by_src
-        return self._tables
+        """The groupoid's own tables, not copies: ``(pos, rows, neg,
+        by_src)``.  ``pos`` maps each arrow to its position, ``neg[i]`` is
+        the position of -a_i (None where ``neg`` raises) and ``by_src``
+        maps an object to the positions of the arrows out of it."""
+        return self._pos, self._rows, self._negs, self._by_src
+
+    def entries(self):
+        """Every entry of the table as ``((a, b), a + b)``, in arrow order
+        of a, then of b; entries on pairs that do not compose included."""
+        arrows = self.arrows
+        return (((a, b), arrows[k]) for a, row in zip(arrows, self._rows)
+                for b, k in zip(arrows, row) if k is not None)
 
     def violations(self):
         """``check_groupoid(self)``, run once: every reader of this
@@ -191,13 +182,16 @@ class Groupoid:
         return self._discrete_objects
 
     def with_topology(self, arrow_space, object_space):
-        return Groupoid(self.objects, self.arrows, self._src, self._tgt,
-                        self._table, self._neg, self._units,
-                        topology=(arrow_space, object_space))
+        """This groupoid under the given topology, sharing its tables."""
+        if arrow_space.points != set(self.arrows) or object_space.points != set(self.objects):
+            raise GroupoidError("topology points do not match arrows/objects")
+        g = copy.copy(self)
+        g.topology, g._violations = (arrow_space, object_space), None
+        return g
 
     def composable_pairs(self):
         """Every (a, b) with tgt(a) == src(b), in arrow order of a, then of b."""
-        arrows, by_src = self.arrows, self._positions()[1]
+        arrows, by_src = self.arrows, self._by_src
         for a in arrows:
             for j in by_src.get(self._tgt[a], ()):
                 yield a, arrows[j]
@@ -214,11 +208,11 @@ def check_groupoid(g):
     """
     out = []
     arrows, src, tgt = g.arrows, g._src, g._tgt
-    # one pass over the composable pairs, as rows of positions from the
-    # groupoid's own tables: the entries there, whether each composite
-    # runs from the start of its first factor to the end of its second,
-    # and the composites missing there
-    _, rows, _, by_src = g.tables()
+    # one pass over the composable pairs, on the groupoid's rows: the
+    # entries there, whether each composite runs from the start of its
+    # first factor to the end of its second, and the composites missing
+    # there
+    pos, rows, neg, by_src = g.tables()
     starts, ends = [src[a] for a in arrows], [tgt[a] for a in arrows]
     ends_out_of = {x: [ends[j] for j in bucket] for x, bucket in by_src.items()}
     entries, endpoints_ok, missing = 0, True, []
@@ -236,17 +230,17 @@ def check_groupoid(g):
                         and list(map(ends.__getitem__, composites)) == want_ends
                         and list(map(starts.__getitem__, composites)).count(starts[i])
                         == len(composites))
-    if entries != len(g._table) or not endpoints_ok:
+    if entries != sum(len(row) - row.count(None) for row in rows) or not endpoints_ok:
         # entries off the composable pairs or with wrong endpoints, in
-        # _skey order of the pair; only those are sorted
-        bad = [((a, b), c) for (a, b), c in g._table.items()
-               if tgt[a] != src[b] or src[c] != src[a] or tgt[c] != tgt[b]]
-        for (a, b), c in sorted(bad, key=lambda kv: (_skey(kv[0][0]), _skey(kv[0][1]))):
-            if tgt[a] != src[b]:
-                out.append("composition domain: %s+%s defined but tgt(%s)=%s != src(%s)=%s"
-                           % (a, b, a, tgt[a], b, src[b]))
-            else:
-                out.append("composition endpoints: %s+%s=%s has wrong src/tgt" % (a, b, c))
+        # arrow order of the pair
+        for (i, a), row in zip(enumerate(arrows), rows):
+            for j, (b, k) in enumerate(zip(arrows, row)):
+                if k is not None and ends[i] != starts[j]:
+                    out.append("composition domain: %s+%s defined but tgt(%s)=%s != src(%s)=%s"
+                               % (a, b, a, ends[i], b, starts[j]))
+                elif k is not None and (starts[k] != starts[i] or ends[k] != ends[j]):
+                    out.append("composition endpoints: %s+%s=%s has wrong src/tgt"
+                               % (a, b, arrows[k]))
     out.extend(missing)
     for x in g.objects:
         if x not in g._units:
@@ -255,24 +249,23 @@ def check_groupoid(g):
         e = g._units[x]
         if g.src(e) != x or g.tgt(e) != x:
             out.append("unit endpoints: unit(%s)=%s is not a loop at %s" % (x, e, x))
-    for a in g.arrows:
-        if g.src(a) in g._units and (g._units[g.src(a)], a) in g._table:
-            if g._table[(g._units[g.src(a)], a)] != a:
-                out.append("left unit law fails at %s" % (a,))
-        if g.tgt(a) in g._units and (a, g._units[g.tgt(a)]) in g._table:
-            if g._table[(a, g._units[g.tgt(a)])] != a:
-                out.append("right unit law fails at %s" % (a,))
-        if a not in g._neg:
+    unit_at = {x: pos[e] for x, e in g._units.items()}
+    for i, a in enumerate(arrows):
+        ex, ey = unit_at.get(starts[i]), unit_at.get(ends[i])
+        if ex is not None and rows[ex][i] not in (None, i):
+            out.append("left unit law fails at %s" % (a,))
+        if ey is not None and rows[i][ey] not in (None, i):
+            out.append("right unit law fails at %s" % (a,))
+        n = neg[i]
+        if n is None:
             out.append("negation missing for %s" % (a,))
+        elif starts[n] != ends[i] or ends[n] != starts[i]:
+            out.append("negation endpoints wrong for %s" % (a,))
         else:
-            n = g._neg[a]
-            if g.src(n) != g.tgt(a) or g.tgt(n) != g.src(a):
-                out.append("negation endpoints wrong for %s" % (a,))
-            else:
-                if g._table.get((a, n)) != g._units.get(g.src(a)):
-                    out.append("right negative law fails at %s" % (a,))
-                if g._table.get((n, a)) != g._units.get(g.tgt(a)):
-                    out.append("left negative law fails at %s" % (a,))
+            if rows[i][n] != ex:
+                out.append("right negative law fails at %s" % (a,))
+            if rows[n][i] != ey:
+                out.append("left negative law fails at %s" % (a,))
     # associativity: proved on generators, or scanned for its witnesses
     if out or not _associative_on_generators(g):
         out.extend(_associativity_failures(g))
@@ -427,7 +420,7 @@ def _continuity_report(g):
         out.append("continuity: negation not continuous")
     # difference map on the beta-fibred pairs, (a,b) |-> a - b
     pairs = [(a, b) for a in g.arrows for b in g.arrows if g.tgt(a) == g.tgt(b)]
-    if all(a in g._neg for a in g.arrows) and g._table:
+    if all(a in g._neg for a in g.arrows) and any(g.entries()):
         pspace = pullback_space([arr, arr], pairs, lambda p: p)
         try:
             diff = PartialMap({(a, b): g.add(a, g.neg(b)) for a, b in pairs})
@@ -494,7 +487,7 @@ def check_groupoid_morphism(m, src, tgt):
 
 def generated_subgroupoid(g, seed):
     """Least arrow subset containing the seed and all units, closed under + and -."""
-    arrows, by_src = g.arrows, g._positions()[1]
+    arrows, by_src = g.arrows, g.tables()[3]
     closure = set(g.units()) | set(seed)
     frontier = True
     while frontier:
@@ -523,7 +516,7 @@ def triples_by_last(g, keys):
     by-source bucket of its target, so a bucket lists its triples in
     order of u, then of v in arrow order."""
     pos = {k: i for i, k in enumerate(keys)}
-    arrows, tgt, by_src = g.arrows, g._tgt, g._positions()[1]
+    arrows, tgt, by_src = g.arrows, g._tgt, g.tables()[3]
     out = [[] for _ in keys]
     for i, u in enumerate(keys):
         for j in by_src.get(tgt[u], ()):

@@ -1154,7 +1154,7 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
     if bad:
         raise HolonomyError("germ groupoid invalid: %s" % bad[0])
     jr, seed, witness = build_restricted_germs(dg, wg, J)
-    # nothing below reads J: drop it and its compiled tables now, so they
+    # nothing below reads J: drop it and its tables now, so they
     # do not add to the peak memory of the quotient and the charts
     del J
     unit_sub = build_unit_germs(dg, wg, jr, seed)
@@ -1478,6 +1478,10 @@ def universal_morphism(wgA, mu, hol):
     enough = has_enough_sections(wgA)
     if not enough["ok"]:
         raise HolonomyError("hypothesis (iii) fails: not enough sections on the source")
+    for sq in dgA.squares:
+        if sq in pre and mu.arr_map[sq] not in hol.embed:
+            raise HolonomyError("the holonomy embedding misses %s, the image of %s"
+                                % (mu.arr_map[sq], sq))
 
     # (a) each factor's classes, in the order of its through-sections
     jr_set = set(hol.germ_groupoid.arrows)

@@ -108,7 +108,7 @@ def induced_endomorphism(cm, s):
     f0 = {x: G.src(s.s0[x]) for x in G.objects}
     f1 = {}
     for a in G.arrows:
-        f1[a] = G.add_all(s.s0[G.src(a)], a, cm.delta[s.s1[a]], G.neg(s.s0[G.tgt(a)]))
+        f1[a] = G.add(G.add(G.add(s.s0[G.src(a)], a), cm.delta[s.s1[a]]), G.neg(s.s0[G.tgt(a)]))
     f2 = {}
     for c in C.arrows:
         inner = C.add(c, s.s1[cm.delta[c]])

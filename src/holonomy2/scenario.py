@@ -167,6 +167,11 @@ def _groupoid_from_tables(loc, block, objects):
         if not isinstance(entry, list) or len(entry) != 3:
             raise ScenarioError("%s.compose[%d]" % (loc, i), "needs [a, b, a+b]")
         table[(entry[0], entry[1])] = entry[2]
+    for key in ("neg", "units"):
+        value = block.get(key)
+        if value is not None and not (isinstance(value, dict) and all(
+                isinstance(k, str) and isinstance(v, str) for k, v in value.items())):
+            raise ScenarioError("%s.%s" % (loc, key), "must be an object of strings")
     try:
         return Groupoid(objects, arrows, src, tgt, table,
                         block.get("neg"), block.get("units"))

@@ -171,7 +171,8 @@ def check_groupoid(g):
     is topologized.
     """
     out = []
-    for (a, b), c in sorted(g._table.items(), key=lambda kv: (_skey(kv[0][0]), _skey(kv[0][1]))):
+    table = dict(g.entries())
+    for (a, b), c in sorted(table.items(), key=lambda kv: (_skey(kv[0][0]), _skey(kv[0][1]))):
         if g.tgt(a) != g.src(b):
             out.append("composition domain: %s+%s defined but tgt(%s)=%s != src(%s)=%s"
                        % (a, b, a, g.tgt(a), b, g.src(b)))
@@ -180,7 +181,7 @@ def check_groupoid(g):
             out.append("composition endpoints: %s+%s=%s has wrong src/tgt" % (a, b, c))
     for a in g.arrows:
         for b in g.arrows:
-            if g.composable(a, b) and (a, b) not in g._table:
+            if g.composable(a, b) and (a, b) not in table:
                 out.append("composition missing: %s+%s (tgt=src=%s)" % (a, b, g.tgt(a)))
     for x in g.objects:
         if x not in g._units:
@@ -190,11 +191,11 @@ def check_groupoid(g):
         if g.src(e) != x or g.tgt(e) != x:
             out.append("unit endpoints: unit(%s)=%s is not a loop at %s" % (x, e, x))
     for a in g.arrows:
-        if g.src(a) in g._units and (g._units[g.src(a)], a) in g._table:
-            if g._table[(g._units[g.src(a)], a)] != a:
+        if g.src(a) in g._units and (g._units[g.src(a)], a) in table:
+            if table[(g._units[g.src(a)], a)] != a:
                 out.append("left unit law fails at %s" % (a,))
-        if g.tgt(a) in g._units and (a, g._units[g.tgt(a)]) in g._table:
-            if g._table[(a, g._units[g.tgt(a)])] != a:
+        if g.tgt(a) in g._units and (a, g._units[g.tgt(a)]) in table:
+            if table[(a, g._units[g.tgt(a)])] != a:
                 out.append("right unit law fails at %s" % (a,))
         if a not in g._neg:
             out.append("negation missing for %s" % (a,))
@@ -203,19 +204,19 @@ def check_groupoid(g):
             if g.src(n) != g.tgt(a) or g.tgt(n) != g.src(a):
                 out.append("negation endpoints wrong for %s" % (a,))
             else:
-                if g._table.get((a, n)) != g._units.get(g.src(a)):
+                if table.get((a, n)) != g._units.get(g.src(a)):
                     out.append("right negative law fails at %s" % (a,))
-                if g._table.get((n, a)) != g._units.get(g.tgt(a)):
+                if table.get((n, a)) != g._units.get(g.tgt(a)):
                     out.append("left negative law fails at %s" % (a,))
     for a in g.arrows:
         for b in g.arrows:
-            if not g.composable(a, b) or (a, b) not in g._table:
+            if not g.composable(a, b) or (a, b) not in table:
                 continue
             for c in g.arrows:
-                if not g.composable(b, c) or (b, c) not in g._table:
+                if not g.composable(b, c) or (b, c) not in table:
                     continue
-                lhs = g._table.get((g._table[(a, b)], c))
-                rhs = g._table.get((a, g._table[(b, c)]))
+                lhs = table.get((table[(a, b)], c))
+                rhs = table.get((a, table[(b, c)]))
                 if lhs != rhs:
                     out.append("associativity fails at (%s,%s,%s)" % (a, b, c))
     if g.topology is not None:
@@ -490,7 +491,7 @@ def quotient(g, n):
     q = Groupoid([unwrap[o] for o in q.objects], q.arrows,
                  {h: unwrap[q.src(h)] for h in q.arrows},
                  {h: unwrap[q.tgt(h)] for h in q.arrows},
-                 q._table, q._neg, {unwrap[o]: q.unit(o) for o in q.objects})
+                 dict(q.entries()), q._neg, {unwrap[o]: q.unit(o) for o in q.objects})
     return q, GroupoidMorphism({x: x for x in g.objects}, arrow_class)
 
 

@@ -3,7 +3,8 @@ import itertools
 
 import pytest
 
-from conftest import corpus_groupoids, discrete_item, holonomy_of, zn_on_itself
+import oracles
+from conftest import corpus_groupoids, discrete_item, zn_on_itself
 from holonomy2 import corpus
 from holonomy2.dgpd import (DoubleGroupoid, DoubleGroupoidError, Square,
                             boundary_triples, build_double_groupoid,
@@ -191,7 +192,7 @@ def _tables_models():
     out["z3-discrete.J"] = build_germ_groupoid(
         build_double_groupoid(discrete_item(zn_on_itself(3))[0]))[0]
     pair = corpus.pair_groupoid("xy")
-    table, neg = dict(pair._table), dict(pair._neg)
+    table, neg = dict(pair.entries()), dict(pair._neg)
     del table[("xy", "yx")], neg["yx"]
     table[("xy", "xy")] = "xx"
     out["pair-broken"] = Groupoid(pair.objects, pair.arrows, pair._src, pair._tgt, table, neg,
@@ -200,15 +201,15 @@ def _tables_models():
 
 
 def test_tables_agree_with_add_neg_and_src():
-    """Each groupoid compiles its tables once; the rows hold a position
-    exactly where add is defined and None exactly where it raises, the
-    negation row likewise, the buckets list the arrows out of each object
+    """The rows are the groupoid's one table: they hold a position exactly
+    where add is defined and None exactly where it raises, entries lists
+    them again pair by pair, the negation row holds a position exactly
+    where neg is defined, the buckets list the arrows out of each object
     in arrow order, and composable_pairs is the filter over all pairs."""
     models = _tables_models()
     for name, g in models.items():
-        tables = g.tables()
-        assert g.tables() is tables, name
-        pos, rows, neg, by_src = tables
+        pos, rows, neg, by_src = g.tables()
+        assert g.tables()[1] is rows, name
         assert list(pos.items()) == [(a, i) for i, a in enumerate(g.arrows)], name
         for i, a in enumerate(g.arrows):
             for j, b in enumerate(g.arrows):
@@ -222,6 +223,9 @@ def test_tables_agree_with_add_neg_and_src():
             except GroupoidError:
                 want = None
             assert neg[i] == want, (name, a)
+        assert list(g.entries()) == [((a, g.arrows[i]), g.arrows[k])
+                                     for a, row in zip(g.arrows, rows)
+                                     for i, k in enumerate(row) if k is not None], name
         buckets = {}
         for i, a in enumerate(g.arrows):
             buckets.setdefault(g.src(a), []).append(i)
@@ -233,16 +237,15 @@ def test_tables_agree_with_add_neg_and_src():
     assert rows[pos["xy"]][pos["xy"]] == pos["xx"]
 
 
-def test_bucket_walks_leave_the_rows_uncompiled():
-    """composable_pairs and generated_subgroupoid read the by-source
-    buckets only: on fresh groupoids they compile no rows, and the
-    holonomy quotient, read only by them, ends its build without rows."""
+def test_bucket_walks_match_the_scans():
+    """composable_pairs and generated_subgroupoid walk the by-source
+    buckets: they agree with the filter over all pairs and with the
+    closure that tries every pair of its members."""
     models = [corpus.pair_groupoid("xyz"), corpus.bundle_of_groups("xy", 3),
               build_double_groupoid(zn_on_itself(3)).vertical_groupoid()]
     for g in models:
         pairs = list(g.composable_pairs())
         assert pairs == [(a, b) for a in g.arrows for b in g.arrows if g.composable(a, b)]
-        assert generated_subgroupoid(g, g.arrows[-1:]) >= g.units()
-        assert g._tables is None
-    hol = holonomy_of(*discrete_item(zn_on_itself(3)))
-    assert hol.quotient._tables is None
+        closure = generated_subgroupoid(g, g.arrows[-1:])
+        assert closure == oracles.generated_subgroupoid(g, g.arrows[-1:])
+        assert closure >= g.units()

@@ -413,7 +413,7 @@ GROUPOIDS = {
 @st.composite
 def corrupted_groupoids(draw):
     g = GROUPOIDS[draw(st.sampled_from(sorted(GROUPOIDS)))]()
-    table, neg, units = dict(g._table), dict(g._neg), dict(g._units)
+    table, neg, units = dict(g.entries()), dict(g._neg), dict(g._units)
     keys = sorted(table, key=repr)
     arrow = st.sampled_from(g.arrows)
     for _ in range(draw(st.integers(0, 3))):
@@ -445,7 +445,7 @@ def test_check_groupoid_matches_all_triples_scan(g):
 
 def test_check_groupoid_reports_associativity_in_oracle_order():
     g = corpus.cyclic_groupoid(3)
-    table = dict(g._table)
+    table = dict(g.entries())
     table[("1", "1")] = "0"
     bad = Groupoid(g.objects, g.arrows, g._src, g._tgt, table, g._neg, g._units)
     got = check_groupoid(bad)
@@ -456,7 +456,7 @@ def test_check_groupoid_reports_associativity_in_oracle_order():
 def test_check_groupoid_matches_on_z3_square_views():
     dg = build_double_groupoid(zn_on_itself(3))
     vert = dg.vertical_groupoid()
-    table = dict(vert._table)
+    table = dict(vert.entries())
     key = next(k for k, v in table.items() if v != dg.squares[0])
     table[key] = dg.squares[0]
     broken = Groupoid(vert.objects, vert.arrows, vert._src, vert._tgt, table,
@@ -478,7 +478,7 @@ def perturbed_corpus_groupoids(draw):
     breaks associativity without touching endpoints)."""
     name = draw(st.sampled_from(sorted(corpus_groupoids())))
     g = corpus_groupoids()[name]
-    table, neg, units = dict(g._table), dict(g._neg), dict(g._units)
+    table, neg, units = dict(g.entries()), dict(g._neg), dict(g._units)
     ends = {a: (g.src(a), g.tgt(a)) for a in g.arrows}
     kinds = draw(st.lists(st.sampled_from(PERTURBATIONS), min_size=1, max_size=3))
     for kind in kinds:
@@ -531,13 +531,14 @@ def test_check_groupoid_falls_back_to_the_table_scan(name, off_pair, wrong_ends,
     composite with the wrong endpoints, sends it to the scan of the
     table, which lists those entries in the oracle's order."""
     g = corpus_groupoids()[name]
-    table = dict(g._table)
+    entries = dict(g.entries())
+    table = dict(entries)
     ends = {a: (g.src(a), g.tgt(a)) for a in g.arrows}
     off = [(a, b) for a in g.arrows for b in g.arrows if not g.composable(a, b)]
     if off_pair and off:
         table[data.draw(st.sampled_from(off))] = data.draw(st.sampled_from(g.arrows))
-    key = data.draw(st.sampled_from(sorted(g._table, key=repr)))
-    moved = [a for a in g.arrows if ends[a] != ends[g._table[key]]]
+    key = data.draw(st.sampled_from(sorted(entries, key=repr)))
+    moved = [a for a in g.arrows if ends[a] != ends[entries[key]]]
     if wrong_ends and moved:
         table[key] = data.draw(st.sampled_from(moved))
     h = Groupoid(g.objects, g.arrows, g._src, g._tgt, table, g._neg, g._units)
@@ -688,7 +689,7 @@ def test_groupoid_views_match_scans():
         dg = build_double_groupoid(make())
         for fast, slow in ((dg.vertical_groupoid(), oracles.vertical_groupoid(dg)),
                            (dg.horizontal_groupoid(), oracles.horizontal_groupoid(dg))):
-            assert list(fast._table.items()) == list(slow._table.items())
+            assert list(fast.entries()) == list(slow.entries())
             assert fast._neg == slow._neg and fast._units == slow._units
         assert dg.vertical_groupoid() is dg.vertical_groupoid()
         assert dg.vertical_groupoid().violations() == tuple(check_groupoid(dg.vertical_groupoid()))
@@ -787,7 +788,7 @@ def test_restricted_germs_match_resorting_closure(item):
     fast = build_restricted_germs(dg, wg, J)
     slow = oracles.build_restricted_germs(dg, wg, J)
     assert fast[0].arrows == slow[0].arrows
-    assert list(fast[0]._table.items()) == list(slow[0]._table.items())
+    assert list(fast[0].entries()) == list(slow[0].entries())
     assert fast[1] == slow[1]
     assert list(fast[2].items()) == list(slow[2].items())
 
@@ -815,7 +816,7 @@ def test_charts_match_whole_product_germs(name):
 
 
 def quotient_tables(q, proj):
-    return (q.objects, q.arrows, {h: (q.src(h), q.tgt(h)) for h in q.arrows}, q._table,
+    return (q.objects, q.arrows, {h: (q.src(h), q.tgt(h)) for h in q.arrows}, dict(q.entries()),
             q._neg, q._units, proj.obj_map, proj.arr_map)
 
 
@@ -960,7 +961,7 @@ def altered_holonomy(hol, arrows, src, tgt, table, neg, psi):
 
 def quotient_parts(hol):
     q = hol.quotient
-    return (list(q.arrows), dict(q._src), dict(q._tgt), dict(q._table), dict(q._neg),
+    return (list(q.arrows), dict(q._src), dict(q._tgt), dict(q.entries()), dict(q._neg),
             dict(hol.psi.arr_map))
 
 
@@ -1592,7 +1593,7 @@ def test_chart_certificate_needs_a_groupoid_vertical_view(name, data):
     chart values do not."""
     hol = copy.copy(holonomy_model(name))
     vert = hol.dg.vertical_groupoid()
-    table = dict(vert._table)
+    table = dict(vert.entries())
     key = data.draw(st.sampled_from(scan_products(name)))
     value = table[key]
     parallel = [sq for sq in vert.arrows

@@ -146,12 +146,18 @@ def test_cli_reports_byte_identical(capsys):
 
 
 def test_cli_dump_writes_files(tmp_path, capsys):
-    code, _ = run_cli(["--scenario", scenario_path("z2z2.json"),
-                       "--task", "double", "--dump", str(tmp_path)], capsys)
+    """The dumps of z2z2.json are pinned byte for byte: a lost, added or
+    reordered entry changes the digest."""
+    code, _ = run_cli(["--scenario", scenario_path("z2z2.json"), "--task", "double",
+                       "--task", "holonomy", "--dump", str(tmp_path)], capsys)
     assert code == 0
-    assert (tmp_path / "double_CM.json").exists()
     payload = json.loads((tmp_path / "double_CM.json").read_text())
     assert len(payload["squares"]) == 16
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())}
+    assert digests == {
+        "double_CM.json": "8a0e541c32921542599c17dc411a6665f5aa5be107ae41cacc5f03de3dd10f51",
+        "holonomy_CM_W.json": "1d0a22a7340389a2b18e50cf36b106eecd0e67ed3bec1573e12f2fde931b4f6f"}
 
 
 def test_cli_universal_scenario(capsys):
@@ -464,6 +470,32 @@ def _bad_input(kind, tmp_path):
     if data is not None:
         path.write_text(json.dumps(data), encoding="utf-8")
     return ["--scenario", str(path), "--format", "json"] + extra
+
+
+@pytest.mark.parametrize("field, value, loc", [
+    ("neg", ["0"], "groupoids.G.neg"),
+    ("units", "x", "groupoids.G.units"),
+    ("neg", {"0": ["0"]}, "groupoids.G.neg"),
+    ("xmods", "CM", "tasks.validate"),
+    ("xmods", ["Q"], "tasks.validate"),
+    ("xmods", 5, "tasks.validate")])
+def test_cli_bad_neg_units_and_xmods_exit_2(field, value, loc, tmp_path, capsys):
+    """A groupoid's neg or units that is not an object of strings, and a
+    validate task's xmods that is not a list of known xmods, end in exit
+    2 and an error naming the field, not in a traceback."""
+    with open(scenario_path("z2z2.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    if field == "xmods":
+        data["tasks"][0][field] = value
+    else:
+        data["groupoids"]["G"][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = execute(["--scenario", str(path), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["ok"] is False and report["error"].startswith(loc + ": ")
 
 
 @pytest.mark.parametrize("kind", [

@@ -12,7 +12,7 @@ from holonomy2.holonomy import (HolonomyError, WStructure, build_wg, check_wstru
                                 full_wstructure, identity_vertical_morphism,
                                 qualifying_tables, universal_morphism)
 
-from conftest import discrete_item, holonomy_of, zn_on_itself
+from conftest import discrete_item, holonomy_of, square_axioms, z4_coset_item, zn_on_itself
 
 
 @pytest.fixture(scope="module")
@@ -190,10 +190,21 @@ def test_corrupted_quotient_entry_is_named_at_a_square():
     q = hol.quotient
     s = next(sq for sq in hol.dg.squares if str(sq) == "[c2:0|0|2|0]")
     unit = q.unit(s.top)
-    table = dict(q._table)
+    table = dict(q.entries())
     table[(hol.embed[s], unit)] = unit
     bad = copy.copy(hol)
     bad.quotient = Groupoid(q.objects, q.arrows, q._src, q._tgt, table, q._neg, q._units)
     with pytest.raises(HolonomyError,
                        match=r"not independent of choices at \[c0:0\|0\|0\|0\]$"):
         universal_morphism(hol.wg, identity_vertical_morphism(hol.dg), bad)
+
+
+def test_target_embedding_missing_a_preimage_image_is_named():
+    """A target built without its axioms (Z/4 by the cosets of {0, 2})
+    embeds only part of its window: the first square of the preimage
+    whose image it misses is named in a HolonomyError."""
+    hol = holonomy_of(*z4_coset_item(), require_axioms=False)
+    dg, wg, _ = square_axioms(*discrete_item(zn_on_itself(4)))
+    with pytest.raises(HolonomyError,
+                       match=r"embedding misses \[c0:0\|0\|1\|1\], the image of \[c0:0\|0\|1\|1\]$"):
+        universal_morphism(wg, identity_vertical_morphism(dg), hol)
