@@ -1395,10 +1395,6 @@ def push_section(dg_target, mu, sec):
     return section_from_squares(dg_target, sec.dom1, squares)
 
 
-# the uniqueness search's node cap
-SEARCH_CAP = 200000
-
-
 def universal_morphism(wgA, mu, hol):
     """The unique morphism into the holonomy groupoid over a vertical
     morphism of double groupoids.
@@ -1407,10 +1403,7 @@ def universal_morphism(wgA, mu, hol):
     vertically generating preimage of the window; enough sections), builds
     the morphism by factoring through the preimage, verifies that it is
     independent of every choice of factorization and through-section, and
-    certifies uniqueness by exhaustive search.  The uniqueness search,
-    ``qualifying_tables``, is exhaustive (up to ``SEARCH_CAP`` nodes) and
-    checks each composable pair of squares once, when the last of the
-    pair and its composite is assigned.
+    proves it unique by generation (the last paragraph).
 
     ``wgA`` is the source's window on its double groupoid ``wgA.dg``; S4
     and the through-sections read the searches it keeps.  A window on
@@ -1449,6 +1442,19 @@ def universal_morphism(wgA, mu, hol):
     classes, so the worklist, which adds each pair once, ends.  A factor
     with empty C(p) can leave a square with no candidate, which is
     reported as such.
+
+    A qualifying morphism is a table h on the squares that takes
+    ``embed[mu p]`` at every p in the preimage, has psi(h(w)) = mu(w) and
+    the ends of w at every other square w, and has h(u + x) = add(h(u),
+    h(x)) on every composable pair.  Every square w has a candidate, so
+    by the closure above w = u1 + ... + uk with each ui in the preimage,
+    and h(w) is the fold add(h(u1), add(..., h(uk))) of values fixed on
+    the preimage: at most one table qualifies.  This needs nothing of the
+    target but that ``add`` is a function.  mu' takes ``embed[mu p]`` on
+    the preimage by construction, and its morphism check fixes its ends
+    and products; so it qualifies, and is the one qualifying morphism,
+    exactly when psi(mu'(w)) = mu(w) at every square w outside the
+    preimage.
     """
     dgA, dgC, wg = wgA.dg, hol.dg, hol.wg
     if wgA.squares != frozenset(dgA.squares):
@@ -1537,41 +1543,11 @@ def universal_morphism(wgA, mu, hol):
     if bad:
         raise HolonomyError("constructed map not a morphism: %s" % bad[0])
 
-    # uniqueness by exhaustive search over qualifying morphisms
-    fibres = [[hol.embed[mu.arr_map[sq]]] if sq in pre else
-              [h for h in hol.quotient.arrows
-               if hol.psi.arr_map[h] == mu.arr_map[sq]
-               and hol.quotient.src(h) == sq.top and hol.quotient.tgt(h) == sq.bottom]
-              for sq in squares]
-    solutions = qualifying_tables(fibres, triples_by_last(vertA, squares), hol.quotient.add,
-                                  SEARCH_CAP)
-    report["qualifying_morphisms"] = len(solutions)
-    report["unique"] = (len(solutions) == 1
-                        and solutions[0] == tuple(mu_prime_map[sq] for sq in squares))
+    # uniqueness: mu' is the only table that can qualify (docstring)
+    report["qualifying_morphisms"] = int(all(hol.psi.arr_map[mu_prime_map[sq]] == mu.arr_map[sq]
+                                             for sq in squares if sq not in pre))
+    report["unique"] = report["qualifying_morphisms"] == 1
     return mu_prime, report
-
-
-def qualifying_tables(fibres, triples, add, search_cap):
-    """The first two tables h, in depth-first order, with h[i] drawn from
-    ``fibres[i]`` and add(h[u], h[v]) == h[w] for every triple (u, v, w)
-    of ``triples``, which are bucketed by their last position as
-    ``triples_by_last`` gives them.  One node is counted per table
-    prefix entered, the empty one included; past ``search_cap`` nodes
-    the search raises."""
-    count = 1
-    if count > search_cap:
-        raise HolonomyError("uniqueness search cap exceeded")
-
-    def fits(i, h):
-        nonlocal count
-        if not all(add(h[u], h[v]) == h[w] for u, v, w in triples[i]):
-            return False
-        count += 1
-        if count > search_cap:
-            raise HolonomyError("uniqueness search cap exceeded")
-        return True
-
-    return list(itertools.islice(depth_first(len(fibres), lambda i, h: fibres[i], fits), 2))
 
 
 def identity_vertical_morphism(dg):

@@ -24,6 +24,21 @@ class ScenarioError(Exception):
         super().__init__("%s: %s" % (location, message))
 
 
+_KINDS = {str: ("a string", "strings"), list: ("a list", "lists"), dict: ("an object", "objects")}
+
+
+def _typed(loc, value, kind, item=None):
+    """``value``, if it is a ``kind`` (str, list or dict) whose members,
+    the items of a list or the values of an object, are ``item``s; else a
+    ScenarioError at ``loc``.  Identifiers are strings, so a bad one
+    names its field instead of failing where it is hashed or iterated."""
+    if not isinstance(value, kind) or item is not None and not all(
+            isinstance(v, item) for v in (value.values() if kind is dict else value)):
+        raise ScenarioError(loc, "must be " + _KINDS[kind][0]
+                            + ("" if item is None else " of " + _KINDS[item][1]))
+    return value
+
+
 class Scenario:
     def __init__(self, spaces, groupoids, xmods, windows, morphisms, tasks, raw):
         self.spaces = spaces
@@ -38,17 +53,16 @@ class Scenario:
 
 
 def load_scenario(source, point_cap=64, arrow_cap=DEFAULT_ARROW_CAP):
-    """Parse and validate a scenario from a path, JSON text or dict."""
+    """Parse and validate a scenario from a dict or from the JSON file at
+    the path ``source``, whatever its name."""
     if isinstance(source, dict):
         data = source
     else:
-        text = source
-        if "\n" not in str(source) and str(source).endswith(".json"):
-            try:
-                with open(source, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except UnicodeDecodeError as e:
-                raise ScenarioError("<file>", "not UTF-8: %s" % e) from None
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ScenarioError("<file>", "not UTF-8: %s" % e) from None
         try:
             data = json.loads(text)
         except json.JSONDecodeError as e:
@@ -95,10 +109,12 @@ def load_scenario(source, point_cap=64, arrow_cap=DEFAULT_ARROW_CAP):
 
 
 def _load_space(loc, block, point_cap):
-    try:
-        points = block["points"]
-    except (TypeError, KeyError):
-        raise ScenarioError(loc, "missing 'points'") from None
+    if "points" not in _typed(loc, block, dict):
+        raise ScenarioError(loc, "missing 'points'")
+    points = _typed(loc + ".points", block["points"], list, str)
+    for key in ("opens", "open_generators"):
+        for i, subset in enumerate(_typed("%s.%s" % (loc, key), block.get(key, []), list)):
+            _typed("%s.%s[%d]" % (loc, key, i), subset, list, str)
     try:
         if "opens" in block:
             return FiniteTopSpace.from_opens(points, block["opens"], point_cap=point_cap)
@@ -126,10 +142,9 @@ def _resolve_space(loc, ref, spaces, default_points):
 
 
 def _load_groupoid(loc, block, spaces, point_cap, arrow_cap):
-    try:
-        objects = block["objects"]
-    except (TypeError, KeyError):
-        raise ScenarioError(loc, "missing 'objects'") from None
+    if "objects" not in _typed(loc, block, dict):
+        raise ScenarioError(loc, "missing 'objects'")
+    objects = _typed(loc + ".objects", block["objects"], list, str)
     if "arrows" in block:
         g = _groupoid_from_tables(loc, block, objects)
     elif "generators" in block:
@@ -138,6 +153,7 @@ def _load_groupoid(loc, block, spaces, point_cap, arrow_cap):
         raise ScenarioError(loc, "needs 'arrows' or 'generators'")
     topo = block.get("topology")
     if topo is not None:
+        _typed(loc + ".topology", topo, dict)
         arr = _resolve_space("%s.topology.arrows" % loc, topo.get("arrows"),
                              spaces, g.arrows)
         obj = _resolve_space("%s.topology.objects" % loc, topo.get("objects"),
@@ -154,29 +170,33 @@ def _load_groupoid(loc, block, spaces, point_cap, arrow_cap):
 def _groupoid_from_tables(loc, block, objects):
     arrows = []
     src, tgt = {}, {}
-    for i, arr in enumerate(block["arrows"]):
-        try:
-            arrows.append(arr["id"])
-            src[arr["id"]] = arr["src"]
-            tgt[arr["id"]] = arr["tgt"]
-        except (TypeError, KeyError):
-            raise ScenarioError("%s.arrows[%d]" % (loc, i),
-                                "needs 'id', 'src', 'tgt'") from None
+    for a, s, t in _ends("%s.arrows" % loc, block["arrows"]):
+        arrows.append(a)
+        src[a], tgt[a] = s, t
     table = {}
-    for i, entry in enumerate(block.get("compose", [])):
-        if not isinstance(entry, list) or len(entry) != 3:
+    for i, entry in enumerate(_typed(loc + ".compose", block.get("compose", []), list)):
+        if len(_typed("%s.compose[%d]" % (loc, i), entry, list, str)) != 3:
             raise ScenarioError("%s.compose[%d]" % (loc, i), "needs [a, b, a+b]")
         table[(entry[0], entry[1])] = entry[2]
     for key in ("neg", "units"):
-        value = block.get(key)
-        if value is not None and not (isinstance(value, dict) and all(
-                isinstance(k, str) and isinstance(v, str) for k, v in value.items())):
-            raise ScenarioError("%s.%s" % (loc, key), "must be an object of strings")
+        if block.get(key) is not None:
+            _typed("%s.%s" % (loc, key), block[key], dict, str)
     try:
         return Groupoid(objects, arrows, src, tgt, table,
                         block.get("neg"), block.get("units"))
     except GroupoidError as e:
         raise ScenarioError(loc, str(e)) from None
+
+
+def _ends(loc, entries):
+    """The (id, src, tgt) strings of a list of arrows or generators."""
+    out = []
+    for i, entry in enumerate(_typed(loc, entries, list)):
+        if not (isinstance(entry, dict) and {"id", "src", "tgt"} <= entry.keys()):
+            raise ScenarioError("%s[%d]" % (loc, i), "needs 'id', 'src', 'tgt'")
+        out.append(tuple(_typed("%s[%d].%s" % (loc, i, key), entry[key], str)
+                         for key in ("id", "src", "tgt")))
+    return out
 
 
 def _free_reduce(word):
@@ -218,18 +238,13 @@ def _rewrite(word, rules, cap=10000):
 
 
 def _groupoid_from_generators(loc, block, objects, arrow_cap):
-    gens = {}
-    for i, gen in enumerate(block["generators"]):
-        try:
-            gens[gen["id"]] = (gen["src"], gen["tgt"])
-        except (TypeError, KeyError):
-            raise ScenarioError("%s.generators[%d]" % (loc, i),
-                                "needs 'id', 'src', 'tgt'") from None
+    gens = {g: (s, t) for g, s, t in _ends("%s.generators" % loc, block["generators"])}
     rules = []
-    for i, rel in enumerate(block.get("relations", [])):
-        if not isinstance(rel, list) or len(rel) != 2:
+    for i, rel in enumerate(_typed(loc + ".relations", block.get("relations", []), list)):
+        if len(_typed("%s.relations[%d]" % (loc, i), rel, list, list)) != 2:
             raise ScenarioError("%s.relations[%d]" % (loc, i), "needs [lhs, rhs]")
-        lhs, rhs = tuple(rel[0]), tuple(rel[1])
+        lhs, rhs = (tuple(_typed("%s.relations[%d]" % (loc, i), side, list, str))
+                    for side in rel)
         if len(rhs) > len(lhs):
             lhs, rhs = rhs, lhs
         rules.append((lhs, rhs))
@@ -349,35 +364,35 @@ def _groupoid_from_generators(loc, block, objects, arrow_cap):
 
 
 def _load_xmod(loc, block, groupoids):
+    _typed(loc, block, dict)
     for field in ("c", "g", "delta", "action"):
         if field not in block:
             raise ScenarioError(loc, "missing %r" % field)
-    cname, gname = block["c"], block["g"]
+    cname, gname = _typed(loc + ".c", block["c"], str), _typed(loc + ".g", block["g"], str)
     if cname not in groupoids:
         raise ScenarioError("%s.c" % loc, "unknown groupoid %r" % cname)
     if gname not in groupoids:
         raise ScenarioError("%s.g" % loc, "unknown groupoid %r" % gname)
     action = {}
-    for i, entry in enumerate(block["action"]):
-        if not isinstance(entry, list) or len(entry) != 3:
+    for i, entry in enumerate(_typed(loc + ".action", block["action"], list)):
+        if len(_typed("%s.action[%d]" % (loc, i), entry, list, str)) != 3:
             raise ScenarioError("%s.action[%d]" % (loc, i), "needs [c, a, c^a]")
         action[(entry[0], entry[1])] = entry[2]
     try:
         return CrossedModule(groupoids[cname], groupoids[gname],
-                             block["delta"], action)
+                             _typed(loc + ".delta", block["delta"], dict, str), action)
     except XModError as e:
         raise ScenarioError(loc, str(e)) from None
 
 
 def _load_window(loc, block, xmods, spaces, point_cap):
-    if "xmod" not in block or block["xmod"] not in xmods:
+    if "xmod" not in _typed(loc, block, dict) or _typed(
+            loc + ".xmod", block["xmod"], str) not in xmods:
         raise ScenarioError(loc, "missing or unknown 'xmod'")
     cm = xmods[block["xmod"]]
     arrows = block.get("arrows")
-    try:
-        arrows = frozenset(cm.C.arrows if arrows is None else arrows)
-    except TypeError:
-        raise ScenarioError("%s.arrows" % loc, "must be a list of arrow ids") from None
+    arrows = frozenset(cm.C.arrows if arrows is None else
+                       _typed(loc + ".arrows", arrows, list, str))
     ref = block.get("space")
     if ref is None:
         space = FiniteTopSpace.discrete(arrows)

@@ -1,3 +1,4 @@
+import copy
 import functools
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import settings
 from holonomy2 import corpus
 from holonomy2.dgpd import build_double_groupoid
 from holonomy2.fintop import FiniteTopSpace
+from holonomy2.groupoid import Groupoid, GroupoidMorphism
 from holonomy2.holonomy import (WStructure, build_wg, check_locally_lie_double,
                                 full_wstructure, holonomy_groupoid)
 from holonomy2.xmod import CrossedModule
@@ -118,3 +120,21 @@ def square_axioms(cm, w):
 
 def holonomy_of(cm, w, require_axioms=True):
     return holonomy_groupoid(*square_axioms(cm, w), require_axioms=require_axioms)
+
+
+def quotient_parts(hol):
+    """Copies of the holonomy quotient's classes, ends, table entries and
+    negations, and of the evaluation psi, to alter and rebuild."""
+    q = hol.quotient
+    return (list(q.arrows), dict(q._src), dict(q._tgt), dict(q.entries()), dict(q._neg),
+            dict(hol.psi.arr_map))
+
+
+def altered_holonomy(hol, arrows, src, tgt, table, neg, psi):
+    """A copy of ``hol`` whose quotient and evaluation are rebuilt from
+    (altered) ``quotient_parts``."""
+    out = copy.copy(hol)
+    out.quotient = Groupoid(hol.quotient.objects, arrows, src, tgt, table, neg,
+                            hol.quotient._units)
+    out.psi = GroupoidMorphism(hol.psi.obj_map, psi)
+    return out

@@ -188,7 +188,8 @@ def test_table_searches_answer_at_one_recursion_limit(search):
     """Every table search runs on ``depth_first``'s explicit stack: the
     lowest recursion limit at which it answers on Z/n acting on itself
     is the same for n = 2, 3 and 4, although its depth grows with the
-    arrows (with the squares, for the uniqueness search)."""
+    arrows.  The universal property's uniqueness verdict, proved by
+    generation with no search, answers at one limit too."""
     here = os.path.dirname(os.path.abspath(__file__))
     script = textwrap.dedent("""
         import bisect

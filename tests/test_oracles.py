@@ -10,27 +10,25 @@ holonomy quotients, so that non-empty violation lists, raised errors
 and failed uniqueness searches are compared, order included.
 """
 
-import bisect
-import contextlib
 import copy
 import functools
 import itertools
-from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (corpus_groupoids, discrete_item, indiscrete_item, pair_bundle,
-                      sierpinski_pairz2_item, square_axioms, z4_coset_item, zn_on_itself)
+from conftest import (altered_holonomy, corpus_groupoids, discrete_item, indiscrete_item,
+                      pair_bundle, quotient_parts, sierpinski_pairz2_item, square_axioms,
+                      z4_coset_item, zn_on_itself)
 from holonomy2 import corpus, dgpd, groupoid, holonomy, xmod
 from holonomy2.dgpd import (DoubleGroupoid, Square, build_double_groupoid, check_double,
                             crossed_module_of)
 from holonomy2.fintop import (FiniteTopSpace, PartialMap, is_continuous, is_partial_homeomorphism,
                               pullback_space)
-from holonomy2.groupoid import (Groupoid, GroupoidMorphism, NormalSubgroupoid, _skey,
-                                check_groupoid, generated_subgroupoid)
+from holonomy2.groupoid import (Groupoid, GroupoidError, GroupoidMorphism, NormalSubgroupoid,
+                                _skey, check_groupoid, generated_subgroupoid)
 from holonomy2.holonomy import (Chart, WStructure, _chart_for, build_germ_groupoid, build_restricted_germs, build_wg,
                                 check_chart_coherence, full_wstructure, germ_at,
                                 has_enough_sections, holonomy_groupoid,
@@ -892,8 +890,8 @@ def test_chart_coherence_violations_in_oracle_order():
 
 
 # source model and, when smaller than the whole kernel, the target window;
-# a smaller window leaves squares outside the preimage, whose fibres the
-# uniqueness search has to choose from
+# a smaller window leaves squares outside the preimage, whose values the
+# oracle's uniqueness search has to choose from
 UNIVERSAL_MODELS = {
     "z2z2": (corpus.z2z2, None),
     "pairz2": (corpus.pairz2, None),
@@ -916,15 +914,11 @@ def universal_model(name):
 def universal_outcome(fn, cm, wa, mu, hol, wga=None, **bounds):
     """The outcome of ``fn`` under ``bounds``.  The library takes the
     source's window squares, ``wga`` or else built from ``cm`` and
-    ``wa``, and reads its search cap from a module constant, patched for
-    the call."""
-    args, constants = (cm, wa, mu, hol), contextlib.nullcontext()
+    ``wa``."""
+    args = (cm, wa, mu, hol)
     if fn is universal_morphism:
-        constants = mock.patch.object(holonomy, "SEARCH_CAP",
-                                      bounds.pop("search_cap", holonomy.SEARCH_CAP))
         args = (build_wg(build_double_groupoid(cm), wa) if wga is None else wga, mu, hol)
-    with constants:
-        got = outcome(functools.partial(fn, **bounds), *args)
+    got = outcome(functools.partial(fn, **bounds), *args)
     if got[0] == "ok":
         mu_prime, report = got[1]
         return "ok", mu_prime.obj_map, mu_prime.arr_map, report
@@ -951,31 +945,17 @@ def add_twin(k, arrows, src, tgt, table, neg, psi, rows=True):
     arrows.append(t)
 
 
-def altered_holonomy(hol, arrows, src, tgt, table, neg, psi):
-    out = copy.copy(hol)
-    out.quotient = Groupoid(hol.quotient.objects, arrows, src, tgt, table, neg,
-                            hol.quotient._units)
-    out.psi = GroupoidMorphism(hol.psi.obj_map, psi)
-    return out
-
-
-def quotient_parts(hol):
-    q = hol.quotient
-    return (list(q.arrows), dict(q._src), dict(q._tgt), dict(q.entries()), dict(q._neg),
-            dict(hol.psi.arr_map))
-
-
 @st.composite
 def corrupted_universal(draw):
     """A universal-property instance whose vertical morphism, quotient
-    table, evaluation or class set has been altered, with a drawn search
-    cap.
+    table, evaluation or class set has been altered.
 
     A twin class copies the table rows and the evaluation of a class
-    outside the window, so a fibre of the search holds two candidates
-    and the twin, which sorts first, must be rejected once a pair that
-    tells them apart is assigned.  A swapped evaluation empties or
-    misdirects a fibre, so no qualifier is found.  Two qualifiers cannot
+    outside the window, so a fibre of the oracle's search holds two
+    candidates and the twin, which sorts first, must be rejected once a
+    pair that tells them apart is assigned; the library reads its one
+    qualifier off mu' alone.  A swapped evaluation empties or misdirects
+    a fibre, so no qualifier is found.  Two qualifiers cannot
     occur on these models, whatever the table: every square is a
     composite of preimage squares, whose values are fixed, so the table
     fixes the rest.  Twins, swaps and the smaller windows are drawn more
@@ -1008,8 +988,7 @@ def corrupted_universal(draw):
             psi[h], psi[h2] = psi[h2], psi[h]
     hol = altered_holonomy(hol, *parts)
     mu = GroupoidMorphism({a: a for a in dg.edge.arrows}, arr_map)
-    search_cap = draw(st.one_of(st.just(200000), st.integers(1, 2 * len(dg.squares) + 2)))
-    return cm, wa, mu, hol, search_cap
+    return cm, wa, mu, hol
 
 
 @settings(ORACLE, max_examples=40)
@@ -1017,11 +996,11 @@ def corrupted_universal(draw):
 def test_universal_morphism_matches_rescanning_search(instance):
     """The library against the exhaustive reference: every
     through-section of every factor and factorizations of any length."""
-    cm, wa, mu, hol, search_cap = instance
-    got = universal_outcome(universal_morphism, cm, wa, mu, hol, search_cap=search_cap)
+    cm, wa, mu, hol = instance
+    got = universal_outcome(universal_morphism, cm, wa, mu, hol)
     event(universal_event(got))
     assert got == universal_outcome(oracles.universal_morphism, cm, wa, mu, hol,
-                                    word_bound=None, search_cap=search_cap)
+                                    word_bound=None)
 
 
 @pytest.mark.parametrize("name", ["pairz2", "z2z2", "z4", "z4-c013", "z4-c01"])
@@ -1050,15 +1029,18 @@ def test_universal_morphism_matches_oracle_on_models(name, monkeypatch):
 
 
 @pytest.mark.parametrize("alteration", ["twins", "bare-twins", "swapped-evaluation"])
-def test_uniqueness_search_matches_oracle_when_it_backtracks(alteration):
-    """Every class outside the window gets a twin that the search tries
-    first and must reject (one qualifier), or the evaluations of those
-    classes are swapped in pairs with equal endpoints, so the search meets
-    a wrong candidate and rejects it (no qualifier).  A bare twin has no
-    table rows: a pair with the twin as a factor raises, a pair with it as
-    the composite rejects it, so the outcome shows which pair the search
-    checks first.  Both searches must also stop at the same node count."""
+def test_uniqueness_proof_matches_oracle_search(alteration):
+    """Every class outside the window gets a twin, which the oracle's
+    search tries first and must reject (one qualifier), or the
+    evaluations of those classes are swapped in pairs with equal
+    endpoints, so mu' no longer lies over mu (no qualifier): the
+    library's count, read off mu', is the search's.  A bare twin has no
+    table rows, so the search raises at the first pair that holds it;
+    no table through an undefined composite qualifies, and the library
+    reports mu' as the one qualifier, as without the twins."""
     cm, wa, hol = universal_model("z4-c01")
+    mu = identity_vertical_morphism(hol.dg)
+    plain = universal_outcome(universal_morphism, cm, wa, mu, hol)
     arrows, src, tgt, table, neg, psi = parts = quotient_parts(hol)
     outside = [h for h in arrows if psi[h] not in hol.wg.squares]
     if alteration.endswith("twins"):
@@ -1072,21 +1054,15 @@ def test_uniqueness_search_matches_oracle_when_it_backtracks(alteration):
             for h, h2 in zip(group[::2], group[1::2]):
                 psi[h], psi[h2] = psi[h2], psi[h]
     hol = altered_holonomy(hol, *parts)
-    mu = identity_vertical_morphism(hol.dg)
-    fast = functools.partial(universal_outcome, universal_morphism, cm, wa, mu, hol)
-    slow = functools.partial(universal_outcome, oracles.universal_morphism, cm, wa, mu, hol,
-                             word_bound=3)
-    got = fast()
-    assert got == slow()
+    got = universal_outcome(universal_morphism, cm, wa, mu, hol)
+    slow = universal_outcome(oracles.universal_morphism, cm, wa, mu, hol, word_bound=3)
     if alteration == "bare-twins":
+        assert slow[:2] == ("raised", GroupoidError) and "undefined" in slow[2]
+        assert got == plain and universal_event(got) == "qualifiers 1, unique True"
         return
+    assert got == slow
     assert got[0] == "ok"
     assert got[3]["qualifying_morphisms"] == (1 if alteration == "twins" else 0)
-    # the fast search visits ``nodes`` nodes; the rescanning one must too
-    nodes = 1 + bisect.bisect(range(1, 10 ** 4), False,
-                              key=lambda cap: fast(search_cap=cap)[0] == "ok")
-    for cap in (nodes - 1, nodes):
-        assert fast(search_cap=cap) == slow(search_cap=cap)
 
 
 def test_universal_morphism_matches_oracle_on_z3():

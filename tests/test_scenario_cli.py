@@ -118,6 +118,19 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_reads_a_scenario_file_of_any_name(tmp_path, capsys):
+    """--scenario names a file, whatever its suffix: a copy of z2z2.json
+    without one gives the same report but for its "scenario" name."""
+    copy = tmp_path / "z2z2_noext"
+    copy.write_bytes(open(scenario_path("z2z2.json"), "rb").read())
+    code, out = run_cli(["--scenario", str(copy), "--format", "json"], capsys)
+    _, want = run_cli(["--scenario", scenario_path("z2z2.json"), "--format", "json"], capsys)
+    assert code == 0
+    got, want = json.loads(out), json.loads(want)
+    assert (got.pop("scenario"), want.pop("scenario")) == ("z2z2_noext", "z2z2.json")
+    assert got == want
+
+
 def test_cli_reference_error_exit_2(tmp_path, capsys):
     p = tmp_path / "dangling.json"
     p.write_text(json.dumps({
@@ -496,6 +509,53 @@ def test_cli_bad_neg_units_and_xmods_exit_2(field, value, loc, tmp_path, capsys)
     assert code == 2 and "Traceback" not in err
     report = json.loads(out)
     assert report["ok"] is False and report["error"].startswith(loc + ": ")
+
+
+# one field of z2z2.json at a time, and the location the error names; a
+# path under "spaces" adds that space to the scenario
+MALFORMED_FIELDS = [
+    (("groupoids", "G", "objects"), 5, "groupoids.G.objects"),
+    (("groupoids", "G", "objects"), [["x"]], "groupoids.G.objects"),
+    (("groupoids", "G", "objects"), "x", "groupoids.G.objects"),
+    (("groupoids", "G", "arrows"), 5, "groupoids.G.arrows"),
+    (("groupoids", "G", "arrows", 0, "src"), ["x"], "groupoids.G.arrows[0].src"),
+    (("groupoids", "G", "compose"), 5, "groupoids.G.compose"),
+    (("groupoids", "G", "compose", 0), [["0"], "0", "0"], "groupoids.G.compose[0]"),
+    (("groupoids", "G", "topology"), 5, "groupoids.G.topology"),
+    (("xmods", "CM", "delta"), 5, "xmods.CM.delta"),
+    (("xmods", "CM", "delta"), {"c0": ["0"], "c1": "1"}, "xmods.CM.delta"),
+    (("xmods", "CM", "action"), 5, "xmods.CM.action"),
+    (("xmods", "CM", "action", 0), [["c0"], "0", "c0"], "xmods.CM.action[0]"),
+    (("xmods", "CM", "c"), ["C"], "xmods.CM.c"),
+    (("wstructures", "W", "xmod"), ["CM"], "wstructures.W.xmod"),
+    (("spaces", "S"), {"points": 5}, "spaces.S.points"),
+    (("spaces", "S"), {"points": [["a"]]}, "spaces.S.points"),
+    (("spaces", "S"), {"points": ["a"], "opens": 5}, "spaces.S.opens"),
+    (("spaces", "S"), {"points": ["a"], "opens": [[["a"]]]}, "spaces.S.opens[0]")]
+
+
+@pytest.mark.parametrize("path, value, loc", MALFORMED_FIELDS,
+                         ids=["%s=%s" % (".".join(map(str, p)), json.dumps(v))
+                              for p, v, _ in MALFORMED_FIELDS])
+def test_cli_malformed_field_exits_2_naming_it(path, value, loc, tmp_path, capsys):
+    """An identifier that is not a string, or a container that is not a
+    list or an object, ends in exit 2 and a JSON error naming the field,
+    not in a traceback.  Objects given as the string "x" are refused, not
+    read as the characters of the string."""
+    with open(scenario_path("z2z2.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    *head, last = path
+    node = data
+    for key in head:
+        node = node.setdefault(key, {}) if isinstance(key, str) else node[key]
+    node[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    code = execute(["--scenario", str(bad), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["ok"] is False and report["error"].startswith(loc + ": must be ")
 
 
 @pytest.mark.parametrize("kind", [

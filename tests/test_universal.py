@@ -1,18 +1,18 @@
 import copy
 import functools
-import itertools
 
 import pytest
 
+import oracles
 from holonomy2 import corpus, holonomy
 from holonomy2.fintop import FiniteTopSpace
-from holonomy2.groupoid import (Groupoid, GroupoidMorphism, check_groupoid_morphism,
-                                triples_by_last)
+from holonomy2.groupoid import Groupoid, GroupoidMorphism, check_groupoid_morphism
 from holonomy2.holonomy import (HolonomyError, WStructure, build_wg, check_wstructure,
                                 full_wstructure, identity_vertical_morphism,
-                                qualifying_tables, universal_morphism)
+                                universal_morphism)
 
-from conftest import discrete_item, holonomy_of, square_axioms, z4_coset_item, zn_on_itself
+from conftest import (altered_holonomy, discrete_item, holonomy_of, quotient_parts,
+                      square_axioms, z4_coset_item, zn_on_itself)
 
 
 @pytest.fixture(scope="module")
@@ -67,27 +67,6 @@ def test_identity_instance_on_z3_is_unique():
     assert len(hol.dg.squares) == 81
     assert rep["unique"] and rep["qualifying_morphisms"] == 1
     assert rep["psi_after"] and rep["is_morphism"]
-
-
-def test_uniqueness_search_reports_two_qualifiers():
-    """Z/2 into Z/2 x Z/2 with the unit on the unit: the generator may go
-    to any of the four elements, so four tables qualify.  The search
-    returns the first two, counting one node per prefix entered: the
-    empty prefix, the unit, and one per qualifier."""
-    z2 = corpus.cyclic_groupoid(2)
-    triples = triples_by_last(z2, z2.arrows)
-    klein = list(itertools.product(range(2), repeat=2))
-
-    def add(x, y):
-        return tuple((i + j) % 2 for i, j in zip(x, y))
-
-    e = (0, 0)
-    assert qualifying_tables([[e], klein], triples, add, 4) == [(e, (0, 0)), (e, (0, 1))]
-    with pytest.raises(HolonomyError, match="cap exceeded"):
-        qualifying_tables([[e], klein], triples, add, 3)
-    assert qualifying_tables([[e], [(1, 1)]], triples, add, 3) == [(e, (1, 1))]
-    # the unit law fails at the first position: no qualifier, one node
-    assert qualifying_tables([[(1, 0)], klein], triples, add, 1) == []
 
 
 def test_universal_through_restricted_window():
@@ -197,6 +176,28 @@ def test_corrupted_quotient_entry_is_named_at_a_square():
     with pytest.raises(HolonomyError,
                        match=r"not independent of choices at \[c0:0\|0\|0\|0\]$"):
         universal_morphism(hol.wg, identity_vertical_morphism(hol.dg), bad)
+
+
+def test_morphism_check_catches_what_the_closure_misses(z2z2_setup):
+    """On z2z2, unit + class(s) := class(t) for the loop s = [c0:0|1|1|0]
+    and a parallel t: the closure composes only non-unit factors above a
+    square, so it never reads the entry, and every square keeps one
+    class.  mu' then fails to be a morphism at the one pair (unit, s),
+    and only the morphism check, which the uniqueness proof rests on,
+    catches it; the oracle's exhaustive reference raises the same error."""
+    cm, w, hol = z2z2_setup
+    squares = {str(sq): sq for sq in hol.dg.squares}
+    s, t = squares["[c0:0|1|1|0]"], squares["[c1:0|0|1|0]"]
+    arrows, src, tgt, table, neg, psi = parts = quotient_parts(hol)
+    table[(hol.quotient.unit(s.top), hol.embed[s])] = hol.embed[t]
+    bad = altered_holonomy(hol, *parts)
+    mu = identity_vertical_morphism(hol.dg)
+    message = (r"^constructed map not a morphism: "
+               r"composition not preserved at \(\[c0:0\|0\|0\|0\],\[c0:0\|1\|1\|0\]\)$")
+    with pytest.raises(HolonomyError, match=message):
+        universal_morphism(hol.wg, mu, bad)
+    with pytest.raises(HolonomyError, match=message):
+        oracles.universal_morphism(cm, w, mu, bad, word_bound=None)
 
 
 def test_target_embedding_missing_a_preimage_image_is_named():
