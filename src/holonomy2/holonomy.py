@@ -896,11 +896,21 @@ def generation_equivalence(cm, w_arrows, dg):
 # ---------------------------------------------------------------------------
 
 
-def build_germ_groupoid(dg):
-    """The groupoid of germs of local linear sections over the edge arrows.
+def generated_germs(dg, seed_witness):
+    """The groupoid of germs generated by the seed germs and the unit
+    germs under inverses and products.
 
-    Objects are edge arrows; a germ runs from the top of its base value to
-    its base.  Returns (groupoid, witness sections per germ).
+    ``seed_witness`` maps each seed germ to a section with that germ.
+    Returns (groupoid, seed germs, witness sections for every germ): a
+    seed keeps its own section, a unit outside the seeds gets
+    ``constant_section``, and a germ first met as an inverse or a
+    product gets the inverse or the product of the witnesses, so every
+    germ comes with an explicit word section.  The witnesses decide the
+    charts, so the order is fixed: each pass walks a snapshot of the
+    germs in sort order, as they stood when the pass began, adding
+    inverses, then walks a second snapshot, composing each g with a
+    snapshot of the germs out of its target, as they stand when g is
+    reached.
 
     Products are read through the vertical rows: a germ is keyed by its
     base and the positions of its values, in the order of its arrows,
@@ -908,50 +918,80 @@ def build_germ_groupoid(dg):
     s's value at top t(z) at the position of t(z).  The germs at one
     base list the arrows of its minimal open in one order, so equal keys
     are equal germs.  ``germ_mul`` runs only for a product with no key
-    among the germs, to be refused.
+    yet, which the closure then admits.
     """
     G = dg.edge
-    germs = {}
-    witness = {}
-    for a in sorted(G.arrows, key=_skey):
-        for sec in min_sections_at(dg, a):
-            g = germ_at(dg, sec, a)
-            if g not in germs:
-                germs[g] = g
-                witness[g] = sec
-    arrows = sorted(germs, key=_skey)
-    src = {g: g.source() for g in arrows}
-    tgt = {g: g.target() for g in arrows}
-    by_base = {}
-    for g in arrows:
-        by_base.setdefault(g.base, []).append(g)
     pos, rows = dg.vertical_groupoid().tables()[:2]
-    keyed, at, steps = {}, {}, {}
-    for g in arrows:
+    witness = dict(seed_witness)
+    units = {a: unit_germ(dg, a) for a in G.arrows}
+    for a, u in units.items():
+        if u not in witness:
+            witness[u] = constant_section(dg, G.arrow_space().minimal_open(a))
+    keyed, at, steps, by_src = {}, {}, {}, {}
+
+    def key(g):
+        return g.base, tuple(pos[sq] for _, sq in g.values)
+
+    def keep(g):
+        keyed[key(g)] = g
         at[g] = {z: pos[sq] for z, sq in g.values}
-        keyed[(g.base, tuple(at[g].values()))] = g
         steps[g] = [(sq.top, pos[sq]) for _, sq in g.values]
-    table = {}
-    for ga in arrows:
-        for gb in by_base.get(src[ga], ()):
-            b_at = at[gb]
-            prod = keyed.get((ga.base, tuple(rows[b_at[t]][p] for t, p in steps[ga])))
-            if prod is None:
-                prod = germ_mul(dg, gb, ga)
-                if prod not in germs:
-                    raise HolonomyError("germ product left the germ set at (%s, %s)"
-                                        % (gb, ga))
-                prod = germs[prod]
-            table[(gb, ga)] = prod
-    neg = {}
+        bisect.insort(by_src.setdefault(g.source(), []), g, key=_skey)
+
+    arrows = sorted(witness, key=_skey)
     for g in arrows:
-        gi = germ_inv(dg, g)
-        if gi not in germs:
-            raise HolonomyError("germ inverse left the germ set at %s" % (g,))
-        neg[g] = germs[gi]
-    units = {a: germs[unit_germ(dg, a)] for a in G.arrows}
-    groupoid = Groupoid(G.arrows, arrows, src, tgt, table, neg, units)
-    return groupoid, witness
+        keep(g)
+
+    def admit(g, sec):
+        witness[g] = sec
+        keep(g)
+        bisect.insort(arrows, g, key=_skey)
+
+    neg, table = {}, {}
+    frontier = True
+    while frontier:
+        frontier = False
+        for g in list(arrows):
+            if g not in neg:
+                gi = germ_inv(dg, g)
+                if key(gi) not in keyed:
+                    admit(gi, local_section_inv(dg, witness[g]))
+                    frontier = True
+                neg[g] = keyed[key(gi)]
+        # the last pass admits nothing, so it composes every pair
+        for g in list(arrows):
+            b_at = at[g]
+            for h in list(by_src.get(g.base, ())):
+                gh = keyed.get((h.base, tuple(rows[b_at[t]][p] for t, p in steps[h])))
+                if gh is None:
+                    gh = germ_mul(dg, g, h)
+                    admit(gh, local_section_mul(dg, witness[g], witness[h]))
+                    frontier = True
+                table[(g, h)] = gh
+    germs = Groupoid(G.arrows, arrows, {g: g.source() for g in arrows},
+                     {g: g.target() for g in arrows}, table, neg, units)
+    return germs, frozenset(seed_witness), witness
+
+
+def build_germ_groupoid(dg):
+    """The groupoid of germs of local linear sections over the edge arrows.
+
+    Objects are edge arrows; a germ runs from the top of its base value to
+    its base.  Returns (groupoid, witness sections per germ).  Every germ
+    is the germ of a section on the minimal open of its base, so these
+    germs seed ``generated_germs``; a germ the closure admits beyond them
+    is refused.  The holonomy pipeline builds only the germs the window
+    generates.
+    """
+    seed_witness = {}
+    for a in sorted(dg.edge.arrows, key=_skey):
+        for sec in min_sections_at(dg, a):
+            seed_witness.setdefault(germ_at(dg, sec, a), sec)
+    germs, _, witness = generated_germs(dg, seed_witness)
+    for g in witness:
+        if g not in seed_witness:
+            raise HolonomyError("germ closure left the germ set at %s" % (g,))
+    return germs, witness
 
 
 def window_germs(dg, wg):
@@ -965,66 +1005,10 @@ def window_germs(dg, wg):
     return out
 
 
-def build_restricted_germs(dg, wg, J):
-    """Subgroupoid of the germ groupoid J generated by window germs.
-
-    Returns (groupoid, seed germs, witness sections for every germ);
-    witnesses of products are products of witnesses, so every germ comes
-    with an explicit word section.
-    """
-    seed_witness = window_germs(dg, wg)
-    seed = set()
-    witness = {}
-    # germs are kept as J's own objects, so lookups in J match by identity
-    j_arrows = {g: g for g in J.arrows}
-    for g, sec in seed_witness.items():
-        if g not in j_arrows:
-            raise HolonomyError("window germ missing from the germ groupoid: %s" % (g,))
-        seed.add(j_arrows[g])
-        witness[j_arrows[g]] = sec
-    # units belong to the generated subgroupoid regardless of the window
-    for a in dg.edge.arrows:
-        u = J.unit(a)
-        if u not in witness:
-            witness[u] = constant_section(dg, dg.edge.arrow_space().minimal_open(a))
-    # the closure as a set, as a list kept in sort order and as by-source
-    # buckets kept in sort order; each pass walks a snapshot of the list,
-    # as it stood when the pass began, and each g of it composes with a
-    # snapshot of the bucket at its target, as it stands when g is reached
-    closure = set(witness)
-    arrows = sorted(closure, key=_skey)
-    by_src = {}
-    for h in arrows:
-        by_src.setdefault(h.source(), []).append(h)
-
-    def admit(g, sec):
-        witness[g] = sec
-        closure.add(g)
-        bisect.insort(arrows, g, key=_skey)
-        bisect.insort(by_src.setdefault(g.source(), []), g, key=_skey)
-
-    frontier = True
-    while frontier:
-        frontier = False
-        for g in list(arrows):
-            gi = J.neg(g)
-            if gi not in closure:
-                admit(gi, local_section_inv(dg, witness[g]))
-                frontier = True
-        for g in list(arrows):
-            for h in list(by_src.get(g.target(), ())):
-                gh = J.add(g, h)
-                if gh not in closure:
-                    admit(gh, local_section_mul(dg, witness[g], witness[h]))
-                    frontier = True
-    table = {(g, h): J.add(g, h) for g in arrows for h in by_src.get(g.target(), ())}
-    jr = Groupoid(dg.edge.arrows, arrows,
-                  {g: g.source() for g in arrows},
-                  {g: g.target() for g in arrows},
-                  table,
-                  {g: J.neg(g) for g in arrows},
-                  {a: unit_germ(dg, a) for a in dg.edge.arrows})
-    return jr, frozenset(seed), witness
+def build_restricted_germs(dg, wg):
+    """J_r, the germs generated by the window germs: (groupoid, seed
+    germs, witness sections for every germ), by ``generated_germs``."""
+    return generated_germs(dg, window_germs(dg, wg))
 
 
 def build_unit_germs(dg, wg, jr, seed):
@@ -1149,14 +1133,10 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
             if not axioms[key]["ok"]:
                 raise HolonomyError("axiom %s failed: %s" % (key, axioms[key]))
 
-    J = build_germ_groupoid(dg)[0]
-    bad = check_groupoid(J)
+    jr, seed, witness = build_restricted_germs(dg, wg)
+    bad = check_groupoid(jr)
     if bad:
         raise HolonomyError("germ groupoid invalid: %s" % bad[0])
-    jr, seed, witness = build_restricted_germs(dg, wg, J)
-    # nothing below reads J: drop it and its tables now, so they
-    # do not add to the peak memory of the quotient and the charts
-    del J
     unit_sub = build_unit_germs(dg, wg, jr, seed)
     hol, proj = quotient(jr, unit_sub)
 

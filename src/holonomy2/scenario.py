@@ -131,14 +131,14 @@ def _load_space(loc, block, point_cap):
         raise ScenarioError(loc, str(e)) from None
 
 
-def _resolve_space(loc, ref, spaces, default_points):
+def _resolve_space(loc, ref, spaces, point_cap):
     if ref is None:
         return None
     if isinstance(ref, str):
         if ref not in spaces:
             raise ScenarioError(loc, "unknown space %r" % ref)
         return spaces[ref]
-    return _load_space(loc, ref, None)
+    return _load_space(loc, ref, point_cap)
 
 
 def _load_groupoid(loc, block, spaces, point_cap, arrow_cap):
@@ -154,10 +154,8 @@ def _load_groupoid(loc, block, spaces, point_cap, arrow_cap):
     topo = block.get("topology")
     if topo is not None:
         _typed(loc + ".topology", topo, dict)
-        arr = _resolve_space("%s.topology.arrows" % loc, topo.get("arrows"),
-                             spaces, g.arrows)
-        obj = _resolve_space("%s.topology.objects" % loc, topo.get("objects"),
-                             spaces, g.objects)
+        arr = _resolve_space("%s.topology.arrows" % loc, topo.get("arrows"), spaces, point_cap)
+        obj = _resolve_space("%s.topology.objects" % loc, topo.get("objects"), spaces, point_cap)
         if arr is None or obj is None:
             raise ScenarioError("%s.topology" % loc, "needs 'arrows' and 'objects'")
         try:

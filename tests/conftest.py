@@ -12,6 +12,8 @@ from holonomy2.holonomy import (WStructure, build_wg, check_locally_lie_double,
                                 full_wstructure, holonomy_groupoid)
 from holonomy2.xmod import CrossedModule
 
+from frontier import zn_on_itself
+
 
 # differential tests against slow oracles: no per-example deadline on a
 # machine whose speed drifts, and a fixed example sequence per run
@@ -41,13 +43,6 @@ def z4():
 @pytest.fixture
 def all_cms():
     return corpus.corpus()
-
-
-def zn_on_itself(n):
-    """Z/n acting trivially on itself with identity boundary (n**4 squares)."""
-    G, C = corpus.cyclic_groupoid(n), corpus.cyclic_groupoid(n, prefix="c")
-    return CrossedModule(C, G, {"c%d" % i: str(i) for i in range(n)},
-                         {(c, a): c for c in C.arrows for a in G.arrows})
 
 
 @functools.cache

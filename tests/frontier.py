@@ -14,8 +14,10 @@ squares, which must be reached by factorization.
 Each model runs twice, each time in a fresh child process, so that no
 run inherits another's memory:
 
-- the layers in pipeline order, each timed once, and the child's own
-  peak resident set (``ru_maxrss``) at the end;
+- the layers in pipeline order, each timed once, the germ counts of
+  the holonomy groupoid (J_r, the kernel of unit-valued germs and the
+  classes), and the child's own peak resident set (``ru_maxrss``) at
+  the end;
 - the vertical square view alone under ``tracemalloc``: the memory it
   holds once built, with its position tables, and the peak of its build.
 """
@@ -31,6 +33,7 @@ import time
 
 
 def zn_on_itself(n):
+    """Z/n acting trivially on itself with identity boundary (n**4 squares)."""
     from holonomy2 import corpus
     from holonomy2.xmod import CrossedModule
     G, C = corpus.cyclic_groupoid(n), corpus.cyclic_groupoid(n, prefix="c")
@@ -109,6 +112,8 @@ def layers(name):
     wg = timed("window", build_wg, dg, w)
     axioms = timed("S1-S5", check_locally_lie_double, dg, wg)
     hol = timed("holonomy_groupoid", holonomy_groupoid, dg, wg, axioms)
+    out["J_r / kernel / classes"] = "%d / %d / %d" % (
+        len(hol.germ_groupoid.arrows), len(hol.unit_sub.arrows), len(hol.quotient.arrows))
     charts = timed("check_chart_coherence", check_chart_coherence, hol)
     mu = identity_vertical_morphism(dg)
     timed("check_groupoid_morphism(mu)", check_groupoid_morphism,

@@ -15,9 +15,11 @@ every node, and a global section product with its own formula.  The
 free-derivation search and the arrow-bijection search of the gamma
 isomorphism are kept as they were before the shared depth-first
 search: one recursive level per arrow, rescanning every assigned pair
-at every node.  The germ closure re-sorts the closure for every germ
-it extends, a generated subgroupoid tries every pair of its members,
-and openness is membership in the materialised open family.  Finite spaces
+at every node.  The germ groupoid J is built with its own table, apart
+from the closure that generates J_r in it, and that closure re-sorts
+the closure for every germ it extends; a generated subgroupoid tries
+every pair of its members, and openness is membership in the
+materialised open family.  Finite spaces
 are built, checked and queried once per point, as before minimal opens
 were interned; through-sections come from one search pinned to each
 square; a chart multiplies whole sections to read one germ, per
@@ -42,9 +44,9 @@ from holonomy2.groupoid import (Groupoid, GroupoidError, GroupoidMorphism, _cont
 from holonomy2 import holonomy
 from holonomy2.holonomy import (_MODEL_ERRORS, Chart, HolonomyError, LocalLinearSection,
                                 WGSquares, _feet, build_wg, constant_section, germ_at,
-                                unit_germ, window_germs, left_translation, local_section_inv,
-                                local_section_mul, push_section, section_from_squares,
-                                smoothness_violations)
+                                germ_inv, germ_mul, unit_germ, window_germs, left_translation,
+                                local_section_inv, local_section_mul, push_section,
+                                section_from_squares, smoothness_violations)
 from holonomy2.holonomy import square_tables as library_square_tables
 from holonomy2.homotopy import DerivationError, FreeDerivation, LinearSection, check_linear_section
 from holonomy2.xmod import XModMorphism, apply_action
@@ -758,8 +760,13 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
                     if u.bottom == v.top:
                         uv = dgA.comp1(u, v)
                         if uv in assign:
-                            if hol.quotient.add(assign[u], assign[v]) != assign[uv]:
+                            # a table through an undefined composite
+                            # is not a morphism: it does not qualify
+                            try:
+                                good = hol.quotient.add(assign[u], assign[v]) == assign[uv]
+                            except GroupoidError:
                                 good = False
+                            if not good:
                                 break
                 if not good:
                     break
@@ -1080,6 +1087,55 @@ def square_tables(dg, arrows, candidates):
 
     extend(0, {})
     return results
+
+
+def build_germ_groupoid(dg):
+    """The germ groupoid J with its own table, as the library built it
+    before one closure generated both J and J_r: every minimal-domain
+    germ, each product read through the vertical rows by its key and
+    ``germ_mul`` run only for a product with no key, to be refused."""
+    G = dg.edge
+    germs = {}
+    witness = {}
+    for a in sorted(G.arrows, key=_skey):
+        for sec in holonomy.min_sections_at(dg, a):
+            g = germ_at(dg, sec, a)
+            if g not in germs:
+                germs[g] = g
+                witness[g] = sec
+    arrows = sorted(germs, key=_skey)
+    src = {g: g.source() for g in arrows}
+    tgt = {g: g.target() for g in arrows}
+    by_base = {}
+    for g in arrows:
+        by_base.setdefault(g.base, []).append(g)
+    pos, rows = dg.vertical_groupoid().tables()[:2]
+    keyed, at, steps = {}, {}, {}
+    for g in arrows:
+        at[g] = {z: pos[sq] for z, sq in g.values}
+        keyed[(g.base, tuple(at[g].values()))] = g
+        steps[g] = [(sq.top, pos[sq]) for _, sq in g.values]
+    table = {}
+    for ga in arrows:
+        for gb in by_base.get(src[ga], ()):
+            b_at = at[gb]
+            prod = keyed.get((ga.base, tuple(rows[b_at[t]][p] for t, p in steps[ga])))
+            if prod is None:
+                prod = germ_mul(dg, gb, ga)
+                if prod not in germs:
+                    raise HolonomyError("germ product left the germ set at (%s, %s)"
+                                        % (gb, ga))
+                prod = germs[prod]
+            table[(gb, ga)] = prod
+    neg = {}
+    for g in arrows:
+        gi = germ_inv(dg, g)
+        if gi not in germs:
+            raise HolonomyError("germ inverse left the germ set at %s" % (g,))
+        neg[g] = germs[gi]
+    units = {a: germs[unit_germ(dg, a)] for a in G.arrows}
+    groupoid = Groupoid(G.arrows, arrows, src, tgt, table, neg, units)
+    return groupoid, witness
 
 
 def build_restricted_germs(dg, wg, J):

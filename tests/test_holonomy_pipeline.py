@@ -14,7 +14,7 @@ from holonomy2.holonomy import (HolonomyError, WStructure, build_germ_groupoid,
                                 local_section_mul, min_sections_at, unit_germ)
 
 from conftest import (discrete_item, holonomy_of, indiscrete_item,
-                      sierpinski_pairz2_item, zn_on_itself)
+                      sierpinski_pairz2_item, z4_coset_item, zn_on_itself)
 from oracles import morphism_kernel
 
 
@@ -56,7 +56,7 @@ def test_restricted_germs_wide_subgroupoid(z4):
     dg = build_double_groupoid(cm)
     J, _ = build_germ_groupoid(dg)
     wg = build_wg(dg, w)
-    jr, seed, wit = build_restricted_germs(dg, wg, J)
+    jr, seed, wit = build_restricted_germs(dg, wg)
     assert set(jr.arrows) <= set(J.arrows)
     assert check_groupoid(jr) == []
     for a in dg.edge.arrows:
@@ -89,18 +89,16 @@ def test_final_map_unit_value(z2z2):
 def test_final_map_surjective_discrete_full_window(z2z2):
     cm, w = discrete_item(z2z2)
     dg = build_double_groupoid(cm)
-    J, _ = build_germ_groupoid(dg)
     wg = build_wg(dg, w)
-    jr, seed, wit = build_restricted_germs(dg, wg, J)
+    jr, seed, wit = build_restricted_germs(dg, wg)
     assert {g.value() for g in jr.arrows} == set(dg.squares)
 
 
 def test_kernel_germs_discrete_are_units(z2z2):
     cm, w = discrete_item(z2z2)
     dg = build_double_groupoid(cm)
-    J, _ = build_germ_groupoid(dg)
     wg = build_wg(dg, w)
-    jr, seed, wit = build_restricted_germs(dg, wg, J)
+    jr, seed, wit = build_restricted_germs(dg, wg)
     sub = build_unit_germs(dg, wg, jr, seed)
     assert sub.arrows == frozenset(unit_germ(dg, a) for a in dg.edge.arrows)
 
@@ -109,9 +107,8 @@ def test_kernel_germs_contain_constant_everywhere(all_cms):
     for name in ("z2z2", "z4"):
         cm, w = discrete_item(all_cms[name])
         dg = build_double_groupoid(cm)
-        J, _ = build_germ_groupoid(dg)
         wg = build_wg(dg, w)
-        jr, seed, wit = build_restricted_germs(dg, wg, J)
+        jr, seed, wit = build_restricted_germs(dg, wg)
         sub = build_unit_germs(dg, wg, jr, seed)
         for a in dg.edge.arrows:
             assert unit_germ(dg, a) in sub.arrows
@@ -120,9 +117,8 @@ def test_kernel_germs_contain_constant_everywhere(all_cms):
 def test_kernel_germs_conjugation_closed_indiscrete(z2z2):
     cm, w = indiscrete_item(z2z2)
     dg = build_double_groupoid(cm)
-    J, _ = build_germ_groupoid(dg)
     wg = build_wg(dg, w)
-    jr, seed, wit = build_restricted_germs(dg, wg, J)
+    jr, seed, wit = build_restricted_germs(dg, wg)
     sub = build_unit_germs(dg, wg, jr, seed)
     assert sub.violations() == []
     for n in sub.arrows:
@@ -178,6 +174,20 @@ def test_unit_germs_are_loops(item):
     assert all(g.source() == g.target() for g in hol.unit_sub.arrows)
     assert hol.quotient.objects == hol.germ_groupoid.objects
 
+
+
+def test_quotient_binds_on_z4_cosets():
+    """Z/4 on itself with G's arrows and the window topologized by the
+    cosets of {0, 2}, where S4 fails: the kernel holds two unit-valued
+    germs besides the four units, so 64 of the 72 classes hold two
+    germs.  A quotient that ignored its kernel would keep 136 classes."""
+    hol = holonomy_of(*z4_coset_item(), require_axioms=False)
+    assert not hol.report["axioms"]["S4"]["ok"]
+    assert (len(hol.germ_groupoid.arrows), len(hol.unit_sub.arrows)) == (136, 6)
+    assert morphism_kernel(hol.projection, hol.germ_groupoid, hol.quotient) == hol.unit_sub.arrows
+    sizes = [len(cls) for cls in hol.quotient.arrows]
+    assert (len(sizes), sizes.count(2), sizes.count(1)) == (72, 64, 8)
+    assert len(hol.charts) == 68 and check_chart_coherence(hol)["ok"]
 
 def test_pipeline_objects_are_edge_arrows(all_cms):
     hol = full_window_pipeline("z2z2", all_cms)

@@ -371,10 +371,9 @@ def test_derivations_build_one_endomorphism_each(tmp_path, monkeypatch, capsys):
 
 def test_z3_pass_checks_each_section_once(tmp_path, monkeypatch, capsys):
     """validate, double and holonomy on Z/3 on itself (discrete, full
-    window) search the minimal-domain sections once per arrow for the
-    window and once for the germ groupoid, check each of the 81 distinct
-    sections once, and form only the section products the deductions
-    can check."""
+    window) search the minimal-domain sections once per arrow, for the
+    window alone, check each of the 81 distinct sections once, and form
+    only the section products the deductions can check."""
     from holonomy2 import holonomy
     path = tmp_path / "z3.json"
     tasks = [{"task": "validate"}, {"task": "double", "xmod": "CM"},
@@ -385,7 +384,7 @@ def test_z3_pass_checks_each_section_once(tmp_path, monkeypatch, capsys):
     code, out = run_cli(["--scenario", str(path), "--format", "json"], capsys)
     assert code == 0 and json.loads(out)["tasks"][2]["details"]["holonomy"]["arrows"] == 81
     searches, checks, products = map(len, counted)
-    assert (searches, checks) == (6, 81) and products <= 126
+    assert (searches, checks) == (3, 81) and products <= 126
 
 
 def test_tasks_share_one_double_groupoid(monkeypatch, capsys):
@@ -414,7 +413,7 @@ def test_failed_double_groupoid_build_fails_each_task_that_needs_it(monkeypatch,
 def test_universal_task_builds_each_structure_once(monkeypatch, capsys):
     """The universal task reads the double groupoid, the window squares
     and the S4 searches its own task built: one of each, and one section
-    search per arrow of Z/2."""
+    search per arrow of Z/2, for the window alone."""
     from holonomy2 import dgpd, holonomy
     built = [counting(monkeypatch, dgpd, "build_double_groupoid"),
              counting(monkeypatch, holonomy, "build_wg"),
@@ -422,7 +421,7 @@ def test_universal_task_builds_each_structure_once(monkeypatch, capsys):
     code, out = run_cli(["--scenario", scenario_path("universal_z2z2.json"),
                          "--format", "json"], capsys)
     assert code == 0 and json.loads(out)["tasks"][0]["details"]["report"]["unique"]
-    assert [len(calls) for calls in built] == [1, 1, 4]
+    assert [len(calls) for calls in built] == [1, 1, 2]
 
 
 def test_unsupported_morphism_exits_2_before_any_build(tmp_path, monkeypatch, capsys):
@@ -451,6 +450,24 @@ def test_unsupported_morphism_exits_2_before_any_build(tmp_path, monkeypatch, ca
     assert json.loads(out) == {"error": "tasks.universal: unsupported morphism 'nosuch'",
                                "ok": False}
 
+
+
+def test_cli_max_points_caps_inline_topologies(tmp_path, capsys):
+    """``--max-points`` caps a space written inline under a groupoid's
+    topology as it caps a named space."""
+    with open(scenario_path("pairz2_sierpinski.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    spaces = data.pop("spaces")
+    data["groupoids"]["G"]["topology"] = {"arrows": spaces["GA"], "objects": spaces["GX"]}
+    data["wstructures"]["W"]["space"] = spaces["WA"]
+    path = tmp_path / "inline.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run_cli(["--scenario", str(path)], capsys)[0] == 0
+    code, out = run_cli(["--scenario", str(path), "--format", "json", "--max-points", "1"],
+                        capsys)
+    assert code == 2
+    assert json.loads(out) == {"error": "groupoids.G.topology.arrows: space has 4 points, "
+                                        "cap is 1", "ok": False}
 
 def _bad_input(kind, tmp_path):
     """CLI arguments for one malformed input of the given kind."""
