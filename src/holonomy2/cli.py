@@ -15,6 +15,7 @@ import os
 import sys
 import time
 
+from .fintop import DEFAULT_POINT_CAP
 from .groupoid import _skey, check_groupoid
 from .xmod import check_crossed_module, find_xmod_isomorphism, check_xmod_morphism
 from .dgpd import build_double_groupoid, check_double, crossed_module_of
@@ -219,7 +220,7 @@ def execute(argv=None):
                         help="run only tasks with this name (repeatable)")
     parser.add_argument("--dump", default=None, help="directory for structure dumps")
     parser.add_argument("--seed", type=int, default=0, help="only echoed in the report")
-    parser.add_argument("--max-points", type=int, default=64,
+    parser.add_argument("--max-points", type=int, default=DEFAULT_POINT_CAP,
                         help="point cap for loaded spaces")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--timings", action="store_true",

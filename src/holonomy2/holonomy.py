@@ -65,7 +65,15 @@ def full_wstructure(cm, space=None):
 
 def check_wstructure(cm, w):
     """Violations: window inside C, contains identities, target map a
-    continuous open surjection onto the object space."""
+    continuous open surjection onto the object space.
+
+    Openness is tested on the distinct minimal opens, in the order
+    ``(len, sorted names)`` of the full open family, and the witness is
+    the one the family gives.  Every open U is the union of the minimal
+    opens M(p), p in U, and images commute with unions, so if U's image
+    is not open then some M(p) <= U fails too, with |M(p)| <= |U|.  Hence
+    every failing open of the least failing length is a minimal open, and
+    the first failing minimal open is the first failing open."""
     out = []
     C = cm.C
     if not w.arrows <= set(C.arrows):
@@ -83,7 +91,8 @@ def check_wstructure(cm, w):
             out.append("target map not continuous on window")
     except TopologyError as e:
         out.append("target map continuity: %s" % e)
-    for o in w.space.open_sets():
+    for o in sorted({w.space.minimal_open(c) for c in w.arrows},
+                    key=lambda o: (len(o), sorted(map(str, o)))):
         img = frozenset(C.tgt(c) for c in o)
         if not obj_space.is_open(img):
             out.append("target map not open: image of %s" % (sorted(map(str, o)),))
@@ -1015,6 +1024,13 @@ def build_unit_germs(dg, wg, jr, seed):
     """Window germs evaluating to an identity square: the normal kernel.
 
     Wideness and normality are re-verified, never assumed.
+
+    On a discrete edge-arrow space the kernel is the units.  There
+    M(a) = {a}, so a germ at a is the value map {a: value} and is fixed
+    by its value.  A kernel germ at a has the value eps1(a), which is the
+    one value of ``unit_germ(dg, a)``, so it is that unit germ.  Every
+    class of the quotient is then a single germ: a model whose quotient
+    binds needs a non-discrete edge-arrow space.
     """
     members = [g for g in seed if g.value() == dg.eps1(g.base)]
     sub = NormalSubgroupoid(jr, members)

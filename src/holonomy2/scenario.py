@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .fintop import FiniteTopSpace, TopologyError
+from .fintop import DEFAULT_POINT_CAP, FiniteTopSpace, TopologyError
 from .groupoid import Groupoid, GroupoidError, _skey
 from .xmod import CrossedModule, XModError
 from .holonomy import HolonomyError, WStructure
@@ -40,19 +40,17 @@ def _typed(loc, value, kind, item=None):
 
 
 class Scenario:
-    def __init__(self, spaces, groupoids, xmods, windows, morphisms, tasks, raw):
-        self.spaces = spaces
+    def __init__(self, groupoids, xmods, windows, morphisms, tasks):
         self.groupoids = groupoids
         self.xmods = xmods
         self.windows = windows
         self.morphisms = morphisms
         self.tasks = tasks
-        self.raw = raw
         # double groupoid per xmod name, built by the first task that needs it
         self.doubles = {}
 
 
-def load_scenario(source, point_cap=64, arrow_cap=DEFAULT_ARROW_CAP):
+def load_scenario(source, point_cap=DEFAULT_POINT_CAP, arrow_cap=DEFAULT_ARROW_CAP):
     """Parse and validate a scenario from a dict or from the JSON file at
     the path ``source``, whatever its name."""
     if isinstance(source, dict):
@@ -105,7 +103,7 @@ def load_scenario(source, point_cap=64, arrow_cap=DEFAULT_ARROW_CAP):
         if not isinstance(task["task"], str):
             raise ScenarioError("tasks[%d].task" % i, "must be a task name")
 
-    return Scenario(spaces, groupoids, xmods, windows, morphisms, tasks, data)
+    return Scenario(groupoids, xmods, windows, morphisms, tasks)
 
 
 def _load_space(loc, block, point_cap):
@@ -236,8 +234,35 @@ def _rewrite(word, rules, cap=10000):
 
 
 def _groupoid_from_generators(loc, block, objects, arrow_cap):
-    gens = {g: (s, t) for g, s, t in _ends("%s.generators" % loc, block["generators"])}
-    rules = []
+    """The groupoid presented by ``generators`` and ``relations``: the
+    closure of the units under right multiplication by letters, each
+    element a (starting object, rewritten word), refused when a new arrow
+    would take it past ``arrow_cap`` arrows, units counted."""
+    gens = _ends("%s.generators" % loc, block["generators"])
+    names = [g for g, _, _ in gens]
+    for g in names:
+        if g.startswith("-") or names.count(g) > 1:
+            raise ScenarioError("%s.generators" % loc, "generator id %r %s" % (
+                g, "starts with '-'" if g.startswith("-") else "repeats"))
+    # the (src, tgt) of each letter: g, then its inverse -g, by sorted id
+    sides = {}
+    for g, s, t in sorted(gens):
+        sides[g], sides["-" + g] = (s, t), (t, s)
+
+    def ends(word):
+        """(src, tgt) of a word, None at its first break in composability
+        (and for the empty word); an unknown letter met first is an error."""
+        out = None
+        for letter in word:
+            if letter not in sides:
+                raise ScenarioError(loc, "unknown generator %r" % letter.removeprefix("-"))
+            s, t = sides[letter]
+            if out is not None and out[1] != s:
+                return None
+            out = (s if out is None else out[0], t)
+        return out
+
+    rules, empty = [], []
     for i, rel in enumerate(_typed(loc + ".relations", block.get("relations", []), list)):
         if len(_typed("%s.relations[%d]" % (loc, i), rel, list, list)) != 2:
             raise ScenarioError("%s.relations[%d]" % (loc, i), "needs [lhs, rhs]")
@@ -245,7 +270,10 @@ def _groupoid_from_generators(loc, block, objects, arrow_cap):
                     for side in rel)
         if len(rhs) > len(lhs):
             lhs, rhs = rhs, lhs
-        rules.append((lhs, rhs))
+        if lhs:
+            rules.append((lhs, rhs))
+        else:
+            empty.append(i)
     # a pure power g^n = 1 also rewrites g^(n-1) to the negative letter and
     # squared negatives back to positive powers, so canonical words close up
     for lhs, rhs in list(rules):
@@ -258,105 +286,54 @@ def _groupoid_from_generators(loc, block, objects, arrow_cap):
                 rules.append(((neg, neg), lhs[:-2]))
     rules.sort(key=lambda r: (-len(r[0]), r))
 
-    def ends(word):
-        if not word:
-            return None
-        first, last = word[0], word[-1]
-        s = gens[first[1:]][1] if first.startswith("-") else gens[first][0]
-        t = gens[last[1:]][0] if last.startswith("-") else gens[last][1]
-        return s, t
-
-    def word_ok(word):
-        cur = None
-        for letter in word:
-            name = letter[1:] if letter.startswith("-") else letter
-            if name not in gens:
-                raise ScenarioError(loc, "unknown generator %r" % name)
-            s, t = gens[name]
-            if letter.startswith("-"):
-                s, t = t, s
-            if cur is not None and cur != s:
-                return False
-            cur = t
-        return True
-
     for lhs, rhs in rules:
-        if not word_ok(lhs) or not word_ok(rhs):
+        e = ends(lhs)
+        f = ends(rhs) if rhs and e else e
+        if f is None:
             raise ScenarioError(loc, "relation words not composable")
-        if rhs and ends(lhs) != ends(rhs):
-            raise ScenarioError(loc, "relation endpoints differ")
-        if not rhs and ends(lhs)[0] != ends(lhs)[1]:
+        if not rhs and e[0] != e[1]:
             raise ScenarioError(loc, "relation equates a non-loop to a unit")
+        if f != e:
+            raise ScenarioError(loc, "relation endpoints differ")
+    if empty:
+        raise ScenarioError("%s.relations[%d]" % (loc, empty[0]), "needs a non-empty word")
 
-    # elements are (starting object, rewritten word); units are empty words
-    seen = {(x, ()) for x in objects}
-    queue = [(x, ()) for x in objects]
-    letters = []
-    for gid in sorted(gens):
-        letters.append(gid)
-        letters.append("-" + gid)
+    # rewriting keeps a word's ends, so an element's target is that of the
+    # letter that reached it
+    tgt = {(x, ()): x for x in objects}
+    queue = list(tgt)
+    for x, word in queue:
+        for letter, (s, t) in sides.items():
+            if s == tgt[x, word]:
+                key = (x, _rewrite(word + (letter,), rules))
+                if key not in tgt:
+                    if len(tgt) >= arrow_cap:
+                        raise ScenarioError(loc, "generated groupoid exceeds the "
+                                            "%d-arrow cap" % arrow_cap)
+                    tgt[key] = t
+                    queue.append(key)
 
-    def letter_ends(letter):
-        s, t = gens[letter[1:]] if letter.startswith("-") else gens[letter]
-        if letter.startswith("-"):
-            s, t = t, s
-        return s, t
-
-    while queue:
-        x, word = queue.pop(0)
-        tail = ends(word)[1] if word else x
-        for letter in letters:
-            s, t = letter_ends(letter)
-            if s != tail:
-                continue
-            new = _rewrite(word + (letter,), rules)
-            start = ends(new)[0] if new else x
-            if new and start != x:
-                continue
-            key = (x, new)
-            if key not in seen:
-                if len(seen) > arrow_cap:
-                    raise ScenarioError(loc, "generated groupoid exceeds the "
-                                        "%d-arrow cap" % arrow_cap)
-                seen.add(key)
-                queue.append(key)
-
-    def label(key):
-        x, word = key
-        return "+".join(word) if word else "1_%s" % x
-
-    arrows = sorted(seen, key=lambda k: (_skey(k[0]), _skey(k[1])))
-    ids = {k: label(k) for k in arrows}
-    src = {}
-    tgt = {}
-    for k in arrows:
-        x, word = k
-        src[ids[k]] = x
-        tgt[ids[k]] = ends(word)[1] if word else x
+    arrows = sorted(tgt, key=lambda k: (_skey(k[0]), _skey(k[1])))
+    ids = {k: "+".join(k[1]) if k[1] else "1_%s" % k[0] for k in arrows}
     table = {}
     for ka in arrows:
         for kb in arrows:
-            xa, wa = ka
-            xb, wb = kb
-            if tgt[ids[ka]] != xb:
-                continue
-            new = _rewrite(wa + wb, rules)
-            kk = (xa, new)
-            if kk not in seen:
-                raise ScenarioError(loc, "relations leave the generated set; "
-                                    "composition %s+%s escaped" % (ids[ka], ids[kb]))
-            table[(ids[ka], ids[kb])] = ids[kk]
+            if tgt[ka] == kb[0]:
+                kk = (ka[0], _rewrite(ka[1] + kb[1], rules))
+                if kk not in tgt:
+                    raise ScenarioError(loc, "relations leave the generated set; "
+                                        "composition %s+%s escaped" % (ids[ka], ids[kb]))
+                table[ids[ka], ids[kb]] = ids[kk]
     neg = {}
     for k in arrows:
-        x, word = k
-        inv = _rewrite(tuple(_invert_letter(l) for l in reversed(word)), rules)
-        kk = (tgt[ids[k]], inv)
-        if kk not in seen:
+        kk = (tgt[k], _rewrite(tuple(_invert_letter(l) for l in reversed(k[1])), rules))
+        if kk not in tgt:
             raise ScenarioError(loc, "negation escaped the generated set at %s" % ids[k])
         neg[ids[k]] = ids[kk]
-    units = {x: ids[(x, ())] for x in objects}
     try:
-        return Groupoid(objects, [ids[k] for k in arrows], src, tgt, table, neg, units)
+        return Groupoid(objects, [ids[k] for k in arrows], {ids[k]: k[0] for k in arrows},
+                        {ids[k]: tgt[k] for k in arrows}, table, neg,
+                        {x: ids[x, ()] for x in objects})
     except GroupoidError as e:
         raise ScenarioError(loc, str(e)) from None
 
@@ -391,15 +368,8 @@ def _load_window(loc, block, xmods, spaces, point_cap):
     arrows = block.get("arrows")
     arrows = frozenset(cm.C.arrows if arrows is None else
                        _typed(loc + ".arrows", arrows, list, str))
-    ref = block.get("space")
-    if ref is None:
-        space = FiniteTopSpace.discrete(arrows)
-    elif isinstance(ref, str):
-        if ref not in spaces:
-            raise ScenarioError("%s.space" % loc, "unknown space %r" % ref)
-        space = spaces[ref]
-    else:
-        space = _load_space("%s.space" % loc, ref, point_cap)
+    space = (_resolve_space("%s.space" % loc, block.get("space"), spaces, point_cap)
+             or FiniteTopSpace.discrete(arrows))
     try:
         return WStructure(arrows, space), cm
     except HolonomyError as e:

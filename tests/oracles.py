@@ -19,7 +19,9 @@ at every node.  The germ groupoid J is built with its own table, apart
 from the closure that generates J_r in it, and that closure re-sorts
 the closure for every germ it extends; a generated subgroupoid tries
 every pair of its members, and openness is membership in the
-materialised open family.  Finite spaces
+materialised open family, and so is a window's target map tested for
+openness.  The generated groupoids of the loader are expanded as they
+were before one letter table held every letter's ends.  Finite spaces
 are built, checked and queried once per point, as before minimal opens
 were interned; through-sections come from one search pinned to each
 square; a chart multiplies whole sections to read one germ, per
@@ -48,6 +50,7 @@ from holonomy2.holonomy import (_MODEL_ERRORS, Chart, HolonomyError, LocalLinear
                                 local_section_inv, local_section_mul, push_section,
                                 section_from_squares, smoothness_violations)
 from holonomy2.holonomy import square_tables as library_square_tables
+from holonomy2.scenario import ScenarioError, _ends, _invert_letter, _rewrite, _typed
 from holonomy2.homotopy import DerivationError, FreeDerivation, LinearSection, check_linear_section
 from holonomy2.xmod import XModMorphism, apply_action
 
@@ -1276,3 +1279,162 @@ def identity_xmod_morphism(cm):
     return XModMorphism({x: x for x in cm.G.objects},
                         {a: a for a in cm.G.arrows},
                         {c: c for c in cm.C.arrows})
+
+
+def groupoid_from_generators(loc, block, objects, arrow_cap):
+    """The generated groupoid as the loader expanded it before its letter
+    table: generator ends looked up by name, composability checked by a
+    separate walk, a queue popped from its head, and an arrow cap that
+    admits one arrow past it."""
+    gens = {g: (s, t) for g, s, t in _ends("%s.generators" % loc, block["generators"])}
+    rules = []
+    for i, rel in enumerate(_typed(loc + ".relations", block.get("relations", []), list)):
+        if len(_typed("%s.relations[%d]" % (loc, i), rel, list, list)) != 2:
+            raise ScenarioError("%s.relations[%d]" % (loc, i), "needs [lhs, rhs]")
+        lhs, rhs = (tuple(_typed("%s.relations[%d]" % (loc, i), side, list, str))
+                    for side in rel)
+        if len(rhs) > len(lhs):
+            lhs, rhs = rhs, lhs
+        rules.append((lhs, rhs))
+    # a pure power g^n = 1 also rewrites g^(n-1) to the negative letter and
+    # squared negatives back to positive powers, so canonical words close up
+    for lhs, rhs in list(rules):
+        if not rhs and len(lhs) >= 2 and len(set(lhs)) == 1 and not lhs[0].startswith("-"):
+            neg = "-" + lhs[0]
+            if len(lhs) == 2:
+                rules.append(((neg,), lhs[:-1]))
+            else:
+                rules.append((lhs[:-1], (neg,)))
+                rules.append(((neg, neg), lhs[:-2]))
+    rules.sort(key=lambda r: (-len(r[0]), r))
+
+    def ends(word):
+        if not word:
+            return None
+        first, last = word[0], word[-1]
+        s = gens[first[1:]][1] if first.startswith("-") else gens[first][0]
+        t = gens[last[1:]][0] if last.startswith("-") else gens[last][1]
+        return s, t
+
+    def word_ok(word):
+        cur = None
+        for letter in word:
+            name = letter[1:] if letter.startswith("-") else letter
+            if name not in gens:
+                raise ScenarioError(loc, "unknown generator %r" % name)
+            s, t = gens[name]
+            if letter.startswith("-"):
+                s, t = t, s
+            if cur is not None and cur != s:
+                return False
+            cur = t
+        return True
+
+    for lhs, rhs in rules:
+        if not word_ok(lhs) or not word_ok(rhs):
+            raise ScenarioError(loc, "relation words not composable")
+        if rhs and ends(lhs) != ends(rhs):
+            raise ScenarioError(loc, "relation endpoints differ")
+        if not rhs and ends(lhs)[0] != ends(lhs)[1]:
+            raise ScenarioError(loc, "relation equates a non-loop to a unit")
+
+    # elements are (starting object, rewritten word); units are empty words
+    seen = {(x, ()) for x in objects}
+    queue = [(x, ()) for x in objects]
+    letters = []
+    for gid in sorted(gens):
+        letters.append(gid)
+        letters.append("-" + gid)
+
+    def letter_ends(letter):
+        s, t = gens[letter[1:]] if letter.startswith("-") else gens[letter]
+        if letter.startswith("-"):
+            s, t = t, s
+        return s, t
+
+    while queue:
+        x, word = queue.pop(0)
+        tail = ends(word)[1] if word else x
+        for letter in letters:
+            s, t = letter_ends(letter)
+            if s != tail:
+                continue
+            new = _rewrite(word + (letter,), rules)
+            start = ends(new)[0] if new else x
+            if new and start != x:
+                continue
+            key = (x, new)
+            if key not in seen:
+                if len(seen) > arrow_cap:
+                    raise ScenarioError(loc, "generated groupoid exceeds the "
+                                        "%d-arrow cap" % arrow_cap)
+                seen.add(key)
+                queue.append(key)
+
+    def label(key):
+        x, word = key
+        return "+".join(word) if word else "1_%s" % x
+
+    arrows = sorted(seen, key=lambda k: (_skey(k[0]), _skey(k[1])))
+    ids = {k: label(k) for k in arrows}
+    src = {}
+    tgt = {}
+    for k in arrows:
+        x, word = k
+        src[ids[k]] = x
+        tgt[ids[k]] = ends(word)[1] if word else x
+    table = {}
+    for ka in arrows:
+        for kb in arrows:
+            xa, wa = ka
+            xb, wb = kb
+            if tgt[ids[ka]] != xb:
+                continue
+            new = _rewrite(wa + wb, rules)
+            kk = (xa, new)
+            if kk not in seen:
+                raise ScenarioError(loc, "relations leave the generated set; "
+                                    "composition %s+%s escaped" % (ids[ka], ids[kb]))
+            table[(ids[ka], ids[kb])] = ids[kk]
+    neg = {}
+    for k in arrows:
+        x, word = k
+        inv = _rewrite(tuple(_invert_letter(l) for l in reversed(word)), rules)
+        kk = (tgt[ids[k]], inv)
+        if kk not in seen:
+            raise ScenarioError(loc, "negation escaped the generated set at %s" % ids[k])
+        neg[ids[k]] = ids[kk]
+    units = {x: ids[(x, ())] for x in objects}
+    try:
+        return Groupoid(objects, [ids[k] for k in arrows], src, tgt, table, neg, units)
+    except GroupoidError as e:
+        raise ScenarioError(loc, str(e)) from None
+
+
+def check_wstructure(cm, w):
+    """The window check as it was before openness was read from minimal
+    opens: the target map's image is tested on every open set of the
+    materialised family."""
+    out = []
+    C = cm.C
+    if not w.arrows <= set(C.arrows):
+        out.append("window arrows not within C")
+        return out
+    for x in C.objects:
+        if C.unit(x) not in w.arrows:
+            out.append("identity at %s missing from window" % (x,))
+    obj_space = cm.G.object_space()
+    beta = PartialMap({c: C.tgt(c) for c in sorted(w.arrows, key=_skey)})
+    if beta.image() != frozenset(C.objects):
+        out.append("target map not surjective on objects")
+    try:
+        if not is_continuous(beta, w.space, obj_space):
+            out.append("target map not continuous on window")
+    except TopologyError as e:
+        out.append("target map continuity: %s" % e)
+    for o in w.space.open_sets():
+        img = frozenset(C.tgt(c) for c in o)
+        if not obj_space.is_open(img):
+            out.append("target map not open: image of %s" % (sorted(map(str, o)),))
+            break
+    return out

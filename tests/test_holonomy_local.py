@@ -15,7 +15,7 @@ from holonomy2.xmod import XModError
 
 from oracles import germs_equal_somewhere, restrict_section
 
-from conftest import discrete_item, indiscrete_item, sierpinski_pairz2_item
+from conftest import discrete_item, indiscrete_item, sierpinski_pairz2_item, zn_on_itself
 
 
 def topologized_items(all_cms):
@@ -51,6 +51,13 @@ def test_wstructure_validation(pairz2):
     assert check_wstructure(cm, w) == []
     missing = WStructure(["1@x", "1@y"], FiniteTopSpace.discrete(["1@x", "1@y"]))
     assert any("identity" in v for v in check_wstructure(cm, missing))
+
+
+def test_wstructure_past_the_open_family_limit():
+    """Z/17's full discrete window has 2**17 opens, more than a space
+    materialises; its openness is read from the 17 minimal opens."""
+    cm = zn_on_itself(17)
+    assert check_wstructure(cm, full_wstructure(cm)) == []
 
 
 def test_restriction_keeps_validity(all_cms):

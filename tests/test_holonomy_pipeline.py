@@ -94,8 +94,12 @@ def test_final_map_surjective_discrete_full_window(z2z2):
     assert {g.value() for g in jr.arrows} == set(dg.squares)
 
 
-def test_kernel_germs_discrete_are_units(z2z2):
-    cm, w = discrete_item(z2z2)
+@pytest.mark.parametrize("cm", [*corpus.corpus().values(), zn_on_itself(3)],
+                         ids=[*corpus.corpus(), "z3"])
+def test_kernel_germs_discrete_are_units(cm):
+    """On a discrete edge-arrow space the kernel is the units (the lemma
+    in ``build_unit_germs``)."""
+    cm, w = discrete_item(cm)
     dg = build_double_groupoid(cm)
     wg = build_wg(dg, w)
     jr, seed, wit = build_restricted_germs(dg, wg)

@@ -214,6 +214,38 @@ def test_window_operation_verdicts_on_hand_cases():
         assert fast == want if want else fast[0] == "raised"
 
 
+def relabelled(space, names):
+    """``space`` with its points, in sorted order, renamed to ``names``."""
+    rename = dict(zip(sorted(space.points), names))
+    return FiniteTopSpace.from_min_opens(
+        list(names), {rename[p]: frozenset(map(rename.get, space.minimal_open(p)))
+                      for p in space.points})
+
+
+@st.composite
+def preorder_windows(draw):
+    """A window of the pair bundle with Z/2 on one to three objects: G's
+    objects and the window's drawn C arrows topologized by preorders."""
+    objects = draw(preorders(prefix="o", max_points=3))
+    cm = pair_bundle("xyz"[:len(objects.points)], 2)
+    G = cm.G.with_topology(cm.G.arrow_space(), relabelled(objects, cm.G.objects))
+    cm = xmod.CrossedModule(cm.C, G, cm.delta, cm.action)
+    space = draw(preorders(prefix="w", max_points=len(cm.C.arrows)))
+    arrows = draw(st.permutations(cm.C.arrows))[:len(space.points)]
+    return cm, WStructure(arrows, relabelled(space, arrows))
+
+
+@settings(ORACLE, max_examples=300)
+@given(preorder_windows())
+def test_window_check_matches_the_open_family_scan(item):
+    """Openness of the window's target map, read from minimal opens,
+    gives the verdicts and the witness of the scan over every open."""
+    got = outcome(holonomy.check_wstructure, *item)
+    event("not open" if got[0] == "ok" and any("not open" in v for v in got[1])
+          else kind_of(got))
+    assert got == outcome(oracles.check_wstructure, *item)
+
+
 @pytest.mark.parametrize("item", [discrete_item(corpus.z2z2()), indiscrete_item(corpus.pairz2()),
                                   sierpinski_pairz2_item(), discrete_item(corpus.z4_interior())],
                          ids=["z2z2-discrete", "pairz2-indiscrete", "pairz2-sierpinski", "z4-discrete"])

@@ -1,12 +1,19 @@
+import contextlib
 import glob
 import hashlib
+import io
 import json
 import os
 import runpy
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from holonomy2 import cli
 from holonomy2.cli import execute
@@ -14,9 +21,10 @@ from holonomy2.dgpd import DoubleGroupoidError
 from holonomy2.fintop import TopologyError
 from holonomy2.groupoid import GroupoidError, check_groupoid
 from holonomy2.holonomy import HolonomyError
-from holonomy2.scenario import ScenarioError, load_scenario
+from holonomy2.scenario import ScenarioError, _groupoid_from_generators, load_scenario
 from holonomy2.xmod import XModError
 
+ORACLE = settings.get_profile("oracles")
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 EXPECTED = os.path.join(os.path.dirname(__file__), "..", "perfbench", "expected.json")
 WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
@@ -587,3 +595,133 @@ def test_cli_malformed_input_exits_2_with_an_error_report(kind, tmp_path, capsys
     report = json.loads(out)
     assert set(report) == {"error", "ok"} and report["ok"] is False
     assert isinstance(report["error"], str) and report["error"]
+
+
+# ---------------------------------------------------------------------------
+# generated groupoids
+# ---------------------------------------------------------------------------
+
+
+def z4_presentation():
+    """The C block of z4_interior.json: Z/4 as <k | k^4 = 1>."""
+    with open(scenario_path("z4_interior.json"), encoding="utf-8") as fh:
+        return json.load(fh)["groupoids"]["C"]
+
+
+@pytest.mark.parametrize("cap, loads", [(3, False), (4, True)])
+def test_arrow_cap_is_inclusive(cap, loads):
+    """The arrow cap counts units and admits exactly ``cap`` arrows: Z/4
+    has four."""
+    data = {"groupoids": {"C": z4_presentation()}}
+    if loads:
+        assert len(load_scenario(data, arrow_cap=cap).groupoids["C"].arrows) == 4
+    else:
+        with pytest.raises(ScenarioError, match="exceeds the 3-arrow cap"):
+            load_scenario(data, arrow_cap=cap)
+
+
+K = {"id": "k", "src": "x", "tgt": "x"}
+BAD_PRESENTATIONS = [
+    ("relations", [[["k", "k", "k", "k"], []], [[], []]],
+     "groupoids.C.relations[1]: needs a non-empty word"),
+    ("generators", [dict(K, id="-k")], "groupoids.C.generators: generator id '-k' starts"),
+    ("generators", [K, dict(K, id="-k")], "groupoids.C.generators: generator id '-k' starts"),
+    ("generators", [K, K], "groupoids.C.generators: generator id 'k' repeats")]
+
+
+@pytest.mark.parametrize("field, value, message", BAD_PRESENTATIONS,
+                         ids=["empty-relation", "dash-id", "id-and-its-inverse", "repeated-id"])
+def test_cli_bad_presentation_exits_2_naming_the_field(field, value, message, tmp_path,
+                                                        capsys):
+    """A relation of two empty words and a generator id that repeats or
+    starts with '-' end in exit 2 and a JSON error naming the field."""
+    with open(scenario_path("z4_interior.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["groupoids"]["C"][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = execute(["--scenario", str(path), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["ok"] is False and report["error"].startswith(message)
+
+
+@st.composite
+def presentations(draw, plain=False):
+    """A generator block on one to three objects with up to three ids and
+    up to three relations: powers equal to the unit, random words, words
+    with an unknown letter, and empty words.  ``plain`` ids are distinct
+    and do not start with '-'."""
+    objects = ["x", "y", "z"][:draw(st.integers(1, 3))]
+    names = st.sampled_from(["a", "b", "c"] if plain else ["a", "b", "-a", "c"])
+    n = draw(st.integers(0, 3))
+    ids = draw(st.lists(names, min_size=n, max_size=n, unique=plain))
+    gens = [{"id": g, "src": draw(st.sampled_from(objects)),
+             "tgt": draw(st.sampled_from(objects))} for g in ids]
+    letters = st.sampled_from([*ids, *("-" + g for g in ids)] or ["u"])
+    words = st.lists(letters, min_size=1, max_size=4)
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["power"] * 3 + ["words", "unknown", "unit", "empty"]))
+        if kind == "power":
+            relations.append([[draw(letters)] * draw(st.integers(1, 4)), []])
+        elif kind == "empty":
+            relations.append([[], []])
+        else:
+            lhs, rhs = draw(words), [] if kind == "unit" else draw(words)
+            relations.append([lhs + ["u"] if kind == "unknown" else lhs, rhs])
+    return objects, {"objects": objects, "generators": gens, "relations": relations}
+
+
+@settings(ORACLE, max_examples=200)
+@given(presentations())
+def test_cli_never_raises_on_a_presentation(drawn):
+    """Any small generator block ends in exit 0, 1 or 2, never in an
+    exception."""
+    _, block = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"groupoids": {"G": block}, "tasks": [{"task": "validate"}]}, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = execute(["--scenario", path, "--format", "json"])
+    event("exit %d" % code)
+    assert code in (0, 1, 2)
+
+
+def expansion(build, objects, block, cap):
+    """The parts of a generated groupoid, or the message of the
+    ScenarioError that refused it."""
+    try:
+        g = build("G", block, objects, cap)
+    except ScenarioError as e:
+        return "refused", str(e)
+    return "loaded", (g.arrows, g._src, g._tgt, list(g.entries()), g._neg, g._units)
+
+
+def capped(cap):
+    return "refused", "G: generated groupoid exceeds the %d-arrow cap" % cap
+
+
+@settings(ORACLE, max_examples=200)
+@given(presentations(plain=True), st.integers(1, 24))
+def test_generated_groupoid_matches_the_name_lookup_expansion(drawn, cap):
+    """The letter table gives the groupoid, or the message, of the old
+    expansion under a cap one lower, but for the number the cap's message
+    names: the old cap admitted one arrow past it, and the library's
+    admits none."""
+    objects, block = drawn
+    got = expansion(_groupoid_from_generators, objects, block, cap)
+    try:
+        want = expansion(oracles.groupoid_from_generators, objects, block, cap - 1)
+    except TypeError:  # the old expansion crashed on a relation of two empty words
+        event("old crashed")
+        assert got[0] == "refused" and got[1].endswith("needs a non-empty word")
+        return
+    if want == capped(cap - 1):
+        want = capped(cap)
+    if want != expansion(oracles.groupoid_from_generators, objects, block, cap):
+        event("the inclusive cap refuses")
+    event(want[0] if want[0] == "loaded" else want[1].split(": ", 1)[1][:24])
+    assert got == want
