@@ -232,11 +232,9 @@ class PartialMap:
 
     __slots__ = ("domain", "table")
 
-    def __init__(self, table, domain=None):
+    def __init__(self, table):
         self.table = dict(table)
-        self.domain = frozenset(self.table if domain is None else domain)
-        if self.domain != frozenset(self.table):
-            raise TopologyError("domain does not match table keys")
+        self.domain = frozenset(self.table)
 
     def __call__(self, p):
         try:

@@ -151,15 +151,16 @@ def build_wg(dg, w):
 
 
 class LocalLinearSection:
-    """Square-valued section on an open arrow set, with its boundary data."""
+    """Square-valued section on an open arrow set, with its boundary data:
+    ``dom0`` and ``dom1`` are the keys of the tables ``s0`` and ``squares``."""
 
     __slots__ = ("dom0", "dom1", "s0", "squares", "_sorted")
 
-    def __init__(self, dom0, dom1, s0, squares):
-        self.dom0 = frozenset(dom0)
-        self.dom1 = frozenset(dom1)
+    def __init__(self, s0, squares):
         self.s0 = dict(s0)
         self.squares = dict(squares)
+        self.dom0 = frozenset(self.s0)
+        self.dom1 = frozenset(self.squares)
         self._sorted = None
 
     @property
@@ -177,7 +178,7 @@ class LocalLinearSection:
         return PartialMap({z: sq.top for z, sq in self.squares.items()})
 
     def base_map(self):
-        return PartialMap({x: self.s0[x] for x in self.dom0})
+        return PartialMap(self.s0)
 
     def __eq__(self, other):
         if not isinstance(other, LocalLinearSection):
@@ -200,14 +201,18 @@ def _feet(G, arrows):
 
 
 def _nonunit_pairs(G, dom):
-    for u in dom:
+    """The triples (u, v, u + v) of ``dom`` with u and v non-units, in
+    ``_skey`` order of u, then of v."""
+    arrows, by_src = G.arrows, G.tables()[3]
+    for u in sorted(dom, key=_skey):
         if G.is_unit(u):
             continue
-        for v in dom:
-            if G.is_unit(v) or not G.composable(u, v):
-                continue
-            if G.add(u, v) in dom:
-                yield u, v
+        for j in by_src.get(G.tgt(u), ()):
+            v = arrows[j]
+            if v in dom and not G.is_unit(v):
+                uv = G.add(u, v)
+                if uv in dom:
+                    yield u, v, uv
 
 
 def check_local_section(dg, sec):
@@ -221,12 +226,6 @@ def check_local_section(dg, sec):
         out.append("object domain not open")
     if not _feet(G, sec.dom1) <= sec.dom0:
         out.append("feet of arrow domain leave object domain")
-    if set(sec.s0) != set(sec.dom0):
-        out.append("s0 not defined exactly on the object domain")
-        return out
-    if set(sec.squares) != set(sec.dom1):
-        out.append("squares not defined exactly on the arrow domain")
-        return out
     for x in sorted(sec.dom0, key=_skey):
         if G.tgt(sec.s0[x]) != x:
             out.append("s0 not a target section at %s" % (x,))
@@ -244,28 +243,26 @@ def check_local_section(dg, sec):
             out.append("left edge base point disagrees with s0 at %s" % (z,))
     if out:
         return out
-    for u, v in _nonunit_pairs(G, sec.dom1):
+    for u, v, uv in _nonunit_pairs(G, sec.dom1):
         try:
             rhs = dg.comp2(sec.squares[u], sec.squares[v])
         except _MODEL_ERRORS:
             out.append("linearity fails at (%s,%s): not composable" % (u, v))
             continue
-        if rhs != sec.squares[G.add(u, v)]:
+        if rhs != sec.squares[uv]:
             out.append("linearity fails at (%s,%s)" % (u, v))
     f1 = sec.top_map()
     ok, reason = is_partial_homeomorphism(f1, AS, AS)
     if not ok:
         out.append("top map not a partial homeomorphism: %s" % reason)
     else:
-        for u, v in _nonunit_pairs(G, sec.dom1):
-            if f1.table[G.add(u, v)] != G.add(f1.table[u], f1.table[v]):
+        for u, v, uv in _nonunit_pairs(G, sec.dom1):
+            if f1.table[uv] != G.add(f1.table[u], f1.table[v]):
                 out.append("top map not multiplicative at (%s,%s)" % (u, v))
-        image = f1.image()
         inv = f1.inverse()
-        for p, q in _nonunit_pairs(G, image):
-            if inv.table[G.add(p, q)] != G.add(inv.table[p], inv.table[q]):
+        for p, q, pq in _nonunit_pairs(G, f1.image()):
+            if inv.table[pq] != G.add(inv.table[p], inv.table[q]):
                 out.append("inverse top map not multiplicative at (%s,%s)" % (p, q))
-    f0 = sec.base_map()
     f0a = PartialMap({x: G.src(sec.s0[x]) for x in sec.dom0})
     ok, reason = is_partial_homeomorphism(f0a, XS, XS)
     if not ok:
@@ -276,9 +273,9 @@ def check_local_section(dg, sec):
 def section_violations(dg, sec):
     """``check_local_section(dg, sec)``, run once per section content on
     each double groupoid and kept there: the verdict reads nothing of the
-    section but its dom0, dom1, s0 and squares, which equal sections
-    share.  The section searches, the closure products and the chart
-    certificate's inverses meet the same sections again."""
+    section but its s0 and squares, which equal sections share.  The
+    section searches, the closure products and the chart certificate's
+    inverses meet the same sections again."""
     verdicts = dg._section_verdicts
     bad = verdicts.get(sec)
     if bad is None:
@@ -304,15 +301,11 @@ def smoothness_violations(dg, wg, sec):
     return out
 
 
-def constant_section(dg, dom1, dom0=None):
+def constant_section(dg, dom1):
     """Identity-square section: the unit for the section product."""
     G = dg.edge
-    AS, XS = G.arrow_space(), G.object_space()
-    dom1 = frozenset(dom1)
-    if dom0 is None:
-        dom0 = XS.min_neighbourhood(_feet(G, dom1))
-    return LocalLinearSection(dom0, dom1,
-                              {x: G.unit(x) for x in dom0},
+    dom0 = G.object_space().min_neighbourhood(_feet(G, dom1))
+    return LocalLinearSection({x: G.unit(x) for x in dom0},
                               {z: dg.eps1(z) for z in dom1})
 
 
@@ -325,7 +318,7 @@ def local_section_mul(dg, sec, tau, check=True):
     squares = {z: dg.vcomp(sec.squares[tau.squares[z].top], tau.squares[z])
                for z in dom1}
     s0 = {x: G.add(sec.s0[f0[x]], tau.s0[x]) for x in dom0}
-    out = LocalLinearSection(dom0, dom1, s0, squares)
+    out = LocalLinearSection(s0, squares)
     if check:
         bad = section_violations(dg, out)
         if bad:
@@ -333,7 +326,7 @@ def local_section_mul(dg, sec, tau, check=True):
     return out
 
 
-def local_section_inv(dg, sec, check=True):
+def local_section_inv(dg, sec):
     """sec^{-1}(z) = -1 sec(topmap^{-1}(z)), on the image domains."""
     G = dg.edge
     f1inv = sec.top_map().inverse()
@@ -343,11 +336,10 @@ def local_section_inv(dg, sec, check=True):
     dom0 = f0inv.domain
     squares = {z: dg.vneg(sec.squares[f1inv.table[z]]) for z in dom1}
     s0 = {x: G.neg(sec.s0[f0inv.table[x]]) for x in dom0}
-    out = LocalLinearSection(dom0, dom1, s0, squares)
-    if check:
-        bad = section_violations(dg, out)
-        if bad:
-            raise HolonomyError("section inverse invalid: %s" % bad[0])
+    out = LocalLinearSection(s0, squares)
+    bad = section_violations(dg, out)
+    if bad:
+        raise HolonomyError("section inverse invalid: %s" % bad[0])
     return out
 
 
@@ -461,15 +453,17 @@ def _complete_base_map(dg, dom0, pins, alpha_req, smooth):
     return None
 
 
-def section_from_squares(dg, dom1, square_map, window=None, smooth=False):
-    """Assemble and validate a section from a square assignment, completing
-    the boundary data; None when no valid completion exists."""
+def section_from_squares(dg, square_map, window=None):
+    """Assemble and validate a section from a square table on its arrow
+    domain, completing the boundary data; None when no valid completion
+    exists.  A ``window`` means smooth: values in the window, the first
+    continuous s0, and a square map continuous into the window."""
     G = dg.edge
-    XS = G.object_space()
-    dom0 = XS.min_neighbourhood(_feet(G, dom1))
+    dom0 = G.object_space().min_neighbourhood(_feet(G, square_map))
+    smooth = window is not None
     pins = {}
     alpha_req = {}
-    for z in dom1:
+    for z in square_map:
         t = G.tgt(z)
         r = square_map[z].right
         if pins.get(t, r) != r:
@@ -488,10 +482,10 @@ def section_from_squares(dg, dom1, square_map, window=None, smooth=False):
     s0 = dg._base_maps[key]
     if s0 is None:
         return None
-    sec = LocalLinearSection(dom0, dom1, s0, square_map)
+    sec = LocalLinearSection(s0, square_map)
     if section_violations(dg, sec):
         return None
-    if window is not None and smoothness_violations(dg, window, sec):
+    if smooth and smoothness_violations(dg, window, sec):
         return None
     return sec
 
@@ -550,12 +544,12 @@ def square_tables(dg, arrows, candidates):
     return (dict(zip(arrows, f)) for f in depth_first(len(arrows), options, fits))
 
 
-def min_sections_at(dg, a, window=None, smooth=False):
+def min_sections_at(dg, a, window=None):
     """All sections whose arrow domain is the minimal open of ``a``, in
     ``_skey`` order of their contents.
 
-    ``window`` restricts values (and, with ``smooth``, demands continuity
-    into the window space).  Restriction to minimal domains loses no
+    A ``window`` restricts values and demands smoothness, as in
+    ``section_from_squares``.  Restriction to minimal domains loses no
     germs: any section restricts to one of these with the same germ at
     ``a``.
     """
@@ -564,7 +558,7 @@ def min_sections_at(dg, a, window=None, smooth=False):
     candidates = {z: list(source.with_bottom(z)) for z in M}
     results = []
     for table in square_tables(dg, M, candidates):
-        sec = section_from_squares(dg, frozenset(M), table, window=window, smooth=smooth)
+        sec = section_from_squares(dg, table, window)
         if sec is not None:
             results.append(sec)
     results.sort(key=lambda s: _skey(s._key))
@@ -575,7 +569,7 @@ def _window_sections(wg, a):
     """Smooth window-valued sections on the minimal open of ``a``,
     searched once per window and arrow and kept on ``wg``."""
     if a not in wg._sections:
-        wg._sections[a] = min_sections_at(wg.dg, a, window=wg, smooth=True)
+        wg._sections[a] = min_sections_at(wg.dg, a, window=wg)
     return wg._sections[a]
 
 
@@ -1171,17 +1165,17 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
         raise HolonomyError("induced evaluation not a morphism: %s" % bad[0])
 
     # embedding of window squares by germs of through-sections; the
-    # charts read the classes found for each square
+    # charts read the classes found for each square.  A through-section of
+    # w is a window section on M(bottom w) valued w there, so its germ is a
+    # seed germ valued w: those seeds are w's through-germs, arrows of J_r
     jr_set = set(jr.arrows)
+    seed_classes = {}
+    for g in seed:
+        seed_classes.setdefault(g.value(), set()).add(proj.arr_map[g])
     through_classes = {}
     embed = {}
     for sq in wg.ordered:
-        classes = set()
-        for theta in sections_through(wg, sq):
-            g = germ_at(dg, theta, sq.bottom)
-            if g not in jr_set:
-                raise HolonomyError("through germ outside generated germs at %s" % (sq,))
-            classes.add(proj.arr_map[g])
+        classes = seed_classes.get(sq, set())
         if not classes:
             if require_axioms:
                 raise HolonomyError("no through-section for %s despite S4" % (sq,))
@@ -1385,10 +1379,11 @@ def _transition_pairs(hol, wide, proved, out):
 # ---------------------------------------------------------------------------
 
 
-def push_section(dg_target, mu, sec):
-    """Image of a section under a vertical morphism, revalidated."""
+def push_section(window, mu, sec):
+    """Image of a section under a vertical morphism, assembled as a
+    smooth section into the target ``window``; None when it is not one."""
     squares = {z: mu.arr_map[sq] for z, sq in sec.squares.items()}
-    return section_from_squares(dg_target, sec.dom1, squares)
+    return section_from_squares(window.dg, squares, window)
 
 
 def universal_morphism(wgA, mu, hol):
@@ -1493,8 +1488,8 @@ def universal_morphism(wgA, mu, hol):
         for theta in sections_through(wgA, p):
             if not all(v in pre for v in theta.squares.values()):
                 continue
-            img = push_section(dgC, mu, theta)
-            if img is None or smoothness_violations(dgC, wg, img):
+            img = push_section(wg, mu, theta)
+            if img is None:
                 continue
             g = germ_at(dgC, img, p.bottom)
             if g in jr_set and hol.projection.arr_map[g] not in classes:

@@ -171,9 +171,6 @@ class LinearSection(LocalLinearSection):
 
     __slots__ = ()
 
-    def __init__(self, sigma0, squares):
-        super().__init__(sigma0, squares, sigma0, squares)
-
     @property
     def sigma0(self):
         return self.s0

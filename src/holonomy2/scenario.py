@@ -16,6 +16,8 @@ from .xmod import CrossedModule, XModError
 from .holonomy import HolonomyError, WStructure
 
 DEFAULT_ARROW_CAP = 512
+# rewrite steps one word may take before its relations count as non-terminating
+REWRITE_STEPS = 10000
 
 
 class ScenarioError(Exception):
@@ -209,7 +211,7 @@ def _invert_letter(letter):
     return letter[1:] if letter.startswith("-") else "-" + letter
 
 
-def _rewrite(word, rules, cap=10000):
+def _rewrite(word, rules, loc):
     word = _free_reduce(word)
     steps = 0
     changed = True
@@ -222,9 +224,9 @@ def _rewrite(word, rules, cap=10000):
                 if word[i:i + n] == lhs:
                     word = _free_reduce(word[:i] + rhs + word[i + n:])
                     steps += 1
-                    if steps > cap:
+                    if steps > REWRITE_STEPS:
                         raise ScenarioError(
-                            "<relations>", "rewriting does not terminate; "
+                            loc, "rewriting does not terminate; "
                             "provide a full composition table instead")
                     changed = True
                     i = 0
@@ -236,8 +238,10 @@ def _rewrite(word, rules, cap=10000):
 def _groupoid_from_generators(loc, block, objects, arrow_cap):
     """The groupoid presented by ``generators`` and ``relations``: the
     closure of the units under right multiplication by letters, each
-    element a (starting object, rewritten word), refused when a new arrow
-    would take it past ``arrow_cap`` arrows, units counted."""
+    element a (starting object, rewritten word), refused when its units
+    or a new arrow would take it past ``arrow_cap`` arrows."""
+    if len(set(objects)) > arrow_cap:
+        raise ScenarioError(loc, "generated groupoid exceeds the %d-arrow cap" % arrow_cap)
     gens = _ends("%s.generators" % loc, block["generators"])
     names = [g for g, _, _ in gens]
     for g in names:
@@ -305,7 +309,7 @@ def _groupoid_from_generators(loc, block, objects, arrow_cap):
     for x, word in queue:
         for letter, (s, t) in sides.items():
             if s == tgt[x, word]:
-                key = (x, _rewrite(word + (letter,), rules))
+                key = (x, _rewrite(word + (letter,), rules, loc))
                 if key not in tgt:
                     if len(tgt) >= arrow_cap:
                         raise ScenarioError(loc, "generated groupoid exceeds the "
@@ -319,14 +323,14 @@ def _groupoid_from_generators(loc, block, objects, arrow_cap):
     for ka in arrows:
         for kb in arrows:
             if tgt[ka] == kb[0]:
-                kk = (ka[0], _rewrite(ka[1] + kb[1], rules))
+                kk = (ka[0], _rewrite(ka[1] + kb[1], rules, loc))
                 if kk not in tgt:
                     raise ScenarioError(loc, "relations leave the generated set; "
                                         "composition %s+%s escaped" % (ids[ka], ids[kb]))
                 table[ids[ka], ids[kb]] = ids[kk]
     neg = {}
     for k in arrows:
-        kk = (tgt[k], _rewrite(tuple(_invert_letter(l) for l in reversed(k[1])), rules))
+        kk = (tgt[k], _rewrite(tuple(_invert_letter(l) for l in reversed(k[1])), rules, loc))
         if kk not in tgt:
             raise ScenarioError(loc, "negation escaped the generated set at %s" % ids[k])
         neg[ids[k]] = ids[kk]

@@ -47,8 +47,8 @@ from holonomy2 import holonomy
 from holonomy2.holonomy import (_MODEL_ERRORS, Chart, HolonomyError, LocalLinearSection,
                                 WGSquares, _feet, build_wg, constant_section, germ_at,
                                 germ_inv, germ_mul, unit_germ, window_germs, left_translation,
-                                local_section_inv, local_section_mul, push_section,
-                                section_from_squares, smoothness_violations)
+                                local_section_inv, local_section_mul, section_from_squares,
+                                smoothness_violations)
 from holonomy2.holonomy import square_tables as library_square_tables
 from holonomy2.scenario import ScenarioError, _ends, _invert_letter, _rewrite, _typed
 from holonomy2.homotopy import DerivationError, FreeDerivation, LinearSection, check_linear_section
@@ -663,7 +663,10 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
     def pushed(piece, choices):
         out = []
         for theta in sections_through(dgA, preW, piece)[:choices]:
-            img = push_section(dgC, mu, theta)
+            # the reference push: the first completion of s0, then
+            # smoothness into the window
+            squares = {z: mu.arr_map[sq] for z, sq in theta.squares.items()}
+            img = section_from_squares(dgC, squares)
             if img is not None and not smoothness_violations(dgC, wg, img):
                 out.append(img)
         return out
@@ -929,11 +932,11 @@ def arrow_bijections(gsrc, gtgt, f0):
     yield from extend(0, {})
 
 
-def min_sections_at(dg, a, window=None, smooth=False, pin=None):
+def min_sections_at(dg, a, window=None, pin=None):
     """All sections whose arrow domain is the minimal open of ``a``.
 
-    ``window`` restricts values (and, with ``smooth``, demands continuity
-    into the window space); ``pin`` fixes chosen squares in advance.
+    ``window`` restricts values and demands smoothness; ``pin`` fixes
+    chosen squares in advance.
     Restriction to minimal domains loses no germs: any section restricts
     to one of these with the same germ at ``a``.
     """
@@ -986,8 +989,7 @@ def min_sections_at(dg, a, window=None, smooth=False, pin=None):
 
     def extend(i, assign):
         if i == len(M):
-            sec = section_from_squares(dg, frozenset(M), dict(assign),
-                                       window=window, smooth=smooth)
+            sec = section_from_squares(dg, dict(assign), window)
             if sec is not None:
                 results.append(sec)
             return
@@ -1003,7 +1005,7 @@ def min_sections_at(dg, a, window=None, smooth=False, pin=None):
     return results
 
 
-def pinned_search(dg, a, window=None, smooth=False, pin=None):
+def pinned_search(dg, a, window=None, pin=None):
     """The library's minimal-domain search as it stood with pins: the
     shared square-table search over candidates cut down to the pins."""
     M = sorted(dg.edge.arrow_space().minimal_open(a), key=_skey)
@@ -1012,7 +1014,7 @@ def pinned_search(dg, a, window=None, smooth=False, pin=None):
                       if not pin or z not in pin or sq == pin[z]] for z in M}
     results = []
     for table in library_square_tables(dg, M, candidates):
-        sec = section_from_squares(dg, frozenset(M), table, window=window, smooth=smooth)
+        sec = section_from_squares(dg, table, window)
         if sec is not None:
             results.append(sec)
     results.sort(key=lambda s: _skey(s._key))
@@ -1021,8 +1023,7 @@ def pinned_search(dg, a, window=None, smooth=False, pin=None):
 
 def sections_through(dg, wg, w_square, search=min_sections_at):
     """Through-sections of one square, by a search pinned to it."""
-    return search(dg, w_square.bottom, window=wg, smooth=True,
-                  pin={w_square.bottom: w_square})
+    return search(dg, w_square.bottom, window=wg, pin={w_square.bottom: w_square})
 
 
 def has_enough_sections(dg, wg, search=min_sections_at):
@@ -1214,8 +1215,7 @@ def restrict_section(dg, sec, dom1, dom0=None):
     if dom0 is None:
         dom0 = XS.min_neighbourhood(_feet(G, dom1))
     dom0 = frozenset(dom0) & sec.dom0
-    return LocalLinearSection(dom0, dom1,
-                              {x: sec.s0[x] for x in dom0},
+    return LocalLinearSection({x: sec.s0[x] for x in dom0},
                               {z: sec.squares[z] for z in dom1})
 
 
@@ -1359,7 +1359,7 @@ def groupoid_from_generators(loc, block, objects, arrow_cap):
             s, t = letter_ends(letter)
             if s != tail:
                 continue
-            new = _rewrite(word + (letter,), rules)
+            new = _rewrite(word + (letter,), rules, loc)
             start = ends(new)[0] if new else x
             if new and start != x:
                 continue
@@ -1390,7 +1390,7 @@ def groupoid_from_generators(loc, block, objects, arrow_cap):
             xb, wb = kb
             if tgt[ids[ka]] != xb:
                 continue
-            new = _rewrite(wa + wb, rules)
+            new = _rewrite(wa + wb, rules, loc)
             kk = (xa, new)
             if kk not in seen:
                 raise ScenarioError(loc, "relations leave the generated set; "
@@ -1399,7 +1399,7 @@ def groupoid_from_generators(loc, block, objects, arrow_cap):
     neg = {}
     for k in arrows:
         x, word = k
-        inv = _rewrite(tuple(_invert_letter(l) for l in reversed(word)), rules)
+        inv = _rewrite(tuple(_invert_letter(l) for l in reversed(word)), rules, loc)
         kk = (tgt[ids[k]], inv)
         if kk not in seen:
             raise ScenarioError(loc, "negation escaped the generated set at %s" % ids[k])

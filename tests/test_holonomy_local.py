@@ -1,7 +1,13 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import holonomy2
 
 from holonomy2.dgpd import DoubleGroupoidError, build_double_groupoid
 from holonomy2.fintop import FiniteTopSpace
@@ -27,10 +33,10 @@ def topologized_items(all_cms):
     return items
 
 
-def all_min_sections(dg, window=None, smooth=False):
+def all_min_sections(dg, window=None):
     out = []
     for a in sorted(dg.edge.arrows):
-        out.extend(min_sections_at(dg, a, window=window, smooth=smooth))
+        out.extend(min_sections_at(dg, a, window=window))
     seen = []
     for s in out:
         if s not in seen:
@@ -76,7 +82,7 @@ def test_section_times_constant_restriction(all_cms):
         cmt, _ = discrete_item(cm)
         dg = build_double_groupoid(cmt)
         for sec in all_min_sections(dg)[:10]:
-            ident = constant_section(dg, sec.dom1, sec.dom0)
+            ident = constant_section(dg, sec.dom1)
             assert local_section_mul(dg, sec, ident) == sec, name
 
 
@@ -264,3 +270,37 @@ def test_model_error_in_linearity_is_a_verdict(z2z2, monkeypatch, exc):
     sec = constant_section(dg, dg.edge.arrows)
     monkeypatch.setattr(dg, "comp2", _raising(exc))
     assert any("not composable" in v for v in check_local_section(dg, sec))
+
+
+# Z/4 on itself with its full-domain constant section, each non-unit
+# arrow's square replaced by the first other square with the same bottom,
+# right edge and left base point: no two of them compose
+Z4_CORRUPTED_VERDICTS = """
+import json
+from frontier import zn_on_itself
+from holonomy2.dgpd import build_double_groupoid
+from holonomy2.holonomy import check_local_section, constant_section
+dg = build_double_groupoid(zn_on_itself(4))
+G = dg.edge
+sec = constant_section(dg, G.arrows)
+for a in G.arrows:
+    if not G.is_unit(a):
+        sq = sec.squares[a]
+        sec.squares[a] = next(o for o in dg.with_bottom(a) if o != sq and o.right == sq.right
+                              and G.src(o.left) == G.src(sq.left))
+print(json.dumps(check_local_section(dg, sec)))
+"""
+
+
+def test_check_local_section_lists_verdicts_in_arrow_order():
+    """The verdicts are listed in ``_skey`` order of the arrow pairs, so
+    the list, and the first message a section product raises, do not
+    depend on the hash seed."""
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(holonomy2.__file__)),
+                            os.path.dirname(__file__)])
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", Z4_CORRUPTED_VERDICTS], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)).stdout)
+        for seed in ("0", "1", "2")]
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == "linearity fails at (1,1): not composable"

@@ -24,7 +24,7 @@ def brute_force_singleton_germs(dg, a):
     count = 0
     for sq in dg.with_bottom(a):
         from holonomy2.holonomy import section_from_squares
-        if section_from_squares(dg, frozenset([a]), {a: sq}) is not None:
+        if section_from_squares(dg, {a: sq}) is not None:
             count += 1
     return count
 

@@ -790,8 +790,7 @@ def corrupted_holonomy(draw):
             if extra:
                 sq = draw(st.sampled_from(extra))
                 charts[i] = (holonomy.LocalLinearSection(
-                    section.dom0, section.dom1 | {sq.bottom}, section.s0,
-                    {**section.squares, sq.bottom: sq}), mapping)
+                    section.s0, {**section.squares, sq.bottom: sq}), mapping)
     hol.charts = [Chart(section, mapping) for section, mapping in charts]
     return hol
 
@@ -1296,9 +1295,9 @@ def test_deductions_match_every_triple_loop_when_a_product_raises():
     assert raised and fast == slow
 
 
-def pinned_min_sections_at(dg, a, window, smooth, pin):
+def pinned_min_sections_at(dg, a, window, pin):
     """The sections of ``min_sections_at`` that take the pinned squares."""
-    return [s for s in min_sections_at(dg, a, window, smooth)
+    return [s for s in min_sections_at(dg, a, window)
             if all(s.squares[z] == sq for z, sq in (pin or {}).items())]
 
 
@@ -1307,8 +1306,9 @@ def pinned_min_sections_at(dg, a, window, smooth, pin):
 @pytest.mark.parametrize("name", sorted(SECTION_MODELS))
 def test_min_sections_at_matches_rescanning_search(name, data):
     """Every arrow, under a drawn window (none, the whole window, or a
-    random square subwindow), smoothness flag and pinned window square;
-    the fast search has no pins, so its results are filtered by the pin."""
+    random square subwindow; a window means smooth) and pinned window
+    square; the fast search has no pins, so its results are filtered by
+    the pin."""
     dg, wg = section_model(name)
     G = dg.edge
     window = data.draw(st.sampled_from([None, wg, "subset"]))
@@ -1317,15 +1317,14 @@ def test_min_sections_at_matches_rescanning_search(name, data):
         keep = data.draw(st.sampled_from([0.3, 0.6, 0.9]))
         window = oracles.square_subwindow(wg, [sq for sq in sorted(wg.squares, key=_skey)
                                                if rnd.random() < keep])
-    smooth = data.draw(st.booleans())
     for a in sorted(G.arrows, key=_skey):
         pin = None
         if data.draw(st.booleans()):
             z = data.draw(st.sampled_from(sorted(G.arrow_space().minimal_open(a), key=_skey)))
             if wg.with_bottom(z):
                 pin = {z: data.draw(st.sampled_from(wg.with_bottom(z)))}
-        got = outcome(pinned_min_sections_at, dg, a, window, smooth, pin)
-        assert got == outcome(oracles.min_sections_at, dg, a, window, smooth, pin)
+        got = outcome(pinned_min_sections_at, dg, a, window, pin)
+        assert got == outcome(oracles.min_sections_at, dg, a, window, pin)
         event("sections" if got[0] == "ok" and got[1] else kind_of(got))
 
 
