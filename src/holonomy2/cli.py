@@ -15,14 +15,13 @@ import os
 import sys
 import time
 
-from .fintop import DEFAULT_POINT_CAP
+from .fintop import DEFAULT_POINT_CAP, ModelError
 from .groupoid import _skey, check_groupoid
 from .xmod import check_crossed_module, find_xmod_isomorphism, check_xmod_morphism
 from .dgpd import build_double_groupoid, check_double, crossed_module_of
 from .homotopy import coadmissible_section, enumerate_free_derivations, enumerate_linear_sections
-from .holonomy import (_MODEL_ERRORS, build_wg, check_wstructure,
-                       check_locally_lie_double, check_locally_lie_xmod,
-                       generation_equivalence, holonomy_groupoid,
+from .holonomy import (build_wg, check_wstructure, check_locally_lie_double,
+                       check_locally_lie_xmod, generation_equivalence, holonomy_groupoid,
                        identity_vertical_morphism, universal_morphism,
                        check_chart_coherence)
 from .scenario import ScenarioError, load_scenario
@@ -248,7 +247,7 @@ def execute(argv=None):
             t0 = time.monotonic()
             try:
                 ok, details = TASKS[tname](scn, task, opts)
-            except _MODEL_ERRORS as e:
+            except ModelError as e:
                 ok, details = False, {"error": str(e)}
             entry = {"task": tname, "ok": ok, "details": details}
             if opts.timings:

@@ -153,7 +153,7 @@ def sierpinski_pair_topology():
     arrows = ["xx", "xy", "yx", "yy"]
     amin = {"xx": {"xx"}, "xy": {"xx", "xy"}, "yx": {"xx", "yx"},
             "yy": {"xx", "xy", "yx", "yy"}}
-    arr = FiniteTopSpace.from_min_opens(arrows, {a: frozenset(m) for a, m in amin.items()})
+    arr = FiniteTopSpace(arrows, {a: frozenset(m) for a, m in amin.items()})
     obj = FiniteTopSpace.from_opens("xy", [[], ["x"], ["x", "y"]])
     return arr, obj
 
@@ -162,7 +162,7 @@ def sierpinski_bundle_topology(points_arrows):
     """Topology on a two-point Z/2 bundle mirroring the Sierpinski base."""
     mins = {"0@x": {"0@x"}, "1@x": {"0@x", "1@x"},
             "0@y": {"0@x", "0@y"}, "1@y": {"0@x", "1@x", "0@y", "1@y"}}
-    return FiniteTopSpace.from_min_opens(points_arrows, {a: frozenset(mins[a]) for a in points_arrows})
+    return FiniteTopSpace(points_arrows, {a: frozenset(mins[a]) for a in points_arrows})
 
 
 def with_topology(cm, kind):

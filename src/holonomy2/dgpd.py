@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .groupoid import Groupoid, GroupoidError, _skey, spanning_generators
-from .xmod import CrossedModule, XModError, apply_action
+from .fintop import ModelError
+from .groupoid import Groupoid, _skey, spanning_generators
+from .xmod import CrossedModule, apply_action
 
 
 class Square(NamedTuple):
@@ -37,12 +38,8 @@ class Square(NamedTuple):
         return "[%s:%s|%s|%s|%s]" % (self.inner, self.top, self.left, self.right, self.bottom)
 
 
-class DoubleGroupoidError(ValueError):
+class DoubleGroupoidError(ModelError):
     pass
-
-
-# what comp1/comp2/neg1/neg2 raise on squares that do not compose
-COMPOSITION_ERRORS = (DoubleGroupoidError, GroupoidError, XModError)
 
 
 class DoubleGroupoid:

@@ -31,12 +31,13 @@ DEFAULT_POINT_CAP = 64
 _MATERIALISE_LIMIT = 1 << 16
 
 
-class TopologyError(ValueError):
+class ModelError(ValueError):
+    """A model that does not compose or does not satisfy its axioms: the
+    base of every error the library raises on the data it is given."""
+
+
+class TopologyError(ModelError):
     pass
-
-
-def _canon(points):
-    return frozenset(points)
 
 
 class FiniteTopSpace:
@@ -52,7 +53,7 @@ class FiniteTopSpace:
     __slots__ = ("points", "_min", "_opens_cache")
 
     def __init__(self, points, min_opens):
-        self.points = _canon(points)
+        self.points = frozenset(points)
         self._opens_cache = None
         self._min, distinct = {}, {}
         for p in self.points:
@@ -69,7 +70,7 @@ class FiniteTopSpace:
 
     @classmethod
     def from_opens(cls, points, opens, point_cap=DEFAULT_POINT_CAP):
-        points = _canon(points)
+        points = frozenset(points)
         if point_cap is not None and len(points) > point_cap:
             raise TopologyError(
                 "space has %d points, cap is %d" % (len(points), point_cap))
@@ -104,7 +105,7 @@ class FiniteTopSpace:
     @classmethod
     def from_generators(cls, points, generators, point_cap=DEFAULT_POINT_CAP):
         """Topology generated by an arbitrary subbase."""
-        points = _canon(points)
+        points = frozenset(points)
         if point_cap is not None and len(points) > point_cap:
             raise TopologyError(
                 "space has %d points, cap is %d" % (len(points), point_cap))
@@ -119,17 +120,12 @@ class FiniteTopSpace:
         return cls(points, mins)
 
     @classmethod
-    def from_min_opens(cls, points, min_opens):
-        """Internal constructor for derived spaces; skips the point cap."""
-        return cls(points, min_opens)
-
-    @classmethod
     def discrete(cls, points):
         return cls(points, {p: frozenset([p]) for p in points})
 
     @classmethod
     def indiscrete(cls, points):
-        pts = _canon(points)
+        pts = frozenset(points)
         return cls(pts, {p: pts for p in pts})
 
     # -- queries ------------------------------------------------------
@@ -169,13 +165,13 @@ class FiniteTopSpace:
         s = frozenset(subset)
         if not s <= self.points:
             raise TopologyError("subspace points not within space")
-        return FiniteTopSpace.from_min_opens(s, {p: self._min[p] & s for p in s})
+        return FiniteTopSpace(s, {p: self._min[p] & s for p in s})
 
     def product(self, other):
         pts = frozenset(itertools.product(self.points, other.points))
         mins = {(p, q): frozenset(itertools.product(self._min[p], other._min[q]))
                 for (p, q) in pts}
-        return FiniteTopSpace.from_min_opens(pts, mins)
+        return FiniteTopSpace(pts, mins)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteTopSpace):
@@ -224,7 +220,7 @@ def pullback_space(component_spaces, points, components):
             parts.sort(key=len)
             m = shared[key] = parts[0].intersection(*parts[1:]) if parts else pts
         mins[p] = m
-    return FiniteTopSpace.from_min_opens(pts, mins)
+    return FiniteTopSpace(pts, mins)
 
 
 class PartialMap:
@@ -235,12 +231,6 @@ class PartialMap:
     def __init__(self, table):
         self.table = dict(table)
         self.domain = frozenset(self.table)
-
-    def __call__(self, p):
-        try:
-            return self.table[p]
-        except KeyError:
-            raise TopologyError("point %r outside domain" % (p,)) from None
 
     def image(self):
         return frozenset(self.table.values())

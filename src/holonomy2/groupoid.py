@@ -11,10 +11,10 @@ from __future__ import annotations
 import copy
 from operator import itemgetter
 
-from .fintop import FiniteTopSpace, PartialMap, is_continuous, pullback_space
+from .fintop import FiniteTopSpace, ModelError, PartialMap, is_continuous, pullback_space
 
 
-class GroupoidError(ValueError):
+class GroupoidError(ModelError):
     pass
 
 
@@ -445,9 +445,6 @@ class GroupoidMorphism:
     def __init__(self, obj_map, arr_map):
         self.obj_map = dict(obj_map)
         self.arr_map = dict(arr_map)
-
-    def __call__(self, a):
-        return self.arr_map[a]
 
     def __repr__(self):
         return "GroupoidMorphism(%d objects, %d arrows)" % (len(self.obj_map), len(self.arr_map))

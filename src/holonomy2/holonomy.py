@@ -24,18 +24,13 @@ import bisect
 import itertools
 from collections import defaultdict
 
-from .fintop import FiniteTopSpace, PartialMap, TopologyError, is_continuous, is_partial_homeomorphism, pullback_space
+from .fintop import FiniteTopSpace, ModelError, PartialMap, TopologyError, is_continuous, is_partial_homeomorphism, pullback_space
 from .groupoid import Groupoid, GroupoidMorphism, NormalSubgroupoid, _skey, check_groupoid, check_groupoid_morphism, depth_first, generated_subgroupoid, quotient, triples_by_last
 from .xmod import apply_action
-from .dgpd import COMPOSITION_ERRORS
 
 
-class HolonomyError(ValueError):
+class HolonomyError(ModelError):
     pass
-
-
-# what a section product raises on data that does not compose
-_MODEL_ERRORS = COMPOSITION_ERRORS + (HolonomyError, TopologyError)
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +160,12 @@ class LocalLinearSection:
 
     @property
     def _key(self):
-        """Sorted contents, built on first comparison: most products are
-        never hashed."""
+        """Sorted tables, built on first comparison: most products are
+        never hashed.  The domains are the tables' keys, and the sections
+        sorted together by ``_skey`` of the key (one search's) share them,
+        so the tables alone decide both equality and that order."""
         if self._sorted is None:
-            self._sorted = (tuple(sorted(self.dom0, key=_skey)),
-                            tuple(sorted(self.dom1, key=_skey)),
-                            tuple(sorted(self.s0.items(), key=lambda kv: _skey(kv[0]))),
+            self._sorted = (tuple(sorted(self.s0.items(), key=lambda kv: _skey(kv[0]))),
                             tuple(sorted(self.squares.items(), key=lambda kv: _skey(kv[0]))))
         return self._sorted
 
@@ -246,7 +241,7 @@ def check_local_section(dg, sec):
     for u, v, uv in _nonunit_pairs(G, sec.dom1):
         try:
             rhs = dg.comp2(sec.squares[u], sec.squares[v])
-        except _MODEL_ERRORS:
+        except ModelError:
             out.append("linearity fails at (%s,%s): not composable" % (u, v))
             continue
         if rhs != sec.squares[uv]:
@@ -769,7 +764,7 @@ def _locally_lie_deductions(dg, wg, enough, differences):
                 continue
             try:
                 ks = local_section_mul(dg, k, s, check=False)
-            except _MODEL_ERRORS:
+            except ModelError:
                 continue
             for t in secs:
                 if checked >= DEDUCTION_TRIPLES:
@@ -778,7 +773,7 @@ def _locally_lie_deductions(dg, wg, enough, differences):
                     continue
                 try:
                     kst = local_section_mul(dg, ks, t, check=False)
-                except _MODEL_ERRORS:
+                except ModelError:
                     continue
                 for a in sorted(kst.dom1, key=_skey):
                     b = t.squares[a].top
@@ -1014,7 +1009,7 @@ def build_restricted_germs(dg, wg):
     return generated_germs(dg, window_germs(dg, wg))
 
 
-def build_unit_germs(dg, wg, jr, seed):
+def build_unit_germs(dg, jr, seed):
     """Window germs evaluating to an identity square: the normal kernel.
 
     Wideness and normality are re-verified, never assumed.
@@ -1047,9 +1042,6 @@ class Chart:
         self.mapping = dict(mapping)
         self.domain = frozenset(self.mapping)
 
-    def __call__(self, sq):
-        return self.mapping[sq]
-
     def image(self):
         return frozenset(self.mapping.values())
 
@@ -1059,7 +1051,7 @@ class Chart:
 
 class HolonomyGroupoid:
     def __init__(self, dg, wg, quotient_groupoid, projection, psi, embed,
-                 topology, germ_groupoid, seed, unit_sub, witness, charts, report):
+                 topology, germ_groupoid, unit_sub, charts, report):
         self.dg = dg
         self.wg = wg
         self.quotient = quotient_groupoid
@@ -1068,9 +1060,7 @@ class HolonomyGroupoid:
         self.embed = embed
         self.topology = topology
         self.germ_groupoid = germ_groupoid
-        self.seed = seed
         self.unit_sub = unit_sub
-        self.witness = witness
         self.charts = charts
         self.report = report
 
@@ -1086,16 +1076,25 @@ def left_translation(dg, sec, w_square):
     return dg.comp1(sec.squares[w_square.top], w_square)
 
 
-def _chart_for(dg, hol, proj, jr_index, sec, through_classes):
+def _chart_for(dg, hol, proj, jr_index, sec, through_by_top):
     """Chart of a section, c_s(w) = proj([s]_{top w}) + embed[w] in the
     quotient ``hol``, with the number of squares it skips because their
     embedding is ill-defined.
 
-    ``through_classes`` maps each window square with a through-section,
-    in square order, to the classes of its through-germs, as the
+    ``through_by_top`` maps each top edge, in the order of its first
+    square, to the window squares with a through-section under it, in
+    square order, each with the classes of its through-germs as the
     embedding found them: one class, embed[w], where it is well defined.
     ``jr_index`` holds the generated germs, among them every
     through-germ; ``proj`` is the quotient's projection from them.
+
+    The chart walks the tops in the arrow domain of s and forms one germ
+    per top.  The feet of such a top lie in the object domain of s: every
+    witness section passes ``check_local_section``, whose "feet of arrow
+    domain leave object domain" verdict rules the contrary out.  Seeds
+    are assembled by ``section_from_squares``, units are
+    ``constant_section`` over the minimal neighbourhood of their feet,
+    and inverses and products pass ``section_violations``.
 
     Chart-translate lemma.  The chart of s sends w to the class of
     [s * theta]_a, for any through-section theta of w and a = bottom w,
@@ -1110,22 +1109,20 @@ def _chart_for(dg, hol, proj, jr_index, sec, through_classes):
     subgroupoid holding [theta]_a, so [s * theta]_a is among them
     exactly when [s]_{top w} is.
     """
-    G = dg.edge
-    mapping, at_top = {}, {}
+    mapping = {}
     skipped = 0
-    for sq, classes in through_classes.items():
-        top = sq.top
-        if top not in sec.dom1 or G.src(top) not in sec.dom0 or G.tgt(top) not in sec.dom0:
+    for top, through in through_by_top.items():
+        if top not in sec.dom1:
             continue
-        if top not in at_top:
-            g = germ_at(dg, sec, top)
-            if g not in jr_index:
-                raise HolonomyError("chart germ escaped the generated germs at %s" % (sq,))
-            at_top[top] = proj.arr_map[g]
-        if len(classes) != 1:
-            skipped += 1
-            continue
-        mapping[sq] = hol.add(at_top[top], next(iter(classes)))
+        g = germ_at(dg, sec, top)
+        if g not in jr_index:
+            raise HolonomyError("chart germ escaped the generated germs at %s" % (through[0][0],))
+        at_top = proj.arr_map[g]
+        for sq, classes in through:
+            if len(classes) != 1:
+                skipped += 1
+                continue
+            mapping[sq] = hol.add(at_top, next(iter(classes)))
     return Chart(sec, mapping), skipped
 
 
@@ -1147,7 +1144,7 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
     bad = check_groupoid(jr)
     if bad:
         raise HolonomyError("germ groupoid invalid: %s" % bad[0])
-    unit_sub = build_unit_germs(dg, wg, jr, seed)
+    unit_sub = build_unit_germs(dg, jr, seed)
     hol, proj = quotient(jr, unit_sub)
 
     # the induced evaluation on classes must be constant on each class
@@ -1165,14 +1162,15 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
         raise HolonomyError("induced evaluation not a morphism: %s" % bad[0])
 
     # embedding of window squares by germs of through-sections; the
-    # charts read the classes found for each square.  A through-section of
-    # w is a window section on M(bottom w) valued w there, so its germ is a
-    # seed germ valued w: those seeds are w's through-germs, arrows of J_r
+    # charts read the classes found for each square, grouped by top edge.
+    # A through-section of w is a window section on M(bottom w) valued w
+    # there, so its germ is a seed germ valued w: those seeds are w's
+    # through-germs, arrows of J_r
     jr_set = set(jr.arrows)
     seed_classes = {}
     for g in seed:
         seed_classes.setdefault(g.value(), set()).add(proj.arr_map[g])
-    through_classes = {}
+    through_by_top = {}
     embed = {}
     for sq in wg.ordered:
         classes = seed_classes.get(sq, set())
@@ -1180,7 +1178,7 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
             if require_axioms:
                 raise HolonomyError("no through-section for %s despite S4" % (sq,))
             continue
-        through_classes[sq] = classes
+        through_by_top.setdefault(sq.top, []).append((sq, classes))
         if len(classes) != 1:
             if require_axioms:
                 raise HolonomyError("embedding ill-defined at %s" % (sq,))
@@ -1196,7 +1194,7 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
         if sec in seen_sections:
             continue
         seen_sections.add(sec)
-        chart, skipped = _chart_for(dg, hol, proj, jr_set, sec, through_classes)
+        chart, skipped = _chart_for(dg, hol, proj, jr_set, sec, through_by_top)
         chart_skips += skipped
         charts.append(chart)
     # the generated topology depends neither on the order of its basis
@@ -1226,7 +1224,7 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
         psi_arrows[hol.unit(obj)] == dg.eps1(obj) for obj in hol.objects)
 
     return HolonomyGroupoid(dg, wg, hol, proj, psi, embed, topology,
-                            jr, seed, unit_sub, witness, charts, report)
+                            jr, unit_sub, charts, report)
 
 
 def check_chart_coherence(hol):
@@ -1294,7 +1292,7 @@ def _charts_translate(hol):
         if chart.mapping:
             try:
                 local_section_inv(dg, chart.section)
-            except _MODEL_ERRORS:
+            except ModelError:
                 return False
     return True
 
@@ -1345,7 +1343,7 @@ def _transition_pairs(hol, wide, proved, out):
                         inv = local_section_inv(dg, hol.charts[j].section)
                         inverse_sections[j] = {z: pos[sq] for z, sq in inv.squares.items()}
                     t_inv = inverse_sections[j]
-                except _MODEL_ERRORS as e:
+                except ModelError as e:
                     out["violations"].append("transition section undefined: %s" % e)
                     continue
                 # eta(z) = t^-1(top s(z)) +1 s(z); t^-1(w) has bottom w, so

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 
+from .fintop import ModelError
 from .groupoid import _skey, depth_first, triples_by_last
 from .xmod import XModMorphism, apply_action
 from .dgpd import Square
 from .holonomy import LocalLinearSection, local_section_mul, square_tables
 
 
-class DerivationError(ValueError):
+class DerivationError(ModelError):
     pass
 
 
@@ -165,28 +166,16 @@ def inverse_derivation(cm, s):
     return t
 
 
-class LinearSection(LocalLinearSection):
-    """Everywhere-defined linear coadmissible section of a double groupoid:
-    the local linear section whose domains are all objects and arrows."""
-
-    __slots__ = ()
-
-    @property
-    def sigma0(self):
-        return self.s0
-
-    def __repr__(self):
-        return "LinearSection(%d arrows)" % len(self.squares)
-
-
 def check_linear_section(dg, sec):
-    """Violations of the linear coadmissible-section conditions."""
+    """Violations of the linear coadmissible-section conditions.  A
+    linear section is a ``LocalLinearSection`` whose domains are all
+    objects and all arrows; its s0 is the paper's sigma0."""
     G = dg.edge
     out = []
     for x in G.objects:
-        if x not in sec.sigma0:
+        if x not in sec.s0:
             out.append("sigma0 missing at %s" % (x,))
-        elif G.tgt(sec.sigma0[x]) != x:
+        elif G.tgt(sec.s0[x]) != x:
             out.append("sigma0 not a target section at %s" % (x,))
     for a in G.arrows:
         sq = sec.squares.get(a)
@@ -198,7 +187,7 @@ def check_linear_section(dg, sec):
             continue
         if sq.bottom != a:
             out.append("bottom edge wrong at %s" % (a,))
-        if sq.left != sec.sigma0.get(G.src(a)) or sq.right != sec.sigma0.get(G.tgt(a)):
+        if sq.left != sec.s0.get(G.src(a)) or sq.right != sec.s0.get(G.tgt(a)):
             out.append("side edges disagree with sigma0 at %s" % (a,))
         if dg.cm.C.tgt(sq.inner) != G.tgt(a):
             out.append("inner foot wrong at %s" % (a,))
@@ -209,7 +198,7 @@ def check_linear_section(dg, sec):
         rhs = dg.comp2(sec.squares[a], sec.squares[b])
         if lhs != rhs:
             out.append("linearity fails at (%s,%s)" % (a, b))
-    alpha0 = {x: G.src(sec.sigma0[x]) for x in G.objects}
+    alpha0 = {x: G.src(sec.s0[x]) for x in G.objects}
     if len(set(map(_skey, alpha0.values()))) != len(G.objects):
         out.append("alpha sigma0 is not a bijection")
     f1 = {a: sec.squares[a].top for a in G.arrows}
@@ -234,7 +223,7 @@ def coadmissible_section(dg, s):
     squares = {}
     for a in G.arrows:
         squares[a] = Square(s.s1[a], f.f1[a], s.s0[G.src(a)], s.s0[G.tgt(a)], a)
-    sec = LinearSection(dict(s.s0), squares)
+    sec = LocalLinearSection(s.s0, squares)
     bad = check_linear_section(dg, sec)
     if bad:
         raise DerivationError("induced section invalid: %s" % bad[0])
@@ -256,7 +245,7 @@ def section_to_derivation(dg, sec):
     bad = check_linear_section(dg, sec)
     if bad:
         raise DerivationError("not a linear section: %s" % bad[0])
-    s = FreeDerivation(dict(sec.sigma0),
+    s = FreeDerivation(sec.s0,
                        {a: sec.squares[a].inner for a in dg.edge.arrows})
     bad = check_free_derivation(dg.cm, s)
     if bad:
@@ -268,11 +257,10 @@ def section_mul(dg, sec, tau):
     """Group multiplication: the local section product of full-domain
     sections, (sec * tau)(z) = sec(top tau(z)) +1 tau(z)."""
     prod = local_section_mul(dg, sec, tau, check=False)
-    out = LinearSection(prod.s0, prod.squares)
-    bad = check_linear_section(dg, out)
+    bad = check_linear_section(dg, prod)
     if bad:
         raise DerivationError("product section invalid: %s" % bad[0])
-    return out
+    return prod
 
 
 def enumerate_linear_sections(dg):
@@ -291,7 +279,7 @@ def enumerate_linear_sections(dg):
                           if sq.left == sigma0[G.src(a)] and sq.right == sigma0[G.tgt(a)]]
                       for a in arrows}
         for table in square_tables(dg, arrows, candidates):
-            sec = LinearSection(sigma0, table)
+            sec = LocalLinearSection(sigma0, table)
             if not check_linear_section(dg, sec):
                 out.append(sec)
     return out

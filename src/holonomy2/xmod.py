@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 
+from .fintop import ModelError
 from .groupoid import GroupoidMorphism, _skey, depth_first, triples_by_last
 
 
-class XModError(ValueError):
+class XModError(ModelError):
     pass
 
 
@@ -24,8 +25,9 @@ class CrossedModule:
         if set(C.objects) != set(G.objects):
             raise XModError("C and G must share the object set")
         self.delta = dict(delta)
+        c_arrows, g_arrows = set(C.arrows), set(G.arrows)
         for c, a in self.delta.items():
-            if c not in set(C.arrows) or a not in set(G.arrows):
+            if c not in c_arrows or a not in g_arrows:
                 raise XModError("boundary entry %s -> %s has dangling identifiers" % (c, a))
         for c in C.arrows:
             if c not in self.delta:
@@ -34,11 +36,8 @@ class CrossedModule:
                 raise XModError("boundary not the identity on objects at %s" % (c,))
         self.action = dict(action)
         for (c, a), c2 in self.action.items():
-            if c not in set(C.arrows) or a not in set(G.arrows) or c2 not in set(C.arrows):
+            if c not in c_arrows or a not in g_arrows or c2 not in c_arrows:
                 raise XModError("action entry (%s)^(%s)=%s has dangling identifiers" % (c, a, c2))
-
-    def act(self, c, a):
-        return apply_action(self, c, a)
 
     def action_pairs(self):
         for c in self.C.arrows:
@@ -165,8 +164,8 @@ def check_xmod_morphism(m, src, tgt):
                 out.append("boundary square fails at %s" % (c,))
         for c, a in src.action_pairs():
             try:
-                lhs = m.f2[src.act(c, a)]
-                rhs = tgt.act(m.f2[c], m.f1[a])
+                lhs = m.f2[apply_action(src, c, a)]
+                rhs = apply_action(tgt, m.f2[c], m.f1[a])
             except XModError:
                 out.append("f2(c^a) != f2(c)^{f1(a)} at (%s, %s): undefined" % (c, a))
                 continue

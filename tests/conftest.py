@@ -92,7 +92,7 @@ def z4_coset_item():
     cm = zn_on_itself(4)
 
     def cosets(fmt):
-        return FiniteTopSpace.from_min_opens(
+        return FiniteTopSpace(
             [fmt % i for i in range(4)],
             {fmt % i: frozenset({fmt % (i % 2), fmt % (i % 2 + 2)}) for i in range(4)})
 

@@ -38,20 +38,20 @@ from __future__ import annotations
 
 import itertools
 
-from holonomy2.dgpd import (COMPOSITION_ERRORS, DoubleGroupoidError, build_double_groupoid,
+from holonomy2.dgpd import (DoubleGroupoidError, build_double_groupoid,
                             square_boundary_ok)
-from holonomy2.fintop import FiniteTopSpace, PartialMap, TopologyError
+from holonomy2.fintop import FiniteTopSpace, ModelError, PartialMap, TopologyError
 from holonomy2.groupoid import (Groupoid, GroupoidError, GroupoidMorphism, _continuity_report,
                                 _skey, check_groupoid_morphism)
 from holonomy2 import holonomy
-from holonomy2.holonomy import (_MODEL_ERRORS, Chart, HolonomyError, LocalLinearSection,
+from holonomy2.holonomy import (Chart, HolonomyError, LocalLinearSection,
                                 WGSquares, _feet, build_wg, constant_section, germ_at,
                                 germ_inv, germ_mul, unit_germ, window_germs, left_translation,
                                 local_section_inv, local_section_mul, section_from_squares,
                                 smoothness_violations)
 from holonomy2.holonomy import square_tables as library_square_tables
 from holonomy2.scenario import ScenarioError, _ends, _invert_letter, _rewrite, _typed
-from holonomy2.homotopy import DerivationError, FreeDerivation, LinearSection, check_linear_section
+from holonomy2.homotopy import DerivationError, FreeDerivation, check_linear_section
 from holonomy2.xmod import XModMorphism, apply_action
 
 
@@ -71,7 +71,7 @@ def pullback_space(component_spaces, points, components):
         cmins = [sp.minimal_open(x) for sp, x in zip(component_spaces, comp[p])]
         mins[p] = frozenset(q for q in pts
                             if all(x in m for x, m in zip(comp[q], cmins)))
-    return FiniteTopSpace.from_min_opens(pts, mins)
+    return FiniteTopSpace(pts, mins)
 
 
 def is_continuous(f, src, tgt):
@@ -525,7 +525,7 @@ def check_chart_coherence(hol):
             try:
                 eta = local_section_mul(dg, local_section_inv(dg, ct.section),
                                         cs.section, check=False)
-            except _MODEL_ERRORS as e:
+            except ModelError as e:
                 out["violations"].append("transition section undefined: %s" % e)
                 continue
             moved = {}
@@ -791,11 +791,11 @@ def section_mul(dg, sec, tau):
     G = dg.edge
     sigma0 = {}
     for x in G.objects:
-        sigma0[x] = G.add(sec.sigma0[G.src(tau.sigma0[x])], tau.sigma0[x])
+        sigma0[x] = G.add(sec.s0[G.src(tau.s0[x])], tau.s0[x])
     squares = {}
     for z in G.arrows:
         squares[z] = dg.comp1(sec.squares[tau.squares[z].top], tau.squares[z])
-    out = LinearSection(sigma0, squares)
+    out = LocalLinearSection(sigma0, squares)
     bad = check_linear_section(dg, out)
     if bad:
         raise DerivationError("product section invalid: %s" % bad[0])
@@ -818,13 +818,13 @@ def enumerate_linear_sections(dg):
                     try:
                         if dg.comp2(partial[a], partial[b]) != partial[ab]:
                             return False
-                    except COMPOSITION_ERRORS:
+                    except ModelError:
                         return False
         return True
 
     def extend(i, partial, sigma0):
         if i == len(arrows):
-            sec = LinearSection(sigma0, dict(partial))
+            sec = LocalLinearSection(sigma0, dict(partial))
             if not check_linear_section(dg, sec):
                 out.append(sec)
             return
@@ -1242,7 +1242,7 @@ def locally_lie_deductions(dg, wg, enough, differences):
         try:
             ks = local_section_mul(dg, k, s, check=False)
             kst = local_section_mul(dg, ks, t, check=False)
-        except _MODEL_ERRORS:
+        except ModelError:
             continue
         for a in sorted(kst.dom1, key=_skey):
             b = t.squares[a].top

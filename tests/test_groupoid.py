@@ -159,7 +159,7 @@ def test_topologized_groupoid_continuity():
 def test_topologized_groupoid_bad_topology_reported():
     g = corpus.pair_groupoid("xy")
     # an asymmetric topology breaks negation continuity
-    arr = FiniteTopSpace.from_min_opens(
+    arr = FiniteTopSpace(
         g.arrows, {"xx": frozenset(["xx"]), "xy": frozenset(["xx", "xy"]),
                    "yx": frozenset(g.arrows), "yy": frozenset(g.arrows)})
     obj = FiniteTopSpace.from_opens("xy", [[], ["x"], ["x", "y"]])

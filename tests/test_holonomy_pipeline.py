@@ -103,7 +103,7 @@ def test_kernel_germs_discrete_are_units(cm):
     dg = build_double_groupoid(cm)
     wg = build_wg(dg, w)
     jr, seed, wit = build_restricted_germs(dg, wg)
-    sub = build_unit_germs(dg, wg, jr, seed)
+    sub = build_unit_germs(dg, jr, seed)
     assert sub.arrows == frozenset(unit_germ(dg, a) for a in dg.edge.arrows)
 
 
@@ -113,7 +113,7 @@ def test_kernel_germs_contain_constant_everywhere(all_cms):
         dg = build_double_groupoid(cm)
         wg = build_wg(dg, w)
         jr, seed, wit = build_restricted_germs(dg, wg)
-        sub = build_unit_germs(dg, wg, jr, seed)
+        sub = build_unit_germs(dg, jr, seed)
         for a in dg.edge.arrows:
             assert unit_germ(dg, a) in sub.arrows
 
@@ -123,7 +123,7 @@ def test_kernel_germs_conjugation_closed_indiscrete(z2z2):
     dg = build_double_groupoid(cm)
     wg = build_wg(dg, w)
     jr, seed, wit = build_restricted_germs(dg, wg)
-    sub = build_unit_germs(dg, wg, jr, seed)
+    sub = build_unit_germs(dg, jr, seed)
     assert sub.violations() == []
     for n in sub.arrows:
         for g in jr.arrows:

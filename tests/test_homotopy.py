@@ -2,7 +2,7 @@ import pytest
 
 from holonomy2 import homotopy
 from holonomy2.dgpd import build_double_groupoid
-from holonomy2.homotopy import (DerivationError, FreeDerivation, LinearSection,
+from holonomy2.homotopy import (DerivationError, FreeDerivation,
                                 check_free_derivation, check_linear_section,
                                 constant_derivation, derivation_mul,
                                 derivation_to_section,

@@ -29,13 +29,13 @@ from holonomy2.fintop import (FiniteTopSpace, PartialMap, is_continuous, is_part
                               pullback_space)
 from holonomy2.groupoid import (Groupoid, GroupoidError, GroupoidMorphism, NormalSubgroupoid,
                                 _skey, check_groupoid, generated_subgroupoid)
-from holonomy2.holonomy import (Chart, WStructure, _chart_for, build_germ_groupoid, build_restricted_germs, build_wg,
+from holonomy2.holonomy import (Chart, LocalLinearSection, WStructure, _chart_for, build_germ_groupoid, build_restricted_germs, build_wg,
                                 check_chart_coherence, full_wstructure, germ_at,
                                 has_enough_sections, holonomy_groupoid,
                                 identity_vertical_morphism, local_section_inv, min_sections_at,
                                 sections_through, square_tables,
                                 universal_morphism)
-from holonomy2.homotopy import (LinearSection, enumerate_free_derivations,
+from holonomy2.homotopy import (enumerate_free_derivations,
                                 enumerate_linear_sections, induced_endomorphism,
                                 is_coadmissible, section_mul)
 from holonomy2.xmod import CrossedModule
@@ -77,7 +77,7 @@ def preorders(draw, prefix="p", max_points=5):
         if k in below[j] and i in below[k]:
             below[j].add(i)
     name = lambda i: "%s%d" % (prefix, i)
-    return FiniteTopSpace.from_min_opens(
+    return FiniteTopSpace(
         [name(i) for i in range(n)],
         {name(i): frozenset(name(j) for j in below[i]) for i in range(n)})
 
@@ -199,7 +199,7 @@ def test_window_operation_matches_materialised_pair_space(data):
 def test_window_operation_verdicts_on_hand_cases():
     """Not open, open but not continuous, open and continuous, and a pair
     off the factor space: each verdict equals the materialised one."""
-    sierpinski = FiniteTopSpace.from_min_opens("ab", {"a": {"a"}, "b": {"a", "b"}})
+    sierpinski = FiniteTopSpace("ab", {"a": {"a"}, "b": {"a", "b"}})
     single = FiniteTopSpace.discrete(["u"])
     discrete, indiscrete = FiniteTopSpace.discrete(["s", "t"]), FiniteTopSpace.indiscrete(["s", "t"])
     cases = [
@@ -217,7 +217,7 @@ def test_window_operation_verdicts_on_hand_cases():
 def relabelled(space, names):
     """``space`` with its points, in sorted order, renamed to ``names``."""
     rename = dict(zip(sorted(space.points), names))
-    return FiniteTopSpace.from_min_opens(
+    return FiniteTopSpace(
         list(names), {rename[p]: frozenset(map(rename.get, space.minimal_open(p)))
                       for p in space.points})
 
@@ -302,7 +302,7 @@ def test_every_constructor_interns_equal_minimal_opens():
         "indiscrete": FiniteTopSpace.indiscrete("abc"),
         "from_opens": FiniteTopSpace.from_opens("abc", [[], ["a", "b"], ["a", "b", "c"]]),
         "from_generators": FiniteTopSpace.from_generators("abc", [["a", "b"], ["b", "a"]]),
-        "from_min_opens": FiniteTopSpace.from_min_opens(
+        "constructor": FiniteTopSpace(
             "abc", {"a": ab, "b": ab_again, "c": frozenset("abc")}),
         "subspace": FiniteTopSpace.indiscrete("abcd").subspace("abc"),
         "product": xy.product(FiniteTopSpace.discrete("uv")),
@@ -316,7 +316,7 @@ def test_every_constructor_interns_equal_minimal_opens():
         for p, q in itertools.combinations(shared, 2):
             if space.minimal_open(p) == space.minimal_open(q):
                 assert space.minimal_open(p) is space.minimal_open(q), name
-    assert spaces["from_min_opens"].minimal_open("a") is spaces["from_min_opens"].minimal_open("b")
+    assert spaces["constructor"].minimal_open("a") is spaces["constructor"].minimal_open("b")
 
 
 @ORACLE
@@ -850,12 +850,15 @@ def test_charts_match_whole_product_germs(name):
     hol = holonomy_model(name)
     dg, wg = hol.dg, hol.wg
     through = {sq: sections_through(wg, sq) for sq in wg.ordered}
-    classes = {sq: {hol.projection.arr_map[germ_at(dg, t, sq.bottom)] for t in thetas}
-               for sq, thetas in through.items() if thetas}
+    by_top = {}
+    for sq, thetas in through.items():
+        if thetas:
+            by_top.setdefault(sq.top, []).append(
+                (sq, {hol.projection.arr_map[germ_at(dg, t, sq.bottom)] for t in thetas}))
     jr = set(hol.germ_groupoid.arrows)
     skips = 0
     for chart in hol.charts:
-        fast = _chart_for(dg, hol.quotient, hol.projection, jr, chart.section, classes)
+        fast = _chart_for(dg, hol.quotient, hol.projection, jr, chart.section, by_top)
         slow = oracles.chart_for(dg, hol.projection, jr, chart.section, through, strict=False)
         assert fast[0].mapping == slow[0].mapping == chart.mapping
         assert fast[1] == slow[1]
@@ -1195,7 +1198,7 @@ def test_s1_s5_report_on_z4_indiscrete_matches_per_square_search(monkeypatch):
 def sierpinski_pair2_item():
     """pair2 over the Sierpinski pair groupoid, its window mirroring the base."""
     cm = corpus.with_topology(corpus.pair2(), "sierpinski")
-    space = FiniteTopSpace.from_min_opens(
+    space = FiniteTopSpace(
         cm.C.arrows, {"0@x": frozenset({"0@x"}), "0@y": frozenset({"0@x", "0@y"})})
     return cm, WStructure(cm.C.arrows, space)
 
@@ -1239,8 +1242,8 @@ def derivation_tables(dg, limit=4):
             break
         if not is_coadmissible(cm, s)[0]:
             f = induced_endomorphism(cm, s)
-            out.append(LinearSection(s.s0, {a: Square(s.s1[a], f.f1[a], s.s0[G.src(a)],
-                                                      s.s0[G.tgt(a)], a) for a in G.arrows}))
+            out.append(LocalLinearSection(s.s0, {a: Square(s.s1[a], f.f1[a], s.s0[G.src(a)],
+                                                           s.s0[G.tgt(a)], a) for a in G.arrows}))
     return out
 
 

@@ -1,9 +1,11 @@
 import contextlib
 import glob
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import runpy
 import subprocess
 import sys
@@ -15,14 +17,13 @@ from hypothesis import strategies as st
 
 import oracles
 
+import holonomy2
 from holonomy2 import cli
 from holonomy2.cli import execute
 from holonomy2.dgpd import DoubleGroupoidError
-from holonomy2.fintop import TopologyError
-from holonomy2.groupoid import GroupoidError, check_groupoid
-from holonomy2.holonomy import HolonomyError
+from holonomy2.fintop import ModelError
+from holonomy2.groupoid import check_groupoid
 from holonomy2.scenario import ScenarioError, _groupoid_from_generators, load_scenario
-from holonomy2.xmod import XModError
 
 ORACLE = settings.get_profile("oracles")
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -293,12 +294,16 @@ def test_loader_rejects_malformed_window_arrows(arrows):
         load_scenario(data)
 
 
-@pytest.mark.parametrize("error", [HolonomyError, GroupoidError, DoubleGroupoidError,
-                                   XModError, TopologyError])
+MODEL_ERRORS = sorted(ModelError.__subclasses__(), key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("error", MODEL_ERRORS)
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_cli_model_error_is_a_failed_task(error, fmt, monkeypatch, capsys):
     """A library error raised inside a task gives that task an error entry
-    and exit 1, not a traceback; the tasks before and after it still run."""
+    and exit 1, not a traceback; the tasks before and after it still run.
+    The library has six error types, one per module that checks a model."""
+    assert len(MODEL_ERRORS) == 6
     def task_double(scn, task, opts):
         raise error("odd model")
 
@@ -323,16 +328,91 @@ def test_cli_model_error_is_a_failed_task(error, fmt, monkeypatch, capsys):
         assert lines[-1] == "overall: FAIL"
 
 
+def test_every_library_error_is_a_model_error():
+    """Every exception class a ``holonomy2`` module defines, but the
+    loader's ``ScenarioError`` (exit 2), is a ``ModelError``, which the
+    CLI turns into a failed task."""
+    found = []
+    for info in pkgutil.iter_modules(holonomy2.__path__):
+        mod = importlib.import_module("holonomy2." + info.name)
+        found += [cls for cls in vars(mod).values()
+                  if isinstance(cls, type) and issubclass(cls, BaseException)
+                  and cls.__module__ == mod.__name__ and cls is not ScenarioError]
+    assert set(found) == {ModelError, *MODEL_ERRORS}
+
+
+def cyclic_group(labels):
+    """A block of the cyclic group on ``labels`` over the one object x."""
+    n = len(labels)
+    return {"objects": ["x"],
+            "arrows": [{"id": a, "src": "x", "tgt": "x"} for a in labels],
+            "compose": [[labels[i], labels[j], labels[(i + j) % n]]
+                        for i in range(n) for j in range(n)],
+            "neg": {labels[i]: labels[-i % n] for i in range(n)},
+            "units": {"x": labels[0]}}
+
+
+def test_non_linear_induced_section_is_a_failed_task(tmp_path, capsys):
+    """C = G = Z/2, identity boundary, every action value c0: the derivation
+    task's induced section is not linear.  That task gets an error entry,
+    the exit code is 1, and the other tasks keep their entries."""
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({
+        "groupoids": {"C": cyclic_group(["c0", "c1"]), "G": cyclic_group(["g0", "g1"])},
+        "xmods": {"CM": {"c": "C", "g": "G", "delta": {"c0": "g0", "c1": "g1"},
+                         "action": [[c, a, "c0"] for c in ("c0", "c1") for a in ("g0", "g1")]}},
+        "tasks": [{"task": "validate"}, {"task": "derivations", "xmod": "CM"},
+                  {"task": "double", "xmod": "CM"}]}))
+    code = execute(["--scenario", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    report = json.loads(captured.out)
+    assert [t["task"] for t in report["tasks"]] == ["validate", "derivations", "double"]
+    assert report["tasks"][1] == {
+        "task": "derivations", "ok": False,
+        "details": {"error": "induced section invalid: linearity fails at (g0,g0)"}}
+
+
+@st.composite
+def cyclic_models(draw):
+    """C = Z/m and G = Z/n on one object, m, n in {2, 3}, with the boundary
+    and action tables drawn uniformly, a full discrete window and all six
+    tasks."""
+    m, n = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3]))
+    cs, gs = ["c%d" % i for i in range(m)], ["g%d" % i for i in range(n)]
+    return {"groupoids": {"C": cyclic_group(cs), "G": cyclic_group(gs)},
+            "xmods": {"CM": {"c": "C", "g": "G",
+                             "delta": {c: draw(st.sampled_from(gs)) for c in cs},
+                             "action": [[c, a, draw(st.sampled_from(cs))]
+                                        for c in cs for a in gs]}},
+            "wstructures": {"W": {"xmod": "CM"}},
+            "tasks": [{"task": "validate"}] + [
+                {"task": t, "xmod": "CM"} for t in ("double", "gamma", "derivations")] + [
+                {"task": t, "xmod": "CM", "w": "W"} for t in ("holonomy", "universal")]}
+
+
+@settings(ORACLE, max_examples=60)
+@given(cyclic_models())
+def test_cli_never_raises_on_a_cyclic_model(data):
+    """Any boundary and action tables over Z/m and Z/n run all six tasks
+    to a report: exit 0 or 1 and one JSON object on standard output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = execute(["--scenario", path, "--format", "json"])
+    event("exit %d" % code)
+    assert code in (0, 1)
+    report = json.loads(out.getvalue())
+    assert isinstance(report, dict) and len(report["tasks"]) == 6
+
+
 def cyclic_scenario(n, tasks):
     """Scenario of Z/n acting trivially on itself, identity boundary."""
     def group(prefix):
-        labels = [prefix + str(i) for i in range(n)]
-        return {"objects": ["x"],
-                "arrows": [{"id": a, "src": "x", "tgt": "x"} for a in labels],
-                "compose": [[labels[i], labels[j], labels[(i + j) % n]]
-                            for i in range(n) for j in range(n)],
-                "neg": {labels[i]: labels[-i % n] for i in range(n)},
-                "units": {"x": labels[0]}}
+        return cyclic_group([prefix + str(i) for i in range(n)])
     return {"groupoids": {"G": group(""), "C": group("c")},
             "xmods": {"CM": {"c": "C", "g": "G",
                              "delta": {"c%d" % i: str(i) for i in range(n)},
