@@ -9,7 +9,7 @@ together with its chart topology and universal property.
 """
 
 from .fintop import FiniteTopSpace, PartialMap, ModelError, TopologyError, is_continuous, is_partial_homeomorphism
-from .groupoid import Groupoid, GroupoidMorphism, NormalSubgroupoid, GroupoidError, check_groupoid, check_groupoid_morphism, generated_subgroupoid, quotient
+from .groupoid import Groupoid, GroupoidMorphism, NormalSubgroupoid, GroupoidError, check_groupoid, check_groupoid_morphism, generated_subgroupoid, pair_rows, quotient
 from .xmod import CrossedModule, XModMorphism, XModError, check_crossed_module, apply_action, check_xmod_morphism, find_xmod_isomorphism
 from .dgpd import Square, DoubleGroupoid, build_double_groupoid, crossed_module_of, check_double
 from .homotopy import FreeDerivation, constant_derivation, check_free_derivation, enumerate_free_derivations, induced_endomorphism, derivation_mul, is_coadmissible, inverse_derivation, derivation_to_section, section_to_derivation, section_mul, enumerate_linear_sections

@@ -119,7 +119,7 @@ def task_derivations(scn, task, opts):
 
 def _windowed(scn, task, loc):
     """The task's crossed module and window, with the double groupoid,
-    the window squares and their S1-S5 report, built once for the task."""
+    the window squares and their S1-S5 report, built once per run."""
     name, cm = _xmod_for(scn, task, loc)
     wname = task.get("w")
     if not isinstance(wname, str) or wname not in scn.windows:
@@ -128,8 +128,18 @@ def _windowed(scn, task, loc):
     if wcm is not cm:
         raise ScenarioError(loc, "window %r belongs to another xmod" % wname)
     dg = _double_for(scn, name, cm)
-    wg = build_wg(dg, w)
-    return name, cm, wname, w, dg, wg, check_locally_lie_double(dg, wg)
+    if (name, wname) not in scn.windowed:
+        wg = build_wg(dg, w)
+        scn.windowed[name, wname] = wg, check_locally_lie_double(dg, wg)
+    return (name, cm, wname, w, dg) + scn.windowed[name, wname]
+
+
+def _holonomy_for(scn, name, wname, dg, wg, axioms):
+    """The window's holonomy groupoid, shared by every task of the run;
+    only a successful build is kept, as with ``_double_for``."""
+    if (name, wname) not in scn.holonomies:
+        scn.holonomies[name, wname] = holonomy_groupoid(dg, wg, axioms)
+    return scn.holonomies[name, wname]
 
 
 def task_holonomy(scn, task, opts):
@@ -142,7 +152,7 @@ def task_holonomy(scn, task, opts):
     if not axioms["ok"]:
         details["holonomy"] = "skipped: axioms fail"
         return False, details
-    hol = holonomy_groupoid(dg, wg, axioms)
+    hol = _holonomy_for(scn, name, wname, dg, wg, axioms)
     rep = {k: v for k, v in hol.report.items() if k != "axioms"}
     rep["arrows"] = len(hol.quotient.arrows)
     rep["objects"] = len(hol.quotient.objects)
@@ -166,7 +176,7 @@ def task_universal(scn, task, opts):
         raise ScenarioError("tasks.universal", "unsupported morphism %r" % mu_name)
     name, cm, wname, w, dg, wg, axioms = _windowed(scn, task, "tasks.universal")
     mu = identity_vertical_morphism(dg)
-    hol = holonomy_groupoid(dg, wg, axioms)
+    hol = _holonomy_for(scn, name, wname, dg, wg, axioms)
     mp, rep = universal_morphism(wg, mu, hol)
     details = {"xmod": name, "window": wname, "morphism": mu_name, "report": rep}
     return all(v for v in rep.values() if isinstance(v, bool)), details

@@ -9,7 +9,7 @@ transport action, and an order-four kernel over an order-two quotient.
 from __future__ import annotations
 
 from .fintop import FiniteTopSpace
-from .groupoid import Groupoid
+from .groupoid import Groupoid, pair_rows
 from .xmod import CrossedModule
 
 
@@ -20,7 +20,8 @@ def cyclic_groupoid(n, obj="x", prefix=""):
     table = {(prefix + str(i), prefix + str(j)): prefix + str((i + j) % n)
              for i in range(n) for j in range(n)}
     neg = {prefix + str(i): prefix + str((-i) % n) for i in range(n)}
-    return Groupoid([obj], arrows, src, dict(src), table, neg, {obj: prefix + "0"})
+    return Groupoid([obj], arrows, src, dict(src), pair_rows(arrows, table), neg,
+                    {obj: prefix + "0"})
 
 
 def pair_groupoid(points):
@@ -31,7 +32,7 @@ def pair_groupoid(points):
     table = {(u + v, v + w): u + w for u in points for v in points for w in points}
     neg = {u + v: v + u for u in points for v in points}
     units = {u: u + u for u in points}
-    return Groupoid(list(points), arrows, src, tgt, table, neg, units)
+    return Groupoid(list(points), arrows, src, tgt, pair_rows(arrows, table), neg, units)
 
 
 def bundle_of_groups(points, n, sep="@"):
@@ -45,7 +46,7 @@ def bundle_of_groups(points, n, sep="@"):
                 table[(str(i) + sep + p, str(j) + sep + p)] = str((i + j) % n) + sep + p
     neg = {str(i) + sep + p: str((-i) % n) + sep + p for p in points for i in range(n)}
     units = {p: "0" + sep + p for p in points}
-    return Groupoid(list(points), arrows, src, dict(src), table, neg, units)
+    return Groupoid(list(points), arrows, src, dict(src), pair_rows(arrows, table), neg, units)
 
 
 # -- crossed modules --------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .fintop import ModelError
-from .groupoid import Groupoid, _skey, spanning_generators
+from .groupoid import Groupoid, _skey, pair_rows, spanning_generators
 from .xmod import CrossedModule, apply_action
 
 
@@ -126,58 +126,51 @@ class DoubleGroupoid:
     def vertical_groupoid(self):
         """Squares under vertical composition, over the edge arrows."""
         if self._vertical is None:
-            self._vertical = Groupoid(
-                self.edge.arrows, self.squares,
-                {sq: sq.top for sq in self.squares},
-                {sq: sq.bottom for sq in self.squares},
-                self._view_table(vertical=True),
-                {sq: self.neg1(sq) for sq in self.squares},
-                {a: self.eps1(a) for a in self.edge.arrows})
+            self._vertical = self._view(vertical=True)
         return self._vertical
 
     def horizontal_groupoid(self):
         """Squares under horizontal composition, over the edge arrows."""
         if self._horizontal is None:
-            self._horizontal = Groupoid(
-                self.edge.arrows, self.squares,
-                {sq: sq.left for sq in self.squares},
-                {sq: sq.right for sq in self.squares},
-                self._view_table(vertical=False),
-                {sq: self.neg2(sq) for sq in self.squares},
-                {a: self.eps2(a) for a in self.edge.arrows})
+            self._horizontal = self._view(vertical=False)
         return self._horizontal
 
-    def _view_table(self, vertical):
-        """The composition table of the vertical view (of the horizontal
-        one when not ``vertical``): ``comp1(u, v)`` for every pair with
-        bottom u = top v (``comp2(u, v)`` where right u = left v), in
-        square order of u, then of v.
+    def _view(self, vertical):
+        """The vertical view (the horizontal one when not ``vertical``):
+        its rows hold ``comp1(u, v)`` for every pair with bottom u = top v
+        (``comp2(u, v)`` where right u = left v), its negation is ``neg1``
+        (``neg2``) and its units are ``eps1`` (``eps2``).
 
         A square's coordinates are the positions of its inner arrow in C
         and of its four edges in G (``Groupoid.tables``).  A composite's
         coordinates are read as comp1 and comp2 compute them: the inner
         arrow from C's row at the action value, the composed sides from
         G's rows.  The square with those coordinates is the composite;
-        where a coordinate, an action entry, a row entry or that square
-        is missing, comp1 (comp2) itself runs, so every error and every
-        composite outside the square set is still its own."""
+        where a coordinate, an action entry or a row entry is missing,
+        comp1 (comp2) itself runs, so every error is its own.  The errors
+        come in this order: every composition error, then every negation
+        error, then every unit error, then the first composite outside the
+        square set, in square order of u, then of v, named by whether it
+        breaks the boundary equation."""
         G, C, squares = self.edge, self.cm.C, self.squares
         gpos, grows = G.tables()[:2]
         cpos, crows = C.tables()[:2]
         act = {(cpos[c], gpos[a]): cpos[value] for (c, a), value in self.cm.action.items()
                if C.tgt(c) == G.src(a)}
-        coords = [(cpos.get(sq.inner), gpos.get(sq.top), gpos.get(sq.left),
-                   gpos.get(sq.right), gpos.get(sq.bottom)) for sq in squares]
-        coords = [None if None in xy else xy for xy in coords]
-        at = {xy: k for k, xy in enumerate(coords) if xy is not None}
+        coords_of = [(cpos.get(sq.inner), gpos.get(sq.top), gpos.get(sq.left),
+                      gpos.get(sq.right), gpos.get(sq.bottom)) for sq in squares]
+        coords_of = [None if None in xy else xy for xy in coords_of]
+        at = {xy: k for k, xy in enumerate(coords_of) if xy is not None}
+        index = {sq: k for k, sq in enumerate(squares)}
         comp = self.comp1 if vertical else self.comp2
         by_source = {}
         for j, sq in enumerate(squares):
             by_source.setdefault(sq.top if vertical else sq.left, []).append(j)
-        table = {}
-        for u, cu in zip(squares, coords):
+        rows, outside = [], None
+        for u, cu in zip(squares, coords_of):
+            row = [None] * len(squares)
             for j in by_source.get(u.bottom if vertical else u.right, ()):
-                v, cv, k = squares[j], coords[j], None
+                k, cv = None, coords_of[j]
                 if cu is not None and cv is not None:
                     ci, t, l, r, b = cu
                     ci2, t2, l2, r2, b2 = cv
@@ -189,8 +182,26 @@ class DoubleGroupoid:
                         a = act.get((ci, b2))
                         if a is not None:
                             k = at.get((crows[a][ci2], grows[t][t2], l, r2, grows[b][b2]))
-                table[(u, v)] = comp(u, v) if k is None else squares[k]
-        return table
+                if k is None:
+                    w = comp(u, squares[j])
+                    k = index.get(w)
+                    if k is None and outside is None:
+                        outside = (u, squares[j], w)
+                row[j] = k
+            rows.append(row)
+        neg, unit = (self.neg1, self.eps1) if vertical else (self.neg2, self.eps2)
+        negs = {sq: neg(sq) for sq in squares}
+        units = {a: unit(a) for a in G.arrows}
+        if outside is not None:
+            u, v, w = outside
+            raise DoubleGroupoidError("%s composite %s+%s=%s %s" % (
+                "vertical" if vertical else "horizontal", u, v, w,
+                "is not in the square set" if square_boundary_ok(self.cm, w)
+                else "breaks the boundary equation delta(inner) = -bottom - left + top + right"))
+        return Groupoid(G.arrows, squares,
+                        {sq: sq.top if vertical else sq.left for sq in squares},
+                        {sq: sq.bottom if vertical else sq.right for sq in squares},
+                        rows, negs, units)
 
     def vcomp(self, u, v):
         """``comp1(u, v)`` read from the vertical view's rows.  Where the
@@ -444,7 +455,7 @@ def crossed_module_of(dg):
         for v in pi:
             if src[u] == src[v]:
                 table[(u, v)] = dg.comp2(u, v)
-    cgrp = Groupoid(G.objects, pi, src, src, table,
+    cgrp = Groupoid(G.objects, pi, src, src, pair_rows(pi, table),
                     {sq: dg.neg2(sq) for sq in pi},
                     {x: dg.eps2(G.unit(x)) for x in G.objects})
     delta = {sq: sq.top for sq in pi}

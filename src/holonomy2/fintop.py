@@ -296,6 +296,44 @@ def is_continuous(f, src, tgt):
     return True
 
 
+def operation_continuity(spaces, values, target):
+    """Openness and continuity of a partial operation on pairs.
+
+    ``values`` maps every pair (x, y) of the operation's domain to its
+    value; the pairs are a subspace of the product of the two
+    ``spaces``, so the minimal open of (x, y) is the pairs (x', y') with
+    x' in M(x) and y' in M(y).  The pairs whose value lands in
+    ``target`` must form an open set (first verdict) on which the
+    operation is continuous into ``target`` (second verdict, None when
+    the set is not open).
+
+    No pair space is built: each point's minimal open is looked up once,
+    the work is done once per distinct (M(x), M(y)), and skipped when
+    both are singletons, since the pair is then its own minimal open (as
+    in ``is_continuous``).
+    """
+    first, second = spaces
+    tmin = target._min
+    by_first, pairs_at, first_min, second_min = {}, {}, {}, {}
+    for x, y in values:
+        by_first.setdefault(x, []).append(y)
+        mx = first_min.get(x) or first_min.setdefault(x, first.minimal_open(x))
+        my = second_min.get(y) or second_min.setdefault(y, second.minimal_open(y))
+        if len(mx) > 1 or len(my) > 1:
+            pairs_at.setdefault((mx, my), []).append((x, y))
+    continuous = True
+    for (mx, my), pairs in pairs_at.items():
+        if not any(values[p] in tmin for p in pairs):
+            continue
+        # the pairs' common minimal open must land whole in the target
+        image = {values[(x, y)] for x in mx for y in by_first.get(x, ()) if y in my}
+        if not all(v in tmin for v in image):
+            return False, None
+        continuous = continuous and all(
+            image <= m for m in {tmin[values[p]] for p in pairs})
+    return True, continuous
+
+
 def is_partial_homeomorphism(f, src, tgt):
     """Injective, open image, continuous both ways.  Returns (ok, reason)."""
     if not src.is_open(f.domain):

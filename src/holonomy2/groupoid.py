@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 from operator import itemgetter
 
-from .fintop import FiniteTopSpace, ModelError, PartialMap, is_continuous, pullback_space
+from .fintop import FiniteTopSpace, ModelError, PartialMap, is_continuous, operation_continuity
 
 
 class GroupoidError(ModelError):
@@ -30,15 +30,16 @@ def _skey(v):
 class Groupoid:
     """Finite object/arrow tables with src, tgt, partial add, neg and units.
 
-    The composition is stored once, as rows over the arrows in ``_skey``
-    order: ``rows[i][j]`` is the position of a_i + a_j, None where the
-    table dict given to the constructor has no entry.  Entries on pairs
-    that do not compose are kept, for ``check_groupoid`` to report.
-    ``tables()`` hands the rows to readers that work on positions and
-    ``entries()`` lists them again as arrow pairs.
+    The composition is given and stored as rows over the arrows in
+    ``_skey`` order: ``rows[i][j]`` is the position of a_i + a_j, None
+    where there is no entry.  The builders fill rows from the positions
+    they find, and ``pair_rows`` turns a pair table into rows.  Entries
+    on pairs that do not compose are kept, for ``check_groupoid`` to
+    report.  ``tables()`` hands the rows to readers that work on
+    positions and ``entries()`` lists them as arrow pairs.
     """
 
-    def __init__(self, objects, arrows, src, tgt, table, neg=None, units=None):
+    def __init__(self, objects, arrows, src, tgt, rows, neg=None, units=None):
         self.objects = tuple(sorted(set(objects), key=_skey))
         self.arrows = tuple(sorted(set(arrows), key=_skey))
         oset = set(self.objects)
@@ -50,13 +51,7 @@ class Groupoid:
             if self._src[a] not in oset or self._tgt[a] not in oset:
                 raise GroupoidError("arrow %s has dangling endpoint" % (a,))
         self._pos = pos = {a: i for i, a in enumerate(self.arrows)}
-        self._rows = rows = [[None] * len(pos) for _ in pos]
-        for (a, b), c in table.items():
-            try:
-                rows[pos[a]][pos[b]] = pos[c]
-            except KeyError:
-                raise GroupoidError("composition entry %s+%s=%s has dangling identifiers"
-                                    % (a, b, c)) from None
+        self._rows = list(rows)
         self._by_src = {}
         for i, a in enumerate(self.arrows):
             self._by_src.setdefault(self._src[a], []).append(i)
@@ -198,6 +193,23 @@ class Groupoid:
 
     def __repr__(self):
         return "Groupoid(%d objects, %d arrows)" % (len(self.objects), len(self.arrows))
+
+
+def pair_rows(arrows, table):
+    """The rows of the pair table ``{(a, b): a + b}`` over ``arrows`` in
+    ``_skey`` order, as the ``Groupoid`` constructor takes them.  They
+    are made when the constructor reads them, after it has checked the
+    arrows' ends, and the first entry in table order that names an
+    unknown arrow is refused."""
+    pos = {a: i for i, a in enumerate(sorted(set(arrows), key=_skey))}
+    rows = [[None] * len(pos) for _ in pos]
+    for (a, b), c in table.items():
+        try:
+            rows[pos[a]][pos[b]] = pos[c]
+        except KeyError:
+            raise GroupoidError("composition entry %s+%s=%s has dangling identifiers"
+                                % (a, b, c)) from None
+    yield from rows
 
 
 def check_groupoid(g):
@@ -418,21 +430,20 @@ def _continuity_report(g):
     neg = PartialMap({a: g._neg[a] for a in g.arrows if a in g._neg})
     if not is_continuous(neg, arr, arr):
         out.append("continuity: negation not continuous")
-    # difference map on the beta-fibred pairs, (a,b) |-> a - b
+    # difference map on the beta-fibred pairs, (a,b) |-> a - b, and the
+    # composition, each on its pairs as a subspace of the square of the
+    # arrow space; every value is an arrow, so only continuity can fail
     pairs = [(a, b) for a in g.arrows for b in g.arrows if g.tgt(a) == g.tgt(b)]
     if all(a in g._neg for a in g.arrows) and any(g.entries()):
-        pspace = pullback_space([arr, arr], pairs, lambda p: p)
         try:
-            diff = PartialMap({(a, b): g.add(a, g.neg(b)) for a, b in pairs})
-            if not is_continuous(diff, pspace, arr):
+            diff = {(a, b): g.add(a, g.neg(b)) for a, b in pairs}
+            if not operation_continuity([arr, arr], diff, arr)[1]:
                 out.append("continuity: difference map not continuous")
         except GroupoidError:
             out.append("continuity: difference map not totally defined")
-        cpairs = list(g.composable_pairs())
-        cspace = pullback_space([arr, arr], cpairs, lambda p: p)
         try:
-            addm = PartialMap({(a, b): g.add(a, b) for a, b in cpairs})
-            if not is_continuous(addm, cspace, arr):
+            addm = {(a, b): g.add(a, b) for a, b in g.composable_pairs()}
+            if not operation_continuity([arr, arr], addm, arr)[1]:
                 out.append("continuity: composition not continuous")
         except GroupoidError:
             out.append("continuity: composition not totally defined")
@@ -451,7 +462,9 @@ class GroupoidMorphism:
 
 
 def check_groupoid_morphism(m, src, tgt):
-    """Violations of src/tgt/add/unit preservation."""
+    """Violations of src/tgt/add/unit preservation.  Composites are read
+    from both groupoids' rows; where either has no entry, ``add`` runs
+    and its error is the witness."""
     out = []
     for x in src.objects:
         if x not in m.obj_map:
@@ -467,15 +480,20 @@ def check_groupoid_morphism(m, src, tgt):
             out.append("source not preserved at %s" % (a,))
         if tgt.tgt(fa) != m.obj_map[src.tgt(a)]:
             out.append("target not preserved at %s" % (a,))
-    for a, b in src.composable_pairs():
-        try:
-            lhs = m.arr_map[src.add(a, b)]
-            rhs = tgt.add(m.arr_map[a], m.arr_map[b])
-        except GroupoidError as e:
-            out.append("composition not preserved at (%s,%s): %s" % (a, b, e))
-            continue
-        if lhs != rhs:
-            out.append("composition not preserved at (%s,%s)" % (a, b))
+    # the image of every arrow is an arrow of tgt: its ends were read above
+    (_, rows, _, by_src), (tpos, trows) = src.tables(), tgt.tables()[:2]
+    image = [tpos[m.arr_map[a]] for a in src.arrows]
+    for i, a in enumerate(src.arrows):
+        for j in by_src.get(src.tgt(a), ()):
+            b, k, fk = src.arrows[j], rows[i][j], trows[image[i]][image[j]]
+            if k is None or fk is None:
+                try:
+                    src.add(a, b)
+                    tgt.add(m.arr_map[a], m.arr_map[b])
+                except GroupoidError as e:
+                    out.append("composition not preserved at (%s,%s): %s" % (a, b, e))
+            elif image[k] != fk:
+                out.append("composition not preserved at (%s,%s)" % (a, b))
     for x in src.objects:
         if m.arr_map[src.unit(x)] != tgt.unit(m.obj_map[x]):
             out.append("unit not preserved at %s" % (x,))
@@ -617,32 +635,49 @@ def quotient(g, n):
                                 = N(x) + (N(x) + a) + b = N(x) + (a + b),
 
     and -(N(x) + a) = -a + N(x) = N(y) + (-a), so the class of a + b,
-    of -a and of the unit at x do not depend on the representatives.
+    of -a and of the unit at x do not depend on the representatives,
+    whose rows are read through positions.
     """
     bad = n.violations()
     if bad:
         raise GroupoidError("not a normal subgroupoid: %s" % bad[0])
+    arrows, (pos, rows) = g.arrows, g.tables()[:2]
     vertex = {x: [] for x in g.objects}
     for m in sorted(n.arrows, key=_skey):
         if g.src(m) != g.tgt(m):
             raise GroupoidError("not a subgroupoid of loops: member %s runs from %s to %s"
                                 % (m, g.src(m), g.tgt(m)))
-        vertex[g.src(m)].append(m)
-    # each class once, with its first arrow as representative
+        vertex[g.src(m)].append(pos[m])
+    # each class once, with the position of its first arrow
     arrow_class, reps = {}, {}
-    for a in g.arrows:
+    for i, a in enumerate(arrows):
         if a not in arrow_class:
-            cls = frozenset(g.add(m, a) for m in vertex[g.src(a)])
-            reps[cls] = a
+            members = [rows[m][i] for m in vertex[g.src(a)]]
+            if None in members:
+                g.add(arrows[vertex[g.src(a)][members.index(None)]], a)
+            if i not in members:
+                raise GroupoidError("not a groupoid: the coset N(%s) + %s misses %s"
+                                    % (g.src(a), a, a))
+            cls = frozenset(map(arrows.__getitem__, members))
+            reps[cls] = i
             arrow_class.update(dict.fromkeys(cls, cls))
-    by_src = {}
-    for cls, a in reps.items():
-        by_src.setdefault(g.src(a), []).append(cls)
-    qtable = {(ca, cb): arrow_class[g.add(a, reps[cb])]
-              for ca, a in reps.items() for cb in by_src[g.tgt(a)]}
-    q = Groupoid(g.objects, reps,
-                 {cls: g.src(a) for cls, a in reps.items()},
-                 {cls: g.tgt(a) for cls, a in reps.items()}, qtable,
-                 {cls: arrow_class[g.neg(a)] for cls, a in reps.items()},
+    # the classes in _skey order, and the position of each arrow's class
+    classes = sorted(reps, key=_skey)
+    at = {cls: r for r, cls in enumerate(classes)}
+    class_at = [at[arrow_class[a]] for a in arrows]
+    out_of = {}
+    for cls, i in reps.items():
+        out_of.setdefault(g.src(arrows[i]), []).append((at[cls], i))
+    qrows = [None] * len(classes)
+    for cls, i in reps.items():
+        qrow = qrows[at[cls]] = [None] * len(classes)
+        for c, j in out_of[g.tgt(arrows[i])]:
+            if rows[i][j] is None:
+                g.add(arrows[i], arrows[j])
+            qrow[c] = class_at[rows[i][j]]
+    q = Groupoid(g.objects, classes,
+                 {cls: g.src(arrows[i]) for cls, i in reps.items()},
+                 {cls: g.tgt(arrows[i]) for cls, i in reps.items()}, qrows,
+                 {cls: arrow_class[g.neg(arrows[i])] for cls, i in reps.items()},
                  {x: arrow_class[g.unit(x)] for x in g.objects})
     return q, GroupoidMorphism({x: x for x in g.objects}, arrow_class)

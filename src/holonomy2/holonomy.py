@@ -24,7 +24,7 @@ import bisect
 import itertools
 from collections import defaultdict
 
-from .fintop import FiniteTopSpace, ModelError, PartialMap, TopologyError, is_continuous, is_partial_homeomorphism, pullback_space
+from .fintop import FiniteTopSpace, ModelError, PartialMap, TopologyError, is_continuous, is_partial_homeomorphism, operation_continuity, pullback_space
 from .groupoid import Groupoid, GroupoidMorphism, NormalSubgroupoid, _skey, check_groupoid, check_groupoid_morphism, depth_first, generated_subgroupoid, quotient, triples_by_last
 from .xmod import apply_action
 
@@ -606,44 +606,6 @@ def has_enough_sections(wg):
 # ---------------------------------------------------------------------------
 
 
-def _window_operation(spaces, values, target):
-    """Openness and continuity of a partial operation on pairs.
-
-    ``values`` maps every pair (x, y) of the operation's domain to its
-    value; the pairs are a subspace of the product of the two
-    ``spaces``, so the minimal open of (x, y) is the pairs (x', y') with
-    x' in M(x) and y' in M(y).  The pairs whose value lands in
-    ``target`` must form an open set (first verdict) on which the
-    operation is continuous into ``target`` (second verdict, None when
-    the set is not open).
-
-    No pair space is built: each point's minimal open is looked up once,
-    the work is done once per distinct (M(x), M(y)), and skipped when
-    both are singletons, since the pair is then its own minimal open (as
-    in ``is_continuous``).
-    """
-    first, second = spaces
-    tmin = target._min
-    by_first, pairs_at, first_min, second_min = {}, {}, {}, {}
-    for x, y in values:
-        by_first.setdefault(x, []).append(y)
-        mx = first_min.get(x) or first_min.setdefault(x, first.minimal_open(x))
-        my = second_min.get(y) or second_min.setdefault(y, second.minimal_open(y))
-        if len(mx) > 1 or len(my) > 1:
-            pairs_at.setdefault((mx, my), []).append((x, y))
-    continuous = True
-    for (mx, my), pairs in pairs_at.items():
-        if not any(values[p] in tmin for p in pairs):
-            continue
-        # the pairs' common minimal open must land whole in the target
-        image = {values[(x, y)] for x in mx for y in by_first.get(x, ()) if y in my}
-        if not all(v in tmin for v in image):
-            return False, None
-        continuous = continuous and all(
-            image <= m for m in {tmin[values[p]] for p in pairs})
-    return True, continuous
-
-
 def _difference_lands_in_window(differences, wg):
     """The window difference, restricted to the pairs it admits (those
     whose difference is a window square), lands in the window.
@@ -680,7 +642,7 @@ def check_locally_lie_double(dg, wg):
     report["S2"] = {"ok": not missing, "witnesses": [str(a) for a in missing[:4]]}
 
     differences = _window_differences(dg, wg)
-    wd_open, wd_cont = _window_operation([wg.space, wg.space], differences, wg.space)
+    wd_open, wd_cont = operation_continuity([wg.space, wg.space], differences, wg.space)
     report["S3"] = {"ok": bool(wd_open and wd_cont),
                     "difference_set_open": wd_open,
                     "difference_continuous": wd_cont}
@@ -744,7 +706,7 @@ def _locally_lie_deductions(dg, wg, enough, differences):
     out["inverse_continuous"] = is_continuous(inv_map, wg.space, wg.space)
     # 2) composable window pairs whose product stays in the window form an
     #    open set on which the product is continuous
-    p_open, p_cont = _window_operation([wg.space, wg.space], _window_products(dg, wg),
+    p_open, p_cont = operation_continuity([wg.space, wg.space], _window_products(dg, wg),
                                        wg.space)
     out["product_set_open"] = p_open
     out["product_continuous"] = p_cont
@@ -814,7 +776,7 @@ def check_locally_lie_xmod(cm, w, square_axioms):
     report = {}
 
     gen = generated_subgroupoid(C, w.arrows)
-    d_open, d_cont = _window_operation(
+    d_open, d_cont = operation_continuity(
         [w.space, w.space],
         {(c1, c2): C.add(c1, C.neg(c2))
          for c1 in arrows for c2 in arrows if C.tgt(c1) == C.tgt(c2)},
@@ -831,7 +793,7 @@ def check_locally_lie_xmod(cm, w, square_axioms):
     c3 = is_continuous(delta_map, w.space, AS)
     report["C3"] = {"ok": c3}
 
-    a_open, a_cont = _window_operation(
+    a_open, a_cont = operation_continuity(
         [w.space, AS],
         {(c, a): apply_action(cm, c, a)
          for c in arrows for a in G.arrows if C.tgt(c) == G.src(a)},
@@ -916,7 +878,9 @@ def generated_germs(dg, seed_witness):
     s's value at top t(z) at the position of t(z).  The germs at one
     base list the arrows of its minimal open in one order, so equal keys
     are equal germs.  ``germ_mul`` runs only for a product with no key
-    yet, which the closure then admits.
+    yet, which the closure then admits.  Each product pass also fills
+    the rows of the groupoid, by the positions of the germs as the pass
+    began; the last pass admits nothing, so its rows are complete.
     """
     G = dg.edge
     pos, rows = dg.vertical_groupoid().tables()[:2]
@@ -925,15 +889,18 @@ def generated_germs(dg, seed_witness):
     for a, u in units.items():
         if u not in witness:
             witness[u] = constant_section(dg, G.arrow_space().minimal_open(a))
-    keyed, at, steps, by_src = {}, {}, {}, {}
+    # a germ's key, the positions of its values by arrow, and its steps
+    # (top, position) in the order of its arrows
+    keyed, info, by_src = {}, {}, {}
 
     def key(g):
         return g.base, tuple(pos[sq] for _, sq in g.values)
 
     def keep(g):
-        keyed[key(g)] = g
-        at[g] = {z: pos[sq] for z, sq in g.values}
-        steps[g] = [(sq.top, pos[sq]) for _, sq in g.values]
+        k = key(g)
+        keyed[k] = g
+        info[g] = (k, {z: pos[sq] for z, sq in g.values},
+                   [(sq.top, pos[sq]) for _, sq in g.values])
         bisect.insort(by_src.setdefault(g.source(), []), g, key=_skey)
 
     arrows = sorted(witness, key=_skey)
@@ -945,7 +912,7 @@ def generated_germs(dg, seed_witness):
         keep(g)
         bisect.insort(arrows, g, key=_skey)
 
-    neg, table = {}, {}
+    neg = {}
     frontier = True
     while frontier:
         frontier = False
@@ -956,18 +923,21 @@ def generated_germs(dg, seed_witness):
                     admit(gi, local_section_inv(dg, witness[g]))
                     frontier = True
                 neg[g] = keyed[key(gi)]
-        # the last pass admits nothing, so it composes every pair
+        index = {info[g][0]: i for i, g in enumerate(arrows)}
+        germ_rows = []
         for g in list(arrows):
-            b_at = at[g]
+            b_at, row = info[g][1], [None] * len(index)
             for h in list(by_src.get(g.base, ())):
-                gh = keyed.get((h.base, tuple(rows[b_at[t]][p] for t, p in steps[h])))
-                if gh is None:
-                    gh = germ_mul(dg, g, h)
-                    admit(gh, local_section_mul(dg, witness[g], witness[h]))
+                h_key, _, h_steps = info[h]
+                gh_key = (h.base, tuple(rows[b_at[t]][p] for t, p in h_steps))
+                if gh_key not in keyed:
+                    admit(germ_mul(dg, g, h), local_section_mul(dg, witness[g], witness[h]))
                     frontier = True
-                table[(g, h)] = gh
+                elif not frontier:
+                    row[index[h_key]] = index[gh_key]
+            germ_rows.append(row)
     germs = Groupoid(G.arrows, arrows, {g: g.source() for g in arrows},
-                     {g: g.target() for g in arrows}, table, neg, units)
+                     {g: g.target() for g in arrows}, germ_rows, neg, units)
     return germs, frozenset(seed_witness), witness
 
 
@@ -1109,6 +1079,7 @@ def _chart_for(dg, hol, proj, jr_index, sec, through_by_top):
     subgroupoid holding [theta]_a, so [s * theta]_a is among them
     exactly when [s]_{top w} is.
     """
+    qpos, qrows = hol.tables()[:2]
     mapping = {}
     skipped = 0
     for top, through in through_by_top.items():
@@ -1117,12 +1088,14 @@ def _chart_for(dg, hol, proj, jr_index, sec, through_by_top):
         g = germ_at(dg, sec, top)
         if g not in jr_index:
             raise HolonomyError("chart germ escaped the generated germs at %s" % (through[0][0],))
-        at_top = proj.arr_map[g]
+        # the class of [s]_top ends where each through-class starts, and
+        # the quotient of a groupoid composes every such pair
+        row = qrows[qpos[proj.arr_map[g]]]
         for sq, classes in through:
             if len(classes) != 1:
                 skipped += 1
                 continue
-            mapping[sq] = hol.add(at_top, next(iter(classes)))
+            mapping[sq] = hol.arrows[row[qpos[next(iter(classes))]]]
     return Chart(sec, mapping), skipped
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .fintop import DEFAULT_POINT_CAP, FiniteTopSpace, TopologyError
-from .groupoid import Groupoid, GroupoidError, _skey
+from .groupoid import Groupoid, GroupoidError, _skey, pair_rows
 from .xmod import CrossedModule, XModError
 from .holonomy import HolonomyError, WStructure
 
@@ -48,8 +48,11 @@ class Scenario:
         self.windows = windows
         self.morphisms = morphisms
         self.tasks = tasks
-        # double groupoid per xmod name, built by the first task that needs it
-        self.doubles = {}
+        # built by the first task that needs them, and kept when built:
+        # the double groupoid per xmod name, and per (xmod, window) name
+        # the window squares with their S1-S5 report, and the holonomy
+        # groupoid
+        self.doubles, self.windowed, self.holonomies = {}, {}, {}
 
 
 def load_scenario(source, point_cap=DEFAULT_POINT_CAP, arrow_cap=DEFAULT_ARROW_CAP):
@@ -180,7 +183,7 @@ def _groupoid_from_tables(loc, block, objects):
         if block.get(key) is not None:
             _typed("%s.%s" % (loc, key), block[key], dict, str)
     try:
-        return Groupoid(objects, arrows, src, tgt, table,
+        return Groupoid(objects, arrows, src, tgt, pair_rows(arrows, table),
                         block.get("neg"), block.get("units"))
     except GroupoidError as e:
         raise ScenarioError(loc, str(e)) from None
@@ -335,8 +338,8 @@ def _groupoid_from_generators(loc, block, objects, arrow_cap):
             raise ScenarioError(loc, "negation escaped the generated set at %s" % ids[k])
         neg[ids[k]] = ids[kk]
     try:
-        return Groupoid(objects, [ids[k] for k in arrows], {ids[k]: k[0] for k in arrows},
-                        {ids[k]: tgt[k] for k in arrows}, table, neg,
+        return Groupoid(objects, ids.values(), {ids[k]: k[0] for k in arrows},
+                        {ids[k]: tgt[k] for k in arrows}, pair_rows(ids.values(), table), neg,
                         {x: ids[x, ()] for x in objects})
     except GroupoidError as e:
         raise ScenarioError(loc, str(e)) from None

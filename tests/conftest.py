@@ -7,7 +7,7 @@ from hypothesis import settings
 from holonomy2 import corpus
 from holonomy2.dgpd import build_double_groupoid
 from holonomy2.fintop import FiniteTopSpace
-from holonomy2.groupoid import Groupoid, GroupoidMorphism
+from holonomy2.groupoid import Groupoid, GroupoidMorphism, pair_rows
 from holonomy2.holonomy import (WStructure, build_wg, check_locally_lie_double,
                                 full_wstructure, holonomy_groupoid)
 from holonomy2.xmod import CrossedModule
@@ -129,7 +129,7 @@ def altered_holonomy(hol, arrows, src, tgt, table, neg, psi):
     """A copy of ``hol`` whose quotient and evaluation are rebuilt from
     (altered) ``quotient_parts``."""
     out = copy.copy(hol)
-    out.quotient = Groupoid(hol.quotient.objects, arrows, src, tgt, table, neg,
-                            hol.quotient._units)
+    out.quotient = Groupoid(hol.quotient.objects, arrows, src, tgt, pair_rows(arrows, table),
+                            neg, hol.quotient._units)
     out.psi = GroupoidMorphism(hol.psi.obj_map, psi)
     return out

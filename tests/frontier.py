@@ -43,7 +43,7 @@ def zn_on_itself(n):
 
 def s3_by_conjugation():
     """S3 as permutations of 012 written as strings, a + b doing a then b."""
-    from holonomy2.groupoid import Groupoid
+    from holonomy2.groupoid import Groupoid, pair_rows
     from holonomy2.xmod import CrossedModule
     perms = ["".join(p) for p in itertools.permutations("012")]
 
@@ -55,9 +55,9 @@ def s3_by_conjugation():
 
     def group(prefix):
         arrows = [prefix + p for p in perms]
+        table = {(prefix + a, prefix + b): prefix + add(a, b) for a in perms for b in perms}
         return Groupoid(["x"], arrows, dict.fromkeys(arrows, "x"), dict.fromkeys(arrows, "x"),
-                        {(prefix + a, prefix + b): prefix + add(a, b)
-                         for a in perms for b in perms},
+                        pair_rows(arrows, table),
                         {prefix + a: prefix + neg(a) for a in perms}, {"x": prefix + "012"})
 
     G, C = group(""), group("c")

@@ -28,21 +28,25 @@ square; a chart multiplies whole sections to read one germ, per
 through-section; the quotient merges objects along non-loop members
 and composes every pair of class members.  The
 window operations of S3, C1 and C4 test openness and continuity on a
-materialised pair space.  The square views compose every pair of
-squares through ``comp1``/``comp2``, and the triple-restriction
-deduction walks every triple of witness sections.  The fast versions
-must agree with these, violation order included.
+materialised pair space, and so do a topologized groupoid's difference
+map and composition.  The square views compose every pair of squares
+through ``comp1``/``comp2``, and the triple-restriction deduction walks
+every triple of witness sections.  The square views, the germ closure
+and the coset quotient hand the constructor a pair table, as before
+they filled rows by position.  The fast versions must agree with these,
+violation order included.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 from holonomy2.dgpd import (DoubleGroupoidError, build_double_groupoid,
                             square_boundary_ok)
 from holonomy2.fintop import FiniteTopSpace, ModelError, PartialMap, TopologyError
-from holonomy2.groupoid import (Groupoid, GroupoidError, GroupoidMorphism, _continuity_report,
-                                _skey, check_groupoid_morphism)
+from holonomy2.groupoid import (Groupoid, GroupoidError, GroupoidMorphism, _skey,
+                                check_groupoid_morphism, pair_rows)
 from holonomy2 import holonomy
 from holonomy2.holonomy import (Chart, HolonomyError, LocalLinearSection,
                                 WGSquares, _feet, build_wg, constant_section, germ_at,
@@ -225,7 +229,46 @@ def check_groupoid(g):
                 if lhs != rhs:
                     out.append("associativity fails at (%s,%s,%s)" % (a, b, c))
     if g.topology is not None:
-        out.extend(_continuity_report(g))
+        out.extend(continuity_report(g))
+    return out
+
+
+def continuity_report(g):
+    """The continuity verdicts of a topologized groupoid's structure
+    maps, the difference map and the composition tested on materialised
+    pair spaces."""
+    out = []
+    arr, obj = g.topology
+    alpha = PartialMap({a: g.src(a) for a in g.arrows})
+    beta = PartialMap({a: g.tgt(a) for a in g.arrows})
+    if not is_continuous(alpha, arr, obj):
+        out.append("continuity: source map not continuous")
+    if not is_continuous(beta, arr, obj):
+        out.append("continuity: target map not continuous")
+    eps = PartialMap({x: g.unit(x) for x in g.objects if x in g._units})
+    if not is_continuous(eps, obj, arr):
+        out.append("continuity: unit map not continuous")
+    neg = PartialMap({a: g._neg[a] for a in g.arrows if a in g._neg})
+    if not is_continuous(neg, arr, arr):
+        out.append("continuity: negation not continuous")
+    # difference map on the beta-fibred pairs, (a,b) |-> a - b
+    pairs = [(a, b) for a in g.arrows for b in g.arrows if g.tgt(a) == g.tgt(b)]
+    if all(a in g._neg for a in g.arrows) and any(g.entries()):
+        pspace = pullback_space([arr, arr], pairs, lambda p: p)
+        try:
+            diff = PartialMap({(a, b): g.add(a, g.neg(b)) for a, b in pairs})
+            if not is_continuous(diff, pspace, arr):
+                out.append("continuity: difference map not continuous")
+        except GroupoidError:
+            out.append("continuity: difference map not totally defined")
+        cpairs = list(g.composable_pairs())
+        cspace = pullback_space([arr, arr], cpairs, lambda p: p)
+        try:
+            addm = PartialMap({(a, b): g.add(a, b) for a, b in cpairs})
+            if not is_continuous(addm, cspace, arr):
+                out.append("continuity: composition not continuous")
+        except GroupoidError:
+            out.append("continuity: composition not totally defined")
     return out
 
 
@@ -266,23 +309,26 @@ def view_table(dg, vertical):
     return table
 
 
-def vertical_groupoid(dg):
-    """Squares under vertical composition, over the edge arrows."""
+def view(dg, vertical):
+    """The vertical (horizontal when not ``vertical``) square view from the pair table of
+    ``view_table``, handed to the constructor through ``pair_rows``.
+    After every composition, negation and unit error, the first
+    composite outside the square set, in table order, is refused, named
+    by whether it keeps the boundary equation."""
+    table = view_table(dg, vertical)
+    neg, unit = (dg.neg1, dg.eps1) if vertical else (dg.neg2, dg.eps2)
+    negs = {sq: neg(sq) for sq in dg.squares}
+    units = {a: unit(a) for a in dg.edge.arrows}
+    for (u, v), w in table.items():
+        if not dg.contains(w):
+            raise DoubleGroupoidError("%s composite %s+%s=%s %s" % (
+                "vertical" if vertical else "horizontal", u, v, w,
+                "is not in the square set" if square_boundary_ok(dg.cm, w) else
+                "breaks the boundary equation delta(inner) = -bottom - left + top + right"))
     return Groupoid(dg.edge.arrows, dg.squares,
-                    {sq: sq.top for sq in dg.squares},
-                    {sq: sq.bottom for sq in dg.squares},
-                    view_table(dg, vertical=True),
-                    {sq: dg.neg1(sq) for sq in dg.squares},
-                    {a: dg.eps1(a) for a in dg.edge.arrows})
-
-
-def horizontal_groupoid(dg):
-    return Groupoid(dg.edge.arrows, dg.squares,
-                    {sq: sq.left for sq in dg.squares},
-                    {sq: sq.right for sq in dg.squares},
-                    view_table(dg, vertical=False),
-                    {sq: dg.neg2(sq) for sq in dg.squares},
-                    {a: dg.eps2(a) for a in dg.edge.arrows})
+                    {sq: sq.top if vertical else sq.left for sq in dg.squares},
+                    {sq: sq.bottom if vertical else sq.right for sq in dg.squares},
+                    pair_rows(dg.squares, table), negs, units)
 
 
 def check_double(dg):
@@ -292,10 +338,10 @@ def check_double(dg):
     for sq in dg.squares:
         if not square_boundary_ok(dg.cm, sq):
             out.append("boundary equation fails for %s" % (sq,))
-    vert = vertical_groupoid(dg)
+    vert = view(dg, True)
     for v in check_groupoid(vert):
         out.append("vertical: %s" % v)
-    horiz = horizontal_groupoid(dg)
+    horiz = view(dg, False)
     for v in check_groupoid(horiz):
         out.append("horizontal: %s" % v)
     # closure of the square set under both compositions
@@ -488,7 +534,7 @@ def quotient(g, n):
 
     qneg = {cls: arrow_class[g.neg(sorted(cls, key=_skey)[0])] for cls in qarrows}
     qunits = {obj_class[x]: arrow_class[g.unit(x)] for x in g.objects}
-    q = Groupoid(qobjects, qarrows, qsrc, qtgt, qtable, qneg, qunits)
+    q = Groupoid(qobjects, qarrows, qsrc, qtgt, pair_rows(qarrows, qtable), qneg, qunits)
     if len(q.objects) != len(g.objects):
         raise HolonomyError("unit germs merged objects; kernel not loop-shaped")
     # kernel members are loops, so object classes are singletons; unwrap them
@@ -496,7 +542,8 @@ def quotient(g, n):
     q = Groupoid([unwrap[o] for o in q.objects], q.arrows,
                  {h: unwrap[q.src(h)] for h in q.arrows},
                  {h: unwrap[q.tgt(h)] for h in q.arrows},
-                 dict(q.entries()), q._neg, {unwrap[o]: q.unit(o) for o in q.objects})
+                 pair_rows(q.arrows, dict(q.entries())), q._neg,
+                 {unwrap[o]: q.unit(o) for o in q.objects})
     return q, GroupoidMorphism({x: x for x in g.objects}, arrow_class)
 
 
@@ -1138,8 +1185,96 @@ def build_germ_groupoid(dg):
             raise HolonomyError("germ inverse left the germ set at %s" % (g,))
         neg[g] = germs[gi]
     units = {a: germs[unit_germ(dg, a)] for a in G.arrows}
-    groupoid = Groupoid(G.arrows, arrows, src, tgt, table, neg, units)
+    groupoid = Groupoid(G.arrows, arrows, src, tgt, pair_rows(arrows, table), neg, units)
     return groupoid, witness
+
+
+def generated_germs(dg, seed_witness):
+    """``holonomy.generated_germs`` as it was before its passes filled the
+    groupoid's rows: the last pass records every product in a pair
+    table, which the constructor then reads."""
+    G = dg.edge
+    pos, rows = dg.vertical_groupoid().tables()[:2]
+    witness = dict(seed_witness)
+    units = {a: unit_germ(dg, a) for a in G.arrows}
+    for a, u in units.items():
+        if u not in witness:
+            witness[u] = constant_section(dg, G.arrow_space().minimal_open(a))
+    keyed, at, steps, by_src = {}, {}, {}, {}
+
+    def key(g):
+        return g.base, tuple(pos[sq] for _, sq in g.values)
+
+    def keep(g):
+        keyed[key(g)] = g
+        at[g] = {z: pos[sq] for z, sq in g.values}
+        steps[g] = [(sq.top, pos[sq]) for _, sq in g.values]
+        bisect.insort(by_src.setdefault(g.source(), []), g, key=_skey)
+
+    arrows = sorted(witness, key=_skey)
+    for g in arrows:
+        keep(g)
+
+    def admit(g, sec):
+        witness[g] = sec
+        keep(g)
+        bisect.insort(arrows, g, key=_skey)
+
+    neg, table = {}, {}
+    frontier = True
+    while frontier:
+        frontier = False
+        for g in list(arrows):
+            if g not in neg:
+                gi = germ_inv(dg, g)
+                if key(gi) not in keyed:
+                    admit(gi, local_section_inv(dg, witness[g]))
+                    frontier = True
+                neg[g] = keyed[key(gi)]
+        for g in list(arrows):
+            b_at = at[g]
+            for h in list(by_src.get(g.base, ())):
+                gh = keyed.get((h.base, tuple(rows[b_at[t]][p] for t, p in steps[h])))
+                if gh is None:
+                    gh = germ_mul(dg, g, h)
+                    admit(gh, local_section_mul(dg, witness[g], witness[h]))
+                    frontier = True
+                table[(g, h)] = gh
+    germs = Groupoid(G.arrows, arrows, {g: g.source() for g in arrows},
+                     {g: g.target() for g in arrows}, pair_rows(arrows, table), neg, units)
+    return germs, frozenset(seed_witness), witness
+
+
+def coset_quotient(g, n):
+    """``groupoid.quotient`` as it was before it read class rows through
+    positions: each class built by ``add``, and a pair table composing
+    the representatives."""
+    bad = n.violations()
+    if bad:
+        raise GroupoidError("not a normal subgroupoid: %s" % bad[0])
+    vertex = {x: [] for x in g.objects}
+    for m in sorted(n.arrows, key=_skey):
+        if g.src(m) != g.tgt(m):
+            raise GroupoidError("not a subgroupoid of loops: member %s runs from %s to %s"
+                                % (m, g.src(m), g.tgt(m)))
+        vertex[g.src(m)].append(m)
+    arrow_class, reps = {}, {}
+    for a in g.arrows:
+        if a not in arrow_class:
+            cls = frozenset(g.add(m, a) for m in vertex[g.src(a)])
+            reps[cls] = a
+            arrow_class.update(dict.fromkeys(cls, cls))
+    by_src = {}
+    for cls, a in reps.items():
+        by_src.setdefault(g.src(a), []).append(cls)
+    qtable = {(ca, cb): arrow_class[g.add(a, reps[cb])]
+              for ca, a in reps.items() for cb in by_src[g.tgt(a)]}
+    q = Groupoid(g.objects, reps,
+                 {cls: g.src(a) for cls, a in reps.items()},
+                 {cls: g.tgt(a) for cls, a in reps.items()}, pair_rows(reps, qtable),
+                 {cls: arrow_class[g.neg(a)] for cls, a in reps.items()},
+                 {x: arrow_class[g.unit(x)] for x in g.objects})
+    return q, GroupoidMorphism({x: x for x in g.objects}, arrow_class)
 
 
 def build_restricted_germs(dg, wg, J):
@@ -1178,7 +1313,7 @@ def build_restricted_germs(dg, wg, J):
     jr = Groupoid(dg.edge.arrows, arrows,
                   {g: g.source() for g in arrows},
                   {g: g.target() for g in arrows},
-                  table,
+                  pair_rows(arrows, table),
                   {g: J.neg(g) for g in arrows},
                   {a: unit_germ(dg, a) for a in dg.edge.arrows})
     return jr, frozenset(seed), witness
@@ -1226,7 +1361,7 @@ def locally_lie_deductions(dg, wg, enough, differences):
     out = {}
     inv_map = PartialMap({sq: dg.vneg(sq) for sq in wg.squares})
     out["inverse_continuous"] = holonomy.is_continuous(inv_map, wg.space, wg.space)
-    p_open, p_cont = holonomy._window_operation(
+    p_open, p_cont = holonomy.operation_continuity(
         [wg.space, wg.space], holonomy._window_products(dg, wg), wg.space)
     out["product_set_open"] = p_open
     out["product_continuous"] = p_cont
@@ -1406,7 +1541,8 @@ def groupoid_from_generators(loc, block, objects, arrow_cap):
         neg[ids[k]] = ids[kk]
     units = {x: ids[(x, ())] for x in objects}
     try:
-        return Groupoid(objects, [ids[k] for k in arrows], src, tgt, table, neg, units)
+        return Groupoid(objects, ids.values(), src, tgt, pair_rows(ids.values(), table), neg,
+                        units)
     except GroupoidError as e:
         raise ScenarioError(loc, str(e)) from None
 

@@ -9,22 +9,18 @@ stated.
 import itertools
 import time
 
-import pytest
-
 from holonomy2 import corpus
 from holonomy2.dgpd import Square, build_double_groupoid, check_double, crossed_module_of, square_boundary_ok
 from holonomy2.fintop import FiniteTopSpace
-from holonomy2.groupoid import check_groupoid, check_groupoid_morphism, generated_subgroupoid
+from holonomy2.groupoid import check_groupoid, check_groupoid_morphism
 from holonomy2.homotopy import (constant_derivation, derivation_mul,
                                 derivation_to_section,
                                 enumerate_free_derivations,
                                 enumerate_linear_sections,
-                                induced_endomorphism, is_coadmissible,
+                                is_coadmissible,
                                 section_mul)
 from holonomy2.holonomy import (WStructure, build_wg,
-                                check_chart_coherence,
-                                check_wstructure,
-                                full_wstructure, generation_equivalence,
+                                check_chart_coherence, generation_equivalence,
                                 germ_at,
                                 holonomy_groupoid,
                                 identity_vertical_morphism, local_section_inv,

@@ -1,6 +1,3 @@
-import dataclasses
-import itertools
-
 import pytest
 
 import oracles
@@ -9,7 +6,7 @@ from holonomy2 import corpus
 from holonomy2.dgpd import (DoubleGroupoid, DoubleGroupoidError, Square,
                             boundary_triples, build_double_groupoid,
                             check_double, crossed_module_of, square_boundary_ok)
-from holonomy2.groupoid import Groupoid, GroupoidError, _skey, generated_subgroupoid
+from holonomy2.groupoid import Groupoid, GroupoidError, _skey, generated_subgroupoid, pair_rows
 from holonomy2.holonomy import build_germ_groupoid, build_wg, full_wstructure
 from holonomy2.xmod import (CrossedModule, check_crossed_module,
                             check_xmod_morphism, find_xmod_isomorphism)
@@ -138,6 +135,18 @@ def test_single_square_degenerate_double():
     assert check_double(dg) == []
 
 
+def test_composite_outside_the_square_set_is_named(z2z2):
+    """Without the vertical unit at the edge 1, the first vertical
+    composite that is not a square is named.  It keeps the boundary
+    equation, so the message says that it is not in the square set."""
+    squares = build_double_groupoid(z2z2).squares
+    dg = DoubleGroupoid(z2z2, [sq for sq in squares if str(sq) != "[c0:1|0|0|1]"])
+    with pytest.raises(DoubleGroupoidError) as raised:
+        dg.vertical_groupoid()
+    assert str(raised.value) == ("vertical composite [c0:1|0|1|0]+[c0:0|0|1|1]=[c0:1|0|0|1] "
+                                 "is not in the square set")
+
+
 def test_gamma_round_trip(all_cms):
     for name, cm in all_cms.items():
         dg = build_double_groupoid(cm)
@@ -195,8 +204,8 @@ def _tables_models():
     table, neg = dict(pair.entries()), dict(pair._neg)
     del table[("xy", "yx")], neg["yx"]
     table[("xy", "xy")] = "xx"
-    out["pair-broken"] = Groupoid(pair.objects, pair.arrows, pair._src, pair._tgt, table, neg,
-                                  pair._units)
+    out["pair-broken"] = Groupoid(pair.objects, pair.arrows, pair._src, pair._tgt,
+                                  pair_rows(pair.arrows, table), neg, pair._units)
     return out
 
 

@@ -12,7 +12,7 @@ from holonomy2.fintop import FiniteTopSpace
 from holonomy2.groupoid import (Groupoid, GroupoidError, GroupoidMorphism,
                                 NormalSubgroupoid, check_groupoid,
                                 check_groupoid_morphism, generated_subgroupoid,
-                                quotient)
+                                pair_rows, quotient)
 
 from oracles import morphism_kernel
 
@@ -31,7 +31,7 @@ def test_pair_groupoid_valid():
 def test_bad_composition_domain_reported():
     g = Groupoid(["x", "y"], ["a", "b"],
                  {"a": "x", "b": "y"}, {"a": "x", "b": "y"},
-                 {("a", "b"): "a", ("a", "a"): "a", ("b", "b"): "b"},
+                 pair_rows("ab", {("a", "b"): "a", ("a", "a"): "a", ("b", "b"): "b"}),
                  {"a": "a", "b": "b"}, {"x": "a", "y": "b"})
     bad = check_groupoid(g)
     assert any(v.startswith("composition domain") for v in bad)
@@ -39,7 +39,7 @@ def test_bad_composition_domain_reported():
 
 def test_missing_composition_reported():
     g = Groupoid(["x"], ["e", "a"], {"e": "x", "a": "x"}, {"e": "x", "a": "x"},
-                 {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a"},
+                 pair_rows("ea", {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a"}),
                  {"e": "e", "a": "a"}, {"x": "e"})
     bad = check_groupoid(g)
     assert any("composition missing" in v for v in bad)
@@ -47,7 +47,7 @@ def test_missing_composition_reported():
 
 def test_dangling_identifier_is_load_error():
     with pytest.raises(GroupoidError, match="dangling"):
-        Groupoid(["x"], ["a"], {"a": "x"}, {"a": "x"}, {("a", "a"): "zzz"},
+        Groupoid(["x"], ["a"], {"a": "x"}, {"a": "x"}, pair_rows("a", {("a", "a"): "zzz"}),
                  {"a": "a"}, {"x": "a"})
 
 
@@ -55,7 +55,7 @@ def test_associativity_violation_reported():
     g = corpus.cyclic_groupoid(2)
     bent = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "a"}
     h = Groupoid(["x"], ["e", "a"], {"e": "x", "a": "x"}, {"e": "x", "a": "x"},
-                 bent, None, None)
+                 pair_rows("ea", bent), None, None)
     assert check_groupoid(g) == []
     assert check_groupoid(h)
 

@@ -3,13 +3,13 @@ import pytest
 from holonomy2 import corpus
 from holonomy2.dgpd import build_double_groupoid
 from holonomy2.fintop import (FiniteTopSpace, PartialMap, TopologyError,
-                              is_continuous, pullback_space)
+                              is_continuous, operation_continuity, pullback_space)
 from holonomy2.groupoid import _skey, generated_subgroupoid
 from holonomy2.holonomy import (HolonomyError, WStructure, _window_differences,
-                                _window_operation, _window_products,
+                                _window_products,
                                 build_wg, check_locally_lie_double,
                                 check_locally_lie_xmod, check_wstructure,
-                                full_wstructure, generation_equivalence,
+                                generation_equivalence,
                                 has_enough_sections, is_equivariant,
                                 sections_through)
 from holonomy2.xmod import apply_action
@@ -259,7 +259,7 @@ def test_shared_report_matches_replaced_blocks(cm, w):
     assert (s3["difference_set_open"], s3["difference_continuous"]) == difference
     squares = sorted(wg.squares, key=_skey)
     products = {(u, v): dg.comp1(u, v) for u in squares for v in squares if u.bottom == v.top}
-    assert _window_operation([wg.space, wg.space], products, wg.space) == product
+    assert operation_continuity([wg.space, wg.space], products, wg.space) == product
     if "deductions" in axioms:
         ded = axioms["deductions"]
         assert (ded["product_set_open"], ded["product_continuous"]) == product

@@ -11,7 +11,7 @@ import holonomy2
 
 from holonomy2.dgpd import DoubleGroupoidError, build_double_groupoid
 from holonomy2.fintop import FiniteTopSpace
-from holonomy2.holonomy import (Germ, HolonomyError, LocalLinearSection, WStructure,
+from holonomy2.holonomy import (Germ, HolonomyError, WStructure,
                                 build_wg, check_local_section,
                                 check_wstructure, constant_section,
                                 full_wstructure, germ_at, germ_inv, germ_mul,

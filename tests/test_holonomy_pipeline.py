@@ -1,17 +1,14 @@
-import itertools
-
 import pytest
 
 from holonomy2 import corpus
 from holonomy2.dgpd import build_double_groupoid
-from holonomy2.fintop import FiniteTopSpace
 from holonomy2.groupoid import NormalSubgroupoid, check_groupoid, check_groupoid_morphism
-from holonomy2.holonomy import (HolonomyError, WStructure, build_germ_groupoid,
+from holonomy2.holonomy import (HolonomyError, build_germ_groupoid,
                                 build_restricted_germs, build_unit_germs,
                                 build_wg, check_chart_coherence,
-                                constant_section, full_wstructure, germ_at,
+                                constant_section, germ_at,
                                 left_translation, local_section_inv,
-                                local_section_mul, min_sections_at, unit_germ)
+                                min_sections_at, unit_germ)
 
 from conftest import (discrete_item, holonomy_of, indiscrete_item,
                       sierpinski_pairz2_item, z4_coset_item, zn_on_itself)

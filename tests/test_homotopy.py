@@ -8,7 +8,7 @@ from holonomy2.homotopy import (DerivationError, FreeDerivation,
                                 derivation_to_section,
                                 enumerate_free_derivations,
                                 enumerate_linear_sections,
-                                induced_endomorphism, inverse_derivation,
+                                induced_endomorphism,
                                 is_coadmissible, section_mul,
                                 section_to_derivation)
 from holonomy2.holonomy import square_tables

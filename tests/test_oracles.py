@@ -25,10 +25,10 @@ from conftest import (altered_holonomy, corpus_groupoids, discrete_item, indiscr
 from holonomy2 import corpus, dgpd, groupoid, holonomy, xmod
 from holonomy2.dgpd import (DoubleGroupoid, Square, build_double_groupoid, check_double,
                             crossed_module_of)
-from holonomy2.fintop import (FiniteTopSpace, PartialMap, is_continuous, is_partial_homeomorphism,
-                              pullback_space)
-from holonomy2.groupoid import (Groupoid, GroupoidError, GroupoidMorphism, NormalSubgroupoid,
-                                _skey, check_groupoid, generated_subgroupoid)
+from holonomy2.fintop import (FiniteTopSpace, ModelError, PartialMap, is_continuous,
+                              is_partial_homeomorphism, operation_continuity, pullback_space)
+from holonomy2.groupoid import (Groupoid, GroupoidMorphism, NormalSubgroupoid,
+                                _skey, check_groupoid, generated_subgroupoid, pair_rows)
 from holonomy2.holonomy import (Chart, LocalLinearSection, WStructure, _chart_for, build_germ_groupoid, build_restricted_germs, build_wg,
                                 check_chart_coherence, full_wstructure, germ_at,
                                 has_enough_sections, holonomy_groupoid,
@@ -67,9 +67,9 @@ def kind_of(result):
 
 
 @st.composite
-def preorders(draw, prefix="p", max_points=5):
+def preorders(draw, prefix="p", max_points=5, min_points=1):
     """A finite space from a random relation closed reflexively and transitively."""
-    n = draw(st.integers(1, max_points))
+    n = draw(st.integers(min_points, max_points))
     below = {i: {i} for i in range(n)}
     for a, b in draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
         below[b].add(a)
@@ -182,7 +182,7 @@ def window_operations(draw):
 
 def window_verdicts(spaces, table, target):
     """The lazy and the materialised verdicts of one window operation."""
-    fast = outcome(holonomy._window_operation, spaces, table, target)
+    fast = outcome(operation_continuity, spaces, table, target)
     slow = outcome(oracles.window_operation, list(spaces), list(table),
                    lambda x, y: table[(x, y)], target)
     return fast, slow
@@ -423,9 +423,9 @@ def product_groupoid(g, h):
         [(x, y) for x in g.objects for y in h.objects], arrows,
         {(a, b): (g.src(a), h.src(b)) for a, b in arrows},
         {(a, b): (g.tgt(a), h.tgt(b)) for a, b in arrows},
-        {((a, b), (c, d)): (g.add(a, c), h.add(b, d))
-         for a, b in arrows for c, d in arrows
-         if g.composable(a, c) and h.composable(b, d)},
+        pair_rows(arrows, {((a, b), (c, d)): (g.add(a, c), h.add(b, d))
+                           for a, b in arrows for c, d in arrows
+                           if g.composable(a, c) and h.composable(b, d)}),
         {(a, b): (g.neg(a), h.neg(b)) for a, b in arrows},
         {(x, y): (g.unit(x), h.unit(y)) for x in g.objects for y in h.objects})
 
@@ -462,7 +462,7 @@ def corrupted_groupoids(draw):
                 neg[a] = draw(arrow)
         else:
             units.pop(draw(st.sampled_from(g.objects)), None)
-    return Groupoid(g.objects, g.arrows, g._src, g._tgt, table, neg, units)
+    return Groupoid(g.objects, g.arrows, g._src, g._tgt, pair_rows(g.arrows, table), neg, units)
 
 
 @settings(ORACLE, max_examples=150)
@@ -477,7 +477,8 @@ def test_check_groupoid_reports_associativity_in_oracle_order():
     g = corpus.cyclic_groupoid(3)
     table = dict(g.entries())
     table[("1", "1")] = "0"
-    bad = Groupoid(g.objects, g.arrows, g._src, g._tgt, table, g._neg, g._units)
+    bad = Groupoid(g.objects, g.arrows, g._src, g._tgt, pair_rows(g.arrows, table), g._neg,
+                   g._units)
     got = check_groupoid(bad)
     assert sum(v.startswith("associativity") for v in got) > 1
     assert got == oracles.check_groupoid(bad)
@@ -489,8 +490,8 @@ def test_check_groupoid_matches_on_z3_square_views():
     table = dict(vert.entries())
     key = next(k for k, v in table.items() if v != dg.squares[0])
     table[key] = dg.squares[0]
-    broken = Groupoid(vert.objects, vert.arrows, vert._src, vert._tgt, table,
-                      vert._neg, vert._units)
+    broken = Groupoid(vert.objects, vert.arrows, vert._src, vert._tgt,
+                      pair_rows(vert.arrows, table), vert._neg, vert._units)
     for g in (vert, dg.horizontal_groupoid(), broken):
         assert check_groupoid(g) == oracles.check_groupoid(g)
     assert check_groupoid(broken)
@@ -537,7 +538,7 @@ def perturbed_corpus_groupoids(draw):
                 other = draw(st.sampled_from(others))
                 table[key], table[other] = table[other], value
     event("%s: %s" % (name.split(".")[1], "+".join(sorted(set(kinds)))))
-    return Groupoid(g.objects, g.arrows, g._src, g._tgt, table, neg, units)
+    return Groupoid(g.objects, g.arrows, g._src, g._tgt, pair_rows(g.arrows, table), neg, units)
 
 
 @settings(ORACLE, max_examples=200)
@@ -571,7 +572,8 @@ def test_check_groupoid_falls_back_to_the_table_scan(name, off_pair, wrong_ends,
     moved = [a for a in g.arrows if ends[a] != ends[entries[key]]]
     if wrong_ends and moved:
         table[key] = data.draw(st.sampled_from(moved))
-    h = Groupoid(g.objects, g.arrows, g._src, g._tgt, table, g._neg, g._units)
+    h = Groupoid(g.objects, g.arrows, g._src, g._tgt, pair_rows(g.arrows, table), g._neg,
+                 g._units)
     got = check_groupoid(h)
     assert got == oracles.check_groupoid(h)
     assert any(v.startswith("composition domain") for v in got) == bool(off_pair and off)
@@ -685,8 +687,8 @@ class BentDoubleGroupoid(DoubleGroupoid):
         self.bent = bent
         super().__init__(cm, squares)
 
-    def _view_table(self, vertical):
-        return oracles.view_table(self, vertical)
+    def _view(self, vertical):
+        return oracles.view(self, vertical)
 
     def comp1(self, u, v):
         w = super().comp1(u, v)
@@ -717,8 +719,8 @@ def test_check_double_finds_interchange_at_the_end_squares(model, end):
 def test_groupoid_views_match_scans():
     for make in MODELS.values():
         dg = build_double_groupoid(make())
-        for fast, slow in ((dg.vertical_groupoid(), oracles.vertical_groupoid(dg)),
-                           (dg.horizontal_groupoid(), oracles.horizontal_groupoid(dg))):
+        for fast, slow in ((dg.vertical_groupoid(), oracles.view(dg, True)),
+                           (dg.horizontal_groupoid(), oracles.view(dg, False))):
             assert list(fast.entries()) == list(slow.entries())
             assert fast._neg == slow._neg and fast._units == slow._units
         assert dg.vertical_groupoid() is dg.vertical_groupoid()
@@ -839,6 +841,167 @@ def test_restricted_germs_match_resorting_closure(name):
     assert germ_groupoid_parts(fast[0]) == germ_groupoid_parts(slow[0])
     assert fast[1] == slow[1]
     assert list(fast[2].items()) == list(slow[2].items())
+
+
+def test_germ_closure_order_decides_the_witnesses():
+    """On Z/4 by cosets of {0, 2} with the window {c0, c1, c3} the closure
+    admits products (88 window germs, 136 germs), and a closure that
+    walked the live germ list in its product pass, not a snapshot, would
+    admit them in another order.  J_r, its witness sections in order and
+    the charts they decide, one per distinct witness in germ order, equal
+    those of the re-sorting closure."""
+    cm, w = z4_coset_item()
+    arrows = ["c0", "c1", "c3"]
+    dg, wg, axioms = square_axioms(cm, WStructure(arrows, w.space.subspace(arrows)))
+    hol = holonomy_groupoid(dg, wg, axioms, require_axioms=False)
+    jr, seed, witness = build_restricted_germs(dg, wg)
+    slow = oracles.build_restricted_germs(dg, wg, oracles.build_germ_groupoid(dg)[0])
+    assert (len(seed), len(jr.arrows)) == (88, 136)
+    assert germ_groupoid_parts(jr) == germ_groupoid_parts(slow[0])
+    assert seed == slow[1] and list(witness.items()) == list(slow[2].items())
+    sections = list(dict.fromkeys(slow[2][g] for g in slow[0].arrows))
+    through = {sq: sections_through(wg, sq) for sq in wg.ordered}
+    assert [(c.section, c.mapping) for c in hol.charts] == [
+        (sec, oracles.chart_for(dg, hol.projection, set(jr.arrows), sec, through,
+                                strict=False)[0].mapping) for sec in sections]
+
+
+# ---------------------------------------------------------------------------
+# groupoids built from rows against the pair-table builders
+# ---------------------------------------------------------------------------
+
+
+ROW_MODELS = dict({name: functools.partial(discrete_item, cm)
+                   for name, cm in corpus.corpus().items()},
+                  z3=lambda: discrete_item(zn_on_itself(3)),
+                  z4=lambda: discrete_item(zn_on_itself(4)), z4_coset=z4_coset_item)
+
+
+def parts(got):
+    """An ``outcome`` of a builder, with its groupoid as the arrows, rows,
+    negation and units, and the rest of what it returns (the seeds and
+    witness items of a germ closure, the maps of a quotient's
+    projection) as plain values."""
+    if got[0] == "raised":
+        return got
+    g, *rest = got[1] if isinstance(got[1], tuple) else (got[1],)
+    return ((g.arrows, g.tables()[1], g._neg, g._units),
+            [vars(r) if isinstance(r, GroupoidMorphism) else
+             list(r.items()) if isinstance(r, dict) else r for r in rest])
+
+
+def assert_rows_match_pair_tables(dg, wg):
+    """Both square views, J_r from the window germs and its quotient by
+    the unit-valued germs (by the units where those are not a normal
+    subgroupoid) equal the pair-table builders' groupoids, or raise the
+    same first error.  Returns the quotient's classes, None where a
+    builder raised."""
+    for vertical in (True, False):
+        assert parts(outcome(dg._view, vertical)) == parts(outcome(oracles.view, dg, vertical))
+    seeds = outcome(holonomy.window_germs, dg, wg)
+    if seeds[0] == "raised":
+        return None
+    got = outcome(holonomy.generated_germs, dg, seeds[1])
+    assert parts(got) == parts(outcome(oracles.generated_germs, dg, seeds[1]))
+    if got[0] == "raised":
+        return None
+    jr, seed, _ = got[1]
+    members = [g for g in seed if g.value() == dg.eps1(g.base)]
+    if NormalSubgroupoid(jr, members).violations():
+        members = jr.units()
+    kernel = NormalSubgroupoid(jr, members)
+    got = outcome(groupoid.quotient, jr, kernel)
+    assert parts(got) == parts(outcome(oracles.coset_quotient, jr, kernel))
+    return None if got[0] == "raised" else got[1][0].arrows
+
+
+@pytest.mark.parametrize("name", sorted(ROW_MODELS))
+def test_rows_match_pair_table_builders(name):
+    """On every corpus model, Z/3, Z/4 and Z/4 by cosets of {0, 2}, whose
+    quotient has classes of two germs."""
+    dg, wg, _ = square_axioms(*ROW_MODELS[name]())
+    classes = assert_rows_match_pair_tables(dg, wg)
+    assert max(map(len, classes)) == (2 if name == "z4_coset" else 1)
+
+
+@st.composite
+def corrupted_crossed_modules(draw):
+    """A model of ``MODELS`` with up to three action values redrawn from
+    every arrow of C, or boundary values from the arrows of G with the
+    same ends, so that composites may leave the square set, or fail to
+    compose."""
+    cm = MODELS[draw(st.sampled_from(sorted(MODELS)))]()
+    G, action, delta = cm.G, dict(cm.action), dict(cm.delta)
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            action[draw(st.sampled_from(sorted(action)))] = draw(st.sampled_from(cm.C.arrows))
+        else:
+            c = draw(st.sampled_from(sorted(delta)))
+            delta[c] = draw(st.sampled_from([a for a in G.arrows if (G.src(a), G.tgt(a))
+                                             == (G.src(delta[c]), G.tgt(delta[c]))]))
+    return discrete_item(CrossedModule(cm.C, cm.G, delta, action))
+
+
+@settings(ORACLE, max_examples=60)
+@given(corrupted_crossed_modules())
+def test_rows_match_pair_table_builders_on_corrupted_crossed_modules(item):
+    cm, w = item
+    try:
+        dg = build_double_groupoid(cm)
+    except ModelError:
+        event("no squares")
+        return
+    classes = assert_rows_match_pair_tables(dg, build_wg(dg, w))
+    event("raised" if classes is None else "built")
+
+
+@settings(ORACLE, max_examples=100)
+@given(corrupted_groupoids(), st.data())
+def test_quotient_rows_match_pair_table_quotient(g, data):
+    """On corrupted tables, by the units or by a drawn set of loops: the
+    same classes, rows, negation, units and projection, or the same
+    first error.  Only where some arrow a: x -> y misses its coset
+    N(x) + a, which cannot happen in a groupoid, is the table refused
+    first with that, in place of the old builder's outcome."""
+    loops = [a for a in g.arrows if g.src(a) == g.tgt(a)]
+    members = data.draw(st.sampled_from([g.units(), data.draw(st.sets(st.sampled_from(loops)))]))
+    n = NormalSubgroupoid(g, members)
+    got = parts(outcome(groupoid.quotient, g, n))
+    event(kind_of(got) if got[0] == "raised" else "built")
+    if got[0] == "raised" and " misses " in got[2]:
+        event("an arrow misses its coset")
+        table = dict(g.entries())
+        a = next(a for a in g.arrows if str(a) == got[2].rsplit(" misses ", 1)[1])
+        assert a not in {table.get((m, a)) for m in members if g.src(m) == g.src(a)}
+    else:
+        assert got == parts(outcome(oracles.coset_quotient, g, n))
+
+
+@st.composite
+def topologized_groupoids(draw):
+    """A corrupted groupoid under discrete, indiscrete or drawn preorder
+    topologies on its arrows and objects."""
+    g = draw(corrupted_groupoids())
+
+    def space(points):
+        kind = draw(st.sampled_from(["discrete", "indiscrete", "preorder"]))
+        if kind == "preorder":
+            return relabelled(draw(preorders(max_points=len(points), min_points=len(points))),
+                              points)
+        return getattr(FiniteTopSpace, kind)(points)
+
+    return g.with_topology(space(g.arrows), space(g.objects))
+
+
+@settings(ORACLE, max_examples=150)
+@given(topologized_groupoids())
+def test_continuity_report_matches_pair_spaces(g):
+    """The difference map and the composition tested without a pair
+    space give the verdicts of the materialised pair spaces."""
+    got = outcome(groupoid._continuity_report, g)
+    event(kind_of(got))
+    assert got == outcome(oracles.continuity_report, g)
+    assert outcome(check_groupoid, g) == outcome(oracles.check_groupoid, g)
 
 
 @pytest.mark.parametrize("name", ["z2z2", "pairz2", "z4", "pairz2-sierpinski", "z3"])
@@ -1414,7 +1577,7 @@ def inverse_loops(draw):
             break
     arrows = [str(a) for a in range(n)]
     return Groupoid(["*"], arrows, {a: "*" for a in arrows}, {a: "*" for a in arrows},
-                    {(str(a), str(b)): str(c) for (a, b), c in table.items()},
+                    pair_rows(arrows, {(str(a), str(b)): str(c) for (a, b), c in table.items()}),
                     {str(a): str(inv[a]) for a in range(n)}, {"*": "0"})
 
 
@@ -1464,8 +1627,8 @@ class ConjugatedDoubleGroupoid(DoubleGroupoid):
         self.perm, self.back = perm, {v: k for k, v in perm.items()}
         super().__init__(cm, squares)
 
-    def _view_table(self, vertical):
-        return oracles.view_table(self, vertical)
+    def _view(self, vertical):
+        return oracles.view(self, vertical)
 
     def comp2(self, u, v):
         return self.back[super().comp2(self.perm[u], self.perm[v])]
@@ -1526,8 +1689,8 @@ class BentFacesDoubleGroupoid(DoubleGroupoid):
         self.perm, self.back = perm, {v: k for k, v in perm.items()}
         super().__init__(cm, squares)
 
-    def _view_table(self, vertical):
-        return oracles.view_table(self, vertical)
+    def _view(self, vertical):
+        return oracles.view(self, vertical)
 
     def comp1(self, u, v):
         return self.back[super().comp1(self.perm[u], self.perm[v])]
@@ -1628,8 +1791,8 @@ def test_chart_certificate_needs_a_groupoid_vertical_view(name, data):
     if parallel:
         table[key] = data.draw(st.sampled_from(parallel))
     hol.dg = copy.copy(hol.dg)
-    hol.dg._vertical = Groupoid(vert.objects, vert.arrows, vert._src, vert._tgt, table,
-                                vert._neg, vert._units)
+    hol.dg._vertical = Groupoid(vert.objects, vert.arrows, vert._src, vert._tgt,
+                                pair_rows(vert.arrows, table), vert._neg, vert._units)
     scan = {"violations": [], "open_image_failures": []}
     holonomy._transition_pairs(hol, {}, False, scan)
     proved = holonomy._charts_translate(hol)

@@ -355,7 +355,9 @@ def cyclic_group(labels):
 def test_non_linear_induced_section_is_a_failed_task(tmp_path, capsys):
     """C = G = Z/2, identity boundary, every action value c0: the derivation
     task's induced section is not linear.  That task gets an error entry,
-    the exit code is 1, and the other tasks keep their entries."""
+    the exit code is 1, and the other tasks keep their entries.  The
+    double task's error names the first vertical composite that is not a
+    square and the boundary equation it breaks."""
     path = tmp_path / "z2.json"
     path.write_text(json.dumps({
         "groupoids": {"C": cyclic_group(["c0", "c1"]), "G": cyclic_group(["g0", "g1"])},
@@ -371,6 +373,11 @@ def test_non_linear_induced_section_is_a_failed_task(tmp_path, capsys):
     assert report["tasks"][1] == {
         "task": "derivations", "ok": False,
         "details": {"error": "induced section invalid: linearity fails at (g0,g0)"}}
+    assert report["tasks"][2] == {
+        "task": "double", "ok": False,
+        "details": {"error": "vertical composite [c1:g0|g0|g0|g1]+[c0:g1|g0|g0|g1]="
+                             "[c0:g0|g0|g0|g1] breaks the boundary equation "
+                             "delta(inner) = -bottom - left + top + right"}}
 
 
 @st.composite
@@ -512,6 +519,46 @@ def test_universal_task_builds_each_structure_once(monkeypatch, capsys):
                          "--format", "json"], capsys)
     assert code == 0 and json.loads(out)["tasks"][0]["details"]["report"]["unique"]
     assert [len(calls) for calls in built] == [1, 1, 2]
+
+
+def test_holonomy_then_universal_build_the_holonomy_groupoid_once(tmp_path, monkeypatch,
+                                                                  capsys):
+    """holonomy, then universal, on one window of Z/2: one S1-S5 report
+    and one holonomy groupoid, read by both tasks."""
+    from holonomy2 import holonomy
+    with open(scenario_path("universal_z2z2.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["tasks"].insert(0, {"task": "holonomy", "xmod": "CM", "w": "W"})
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    built = [counting(monkeypatch, holonomy, "check_locally_lie_double"),
+             counting(monkeypatch, holonomy, "holonomy_groupoid")]
+    code, out = run_cli(["--scenario", str(path), "--format", "json"], capsys)
+    assert code == 0 and [t["task"] for t in json.loads(out)["tasks"]] == ["holonomy", "universal"]
+    assert [len(calls) for calls in built] == [1, 1]
+
+
+def test_failed_holonomy_build_fails_each_task_that_needs_it(tmp_path, monkeypatch, capsys):
+    """A holonomy groupoid that raises is not kept: universal, after
+    holonomy on the same window, builds it again and fails with the same
+    message."""
+    from holonomy2 import holonomy
+    with open(scenario_path("universal_z2z2.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["tasks"].insert(0, {"task": "holonomy", "xmod": "CM", "w": "W"})
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        raise holonomy.HolonomyError("odd window")
+
+    monkeypatch.setattr(cli, "holonomy_groupoid", broken)
+    code, out = run_cli(["--scenario", str(path), "--format", "json"], capsys)
+    tasks = json.loads(out)["tasks"]
+    assert code == 1 and len(calls) == 2
+    assert all(t["details"] == {"error": "odd window"} for t in tasks)
 
 
 def test_unsupported_morphism_exits_2_before_any_build(tmp_path, monkeypatch, capsys):

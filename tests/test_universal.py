@@ -6,7 +6,7 @@ import pytest
 import oracles
 from holonomy2 import corpus, holonomy
 from holonomy2.fintop import FiniteTopSpace
-from holonomy2.groupoid import Groupoid, GroupoidMorphism, check_groupoid_morphism
+from holonomy2.groupoid import Groupoid, GroupoidMorphism, check_groupoid_morphism, pair_rows
 from holonomy2.holonomy import (HolonomyError, WStructure, build_wg, check_wstructure,
                                 full_wstructure, identity_vertical_morphism,
                                 universal_morphism)
@@ -172,7 +172,8 @@ def test_corrupted_quotient_entry_is_named_at_a_square():
     table = dict(q.entries())
     table[(hol.embed[s], unit)] = unit
     bad = copy.copy(hol)
-    bad.quotient = Groupoid(q.objects, q.arrows, q._src, q._tgt, table, q._neg, q._units)
+    bad.quotient = Groupoid(q.objects, q.arrows, q._src, q._tgt, pair_rows(q.arrows, table),
+                            q._neg, q._units)
     with pytest.raises(HolonomyError,
                        match=r"not independent of choices at \[c0:0\|0\|0\|0\]$"):
         universal_morphism(hol.wg, identity_vertical_morphism(hol.dg), bad)
