@@ -27,9 +27,6 @@ import itertools
 
 DEFAULT_POINT_CAP = 64
 
-# guard for open-set materialisation; spaces past this only answer predicates
-_MATERIALISE_LIMIT = 1 << 16
-
 
 class ModelError(ValueError):
     """A model that does not compose or does not satisfy its axioms: the
@@ -50,11 +47,10 @@ class FiniteTopSpace:
     subbase to its generated topology.
     """
 
-    __slots__ = ("points", "_min", "_opens_cache")
+    __slots__ = ("points", "_min")
 
     def __init__(self, points, min_opens):
         self.points = frozenset(points)
-        self._opens_cache = None
         self._min, distinct = {}, {}
         for p in self.points:
             m = frozenset(min_opens[p])
@@ -98,9 +94,7 @@ class FiniteTopSpace:
                 if p in o:
                     m = m & o
             mins[p] = m
-        space = cls(points, mins)
-        space._opens_cache = fam_set
-        return space
+        return cls(points, mins)
 
     @classmethod
     def from_generators(cls, points, generators, point_cap=DEFAULT_POINT_CAP):
@@ -140,20 +134,6 @@ class FiniteTopSpace:
         if not s <= self.points:
             raise TopologyError("subset %s not within point set" % (sorted(map(str, s)),))
         return all(m <= s for m in set(map(self._min.__getitem__, s)))
-
-    def open_sets(self):
-        """Materialise every open set (all down-sets of the preorder)."""
-        if self._opens_cache is not None:
-            return sorted(self._opens_cache, key=lambda o: (len(o), sorted(map(str, o))))
-        # every open is a union of minimal opens, so close under union
-        opens = {frozenset()}
-        for p in sorted(self.points, key=str):
-            m = self._min[p]
-            opens |= {o | m for o in opens}
-            if len(opens) > _MATERIALISE_LIMIT:
-                raise TopologyError("too many open sets to materialise")
-        self._opens_cache = opens
-        return sorted(opens, key=lambda o: (len(o), sorted(map(str, o))))
 
     def min_neighbourhood(self, subset):
         """Smallest open set containing ``subset``."""
@@ -243,11 +223,6 @@ class PartialMap:
             raise TopologyError("cannot invert a non-injective partial map")
         return PartialMap({v: k for k, v in self.table.items()})
 
-    def compose(self, other):
-        """other after self, on the matched overlap."""
-        dom = [p for p in self.domain if self.table[p] in other.domain]
-        return PartialMap({p: other.table[self.table[p]] for p in dom})
-
     def __eq__(self, other):
         if not isinstance(other, PartialMap):
             return NotImplemented
@@ -296,41 +271,59 @@ def is_continuous(f, src, tgt):
     return True
 
 
-def operation_continuity(spaces, values, target):
+def operation_continuity(spaces, triples, target):
     """Openness and continuity of a partial operation on pairs.
 
-    ``values`` maps every pair (x, y) of the operation's domain to its
-    value; the pairs are a subspace of the product of the two
-    ``spaces``, so the minimal open of (x, y) is the pairs (x', y') with
-    x' in M(x) and y' in M(y).  The pairs whose value lands in
-    ``target`` must form an open set (first verdict) on which the
-    operation is continuous into ``target`` (second verdict, None when
-    the set is not open).
+    ``triples`` yields (x, y, value) for every pair (x, y) of the
+    operation's domain D, a subspace of the product of the two
+    ``spaces``.  The pairs whose value lands in ``target`` form a set A,
+    which must be open in D (first verdict), and the operation must be
+    continuous from A into ``target`` (second verdict, None when A is not
+    open).  The stream is read to its end before anything is decided, so
+    an error raised while it yields is raised here.
 
-    No pair space is built: each point's minimal open is looked up once,
-    the work is done once per distinct (M(x), M(y)), and skipped when
-    both are singletons, since the pair is then its own minimal open (as
-    in ``is_continuous``).
+    Lemma (pair form of the minimal opens).  Write M(p) for the minimal
+    open of a point p; in a finite space a set is open exactly when it
+    holds M(p) for each of its points p.  (1) In the product,
+    M(x, y) = M(x) x M(y): the box is open, and every open holding (x, y)
+    holds a box U x V of opens with x in U and y in V, so with M(x) <= U
+    and M(y) <= V.  In D, M_D(x, y) = (M(x) x M(y)) & D.  (2) So A is open
+    exactly when M_D(p) <= A for every p in A.  (3) Let A be open; then
+    the operation f is continuous on A exactly when f(M_D(p)) <= M(f(p))
+    for every p in A.  If f is continuous, f^-1(M(f(p))) is open in A,
+    hence in D, and holds p, so it holds M_D(p).  Conversely, if U is
+    open in the target and f(p) lies in U, then M(f(p)) <= U, so
+    M_D(p) <= f^-1(U), which is thus a union of opens of D.
+
+    Both verdicts are therefore read once per distinct (M(x), M(y)).
+    Where both are singletons, M_D(p) = {p} and both conditions hold at
+    p.  A pair lies in a larger M_D(q) only when its first point lies in
+    a minimal open of more than one point, or its second point does;
+    only those pairs' values are kept, so none are on discrete factors.
     """
     first, second = spaces
     tmin = target._min
-    by_first, pairs_at, first_min, second_min = {}, {}, {}, {}
-    for x, y in values:
-        by_first.setdefault(x, []).append(y)
-        mx = first_min.get(x) or first_min.setdefault(x, first.minimal_open(x))
-        my = second_min.get(y) or second_min.setdefault(y, second.minimal_open(y))
+    plain_first, plain_second = (
+        space.points.difference(*(m for m in set(space._min.values()) if len(m) > 1))
+        for space in spaces)
+    below, values_at = {}, {}
+    for x, y, value in triples:
+        if x in plain_first and y in plain_second:
+            continue
+        mx = first._min.get(x) or first.minimal_open(x)
+        my = second._min.get(y) or second.minimal_open(y)
+        below.setdefault(x, {})[y] = value
         if len(mx) > 1 or len(my) > 1:
-            pairs_at.setdefault((mx, my), []).append((x, y))
+            values_at.setdefault((mx, my), set()).add(value)
     continuous = True
-    for (mx, my), pairs in pairs_at.items():
-        if not any(values[p] in tmin for p in pairs):
+    for (mx, my), values in values_at.items():
+        if not any(v in tmin for v in values):
             continue
         # the pairs' common minimal open must land whole in the target
-        image = {values[(x, y)] for x in mx for y in by_first.get(x, ()) if y in my}
+        image = {v for x in mx for y, v in below.get(x, {}).items() if y in my}
         if not all(v in tmin for v in image):
             return False, None
-        continuous = continuous and all(
-            image <= m for m in {tmin[values[p]] for p in pairs})
+        continuous = continuous and all(image <= tmin[v] for v in values)
     return True, continuous
 
 

@@ -416,6 +416,9 @@ def _associativity_failures(g):
 
 
 def _continuity_report(g):
+    """The continuity verdicts of a topologized groupoid's structure maps.
+    A unit map or negation defined on a set that is not open is not
+    tested: ``check_groupoid`` has listed its missing entries."""
     out = []
     arr, obj = g.topology
     alpha = PartialMap({a: g.src(a) for a in g.arrows})
@@ -425,29 +428,60 @@ def _continuity_report(g):
     if not is_continuous(beta, arr, obj):
         out.append("continuity: target map not continuous")
     eps = PartialMap({x: g.unit(x) for x in g.objects if x in g._units})
-    if not is_continuous(eps, obj, arr):
+    if obj.is_open(eps.domain) and not is_continuous(eps, obj, arr):
         out.append("continuity: unit map not continuous")
     neg = PartialMap({a: g._neg[a] for a in g.arrows if a in g._neg})
-    if not is_continuous(neg, arr, arr):
+    if arr.is_open(neg.domain) and not is_continuous(neg, arr, arr):
         out.append("continuity: negation not continuous")
     # difference map on the beta-fibred pairs, (a,b) |-> a - b, and the
     # composition, each on its pairs as a subspace of the square of the
     # arrow space; every value is an arrow, so only continuity can fail
-    pairs = [(a, b) for a in g.arrows for b in g.arrows if g.tgt(a) == g.tgt(b)]
     if all(a in g._neg for a in g.arrows) and any(g.entries()):
         try:
-            diff = {(a, b): g.add(a, g.neg(b)) for a, b in pairs}
-            if not operation_continuity([arr, arr], diff, arr)[1]:
+            if not operation_continuity([arr, arr], difference_triples(g, g.arrows), arr)[1]:
                 out.append("continuity: difference map not continuous")
         except GroupoidError:
             out.append("continuity: difference map not totally defined")
         try:
-            addm = {(a, b): g.add(a, b) for a, b in g.composable_pairs()}
-            if not operation_continuity([arr, arr], addm, arr)[1]:
+            if not operation_continuity([arr, arr], composite_triples(g, g.arrows), arr)[1]:
                 out.append("continuity: composition not continuous")
         except GroupoidError:
             out.append("continuity: composition not totally defined")
     return out
+
+
+def difference_triples(g, keys):
+    """(u, v, u - v) for every pair of ``keys`` with a common target, in
+    order of u, then of v, as ``keys`` lists them.  The difference is
+    read from ``g``'s rows; where the rows hold no -v or no u + (-v),
+    ``g.neg`` or ``g.add`` runs, so every error is its own."""
+    pos, rows, neg, _ = g.tables()
+    arrows, tgt = g.arrows, g._tgt
+    by_tgt = {}
+    for v in keys:
+        by_tgt.setdefault(tgt[v], []).append((v, neg[pos[v]]))
+    for u in keys:
+        row = rows[pos[u]]
+        for v, n in by_tgt[tgt[u]]:
+            k = None if n is None else row[n]
+            yield u, v, g.add(u, g.neg(v)) if k is None else arrows[k]
+
+
+def composite_triples(g, keys):
+    """(u, v, u + v) for every composable pair of ``keys``, in order of u,
+    then of v, as ``keys`` lists them.  The composite is read from
+    ``g``'s rows; where they hold none, ``g.add`` runs, so every error is
+    its own."""
+    pos, rows = g.tables()[:2]
+    arrows, src, tgt = g.arrows, g._src, g._tgt
+    by_src = {}
+    for v in keys:
+        by_src.setdefault(src[v], []).append((v, pos[v]))
+    for u in keys:
+        row = rows[pos[u]]
+        for v, j in by_src.get(tgt[u], ()):
+            k = row[j]
+            yield u, v, g.add(u, v) if k is None else arrows[k]
 
 
 class GroupoidMorphism:

@@ -1,14 +1,13 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from holonomy2.fintop import (FiniteTopSpace, PartialMap, TopologyError,
                               is_continuous, is_partial_homeomorphism,
                               pullback_space)
 
 from conftest import sierpinski_space
+from oracles import open_sets
 
 
 def test_minimal_open_discrete():
@@ -57,15 +56,15 @@ def test_point_cap():
 
 def test_open_sets_roundtrip():
     sp = sierpinski_space()
-    assert set(sp.open_sets()) == {frozenset(), frozenset("a"), frozenset("ab")}
+    assert set(open_sets(sp)) == {frozenset(), frozenset("a"), frozenset("ab")}
 
 
 def test_open_sets_are_exactly_down_sets():
-    # a family closed under union/intersection regenerates itself
+    # a family closed under union/intersection regenerates itself from
+    # the minimal opens it determines
     fam = [[], ["b"], ["a", "b"], ["b", "c"], ["a", "b", "c"]]
     sp = FiniteTopSpace.from_opens("abc", fam)
-    sp._opens_cache = None
-    assert set(sp.open_sets()) == {frozenset(o) for o in fam}
+    assert set(open_sets(sp)) == {frozenset(o) for o in fam}
 
 
 def test_is_continuous_identity_and_constant():
@@ -90,9 +89,9 @@ def test_is_continuous_requires_open_domain():
 
 
 def _brute_force_continuous(f, src, tgt):
-    for o in tgt.open_sets():
+    for o in open_sets(tgt):
         pre = frozenset(p for p in f.domain if f.table[p] in o)
-        found = any(pre == u & f.domain for u in src.open_sets())
+        found = any(pre == u & f.domain for u in open_sets(src))
         if not found:
             return False
     return True
@@ -108,7 +107,7 @@ SPACES = [
 
 def test_continuity_agrees_with_brute_force_everywhere():
     for src, tgt in itertools.product(SPACES, SPACES):
-        for o in src.open_sets():
+        for o in open_sets(src):
             if not o:
                 continue
             for values in itertools.product(sorted(tgt.points), repeat=len(o)):
@@ -141,36 +140,6 @@ def test_partial_homeo_not_injective():
     f = PartialMap({"a": "a", "b": "a"})
     ok, reason = is_partial_homeomorphism(f, sp, sp)
     assert not ok and reason == "not-injective"
-
-
-@st.composite
-def space_and_two_homeos(draw):
-    sp = draw(st.sampled_from(SPACES))
-    opens = [o for o in sp.open_sets() if o]
-    maps = []
-    for _ in range(2):
-        dom = draw(st.sampled_from(opens))
-        img = draw(st.sampled_from(opens))
-        if len(dom) != len(img):
-            img = dom
-        perm = draw(st.permutations(sorted(img)))
-        maps.append(PartialMap(dict(zip(sorted(dom), perm))))
-    return sp, maps[0], maps[1]
-
-
-@settings(max_examples=200, deadline=None)
-@given(space_and_two_homeos())
-def test_composition_of_partial_homeos(data):
-    sp, f, g = data
-    if not is_partial_homeomorphism(f, sp, sp)[0]:
-        return
-    if not is_partial_homeomorphism(g, sp, sp)[0]:
-        return
-    comp = f.compose(g)
-    if not sp.is_open(comp.domain):
-        return
-    ok, reason = is_partial_homeomorphism(comp, sp, sp)
-    assert ok, reason
 
 
 def test_pullback_space_matches_product_subspace():

@@ -167,6 +167,37 @@ def test_topologized_groupoid_bad_topology_reported():
     assert any("continuity" in v for v in bad)
 
 
+def pair_groupoid_missing(units, neg, arrow_space, object_space):
+    """The pair groupoid on x, y with the given units and negation, under
+    the given topologies."""
+    g = corpus.pair_groupoid("xy")
+    g = Groupoid(g.objects, g.arrows, g._src, g._tgt, g.tables()[1], neg, units)
+    return g.with_topology(arrow_space, object_space)
+
+
+def test_missing_unit_off_an_open_set_is_listed_not_raised():
+    """The objects with units, {x}, are not open, since M(x) = {x, y}:
+    the missing unit is listed, and the unit map is not tested."""
+    g = corpus.pair_groupoid("xy")
+    bad = pair_groupoid_missing({"x": "xx"}, g._neg, FiniteTopSpace.discrete(g.arrows),
+                                FiniteTopSpace.from_opens("xy", [[], ["y"], ["x", "y"]]))
+    assert check_groupoid(bad) == [
+        "unit missing at object y", "left negative law fails at xy",
+        "right negative law fails at yx", "right negative law fails at yy",
+        "left negative law fails at yy"]
+
+
+def test_missing_negation_off_an_open_set_is_listed_not_raised():
+    """The arrows with negatives miss xx, which lies in M(xy): the missing
+    negation is listed, and the negation is not tested for continuity."""
+    g = corpus.pair_groupoid("xy")
+    arr = FiniteTopSpace(g.arrows, {"xx": {"xx"}, "xy": {"xx", "xy"}, "yx": {"yx"}, "yy": {"yy"}})
+    neg = {a: n for a, n in g._neg.items() if a != "xx"}
+    bad = check_groupoid(pair_groupoid_missing(g._units, neg, arr, FiniteTopSpace.discrete("xy")))
+    assert bad[0] == "negation missing for xx"
+    assert "continuity: negation not continuous" not in bad
+
+
 def test_morphism_checker_flags_breakage():
     g = corpus.cyclic_groupoid(2)
     m = GroupoidMorphism({"x": "x"}, {"0": "0", "1": "0"})

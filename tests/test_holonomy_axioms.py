@@ -4,10 +4,8 @@ from holonomy2 import corpus
 from holonomy2.dgpd import build_double_groupoid
 from holonomy2.fintop import (FiniteTopSpace, PartialMap, TopologyError,
                               is_continuous, operation_continuity, pullback_space)
-from holonomy2.groupoid import _skey, generated_subgroupoid
-from holonomy2.holonomy import (HolonomyError, WStructure, _window_differences,
-                                _window_products,
-                                build_wg, check_locally_lie_double,
+from holonomy2.groupoid import _skey, composite_triples, difference_triples, generated_subgroupoid
+from holonomy2.holonomy import (HolonomyError, WStructure, build_wg, check_locally_lie_double,
                                 check_locally_lie_xmod, check_wstructure,
                                 generation_equivalence,
                                 has_enough_sections, is_equivariant,
@@ -258,7 +256,7 @@ def test_shared_report_matches_replaced_blocks(cm, w):
     s3 = axioms["S3"]
     assert (s3["difference_set_open"], s3["difference_continuous"]) == difference
     squares = sorted(wg.squares, key=_skey)
-    products = {(u, v): dg.comp1(u, v) for u in squares for v in squares if u.bottom == v.top}
+    products = ((u, v, dg.comp1(u, v)) for u in squares for v in squares if u.bottom == v.top)
     assert operation_continuity([wg.space, wg.space], products, wg.space) == product
     if "deductions" in axioms:
         ded = axioms["deductions"]
@@ -272,12 +270,21 @@ def test_shared_report_matches_replaced_blocks(cm, w):
 
 @pytest.mark.parametrize("cm,w", _oracle_items())
 def test_window_differences_and_products_match_comp1(cm, w):
-    """The table-read S3 differences and deduction products are comp1's,
-    on every pair the suites compose."""
+    """The readers' window differences and products are comp1's on the
+    vertical view, and C's own on the window arrows: every pair the
+    suites compose, in order."""
     dg, wg, _ = square_axioms(cm, w)
     squares = sorted(wg.squares, key=_skey)
-    assert _window_differences(dg, wg) == {
-        (u, v): dg.comp1(u, dg.neg1(v)) for u in squares for v in squares
-        if u.bottom == v.bottom}
-    assert _window_products(dg, wg) == {
-        (u, v): dg.comp1(u, v) for u in squares for v in squares if u.bottom == v.top}
+    assert list(wg.ordered) == squares
+    vert = dg.vertical_groupoid()
+    assert list(difference_triples(vert, wg.ordered)) == [
+        (u, v, dg.comp1(u, dg.neg1(v))) for u in squares for v in squares
+        if u.bottom == v.bottom]
+    assert list(composite_triples(vert, wg.ordered)) == [
+        (u, v, dg.comp1(u, v)) for u in squares for v in squares if u.bottom == v.top]
+    C, arrows = cm.C, sorted(w.arrows, key=_skey)
+    assert list(difference_triples(C, arrows)) == [
+        (c1, c2, C.add(c1, C.neg(c2))) for c1 in arrows for c2 in arrows
+        if C.tgt(c1) == C.tgt(c2)]
+    assert list(composite_triples(C, arrows)) == [
+        (c1, c2, C.add(c1, c2)) for c1 in arrows for c2 in arrows if C.tgt(c1) == C.src(c2)]

@@ -9,15 +9,17 @@ import pytest
 
 import holonomy2
 
-from holonomy2.dgpd import DoubleGroupoidError, build_double_groupoid
+from holonomy2 import corpus
+from holonomy2.dgpd import DoubleGroupoidError, Square, build_double_groupoid
 from holonomy2.fintop import FiniteTopSpace
-from holonomy2.holonomy import (Germ, HolonomyError, WStructure,
+from holonomy2.holonomy import (Germ, HolonomyError, LocalLinearSection, WStructure,
                                 build_wg, check_local_section,
                                 check_wstructure, constant_section,
                                 full_wstructure, germ_at, germ_inv, germ_mul,
                                 local_section_inv, local_section_mul,
                                 min_sections_at, smoothness_violations, unit_germ)
-from holonomy2.xmod import XModError
+from holonomy2.homotopy import check_linear_section
+from holonomy2.xmod import CrossedModule, XModError
 
 from oracles import germs_equal_somewhere, restrict_section
 
@@ -304,3 +306,20 @@ def test_check_local_section_lists_verdicts_in_arrow_order():
         for seed in ("0", "1", "2")]
     assert runs[0] == runs[1] == runs[2]
     assert runs[0][0] == "linearity fails at (1,1): not composable"
+
+
+def test_local_check_skips_unit_pairs_that_the_linear_check_reads():
+    """On the full domain, ``check_local_section`` is not
+    ``check_linear_section`` plus bijectivity: C = Z/3 over G = Z/2, with
+    trivial boundary and action, and a section whose square at the unit
+    is not the unit square.  Only the pairs with a unit member break
+    linearity, and only the linear check reads them."""
+    G, C = corpus.cyclic_groupoid(2), corpus.cyclic_groupoid(3, prefix="c")
+    cm = CrossedModule(C, G, dict.fromkeys(C.arrows, "0"),
+                       {(c, a): c for c in C.arrows for a in G.arrows})
+    dg = build_double_groupoid(cm)
+    sec = LocalLinearSection({"x": "0"}, {"1": Square("c1", "1", "0", "0", "1"),
+                                          "0": Square("c2", "0", "0", "0", "0")})
+    assert check_local_section(dg, sec) == []
+    assert check_linear_section(dg, sec) == [
+        "linearity fails at (0,0)", "linearity fails at (0,1)", "linearity fails at (1,0)"]

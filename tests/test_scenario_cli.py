@@ -226,6 +226,31 @@ def test_word_bound_is_a_usage_error():
     assert "Traceback" not in proc.stderr
 
 
+def test_missing_unit_off_an_open_set_fails_validate_with_its_list(tmp_path):
+    """A topologized groupoid whose objects with units, {x}, are not open
+    fails validate with exit 1 and its violation list, not an error
+    message, and with no traceback."""
+    arrows = [u + v for u in "xy" for v in "xy"]
+    scenario = {
+        "spaces": {"A": {"points": arrows, "kind": "discrete"},
+                   "O": {"points": ["x", "y"], "opens": [[], ["y"], ["x", "y"]]}},
+        "groupoids": {"P": {
+            "objects": ["x", "y"],
+            "arrows": [{"id": a, "src": a[0], "tgt": a[1]} for a in arrows],
+            "compose": [[a, b, a[0] + b[1]] for a in arrows for b in arrows if a[1] == b[0]],
+            "neg": {a: a[::-1] for a in arrows}, "units": {"x": "xx"},
+            "topology": {"arrows": "A", "objects": "O"}}},
+        "tasks": [{"task": "validate"}]}
+    path = tmp_path / "missing_unit.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "holonomy2.cli", "--scenario", str(path), "--format", "json"],
+        capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    (task,) = json.loads(proc.stdout)["tasks"]
+    assert task["details"]["groupoids"]["P"][0] == "unit missing at object y"
+
+
 def workload_inputs(workload, out_dir):
     """The benchmark's seed-0 input files for a workload, written to
     ``out_dir`` by its generator (run without importing the benchmark
