@@ -8,7 +8,7 @@ germs, and the holonomy groupoid of a windowed double groupoid,
 together with its chart topology and universal property.
 """
 
-from .fintop import FiniteTopSpace, PartialMap, ModelError, TopologyError, is_continuous, is_partial_homeomorphism
+from .fintop import FiniteTopSpace, ModelError, TopologyError, is_continuous, is_partial_homeomorphism
 from .groupoid import Groupoid, GroupoidMorphism, NormalSubgroupoid, GroupoidError, check_groupoid, check_groupoid_morphism, generated_subgroupoid, pair_rows, quotient
 from .xmod import CrossedModule, XModMorphism, XModError, check_crossed_module, apply_action, check_xmod_morphism, find_xmod_isomorphism
 from .dgpd import Square, DoubleGroupoid, build_double_groupoid, crossed_module_of, check_double

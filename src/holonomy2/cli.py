@@ -147,7 +147,7 @@ def task_holonomy(scn, task, opts):
     creport = check_locally_lie_xmod(cm, w, axioms)
     gen = generation_equivalence(cm, w.arrows, dg)
     details = {"xmod": name, "window": wname,
-               "square_axioms": _strip(axioms), "kernel_axioms": _strip(creport),
+               "square_axioms": axioms, "kernel_axioms": creport,
                "generation_equivalence": gen}
     if not axioms["ok"]:
         details["holonomy"] = "skipped: axioms fail"
@@ -180,21 +180,6 @@ def task_universal(scn, task, opts):
     mp, rep = universal_morphism(wg, mu, hol)
     details = {"xmod": name, "window": wname, "morphism": mu_name, "report": rep}
     return all(v for v in rep.values() if isinstance(v, bool)), details
-
-
-def _strip(report):
-    """Keep JSON-friendly leaves only."""
-    out = {}
-    for k, v in report.items():
-        if isinstance(v, dict):
-            out[k] = _strip(v)
-        elif isinstance(v, (bool, int, str, float, type(None))):
-            out[k] = v
-        elif isinstance(v, (list, tuple)):
-            out[k] = [str(x) for x in v]
-        else:
-            out[k] = str(v)
-    return out
 
 
 def _table_dump(g):

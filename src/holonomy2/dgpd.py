@@ -57,7 +57,7 @@ class DoubleGroupoid:
         # kept by holonomy: local section verdicts by section content
         # (section_violations) and base maps by their constraints
         # (section_from_squares)
-        self._section_verdicts, self._base_maps = {}, {}
+        self._section_verdicts, self._s0_completions = {}, {}
         if connection is None:
             connection = {a: self._default_connection(a) for a in self.edge.arrows}
         self.connection = dict(connection)

@@ -1,5 +1,8 @@
 """Finite topological spaces, continuous partial maps, partial homeomorphisms.
 
+A partial map is the dict from its domain, an open set of the source
+space, to its values.
+
 A finite topology is determined by its minimal open neighbourhoods: a set
 is open exactly when it contains the minimal open of each of its points.
 Every family of sets that contains the empty set and the whole space and
@@ -203,40 +206,6 @@ def pullback_space(component_spaces, points, components):
     return FiniteTopSpace(pts, mins)
 
 
-class PartialMap:
-    """A map defined on an (open) subset of a source space."""
-
-    __slots__ = ("domain", "table")
-
-    def __init__(self, table):
-        self.table = dict(table)
-        self.domain = frozenset(self.table)
-
-    def image(self):
-        return frozenset(self.table.values())
-
-    def is_injective(self):
-        return len(self.image()) == len(self.domain)
-
-    def inverse(self):
-        if not self.is_injective():
-            raise TopologyError("cannot invert a non-injective partial map")
-        return PartialMap({v: k for k, v in self.table.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, PartialMap):
-            return NotImplemented
-        return self.table == other.table
-
-    def __hash__(self):
-        return hash(tuple(sorted(((str(k), str(v)) for k, v in self.table.items()))))
-
-    def __repr__(self):
-        items = ", ".join("%s->%s" % (k, v) for k, v in
-                          sorted(self.table.items(), key=lambda kv: str(kv[0])))
-        return "PartialMap({%s})" % items
-
-
 def is_continuous(f, src, tgt):
     """Preimages of opens are open in the subspace topology of the domain.
 
@@ -245,15 +214,15 @@ def is_continuous(f, src, tgt):
     are interned, so each distinct minimal open is mapped once and each
     distinct (image, target minimal open) pair is compared once.
     """
-    if not f.domain <= src.points:
+    if not f.keys() <= src.points:
         raise TopologyError("domain not within source space")
-    if not src.is_open(f.domain):
+    if not src.is_open(f):
         raise TopologyError("domain of partial map is not open")
-    if not f.image() <= tgt.points:
+    if not tgt.points.issuperset(f.values()):
         raise TopologyError("values leave the target space")
-    table, smin, tmin = f.table, src._min, tgt._min
+    smin, tmin = src._min, tgt._min
     images, compared = {}, set()
-    for p, fp in table.items():
+    for p, fp in f.items():
         m = smin[p]
         if len(m) == 1:
             # m == {p}, and f(p) lies in min(f(p))
@@ -264,7 +233,7 @@ def is_continuous(f, src, tgt):
         img = images.get(m)
         if img is None:
             # domain open, so min(p) stays inside it
-            img = images[m] = frozenset(table[q] for q in m)
+            img = images[m] = frozenset(f[q] for q in m)
         if not img <= pair[1]:
             return False
         compared.add(pair)
@@ -329,16 +298,17 @@ def operation_continuity(spaces, triples, target):
 
 def is_partial_homeomorphism(f, src, tgt):
     """Injective, open image, continuous both ways.  Returns (ok, reason)."""
-    if not src.is_open(f.domain):
+    if not src.is_open(f):
         return False, "domain-not-open"
-    if not f.image() <= tgt.points:
+    image = frozenset(f.values())
+    if not image <= tgt.points:
         return False, "values-outside-target"
-    if not f.is_injective():
+    if len(image) != len(f):
         return False, "not-injective"
-    if not tgt.is_open(f.image()):
+    if not tgt.is_open(image):
         return False, "image-not-open"
     if not is_continuous(f, src, tgt):
         return False, "not-continuous"
-    if not is_continuous(f.inverse(), tgt, src):
+    if not is_continuous({v: k for k, v in f.items()}, tgt, src):
         return False, "inverse-not-continuous"
     return True, ""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 from operator import itemgetter
 
-from .fintop import FiniteTopSpace, ModelError, PartialMap, is_continuous, operation_continuity
+from .fintop import FiniteTopSpace, ModelError, is_continuous, operation_continuity
 
 
 class GroupoidError(ModelError):
@@ -421,17 +421,15 @@ def _continuity_report(g):
     tested: ``check_groupoid`` has listed its missing entries."""
     out = []
     arr, obj = g.topology
-    alpha = PartialMap({a: g.src(a) for a in g.arrows})
-    beta = PartialMap({a: g.tgt(a) for a in g.arrows})
-    if not is_continuous(alpha, arr, obj):
+    if not is_continuous({a: g.src(a) for a in g.arrows}, arr, obj):
         out.append("continuity: source map not continuous")
-    if not is_continuous(beta, arr, obj):
+    if not is_continuous({a: g.tgt(a) for a in g.arrows}, arr, obj):
         out.append("continuity: target map not continuous")
-    eps = PartialMap({x: g.unit(x) for x in g.objects if x in g._units})
-    if obj.is_open(eps.domain) and not is_continuous(eps, obj, arr):
+    eps = {x: g.unit(x) for x in g.objects if x in g._units}
+    if obj.is_open(eps) and not is_continuous(eps, obj, arr):
         out.append("continuity: unit map not continuous")
-    neg = PartialMap({a: g._neg[a] for a in g.arrows if a in g._neg})
-    if arr.is_open(neg.domain) and not is_continuous(neg, arr, arr):
+    neg = {a: g._neg[a] for a in g.arrows if a in g._neg}
+    if arr.is_open(neg) and not is_continuous(neg, arr, arr):
         out.append("continuity: negation not continuous")
     # difference map on the beta-fibred pairs, (a,b) |-> a - b, and the
     # composition, each on its pairs as a subspace of the square of the

@@ -24,7 +24,7 @@ import bisect
 import itertools
 from collections import defaultdict
 
-from .fintop import FiniteTopSpace, ModelError, PartialMap, TopologyError, is_continuous, is_partial_homeomorphism, operation_continuity, pullback_space
+from .fintop import FiniteTopSpace, ModelError, TopologyError, is_continuous, is_partial_homeomorphism, operation_continuity, pullback_space
 from .groupoid import Groupoid, GroupoidMorphism, NormalSubgroupoid, _skey, check_groupoid, check_groupoid_morphism, composite_triples, depth_first, difference_triples, generated_subgroupoid, quotient, triples_by_last
 from .xmod import apply_action
 
@@ -78,14 +78,12 @@ def check_wstructure(cm, w):
         if C.unit(x) not in w.arrows:
             out.append("identity at %s missing from window" % (x,))
     obj_space = cm.G.object_space()
-    beta = PartialMap({c: C.tgt(c) for c in sorted(w.arrows, key=_skey)})
-    if beta.image() != frozenset(C.objects):
+    beta = {c: C.tgt(c) for c in w.arrows}
+    if set(beta.values()) != set(C.objects):
         out.append("target map not surjective on objects")
-    try:
-        if not is_continuous(beta, w.space, obj_space):
-            out.append("target map not continuous on window")
-    except TopologyError as e:
-        out.append("target map continuity: %s" % e)
+    # the domain is all of w.space and the values are G's objects: no TopologyError
+    if not is_continuous(beta, w.space, obj_space):
+        out.append("target map not continuous on window")
     for o in sorted({w.space.minimal_open(c) for c in w.arrows},
                     key=lambda o: (len(o), sorted(map(str, o)))):
         img = frozenset(C.tgt(c) for c in o)
@@ -169,12 +167,6 @@ class LocalLinearSection:
                             tuple(sorted(self.squares.items(), key=lambda kv: _skey(kv[0]))))
         return self._sorted
 
-    def top_map(self):
-        return PartialMap({z: sq.top for z, sq in self.squares.items()})
-
-    def base_map(self):
-        return PartialMap(self.s0)
-
     def __eq__(self, other):
         if not isinstance(other, LocalLinearSection):
             return NotImplemented
@@ -249,19 +241,19 @@ def check_local_section(dg, sec):
             continue
         if rhs != sec.squares[uv]:
             out.append("linearity fails at (%s,%s)" % (u, v))
-    f1 = sec.top_map()
+    f1 = {z: sq.top for z, sq in sec.squares.items()}
     ok, reason = is_partial_homeomorphism(f1, AS, AS)
     if not ok:
         out.append("top map not a partial homeomorphism: %s" % reason)
     else:
         for u, v, uv in _nonunit_pairs(G, sec.dom1):
-            if f1.table[uv] != G.add(f1.table[u], f1.table[v]):
+            if f1[uv] != G.add(f1[u], f1[v]):
                 out.append("top map not multiplicative at (%s,%s)" % (u, v))
-        inv = f1.inverse()
-        for p, q, pq in _nonunit_pairs(G, f1.image()):
-            if inv.table[pq] != G.add(inv.table[p], inv.table[q]):
+        inv = {t: z for z, t in f1.items()}
+        for p, q, pq in _nonunit_pairs(G, inv):
+            if inv[pq] != G.add(inv[p], inv[q]):
                 out.append("inverse top map not multiplicative at (%s,%s)" % (p, q))
-    f0a = PartialMap({x: G.src(sec.s0[x]) for x in sec.dom0})
+    f0a = {x: G.src(sec.s0[x]) for x in sec.dom0}
     ok, reason = is_partial_homeomorphism(f0a, XS, XS)
     if not ok:
         out.append("base deformation not a partial homeomorphism: %s" % reason)
@@ -291,10 +283,9 @@ def smoothness_violations(dg, wg, sec):
             out.append("value at %s outside the window" % (z,))
     if out:
         return out
-    if not is_continuous(sec.base_map(), G.object_space(), AS):
+    if not is_continuous(sec.s0, G.object_space(), AS):
         out.append("s0 not continuous")
-    sq_map = PartialMap(dict(sec.squares))
-    if not is_continuous(sq_map, AS, wg.space):
+    if not is_continuous(sec.squares, AS, wg.space):
         out.append("square map not continuous into the window")
     return out
 
@@ -327,13 +318,12 @@ def local_section_mul(dg, sec, tau, check=True):
 def local_section_inv(dg, sec):
     """sec^{-1}(z) = -1 sec(topmap^{-1}(z)), on the image domains."""
     G = dg.edge
-    f1inv = sec.top_map().inverse()
-    f0 = PartialMap({x: G.src(sec.s0[x]) for x in sec.dom0})
-    f0inv = f0.inverse()
-    dom1 = f1inv.domain
-    dom0 = f0inv.domain
-    squares = {z: dg.vneg(sec.squares[f1inv.table[z]]) for z in dom1}
-    s0 = {x: G.neg(sec.s0[f0inv.table[x]]) for x in dom0}
+    f1inv = {sq.top: z for z, sq in sec.squares.items()}
+    f0inv = {G.src(a): x for x, a in sec.s0.items()}
+    if len(f1inv) != len(sec.squares) or len(f0inv) != len(sec.s0):
+        raise TopologyError("cannot invert a non-injective partial map")
+    squares = {t: dg.vneg(sec.squares[z]) for t, z in f1inv.items()}
+    s0 = {y: G.neg(sec.s0[x]) for y, x in f0inv.items()}
     out = LocalLinearSection(s0, squares)
     bad = section_violations(dg, out)
     if bad:
@@ -427,7 +417,7 @@ def germ_inv(dg, g):
 # ---------------------------------------------------------------------------
 
 
-def _complete_base_map(dg, dom0, pins, alpha_req, smooth):
+def _complete_s0(dg, dom0, pins, alpha_req, smooth):
     """The first s0 on dom0, in ``_skey`` order of the unpinned fibres,
     that extends the right-edge pins, respects the base points required
     by left edges, makes the base deformation a partial homeomorphism
@@ -445,8 +435,8 @@ def _complete_base_map(dg, dom0, pins, alpha_req, smooth):
     for combo in itertools.product(*fibres):
         s0 = dict(pins)
         s0.update(zip(free, combo))
-        ok, _ = is_partial_homeomorphism(PartialMap({x: G.src(s0[x]) for x in points}), XS, XS)
-        if ok and (not smooth or is_continuous(PartialMap(s0), XS, AS)):
+        ok, _ = is_partial_homeomorphism({x: G.src(s0[x]) for x in points}, XS, XS)
+        if ok and (not smooth or is_continuous(s0, XS, AS)):
             return s0
     return None
 
@@ -475,9 +465,9 @@ def section_from_squares(dg, square_map, window=None):
     # the tables of a search share dom0 and repeat their pins: each
     # completion is searched once per double groupoid
     key = (dom0, tuple(pins.items()), tuple(alpha_req.items()), smooth)
-    if key not in dg._base_maps:
-        dg._base_maps[key] = _complete_base_map(dg, dom0, pins, alpha_req, smooth)
-    s0 = dg._base_maps[key]
+    if key not in dg._s0_completions:
+        dg._s0_completions[key] = _complete_s0(dg, dom0, pins, alpha_req, smooth)
+    s0 = dg._s0_completions[key]
     if s0 is None:
         return None
     sec = LocalLinearSection(s0, square_map)
@@ -638,8 +628,8 @@ def check_locally_lie_double(dg, wg):
                     "difference_set_open": wd_open,
                     "difference_continuous": wd_cont}
 
-    top_cont = is_continuous(PartialMap({sq: sq.top for sq in wg.squares}), wg.space, AS)
-    bot_cont = is_continuous(PartialMap({sq: sq.bottom for sq in wg.squares}), wg.space, AS)
+    top_cont = is_continuous({sq: sq.top for sq in wg.squares}, wg.space, AS)
+    bot_cont = is_continuous({sq: sq.bottom for sq in wg.squares}, wg.space, AS)
     enough = has_enough_sections(wg)
     report["S4"] = {"ok": bool(top_cont and bot_cont and enough["ok"]),
                     "source_continuous": top_cont,
@@ -661,8 +651,8 @@ def check_locally_lie_double(dg, wg):
 def _locally_lie_deductions(dg, wg, enough):
     out = {}
     # 1) the vertical inverse is continuous on the window
-    inv_map = PartialMap({sq: dg.vneg(sq) for sq in wg.squares})
-    out["inverse_continuous"] = is_continuous(inv_map, wg.space, wg.space)
+    out["inverse_continuous"] = is_continuous(
+        {sq: dg.vneg(sq) for sq in wg.squares}, wg.space, wg.space)
     # 2) composable window pairs whose product stays in the window form an
     #    open set on which the product is continuous
     p_open, p_cont = operation_continuity(
@@ -713,15 +703,6 @@ def _locally_lie_deductions(dg, wg, enough):
     return out
 
 
-def is_equivariant(cm, arrows):
-    """Window closed under the edge action."""
-    for c in arrows:
-        for a in cm.G.arrows:
-            if cm.C.tgt(c) == cm.G.src(a) and apply_action(cm, c, a) not in arrows:
-                return False
-    return True
-
-
 def check_locally_lie_xmod(cm, w, square_axioms):
     """Axioms C1-C5 for a windowed crossed module, with the cross-check
     that the kernel-side continuity matches the square-side difference.
@@ -746,8 +727,7 @@ def check_locally_lie_xmod(cm, w, square_axioms):
     missing = [x for x in C.objects if C.unit(x) not in w.arrows]
     report["C2"] = {"ok": not missing, "witnesses": [str(x) for x in missing]}
 
-    delta_map = PartialMap({c: cm.delta[c] for c in arrows})
-    c3 = is_continuous(delta_map, w.space, AS)
+    c3 = is_continuous({c: cm.delta[c] for c in arrows}, w.space, AS)
     report["C3"] = {"ok": c3}
 
     a_open, a_cont = operation_continuity(
@@ -796,14 +776,16 @@ def generation_equivalence(cm, w_arrows, dg):
     orbit closure generates; ``orbit_side`` records that refinement.
     """
     C = cm.C
-    lhs = (generated_subgroupoid(C, w_arrows) == set(C.arrows)
-           and is_equivariant(cm, w_arrows))
-    vert = dg.vertical_groupoid()
     w_set = set(w_arrows)
+    generates = generated_subgroupoid(C, w_arrows) == set(C.arrows)
+    # the window is action-stable exactly when it is its orbit closure
+    orbit = action_orbit_closure(cm, w_arrows)
+    lhs = generates and orbit == w_set
+    vert = dg.vertical_groupoid()
     wg_squares = [sq for sq in dg.squares if sq.inner in w_set]
     rhs = generated_subgroupoid(vert, wg_squares) == set(dg.squares)
-    orbit = action_orbit_closure(cm, w_arrows)
-    orbit_side = generated_subgroupoid(C, orbit) == set(C.arrows)
+    orbit_side = (generates if orbit == w_set
+                  else generated_subgroupoid(C, orbit) == set(C.arrows))
     return {"kernel_side": lhs, "square_side": rhs, "agree": lhs == rhs,
             "orbit_side": orbit_side, "orbit_agree": orbit_side == rhs}
 
@@ -966,11 +948,7 @@ class Chart:
 
     def __init__(self, section, mapping):
         self.section = section
-        self.mapping = dict(mapping)
-        self.domain = frozenset(self.mapping)
-
-    def image(self):
-        return frozenset(self.mapping.values())
+        self.mapping = mapping
 
     def __repr__(self):
         return "Chart(%d squares)" % len(self.mapping)
@@ -1132,8 +1110,8 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
     basis = set()
     for chart in charts:
         for sq in chart.mapping:
-            m = wg.space.minimal_open(sq) & chart.domain
-            basis.add(frozenset(chart.mapping[t] for t in m))
+            basis.add(frozenset(chart.mapping[t] for t in wg.space.minimal_open(sq)
+                                if t in chart.mapping))
     topology = FiniteTopSpace.from_generators(hol.arrows, basis, point_cap=None)
 
     report = {"axioms": axioms, "embedded_squares": len(embed),
@@ -1147,7 +1125,7 @@ def holonomy_groupoid(dg, wg, axioms, require_axioms=True):
     report["psi_preimage_open"] = topology.is_open(preimage)
     try:
         report["psi_continuous_on_preimage"] = is_continuous(
-            PartialMap({h: psi_arrows[h] for h in preimage}), topology, wg.space)
+            {h: psi_arrows[h] for h in preimage}, topology, wg.space)
     except TopologyError:
         report["psi_continuous_on_preimage"] = False
     report["psi_unit_on_objects"] = all(
@@ -1392,7 +1370,7 @@ def universal_morphism(wgA, mu, hol):
     pre = frozenset(sq for sq in dgA.squares if mu.arr_map[sq] in wg.squares)
     if not wgA.space.is_open(pre):
         raise HolonomyError("hypothesis (ii) fails: window preimage not open")
-    if not is_continuous(PartialMap({sq: mu.arr_map[sq] for sq in pre}),
+    if not is_continuous({sq: mu.arr_map[sq] for sq in pre},
                          wgA.space, wg.space):
         raise HolonomyError("hypothesis (ii) fails: morphism not continuous on the preimage")
     vertA = dgA.vertical_groupoid()

@@ -16,8 +16,8 @@ run inherits another's memory:
 
 - the layers in pipeline order, each timed once, the germ counts of
   the holonomy groupoid (J_r, the kernel of unit-valued germs and the
-  classes), and the child's own peak resident set (``ru_maxrss``) at
-  the end;
+  classes), its charts and the squares they map, and the child's own
+  peak resident set (``ru_maxrss``) at the end;
 - the vertical square view alone under ``tracemalloc``: the memory it
   holds once built, with its position tables, and the peak of its build.
 """
@@ -114,6 +114,8 @@ def layers(name):
     hol = timed("holonomy_groupoid", holonomy_groupoid, dg, wg, axioms)
     out["J_r / kernel / classes"] = "%d / %d / %d" % (
         len(hol.germ_groupoid.arrows), len(hol.unit_sub.arrows), len(hol.quotient.arrows))
+    out["charts / chart squares"] = "%d / %d" % (
+        len(hol.charts), sum(len(chart.mapping) for chart in hol.charts))
     charts = timed("check_chart_coherence", check_chart_coherence, hol)
     mu = identity_vertical_morphism(dg)
     timed("check_groupoid_morphism(mu)", check_groupoid_morphism,

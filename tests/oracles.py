@@ -45,7 +45,7 @@ import itertools
 
 from holonomy2.dgpd import (DoubleGroupoidError, build_double_groupoid,
                             square_boundary_ok)
-from holonomy2.fintop import FiniteTopSpace, ModelError, PartialMap, TopologyError
+from holonomy2.fintop import FiniteTopSpace, ModelError, TopologyError
 from holonomy2.groupoid import (Groupoid, GroupoidError, GroupoidMorphism, _skey,
                                 check_groupoid_morphism, composite_triples, pair_rows)
 from holonomy2 import holonomy
@@ -85,18 +85,18 @@ def is_continuous(f, src, tgt):
     Over finite spaces this is equivalent to the pointwise condition
     f(min(p)) <= min(f(p)), which is what gets checked.
     """
-    if not f.domain <= src.points:
+    if not f.keys() <= src.points:
         raise TopologyError("domain not within source space")
-    if not is_open_pointwise(src, f.domain):
+    if not is_open_pointwise(src, f):
         raise TopologyError("domain of partial map is not open")
-    if not f.image() <= tgt.points:
+    if not frozenset(f.values()) <= tgt.points:
         raise TopologyError("values leave the target space")
-    for p in f.domain:
-        fp = f.table[p]
+    for p in f:
+        fp = f[p]
         tmin = tgt.minimal_open(fp)
         # domain open, so min(p) stays inside it
         for q in src.minimal_open(p):
-            if f.table[q] not in tmin:
+            if f[q] not in tmin:
                 return False
     return True
 
@@ -144,7 +144,7 @@ def window_operation(factors, pairs, op, target):
     cont = None
     if is_open:
         try:
-            cont = is_continuous(PartialMap(values), pspace, target)
+            cont = is_continuous(dict(values), pspace, target)
         except TopologyError:
             cont = False
     return is_open, cont
@@ -152,17 +152,20 @@ def window_operation(factors, pairs, op, target):
 
 def is_partial_homeomorphism(f, src, tgt):
     """Injective, open image, continuous both ways, checked point by point."""
-    if not is_open_pointwise(src, f.domain):
+    if not is_open_pointwise(src, f):
         return False, "domain-not-open"
-    if not f.image() <= tgt.points:
+    if not frozenset(f.values()) <= tgt.points:
         return False, "values-outside-target"
-    if not f.is_injective():
-        return False, "not-injective"
-    if not is_open_pointwise(tgt, f.image()):
+    inverse = {}
+    for p, fp in f.items():
+        if fp in inverse:
+            return False, "not-injective"
+        inverse[fp] = p
+    if not is_open_pointwise(tgt, inverse):
         return False, "image-not-open"
     if not is_continuous(f, src, tgt):
         return False, "not-continuous"
-    if not is_continuous(f.inverse(), tgt, src):
+    if not is_continuous(inverse, tgt, src):
         return False, "inverse-not-continuous"
     return True, ""
 
@@ -252,24 +255,24 @@ def continuity_report(g):
     tested."""
     out = []
     arr, obj = g.topology
-    alpha = PartialMap({a: g.src(a) for a in g.arrows})
-    beta = PartialMap({a: g.tgt(a) for a in g.arrows})
+    alpha = {a: g.src(a) for a in g.arrows}
+    beta = {a: g.tgt(a) for a in g.arrows}
     if not is_continuous(alpha, arr, obj):
         out.append("continuity: source map not continuous")
     if not is_continuous(beta, arr, obj):
         out.append("continuity: target map not continuous")
-    eps = PartialMap({x: g.unit(x) for x in g.objects if x in g._units})
-    if is_open(obj, eps.domain) and not is_continuous(eps, obj, arr):
+    eps = {x: g.unit(x) for x in g.objects if x in g._units}
+    if is_open(obj, eps) and not is_continuous(eps, obj, arr):
         out.append("continuity: unit map not continuous")
-    neg = PartialMap({a: g._neg[a] for a in g.arrows if a in g._neg})
-    if is_open(arr, neg.domain) and not is_continuous(neg, arr, arr):
+    neg = {a: g._neg[a] for a in g.arrows if a in g._neg}
+    if is_open(arr, neg) and not is_continuous(neg, arr, arr):
         out.append("continuity: negation not continuous")
     # difference map on the beta-fibred pairs, (a,b) |-> a - b
     pairs = [(a, b) for a in g.arrows for b in g.arrows if g.tgt(a) == g.tgt(b)]
     if all(a in g._neg for a in g.arrows) and any(g.entries()):
         pspace = pullback_space([arr, arr], pairs, lambda p: p)
         try:
-            diff = PartialMap({(a, b): g.add(a, g.neg(b)) for a, b in pairs})
+            diff = {(a, b): g.add(a, g.neg(b)) for a, b in pairs}
             if not is_continuous(diff, pspace, arr):
                 out.append("continuity: difference map not continuous")
         except GroupoidError:
@@ -277,7 +280,7 @@ def continuity_report(g):
         cpairs = list(g.composable_pairs())
         cspace = pullback_space([arr, arr], cpairs, lambda p: p)
         try:
-            addm = PartialMap({(a, b): g.add(a, b) for a, b in cpairs})
+            addm = {(a, b): g.add(a, b) for a, b in cpairs}
             if not is_continuous(addm, cspace, arr):
                 out.append("continuity: composition not continuous")
         except GroupoidError:
@@ -578,8 +581,9 @@ def check_chart_coherence(hol):
             out["violations"].append("chart of %r not injective" % (chart.section,))
     for cs in hol.charts:
         for ct in hol.charts:
-            overlap = [v for v in sorted(cs.domain, key=_skey)
-                       if cs.mapping[v] in ct.image()]
+            image = frozenset(ct.mapping.values())
+            overlap = [v for v in sorted(cs.mapping, key=_skey)
+                       if cs.mapping[v] in image]
             if not overlap:
                 continue
             try:
@@ -705,7 +709,7 @@ def universal_morphism(cmA, wA, mu, hol, word_bound=8, max_factorizations=24,
     pre = frozenset(sq for sq in dgA.squares if mu.arr_map[sq] in wg.squares)
     if not wgA.space.is_open(pre):
         raise HolonomyError("hypothesis (ii) fails: window preimage not open")
-    if not is_continuous(PartialMap({sq: mu.arr_map[sq] for sq in pre}),
+    if not is_continuous({sq: mu.arr_map[sq] for sq in pre},
                          wgA.space, wg.space):
         raise HolonomyError("hypothesis (ii) fails: morphism not continuous on the preimage")
     vertA = dgA.vertical_groupoid()
@@ -1372,7 +1376,7 @@ def locally_lie_deductions(dg, wg, enough):
     triple of witness sections in product order, k * s recomputed for
     every t and the witnesses deduplicated by list membership."""
     out = {}
-    inv_map = PartialMap({sq: dg.vneg(sq) for sq in wg.squares})
+    inv_map = {sq: dg.vneg(sq) for sq in wg.squares}
     out["inverse_continuous"] = holonomy.is_continuous(inv_map, wg.space, wg.space)
     p_open, p_cont = holonomy.operation_continuity(
         [wg.space, wg.space], composite_triples(dg.vertical_groupoid(), wg.ordered), wg.space)
@@ -1573,8 +1577,8 @@ def check_wstructure(cm, w):
         if C.unit(x) not in w.arrows:
             out.append("identity at %s missing from window" % (x,))
     obj_space = cm.G.object_space()
-    beta = PartialMap({c: C.tgt(c) for c in sorted(w.arrows, key=_skey)})
-    if beta.image() != frozenset(C.objects):
+    beta = {c: C.tgt(c) for c in sorted(w.arrows, key=_skey)}
+    if frozenset(beta.values()) != frozenset(C.objects):
         out.append("target map not surjective on objects")
     try:
         if not is_continuous(beta, w.space, obj_space):

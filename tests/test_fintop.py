@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from holonomy2.fintop import (FiniteTopSpace, PartialMap, TopologyError,
+from holonomy2.fintop import (FiniteTopSpace, TopologyError,
                               is_continuous, is_partial_homeomorphism,
                               pullback_space)
 
@@ -69,15 +69,15 @@ def test_open_sets_are_exactly_down_sets():
 
 def test_is_continuous_identity_and_constant():
     sp = sierpinski_space()
-    ident = PartialMap({p: p for p in sp.points})
+    ident = {p: p for p in sp.points}
     assert is_continuous(ident, sp, sp)
-    const = PartialMap({p: "a" for p in sp.points})
+    const = {p: "a" for p in sp.points}
     assert is_continuous(const, sp, sp)
 
 
 def test_is_continuous_swap_on_sierpinski_fails():
     sp = sierpinski_space()
-    swap = PartialMap({"a": "b", "b": "a"})
+    swap = {"a": "b", "b": "a"}
     # preimage of {a} is {b}, not open
     assert not is_continuous(swap, sp, sp)
 
@@ -85,13 +85,13 @@ def test_is_continuous_swap_on_sierpinski_fails():
 def test_is_continuous_requires_open_domain():
     sp = sierpinski_space()
     with pytest.raises(TopologyError, match="not open"):
-        is_continuous(PartialMap({"b": "a"}), sp, sp)
+        is_continuous({"b": "a"}, sp, sp)
 
 
 def _brute_force_continuous(f, src, tgt):
     for o in open_sets(tgt):
-        pre = frozenset(p for p in f.domain if f.table[p] in o)
-        found = any(pre == u & f.domain for u in open_sets(src))
+        pre = frozenset(p for p in f if f[p] in o)
+        found = any(pre == u & f.keys() for u in open_sets(src))
         if not found:
             return False
     return True
@@ -111,33 +111,33 @@ def test_continuity_agrees_with_brute_force_everywhere():
             if not o:
                 continue
             for values in itertools.product(sorted(tgt.points), repeat=len(o)):
-                f = PartialMap(dict(zip(sorted(o), values)))
+                f = dict(zip(sorted(o), values))
                 assert is_continuous(f, src, tgt) == _brute_force_continuous(f, src, tgt)
 
 
 def test_partial_homeo_identity():
     sp = sierpinski_space()
-    ok, reason = is_partial_homeomorphism(PartialMap({p: p for p in sp.points}), sp, sp)
+    ok, reason = is_partial_homeomorphism({p: p for p in sp.points}, sp, sp)
     assert ok and reason == ""
 
 
 def test_partial_homeo_open_inclusion():
     sp = sierpinski_space()
-    incl = PartialMap({"a": "a"})
+    incl = {"a": "a"}
     ok, _ = is_partial_homeomorphism(incl, sp, sp)
     assert ok
 
 
 def test_partial_homeo_non_open_image():
     sp = sierpinski_space()
-    f = PartialMap({"a": "b"})
+    f = {"a": "b"}
     ok, reason = is_partial_homeomorphism(f, sp, sp)
     assert not ok and reason == "image-not-open"
 
 
 def test_partial_homeo_not_injective():
     sp = FiniteTopSpace.discrete("ab")
-    f = PartialMap({"a": "a", "b": "a"})
+    f = {"a": "a", "b": "a"}
     ok, reason = is_partial_homeomorphism(f, sp, sp)
     assert not ok and reason == "not-injective"
 

@@ -2,13 +2,12 @@ import pytest
 
 from holonomy2 import corpus
 from holonomy2.dgpd import build_double_groupoid
-from holonomy2.fintop import (FiniteTopSpace, PartialMap, TopologyError,
+from holonomy2.fintop import (FiniteTopSpace, TopologyError,
                               is_continuous, operation_continuity, pullback_space)
 from holonomy2.groupoid import _skey, composite_triples, difference_triples, generated_subgroupoid
-from holonomy2.holonomy import (HolonomyError, WStructure, build_wg, check_locally_lie_double,
-                                check_locally_lie_xmod, check_wstructure,
-                                generation_equivalence,
-                                has_enough_sections, is_equivariant,
+from holonomy2.holonomy import (HolonomyError, WStructure, action_orbit_closure, build_wg,
+                                check_locally_lie_double, check_locally_lie_xmod,
+                                check_wstructure, generation_equivalence, has_enough_sections,
                                 sections_through)
 from holonomy2.xmod import apply_action
 
@@ -168,13 +167,14 @@ def test_generation_counterexample_is_nongenerating(z4):
 
 
 def test_equivariance(pairz2):
-    assert is_equivariant(pairz2, set(pairz2.C.arrows))
-    assert not is_equivariant(pairz2, {"0@x", "0@y", "1@x"})
+    arrows = frozenset(pairz2.C.arrows)
+    assert action_orbit_closure(pairz2, arrows) == arrows
+    assert action_orbit_closure(pairz2, {"0@x", "0@y", "1@x"}) != {"0@x", "0@y", "1@x"}
 
 
 def test_equivariant_nongenerating_pairz2(pairz2):
     units = {"0@x", "0@y"}
-    assert is_equivariant(pairz2, units)
+    assert action_orbit_closure(pairz2, units) == units
     res = generation_equivalence(pairz2, units, build_double_groupoid(pairz2))
     assert not res["kernel_side"] and not res["square_side"] and res["agree"]
 
@@ -187,7 +187,7 @@ def _old_openness_and_continuity(pspace, subset, mapping, target_space):
     cont = None
     if is_open:
         try:
-            cont = is_continuous(PartialMap(mapping), pspace, target_space)
+            cont = is_continuous(dict(mapping), pspace, target_space)
         except TopologyError:
             cont = False
     return is_open, cont

@@ -11,7 +11,7 @@ import holonomy2
 
 from holonomy2 import corpus
 from holonomy2.dgpd import DoubleGroupoidError, Square, build_double_groupoid
-from holonomy2.fintop import FiniteTopSpace
+from holonomy2.fintop import FiniteTopSpace, TopologyError
 from holonomy2.holonomy import (Germ, HolonomyError, LocalLinearSection, WStructure,
                                 build_wg, check_local_section,
                                 check_wstructure, constant_section,
@@ -323,3 +323,26 @@ def test_local_check_skips_unit_pairs_that_the_linear_check_reads():
     assert check_local_section(dg, sec) == []
     assert check_linear_section(dg, sec) == [
         "linearity fails at (0,0)", "linearity fails at (0,1)", "linearity fails at (1,0)"]
+
+
+def test_inverse_refuses_squares_sharing_a_top(z2z2):
+    """Two arrows whose squares share a top: the top map has no inverse."""
+    dg = build_double_groupoid(z2z2)
+    G = dg.edge
+    first, second = next((p, q) for p in dg.squares for q in dg.squares
+                         if p.top == q.top and p.bottom != q.bottom)
+    sec = LocalLinearSection({x: G.unit(x) for x in G.objects},
+                             {first.bottom: first, second.bottom: second})
+    with pytest.raises(TopologyError) as err:
+        local_section_inv(dg, sec)
+    assert str(err.value) == "cannot invert a non-injective partial map"
+
+
+def test_inverse_refuses_a_non_injective_base_deformation(pairz2):
+    """s0 sends x to xx and y to xy: both start at x, so the base
+    deformation has no inverse."""
+    dg = build_double_groupoid(pairz2)
+    sec = LocalLinearSection({"x": "xx", "y": "xy"}, {})
+    with pytest.raises(TopologyError) as err:
+        local_section_inv(dg, sec)
+    assert str(err.value) == "cannot invert a non-injective partial map"

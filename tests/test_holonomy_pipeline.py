@@ -1,5 +1,11 @@
+import ast
+import os
+import subprocess
+import sys
+
 import pytest
 
+import holonomy2
 from holonomy2 import corpus
 from holonomy2.dgpd import build_double_groupoid
 from holonomy2.groupoid import NormalSubgroupoid, check_groupoid, check_groupoid_morphism
@@ -270,3 +276,20 @@ def test_unit_germs_are_scanned_once_per_holonomy_groupoid(z2z2, monkeypatch):
     monkeypatch.setattr(NormalSubgroupoid, "_scan", counted)
     hol = holonomy_of(*discrete_item(z2z2))
     assert scans == [hol.unit_sub]
+
+
+def test_frontier_tool_runs_every_layer_on_z3():
+    """``tests/frontier.py z3`` runs the layers in child processes and
+    prints one row each, so a library rename cannot break it unseen."""
+    src = os.path.dirname(os.path.dirname(holonomy2.__file__))
+    proc = subprocess.run([sys.executable, os.path.join(os.path.dirname(__file__), "frontier.py"),
+                           "z3"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    title, *lines = proc.stdout.splitlines()
+    assert title == "z3 (81 squares)"
+    rows = {line[2:30].rstrip(): line[31:] for line in lines}
+    assert rows["J_r / kernel / classes"] == "81 / 3 / 81"
+    assert rows["charts / chart squares"] == "81 / 2187"
+    verdicts = ast.literal_eval(rows["verdicts"])
+    assert verdicts and all(v is True for v in verdicts.values())

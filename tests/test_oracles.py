@@ -25,7 +25,7 @@ from conftest import (altered_holonomy, corpus_groupoids, discrete_item, indiscr
 from holonomy2 import corpus, dgpd, groupoid, holonomy, xmod
 from holonomy2.dgpd import (DoubleGroupoid, Square, build_double_groupoid, check_double,
                             crossed_module_of)
-from holonomy2.fintop import (FiniteTopSpace, ModelError, PartialMap, is_continuous,
+from holonomy2.fintop import (FiniteTopSpace, ModelError, is_continuous,
                               is_partial_homeomorphism, operation_continuity, pullback_space)
 from holonomy2.groupoid import (Groupoid, GroupoidMorphism, NormalSubgroupoid,
                                 _skey, check_groupoid, generated_subgroupoid, pair_rows)
@@ -271,7 +271,7 @@ def partial_maps(draw):
         domain = src.min_neighbourhood(domain)
     values = sorted(tgt.points) + ([] if draw(st.integers(0, 3)) else ["outside"])
     table = {p: draw(st.sampled_from(values)) for p in sorted(domain)}
-    return PartialMap(table), src, tgt
+    return dict(table), src, tgt
 
 
 @settings(ORACLE, max_examples=300)
@@ -392,7 +392,7 @@ def derived_maps(draw):
         values = draw(st.permutations(targets))[:len(domain)]
     else:
         values = [draw(st.sampled_from(targets)) for _ in domain]
-    return PartialMap(dict(zip(domain, values))), src, tgt
+    return dict(zip(domain, values)), src, tgt
 
 
 @settings(ORACLE, max_examples=300)
@@ -401,7 +401,7 @@ def test_interned_predicates_match_per_point_oracles(data, draws):
     f, src, tgt = data
     assert_interned(src)
     assert_interned(tgt)
-    subsets = [f.domain, f.image()] + draws.draw(st.lists(
+    subsets = [f.keys(), frozenset(f.values())] + draws.draw(st.lists(
         st.sets(st.sampled_from(sorted(src.points))), max_size=4))
     for s in subsets:
         assert outcome(src.is_open, s) == outcome(oracles.is_open_pointwise, src, s)
@@ -1086,8 +1086,8 @@ def test_chart_topology_is_generated_by_every_basic_open(name):
     every window square's basic open, listed in square order, repeats
     included."""
     hol = holonomy_model(name)
-    basis = [frozenset(chart.mapping[t] for t in hol.wg.space.minimal_open(sq) & chart.domain)
-             for chart in hol.charts for sq in sorted(chart.domain, key=_skey)]
+    basis = [frozenset(chart.mapping[t] for t in hol.wg.space.minimal_open(sq) & chart.mapping.keys())
+             for chart in hol.charts for sq in sorted(chart.mapping, key=_skey)]
     assert hol.topology == FiniteTopSpace.from_generators(hol.quotient.arrows, basis,
                                                           point_cap=None)
 
